@@ -2,8 +2,9 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 enumeration
 budget exceeded.  Reports are schema "v1" and embed the run configuration,
-including the seed and the node cap (overridable through the
-ACTIONPAIR_NODE_CAP environment variable).
+including the seed and the node cap requested for this run (through
+--bound or the ACTIONPAIR_NODE_CAP environment variable; neither changes the
+library's default for later calls).
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ ALGEBRA_INSTANCES = indalg.BUILTIN_ALGEBRAS
 
 
 def _config(args) -> dict:
-    cap = os.environ.get("ACTIONPAIR_NODE_CAP")
-    if cap:
-        fmonoid.set_node_cap(int(cap))
+    cap = fmonoid.NODE_CAP
+    if os.environ.get("ACTIONPAIR_NODE_CAP"):
+        cap = int(os.environ["ACTIONPAIR_NODE_CAP"])
     if getattr(args, "bound", None):
-        fmonoid.set_node_cap(args.bound)
+        cap = args.bound
     return {
-        "node_cap": fmonoid.NODE_CAP,
+        "node_cap": cap,
         "table_cap": fmonoid.FULL_TABLE_CAP,
         "seed": getattr(args, "seed", 0),
         "bound": getattr(args, "bound", None),
@@ -110,7 +111,7 @@ def cmd_verify_presentation(args) -> int:
         return EXIT_PASS if ok else EXIT_FAIL
 
     try:
-        ver = bundle.verify()
+        ver = bundle.verify(node_cap=cfg["node_cap"])
     except fmonoid.BoundExceeded as e:
         report["error"] = f"enumeration budget exhausted ({e.nodes} nodes)"
         _emit(report, args.format)

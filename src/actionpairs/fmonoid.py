@@ -7,7 +7,9 @@ as the normal-form function used by the presentation machinery.
 
 Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
-graph can).
+graph can): one HLT-style construction pass, then a certifying check that
+traces every relation column by column over the compacted graph.  The
+presented monoid's m x m table is not materialised.
 """
 
 from __future__ import annotations
@@ -260,16 +262,18 @@ def _detect_identity(t: CayleyTable) -> Optional[int]:
 
 
 def closure_from_generators(gens: Sequence, product: Callable,
-                            identity_hint=None, *, cap: int = NODE_CAP,
+                            identity_hint=None, *, cap: Optional[int] = None,
                             full_cap: int = FULL_TABLE_CAP) -> CayleyTable:
     """Enumerate the semigroup generated by `gens` under `product`.
 
     Elements are numbered in shortlex-BFS discovery order (the identity
     hint, if given, comes first with the empty word as its normal form).
-    Deterministic for a fixed generator order.
+    Deterministic for a fixed generator order.  `cap` defaults to NODE_CAP.
     """
     if not gens:
         raise ValueError("need at least one generator")
+    if cap is None:
+        cap = NODE_CAP
     index: dict = {}
     elems: list = []
     nf: list[Word] = []
@@ -523,29 +527,46 @@ BUDGET_FACTOR = 60
 
 
 def set_node_cap(value: int) -> None:
-    """Override the global enumeration budget (the CLI honors the
-    ACTIONPAIR_NODE_CAP environment variable through this)."""
+    """Override the default enumeration budget for the rest of the process."""
     global NODE_CAP
     NODE_CAP = int(value)
 
 
+def node_budget(bound: int, cap: Optional[int] = None) -> int:
+    """Nodes an enumeration up to `bound` elements may create: the cap
+    (NODE_CAP by default), lowered to BUDGET_FACTOR * bound + 1000."""
+    if cap is None:
+        cap = NODE_CAP
+    return min(cap, max(2000, BUDGET_FACTOR * bound + 1000))
+
+
 def enumerate_presentation(p: Presentation, bound: int, *,
-                           node_cap: Optional[int] = None) -> CayleyTable:
+                           node_cap: Optional[int] = None,
+                           stats: Optional[dict] = None) -> CayleyTable:
     """Enumerate the monoid/semigroup presented by `p` when it has <= bound elements.
 
-    Builds the right Cayley graph by HLT-style relation tracing with
-    coincidence processing, then re-verifies closure, so a returned table is
-    certified complete.  The output numbering is canonical (shortlex-BFS from
-    the empty word) and independent of processing order.
+    One construction pass builds the right Cayley graph by HLT-style
+    relation tracing with coincidence processing: every live node gets a
+    complete row and every relation is traced from it.  A coincidence keeps
+    the smaller node, which has already been scanned, and keeps every closed
+    trace closed, so after the pass the graph is closed.  That is then
+    certified on the compacted graph: every row is complete and every
+    relation, applied column by column to all nodes at once, ends on equal
+    nodes (another pass runs if not).  A returned table is therefore
+    certified complete.  Its numbering is canonical (shortlex-BFS from the
+    empty word) and independent of processing order.  No m x m table is
+    materialised; call `full_table()` for one.
+
+    `node_cap` is the exact node budget (default `node_budget(bound)`);
+    `stats`, when given, receives the number of nodes created.
     """
     if node_cap is None:
-        node_cap = min(NODE_CAP, max(2000, BUDGET_FACTOR * bound + 1000))
+        node_cap = node_budget(bound)
     nl = len(p.alphabet)
     rels = p.relations
 
     rows: list[list[int]] = [[-1] * nl]
     uf = [0]
-    created = 1
 
     def find(x):
         while uf[x] != x:
@@ -554,18 +575,16 @@ def enumerate_presentation(p: Presentation, bound: int, *,
         return x
 
     def new_node():
-        nonlocal created
-        if created >= node_cap:
+        n = len(uf)
+        if n >= node_cap:
             raise BoundExceeded(f"node budget {node_cap} exhausted",
-                                undecided=True, nodes=created)
-        uf.append(len(uf))
+                                undecided=True, nodes=n)
+        uf.append(n)
         rows.append([-1] * nl)
-        created += 1
-        return len(uf) - 1
+        return n
 
     def merge(a, b):
         stack = [(a, b)]
-        did = False
         while stack:
             x, y = stack.pop()
             x, y = find(x), find(y)
@@ -574,7 +593,6 @@ def enumerate_presentation(p: Presentation, bound: int, *,
             if y < x:
                 x, y = y, x
             uf[y] = x
-            did = True
             rx, ry = rows[x], rows[y]
             for k in range(nl):
                 t1, t2 = rx[k], ry[k]
@@ -582,95 +600,93 @@ def enumerate_presentation(p: Presentation, bound: int, *,
                     rx[k] = t2
                 elif t2 != -1:
                     stack.append((t1, t2))
-        return did
 
-    def trace(n, word, define=True):
-        x = find(n)
+    def trace(n, word):
+        x = n if uf[n] == n else find(n)
         for k in word:
-            t = rows[x][k]
+            row = rows[x]
+            t = row[k]
             if t == -1:
-                if not define:
-                    return None
-                t = new_node()
-                rows[x][k] = t
-            x = find(t)
+                t = row[k] = new_node()
+            elif uf[t] != t:
+                t = row[k] = find(t)
+            x = t
         return x
 
-    while True:
-        changed = False
+    def construct():
         i = 0
         while i < len(rows):
-            if find(i) == i:
+            if uf[i] == i:
                 row = rows[i]
                 for k in range(nl):
                     if row[k] == -1:
                         row[k] = new_node()
-                        changed = True
                 for u, v in rels:
-                    if merge(trace(i, u), trace(i, v)):
-                        changed = True
+                    a, b = trace(i, u), trace(i, v)
+                    if a != b:
+                        merge(a, b)
             i += 1
-        if not changed:
-            # verification pass: all relations must close without definitions
-            ok = True
-            for i in range(len(rows)):
-                if find(i) != i:
-                    continue
-                for u, v in rels:
-                    eu, ev = trace(i, u, define=False), trace(i, v, define=False)
-                    if eu is None or ev is None or eu != ev:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                break
 
-    live = [i for i in range(len(rows)) if find(i) == i]
-    root = find(0)
+    def certified():
+        """The graph compacted in BFS order from the root (node 0, which
+        no merge removes), or None unless it is closed: every row complete
+        and every relation ending on equal nodes from every node."""
+        newid = [-1] * len(rows)
+        newid[0] = 0
+        order = [0]
+        right = []
+        for e in order:
+            out = []
+            for t in rows[e]:
+                if t == -1:
+                    return None
+                if uf[t] != t:
+                    t = find(t)
+                j = newid[t]
+                if j == -1:
+                    j = newid[t] = len(order)
+                    order.append(t)
+                out.append(j)
+            right.append(out)
+        cols = [list(c) for c in zip(*right)]
+        nodes = list(range(len(right)))
+        for u, v in rels:
+            ends = []
+            for w in (u, v):
+                a = cols[w[0]] if w else nodes
+                for k in w[1:]:
+                    col = cols[k]
+                    a = [col[x] for x in a]
+                ends.append(a)
+            if ends[0] != ends[1]:
+                return None
+        return right
 
-    drop_root = False
-    if p.kind == "semigroup":
-        # the empty-word class leaves the semigroup iff nothing maps into it
-        drop_root = not any(find(rows[i][k]) == root for i in live for k in range(nl))
+    while True:
+        construct()
+        right = certified()
+        if right is not None:
+            break
+    if stats is not None:
+        stats["nodes"] = len(uf)
 
-    keep = [i for i in live if not (drop_root and i == root)]
-    size = len(keep)
+    drop_root = p.kind == "semigroup" and not any(0 in row for row in right)
+    size = len(right) - drop_root
     if size > bound:
         raise BoundExceeded(f"presented size {size} exceeds bound {bound}",
-                            undecided=False, size=size, nodes=created)
-
-    # canonical renumbering: BFS from the empty word (or the letter images)
-    newid = {}
-    order = []
-    if not drop_root:
-        newid[root] = 0
-        order.append(root)
-    for k in range(nl):
-        t = find(rows[root][k])
-        if t not in newid:
-            newid[t] = len(newid)
-            order.append(t)
-    qi = 0
-    while qi < len(order):
-        e = order[qi]
-        qi += 1
-        for k in range(nl):
-            t = find(rows[e][k])
-            if t not in newid:
-                newid[t] = len(newid)
-                order.append(t)
-    assert len(order) == size
-
-    right = [[newid[find(rows[e][k])] for k in range(nl)] for e in order]
-    gens = [newid[find(rows[root][k])] for k in range(nl)]
-    identity = newid[root] if not drop_root else None
+                            undecided=False, size=size, nodes=len(uf))
+    gens = right[0]
+    identity = 0
+    if drop_root:
+        # the empty-word class leaves the semigroup iff nothing maps into it;
+        # BFS from the letter images is the same order without the root
+        right = [[j - 1 for j in row] for row in right[1:]]
+        gens = [j - 1 for j in gens]
+        identity = None
     nf, parent = _bfs_words(right, gens, identity)
     t = CayleyTable(size, gens, right, nf, parent, identity)
     if identity is None:
         t.identity = _detect_identity(t)
-    if size <= FULL_TABLE_CAP:
-        t.full_table()
     return t
 
 
@@ -687,6 +703,8 @@ class VerificationReport:
     expected_size: int
     isomorphic: Optional[bool] = None
     failed_relation: Optional[tuple[Word, Word]] = None
+    nodes: Optional[int] = None         # nodes the enumeration created
+    node_budget: Optional[int] = None   # the node budget it was given
 
     @property
     def ok(self) -> bool:
@@ -707,6 +725,8 @@ class VerificationReport:
             "failed_relation":
                 [list(self.failed_relation[0]), list(self.failed_relation[1])]
                 if self.failed_relation else None,
+            "nodes": self.nodes,
+            "node_budget": self.node_budget,
         }
 
 
@@ -722,12 +742,15 @@ def _eval_map(p: Presentation, m: CayleyTable, gen_map: Sequence[int], word: Wor
 
 
 def verify_presentation(p: Presentation, m: CayleyTable,
-                        gen_map: Sequence[int]) -> VerificationReport:
+                        gen_map: Sequence[int], *,
+                        node_cap: Optional[int] = None) -> VerificationReport:
     """Three-verdict check that `p` presents `m` via letter -> element.
 
     relations_hold + surjective + size_match together certify the
     presentation by a finite cardinality argument; on success the presented
     table is also matched to `m` by a generator-respecting simultaneous BFS.
+    The enumeration gets `node_budget(bound, node_cap)` nodes; the report
+    records that budget and the nodes created.
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
@@ -756,11 +779,16 @@ def verify_presentation(p: Presentation, m: CayleyTable,
         frontier = nxt
     rep.surjective = len(seen) == m.size
 
+    bound = max(4 * m.size + 16, m.size + 1)
+    rep.node_budget = node_budget(bound, node_cap)
+    stats: dict = {}
     try:
-        t = enumerate_presentation(p, max(4 * m.size + 16, m.size + 1))
+        t = enumerate_presentation(p, bound, node_cap=rep.node_budget, stats=stats)
+        rep.nodes = stats["nodes"]
         rep.presented_size = t.size
         rep.size_match = t.size == m.size
     except BoundExceeded as e:
+        rep.nodes = e.nodes
         if e.undecided:
             rep.size_match = None       # inconclusive, never success
             rep.presented_size = None

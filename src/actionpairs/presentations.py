@@ -30,10 +30,11 @@ class PresentationBundle:
     expected_verify: bool = True
     notes: dict = field(default_factory=dict)
 
-    def verify(self) -> VerificationReport:
+    def verify(self, *, node_cap: Optional[int] = None) -> VerificationReport:
         if self.target is None:
             raise ValueError(f"{self.provenance}: no finite target to verify against")
-        return verify_presentation(self.pres, self.target, self.gen_map)
+        return verify_presentation(self.pres, self.target, self.gen_map,
+                                   node_cap=node_cap)
 
     def relations_hold_in(self, letter_values: Sequence, product: Callable,
                           identity=None) -> bool:

@@ -168,24 +168,6 @@ def constant(v: int, n: int) -> PartialMap:
     return PartialMap(n, (v,) * n)
 
 
-def tuple_to_pmap(n, img):
-    return PartialMap(n, img)
-
-
-MAKE_KINDS = {"id_on": id_on, "eps": eps, "tau": tau,
-              "from_images": from_images, "constant": constant,
-              "identity": identity, "empty": empty_map}
-
-
-def make(kind: str, *args, **kwargs) -> PartialMap:
-    """Constructor dispatcher over the named builders above."""
-    try:
-        builder = MAKE_KINDS[kind]
-    except KeyError:
-        raise BadParams(f"unknown constructor {kind!r}") from None
-    return builder(*args, **kwargs)
-
-
 # -- families -----------------------------------------------------------------
 
 FAMILY_KINDS = ("PT", "T", "I", "G", "E", "SingPT", "SingT", "SingI",

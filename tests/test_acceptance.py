@@ -13,7 +13,7 @@ import pytest
 
 from actionpairs import actionpair as ap
 from actionpairs import freelrm, indalg, presentations as pr, ptrans, registry, wreath
-from actionpairs.fmonoid import CongruencePartition
+from actionpairs.fmonoid import CongruencePartition, enumerate_presentation
 from actionpairs.registry import monoid_table
 
 
@@ -89,6 +89,29 @@ def test_criterion_2_presentation_suite():
     if failures:
         detail += f" failures={failures[:2]}"
     report(2, ok, detail)
+
+
+def _shortlex_table(m, images, identity):
+    """Right table and letter images of the submonoid (or subsemigroup) of
+    `m` generated by `images`, numbered in shortlex-BFS order."""
+    order = [m.identity] if identity else []
+    newid = {e: i for i, e in enumerate(order)}
+    for e in itertools.chain(images, (m.mul(e, g) for e in order for g in images)):
+        if e not in newid:
+            newid[e] = len(order)
+            order.append(e)
+    right = [[newid[m.mul(e, g)] for g in images] for e in order]
+    return right, [newid[g] for g in images]
+
+
+def test_criterion_2_tables_are_canonical():
+    # the presented table is the target renumbered in shortlex-BFS order
+    # through the letter map (semigroup kinds drop the empty word)
+    for fam, kw, size in _criterion2_cases():
+        b = pr.build_catalog(fam, **kw)
+        t = enumerate_presentation(b.pres, 4 * size + 16)
+        right, gens = _shortlex_table(b.target, b.gen_map, b.pres.kind == "monoid")
+        assert (t.right, t.gens) == (right, gens), b.provenance
 
 
 # --- criteria 3-5: the pair catalogue ---------------------------------------------------

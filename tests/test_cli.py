@@ -121,6 +121,17 @@ def test_node_cap_env_override(capsys, monkeypatch):
         fm.set_node_cap(old)
 
 
+def test_bound_applies_to_its_run_only(capsys):
+    import actionpairs.fmonoid as fm
+    from actionpairs import presentations as pr
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "2", "--bound", "5")
+    assert rep["config"]["node_cap"] == 5
+    assert rep["verdicts"]["node_budget"] == 5
+    assert fm.NODE_CAP == 5_000_000
+    assert pr.build_catalog("Gn", n=3).verify().size_match is True
+
+
 def test_classify_tuple_pair_strong(capsys):
     code, rep = run_json(capsys, "classify-pair", "--ambient", "MwrPT2",
                          "--M", "c2", "--U", "M0n", "--S", "T")

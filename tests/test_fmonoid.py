@@ -233,6 +233,28 @@ def test_verify_presentation_inconclusive_never_success(monkeypatch):
     assert rep.size_match is None and not rep.ok and rep.inconclusive
 
 
+def test_verify_reports_nodes_and_the_budget_applied():
+    g3 = ptrans_table("G", 3)
+    idx = {w: i for i, w in enumerate(g3.elements)}
+    gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
+    rep = verify_presentation(_symmetric3(), g3, gm)
+    # bound 4 * 6 + 16 = 40, so the budget is 60 * 40 + 1000 nodes
+    assert rep.ok and rep.node_budget == 3400 and 6 <= rep.nodes < 3400
+    assert rep.to_dict()["nodes"] == rep.nodes
+    # an explicit cap lowers the budget for this call only
+    free = Presentation.make(["s1", "s2"], [((0, 0), ()), ((1, 1), ())], "monoid")
+    rep = verify_presentation(free, g3, gm, node_cap=40)
+    assert rep.inconclusive and rep.nodes == rep.node_budget == 40
+    assert verify_presentation(free, g3, gm).node_budget == 3400
+
+
+def test_closure_cap_defaults_to_the_current_node_cap(monkeypatch):
+    import actionpairs.fmonoid as fm
+    monkeypatch.setattr(fm, "NODE_CAP", 3)
+    with pytest.raises(SizeBoundExceeded):
+        closure_from_generators(all_total_maps(2), ptrans.compose)
+
+
 def test_verify_detects_non_surjective():
     p = Presentation.make(["a"], [((0, 0), ())], "monoid")
     g3 = ptrans_table("G", 3)

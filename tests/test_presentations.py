@@ -22,6 +22,15 @@ def embed(amb, pm):
 
 # --- catalogue families ---------------------------------------------------------------
 
+@pytest.mark.parametrize("fam,n,nodes", [("Gn", 3, 13), ("Tn", 3, 207)])
+def test_enumeration_node_counts(fam, n, nodes):
+    # node counts of the HLT construction; a change here changes which
+    # inputs exhaust their budget
+    rep = pr.build_catalog(fam, n=n).verify()
+    assert rep.ok and rep.nodes == nodes
+    assert rep.node_budget == 60 * (4 * rep.expected_size + 16) + 1000
+
+
 @pytest.mark.parametrize("fam,kw,size", [
     ("En", dict(n=1), 2), ("En", dict(n=4), 16),
     ("Gn", dict(n=2), 2), ("Gn", dict(n=3), 6),
