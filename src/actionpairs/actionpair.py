@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
-                      congruence_closure, is_compatible, quotient)
+                      congruence_closure, greedy_generators, is_compatible,
+                      quotient)
 
 
 class NotSubsemigroup(Exception):
@@ -556,6 +557,13 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
 # Semidirect products
 # ---------------------------------------------------------------------------
 
+def _shortlex_pairs(m: CayleyTable, us: Sequence, ss: Sequence) -> list:
+    """The pairs of us x ss in shortlex order of their ambient normal forms."""
+    return sorted(((u, s) for u in us for s in ss),
+                  key=lambda p: (len(m.nf[p[0]]) + len(m.nf[p[1]]),
+                                 m.nf[p[0]], m.nf[p[1]]))
+
+
 @dataclass
 class SemidirectResult:
     table: CayleyTable                   # U x S, payload (u, s) ambient pairs
@@ -581,6 +589,13 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     Also computes the subsemigroups cut out by u = u s+ and u = (1>u), their
     intersection with its retraction, the monoid verdict, and checks that
     the pair of identities is a mid-identity of the extended product.
+
+    The table is generated by a small subset of U x S picked by
+    `greedy_generators`: when U and S both contain the identity the
+    candidates start with (u, 1) over the generators of U and (1, s) over
+    those of S (all of U and S when none are known); every other pair
+    follows in shortlex order of its ambient normal forms.  No m x m table
+    is built.
     """
     m = ctx.m
     ident = ctx.identity
@@ -592,19 +607,21 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
         return (m.mul(u, act(s, v)), m.mul(s, t))
 
     have_units = ident in ctx.u_set and ident in ctx.s_set
+    identity_hint = None
+    candidates = []
     if have_units:
-        ugens = list(ctx.u_gens) if ctx.u_gens else [u for u in ulist if u != ident]
-        gens = [(u, ident) for u in ugens] + [(ident, s) for s in slist]
+        candidates = [(u, ident) for u in ctx.u_gens or ulist if u != ident] + \
+                     [(ident, s) for s in ctx.s_gens or slist if s != ident]
         # (1, 1) is always a left identity here (the action is monoidal) but
         # a right identity only when every u absorbs every projection
-        absorbing = all(m.mul(u, act.splus(s)) == u for u in ulist for s in slist)
-        identity_hint = (ident, ident) if absorbing else None
-    else:
-        gens = [(u, s) for u in ulist for s in slist]
-        identity_hint = None
+        if all(m.mul(u, act.splus(s)) == u for u in ulist for s in slist):
+            identity_hint = (ident, ident)
+    candidates += _shortlex_pairs(m, ulist, slist)
+    gens = greedy_generators((c for c in candidates if c != identity_hint),
+                             prod) or [identity_hint]
     size = len(ulist) * len(slist)
     table = closure_from_generators(gens, prod, identity_hint=identity_hint,
-                                    cap=size + 1)
+                                    cap=size + 1, full_cap=0)
     if table.size != size:
         raise ValueError("semidirect generators failed to cover U x S")
     index = {pair: i for i, pair in enumerate(table.elements)}
@@ -621,9 +638,9 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
         retraction[i] = index[img]
     retr_ok = all(retraction[j] in mm for j in retraction) and \
         all(retraction[j] == j for j in mm) and \
-        all(retraction[table.mul(i, j)] ==
+        all(retraction[table.right[i][k]] ==
             table.mul(retraction[i], retraction[j])
-            for i in range(table.size) for j in table.gens)
+            for i in range(table.size) for k, j in enumerate(table.gens))
 
     trivial_proj = all(act.splus(s) == ident for s in slist)
     monoid_expected = have_units and trivial_proj
@@ -1207,6 +1224,11 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     checked to be left restriction under (u, s)+ = (u, 1), with the
     covering morphism separating projections and preserving the unary
     operation.
+
+    The carrier is generated by the members that `greedy_generators` keeps
+    from the candidates (u, 1), then (s+, s), then every other member in
+    shortlex order of its ambient normal forms.  Its m x m table is built,
+    since the cover pair is classified with the carrier as its ambient.
     """
     m = ctx.m
     ident = ctx.identity
@@ -1220,11 +1242,17 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
         (u, s), (v, t) = x, y
         return (m.mul(u, act(s, v)), m.mul(s, t))
 
-    order = sorted(elements)
-    gens = [e for e in order if e != (ident, ident)]
+    candidates = [(u, ident) for u in ctx.u_gens or u1] + \
+                 [(act.splus(s), s) for s in ctx.s_gens or s1] + \
+                 _shortlex_pairs(m, u1, s1)
+    members = set(elements)
+    gens = greedy_generators((c for c in candidates
+                              if c in members and c != (ident, ident)),
+                             prod) or [(ident, ident)]
     carrier = closure_from_generators(gens, prod, identity_hint=(ident, ident),
                                       cap=len(elements) + 1)
-    assert carrier.size == len(elements)
+    if carrier.size != len(elements):
+        raise ValueError("cover generators failed to cover the carrier")
     cid = {e: i for i, e in enumerate(carrier.elements)}
 
     under = {u: cid[(u, ident)] for u in ctx.u_list()}

@@ -1,10 +1,11 @@
 """Command-line front end: batch verification with machine-readable reports.
 
 Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 enumeration
-budget exceeded.  Reports are schema "v1" and embed the run configuration,
-including the seed and the node cap requested for this run (through
---bound or the ACTIONPAIR_NODE_CAP environment variable; neither changes the
-library's default for later calls).
+budget exceeded.  Reports are schema "v1" and embed the run configuration:
+the seed and the table cap, and for verify-presentation also the node cap
+requested for this run (through --bound or the ACTIONPAIR_NODE_CAP
+environment variable; neither changes the library's default for later
+calls).  classify-pair enumerates no presentation, so it reports no node cap.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ ALGEBRA_INSTANCES = indalg.BUILTIN_ALGEBRAS
 
 
 def _config(args) -> dict:
+    return {"table_cap": fmonoid.FULL_TABLE_CAP, "seed": args.seed}
+
+
+def _enumeration_config(args) -> dict:
+    """The run configuration plus the node cap an enumeration gets."""
     cap = fmonoid.NODE_CAP
     if os.environ.get("ACTIONPAIR_NODE_CAP"):
         cap = int(os.environ["ACTIONPAIR_NODE_CAP"])
-    if getattr(args, "bound", None):
+    if args.bound:
         cap = args.bound
-    return {
-        "node_cap": cap,
-        "table_cap": fmonoid.FULL_TABLE_CAP,
-        "seed": getattr(args, "seed", 0),
-        "bound": getattr(args, "bound", None),
-    }
+    return {**_config(args), "node_cap": cap, "bound": args.bound}
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -68,7 +69,7 @@ def _algebra(name: str):
 
 def cmd_verify_presentation(args) -> int:
     t0 = time.time()
-    cfg = _config(args)
+    cfg = _enumeration_config(args)
     report = {"schema": SCHEMA, "command": "verify-presentation",
               "config": cfg, "family": args.family}
     try:
@@ -154,7 +155,7 @@ def _resolve_pair(args):
         raise ValueError(f"unknown ambient {amb_name!r} (use PTn or MwrPTn)")
     u_kind = _normalize_kind(args.U, registry.U_KINDS, n)
     s_kind = _normalize_kind(args.S, registry.S_KINDS, n)
-    return registry.catalogue_pair(base, n, u_kind, s_kind), n
+    return registry.catalogue_pair(base, n, u_kind, s_kind), n, u_kind, s_kind
 
 
 def cmd_classify_pair(args) -> int:
@@ -163,7 +164,7 @@ def cmd_classify_pair(args) -> int:
     report = {"schema": SCHEMA, "command": "classify-pair", "config": cfg,
               "ambient": args.ambient, "U": args.U, "S": args.S}
     try:
-        ctx, n = _resolve_pair(args)
+        ctx, n, u_kind, s_kind = _resolve_pair(args)
     except (KeyError, ValueError) as e:
         report["error"] = str(e)
         _emit(report, args.format)
@@ -178,7 +179,9 @@ def cmd_classify_pair(args) -> int:
             report["theta_classes"] = len(th.theta.classes())
             report["product_size"] = len(ctx.product_set())
             if args.omega:
-                res = omega_check(ctx, act, sd, th, args.omega)
+                kw = registry.omega_inputs(ctx, act, args.omega, u_kind,
+                                           s_kind, n)
+                res = omega_check(ctx, act, sd, th, args.omega, **kw)
                 report["omega"] = {"rule": res.rule,
                                    "hypotheses_ok": res.hypotheses_ok,
                                    "matches_theta": res.matches_theta,

@@ -9,12 +9,15 @@ Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
 traces every relation column by column over the compacted graph.  The
-presented monoid's m x m table is not materialised.
+presented monoid's m x m table is not materialised, and neither is a
+quotient's.  `greedy_generators` prunes a candidate generator list to the
+members the earlier ones do not generate.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -228,27 +231,55 @@ class CayleyTable:
 
     @staticmethod
     def from_json(text: str) -> "CayleyTable":
+        """Load a table written by `to_json`, validated before use.
+
+        Raises ValueError unless every table entry and generator is an
+        element id, every normal form evaluates to its own element (the
+        empty word marking an identity), every column agrees with the
+        product by its generator, and the product is associative
+        (`associativity_audit`).
+        """
         d = json.loads(text)
         size = d["size"]
         gens = list(d["gens"])
         right = [list(r) for r in d["table"]]
         nf = [tuple(w) for w in d["nf"]]
-        identity = None
+
+        def ids(xs, bound):
+            return all(type(x) is int and 0 <= x < bound for x in xs)
+
+        if type(size) is not int or size < 1 or len(right) != size or len(nf) != size:
+            raise ValueError("table, nf and size disagree")
+        if not gens or not ids(gens, size):
+            raise ValueError("generator ids out of range")
+        if any(len(r) != len(gens) or not ids(r, size) for r in right):
+            raise ValueError("table entries out of range")
+        if any(not ids(w, len(gens)) for w in nf):
+            raise ValueError("normal-form letters out of range")
+        by_word = {w: e for e, w in enumerate(nf)}
+        identity = by_word.get(())
         parent: list = [None] * size
-        for e in range(size):
-            w = nf[e]
-            if not w:
-                identity = e
-                continue
+        for e, w in enumerate(nf):
             if len(w) == 1:
                 parent[e] = (identity if identity is not None else -1, w[0])
-            else:
-                prev = next(i for i in range(size) if nf[i] == w[:-1])
-                parent[e] = (prev, w[-1])
+            elif w:
+                if w[:-1] not in by_word:
+                    raise ValueError(f"normal form of {e} has no prefix element")
+                parent[e] = (by_word[w[:-1]], w[-1])
         t = CayleyTable(size, gens, right, nf, parent, identity)
+        for e, w in enumerate(nf):
+            if t.eval_word(w) != e:
+                raise ValueError(f"normal form {list(w)} does not evaluate to {e}")
+        if identity is not None and right[identity] != gens:
+            raise ValueError(f"element {identity} with the empty word is no identity")
+        full = t.full_table()
+        if any(right[a][k] != full[a][g] for a in range(size)
+               for k, g in enumerate(gens)):
+            raise ValueError("table columns disagree with the product")
+        if not associativity_audit(t):
+            raise ValueError("table is not associative")
         if identity is None:
-            ident = _detect_identity(t)
-            t.identity = ident
+            t.identity = _detect_identity(t)
         return t
 
 
@@ -321,6 +352,44 @@ def closure_from_generators(gens: Sequence, product: Callable,
     if t.size <= full_cap:
         t.full_table()
     return t
+
+
+def greedy_generators(candidates: Iterable, product: Callable) -> list:
+    """The candidates, in order, that the ones kept before them do not generate.
+
+    Generator pruning after Froidure & Pin, "Algorithms for computing finite
+    semigroups" (1997): the right closure of the kept candidates grows one
+    candidate at a time, and a candidate it already holds is skipped.  On
+    each new generator the elements so far are multiplied by it alone and
+    the new elements by every kept generator, so each product is formed
+    once: about |closure| x |kept| products rather than |closure|^2.  The
+    kept list generates everything the candidates generate.
+    """
+    kept: list = []
+    seen: set = set()
+    elems: list = []
+    for g in candidates:
+        if g in seen:
+            continue
+        old = len(elems)
+        kept.append(g)
+        seen.add(g)
+        elems.append(g)
+        for i in range(old):
+            p = product(elems[i], g)
+            if p not in seen:
+                seen.add(p)
+                elems.append(p)
+        i = old
+        while i < len(elems):
+            x = elems[i]
+            for h in kept:
+                p = product(x, h)
+                if p not in seen:
+                    seen.add(p)
+                    elems.append(p)
+            i += 1
+    return kept
 
 
 def table_from_elements(elements: Sequence, product: Callable, *,
@@ -451,24 +520,33 @@ def congruence_closure(table: CayleyTable, pairs: Iterable[tuple[int, int]],
 
 
 def is_compatible(table: CayleyTable, part: CongruencePartition, side: str) -> bool:
-    """Re-scan compatibility of an equivalence on the requested side(s)."""
-    right = table.right
-    left = table.left_by_gen() if side in ("left", "two_sided") else None
-    for cls in part.classes():
-        a = cls[0]
-        for b in cls[1:]:
-            for k in range(len(table.gens)):
-                if side in ("right", "two_sided") and \
-                        not part.same(right[a][k], right[b][k]):
-                    return False
-                if side in ("left", "two_sided") and \
-                        not part.same(left[a][k], left[b][k]):
+    """Re-scan compatibility of an equivalence on the requested side(s):
+    every member of a class must send each generator to the same class as
+    the class's first member does."""
+    root = [part.find(x) for x in range(table.size)]
+    members = Counter(root)
+    mults = []
+    if side in ("right", "two_sided"):
+        mults.append(table.right)
+    if side in ("left", "two_sided"):
+        mults.append(table.left_by_gen())
+    for mult in mults:
+        first: dict = {}
+        for x, row in enumerate(mult):
+            if members[root[x]] > 1:
+                img = [root[y] for y in row]
+                if first.setdefault(root[x], img) != img:
                     return False
     return True
 
 
 def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
-    """Quotient by a two-sided congruence; classes numbered by least member."""
+    """Quotient by a two-sided congruence; classes numbered by least member.
+
+    The quotient's right table over the images of the generators is read
+    off the class representatives; no m x m table is built (`mul` walks
+    normal forms, `full_table()` builds one on demand).
+    """
     if not is_compatible(table, part, "two_sided"):
         raise NotACongruence("partition is not two-sided compatible")
     classes = part.classes()
@@ -485,8 +563,6 @@ def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
     q = CayleyTable(len(rep), gens, right, nf, parent, identity)
     if identity is None:
         q.identity = _detect_identity(q)
-    if q.size <= FULL_TABLE_CAP:
-        q.full_table()
     return q
 
 

@@ -2,6 +2,7 @@
 congruence and its generating rules, special congruences, covers, embeddings."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionpairs import actionpair as ap
 from actionpairs import ptrans, registry, wreath
@@ -185,6 +186,52 @@ def test_semidirect_retraction_of_strong_pair_is_identity():
     sd = semidirect(ctx, act)
     assert sd.mm == frozenset(range(sd.table.size))
     assert all(sd.retraction[i] == i for i in range(sd.table.size))
+
+
+DIFFERENTIAL_PAIRS = [(base, n, spec["u"], spec["s"])
+                      for base, n in (("c1", 2), ("c2", 2), ("sl2", 2), ("c1", 3))
+                      for spec in registry.catalogue_specs(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(DIFFERENTIAL_PAIRS), st.data())
+def test_semidirect_table_matches_the_defining_product(pair, data):
+    # the table built from the pruned generators against the plain
+    # definition (u, s)(v, t) = (u.(s>v), st) on all of U x S
+    ctx = catalogue_pair(*pair)
+    rep, act = check_pair_from_plus(ctx)
+    sd = semidirect(ctx, act)
+    m, t = ctx.m, sd.table
+
+    def prod(x, y):
+        (u, s), (v, w) = x, y
+        return (m.mul(u, act(s, v)), m.mul(s, w))
+
+    els = t.elements
+    assert sorted(els) == [(u, s) for u in ctx.u_list() for s in ctx.s_list()]
+    for x in range(t.size):
+        for k, g in enumerate(t.gens):
+            assert els[t.right[x][k]] == prod(els[x], els[g])
+    for _ in range(20):
+        i = data.draw(st.integers(0, t.size - 1))
+        j = data.draw(st.integers(0, t.size - 1))
+        assert els[t.mul(i, j)] == prod(els[i], els[j])
+    fibres = {}
+    for i, (u, s) in enumerate(els):
+        fibres.setdefault(m.mul(u, s), set()).add(i)
+    th = theta_and_friends(ctx, act, sd)
+    assert {frozenset(c) for c in th.theta.classes()} == \
+        {frozenset(f) for f in fibres.values()}
+    assert t._full is None
+
+
+def test_semidirect_without_units_is_generated_by_few_pairs():
+    # S lacks the identity, so no (1, s) candidates exist; U x S has 567 pairs
+    ctx = catalogue_pair("c2", 3, "M0n", "SingT")
+    rep, act = check_pair_from_plus(ctx)
+    sd = semidirect(ctx, act)
+    assert sd.table.size == 567
+    assert len(sd.table.gens) < 567
 
 
 # --- the kernel congruence ------------------------------------------------------------

@@ -153,3 +153,35 @@ def test_entry_point_runs(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([])
     capsys.readouterr()
+
+
+def test_classify_pair_omega_join_family_gets_catalogue_inputs(capsys):
+    # the join rules need the family V that the catalogue supplies
+    for s_kind, rule in (("G", "join_family"), ("T", "join_pairwise")):
+        code, rep = run_json(capsys, "classify-pair", "--ambient", "PT2",
+                             "--U", "E", "--S", s_kind, "--omega", rule)
+        assert code == cli.EXIT_PASS
+        assert rep["omega"]["hypotheses_ok"] is True, rule
+        assert rep["omega"]["matches_theta"] is True, rule
+
+
+def test_classify_pair_reports_no_node_cap(capsys, monkeypatch):
+    # no pair stage enumerates a presentation, so no node cap applies
+    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "3")
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "PT2",
+                         "--U", "E2", "--S", "T")
+    assert code == cli.EXIT_PASS
+    assert "node_cap" not in rep["config"] and "bound" not in rep["config"]
+    assert rep["product_size"] == 9
+
+
+def test_non_associative_monoid_file_is_bad_input(capsys, tmp_path):
+    # a * b = a + 2b mod 3 is not associative; every entry is in range
+    path = tmp_path / "magma.json"
+    path.write_text(json.dumps({
+        "size": 3, "gens": [0, 1, 2], "nf": [[0], [1], [2]],
+        "table": [[(a + 2 * b) % 3 for b in range(3)] for a in range(3)]}))
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Mn",
+                         "--n", "2", "--monoid", str(path))
+    assert code == cli.EXIT_BAD_INPUT
+    assert "associative" in rep["error"]

@@ -1,6 +1,7 @@
 """Engine tests: closure, congruences, enumeration, verification, quotients."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,10 @@ from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition
                                  NotACongruence, Presentation, SizeBoundExceeded,
                                  associativity_audit, closure_from_generators,
                                  congruence_closure, enumerate_presentation,
-                                 iso_by_generators, normal_form, quotient,
-                                 subtable, table_from_elements,
-                                 table_presentation, verify_presentation)
+                                 greedy_generators, iso_by_generators,
+                                 normal_form, quotient, subtable,
+                                 table_from_elements, table_presentation,
+                                 verify_presentation)
 from actionpairs.registry import monoid_table, ptrans_table
 
 from conftest import brute_closure, brute_congruence, all_total_maps
@@ -330,6 +332,23 @@ def test_cayley_json_round_trip():
             assert back.mul(a, b) == t.mul(a, b)
 
 
+def test_cayley_json_is_validated():
+    good = {"size": 3, "gens": [0, 1, 2], "nf": [[0], [1], [2]],
+            "table": [[max(a, b) for b in range(3)] for a in range(3)]}
+    assert CayleyTable.from_json(json.dumps(good)).size == 3
+    bad = [
+        {"table": [[7, 1, 2], [1, 1, 2], [2, 2, 2]]},           # entry out of range
+        {"gens": [0, 1, 3]},                                    # generator id
+        {"nf": [[1], [1], [2]]},                                # word of another element
+        {"nf": [[0], [1], [0, 1, 1]]},                          # prefix has no element
+        {"table": [[(a + 2 * b) % 3 for b in range(3)]          # not associative
+                   for a in range(3)]},
+    ]
+    for change in bad:
+        with pytest.raises(ValueError):
+            CayleyTable.from_json(json.dumps({**good, **change}))
+
+
 def test_subtable_of_units():
     t = ptrans_table("PT", 2)
     units = [i for i, w in enumerate(t.elements) if w.is_bijection()]
@@ -350,6 +369,21 @@ def test_random_transformation_closures_match_oracle(seeds):
     gens = [all_total_maps(2)[i % 4] for i in seeds]
     t = closure_from_generators(gens, ptrans.compose)
     assert set(t.elements) == brute_closure(gens, ptrans.compose)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 26), min_size=1, max_size=6))
+def test_greedy_generators_match_oracle(picks):
+    # the kept candidates are an ordered sublist generating what all the
+    # candidates generate, and none is generated by those kept before it
+    maps = all_total_maps(3)
+    cands = [maps[i] for i in picks]
+    kept = greedy_generators(cands, ptrans.compose)
+    it = iter(cands)
+    assert all(any(g == c for c in it) for g in kept)
+    assert brute_closure(kept, ptrans.compose) == brute_closure(cands, ptrans.compose)
+    for i, g in enumerate(kept):
+        assert g not in (brute_closure(kept[:i], ptrans.compose) if i else set())
 
 
 @settings(max_examples=25, deadline=None)
