@@ -1128,11 +1128,12 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
 
     axioms.append(sig[ident].is_trivial())
 
+    u_classes = {u: sig[u].classes() for u in ulist}
     sgens = list(ctx.s_gens) if ctx.s_gens else slist
     ax5 = True
     for u in ulist:
         part = sig[u]
-        for cls in part.classes():
+        for cls in u_classes[u]:
             s0 = cls[0]
             for t in cls[1:]:
                 if any(not part.same(m.mul(s0, g), m.mul(t, g)) for g in sgens):
@@ -1145,13 +1146,13 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     axioms.append(ax5)
 
     ax6 = all(all(all(sig[m.mul(w, u)].same(cls[0], t) for t in cls[1:])
-                  for cls in sig[u].classes())
+                  for cls in u_classes[u])
               for u in ulist for w in ulist)
     axioms.append(ax6)
 
     ax7 = True
     for u in ulist:
-        for cls in sig[u].classes():
+        for cls in u_classes[u]:
             s0 = cls[0]
             for t in cls[1:]:
                 for x in slist:
@@ -1169,7 +1170,7 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
 
     ax8 = True
     for u in ulist:
-        for cls in sig[u].classes():
+        for cls in u_classes[u]:
             s0 = cls[0]
             for w in ulist:
                 ref = m.mul(u, act(s0, w))

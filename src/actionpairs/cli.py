@@ -1,11 +1,16 @@
 """Command-line front end: batch verification with machine-readable reports.
 
-Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 enumeration
-budget exceeded.  Reports are schema "v1" and embed the run configuration:
-the seed and the table cap, and for verify-presentation also the node cap
-requested for this run (through --bound or the ACTIONPAIR_NODE_CAP
-environment variable; neither changes the library's default for later
-calls).  classify-pair enumerates no presentation, so it reports no node cap.
+Exit codes: 0 pass, 1 verification failure, 2 bad input (a KeyError,
+ValueError, BadParams or OSError, such as an unknown name, a malformed
+ACTIONPAIR_NODE_CAP or a missing --monoid or algebra file, or an algebra
+file that is not an independence algebra), 3 enumeration budget or size cap
+exceeded, 4 internal error (any other exception: the JSON `error` names its
+type and the traceback goes to stderr).  Reports are schema "v1" and embed
+the run configuration: the seed and the table cap, and for
+verify-presentation also the node cap requested for this run (through
+--bound or the ACTIONPAIR_NODE_CAP environment variable; neither changes the
+library's default for later calls).  classify-pair enumerates no
+presentation, so it reports no node cap.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import fmonoid, indalg, presentations, registry
 from .actionpair import (OMEGA_RULES, check_pair_from_plus, classify_proper,
@@ -28,6 +34,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 PRESENTATION_FAMILIES = presentations.FAMILIES
 ALGEBRA_INSTANCES = indalg.BUILTIN_ALGEBRAS
@@ -258,9 +265,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as e:          # surface anything unexpected as bad input
+    except (KeyError, ValueError, BadParams, OSError,
+            indalg.NotIndependenceAlgebra) as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e)}))
         return EXIT_BAD_INPUT
+    except fmonoid.SizeBoundExceeded as e:
+        print(json.dumps({"schema": SCHEMA, "error": str(e)}))
+        return EXIT_BOUND
+    except Exception as e:          # a bug, not the user's input
+        traceback.print_exc()
+        print(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}"}))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Elements are pairs (A, w) with A a non-empty finite prefix-closed set of
 words and w a member of A; the product is (A, w)(B, v) = (A + wB, wv) and
 the unary operation drops the word part.  Words are plain strings over a
 single-character alphabet, with 'e' printing as the empty word.
+
+The public constructors `PrefixSet(...)` and `LRElement(...)` and `parse`
+validate their input.  `lr_product` and `lr_plus` take valid elements and
+build their results through the trusted `_prefix_set` and `_lr`, which skip
+validation; each docstring says why its result is valid.
 """
 
 from __future__ import annotations
@@ -93,6 +98,24 @@ class LRElement:
         return json.dumps({"set": self.pset.sorted_words(), "word": self.word})
 
 
+def _prefix_set(words: frozenset) -> PrefixSet:
+    """Trusted constructor: `words` must already be non-empty, prefix-closed
+    and hold the empty word."""
+    a = object.__new__(PrefixSet)
+    a.words = words
+    a._hash = hash(words)
+    return a
+
+
+def _lr(pset: PrefixSet, word: str) -> LRElement:
+    """Trusted constructor: `word` must already be a member of `pset`."""
+    x = object.__new__(LRElement)
+    x.pset = pset
+    x.word = word
+    x._hash = hash((pset, word))
+    return x
+
+
 def element(words: Iterable[str], word: str = "") -> LRElement:
     return LRElement(PrefixSet(down(words)), word)
 
@@ -106,13 +129,17 @@ def embed_word(w: str) -> LRElement:
 
 
 def lr_product(x: LRElement, y: LRElement) -> LRElement:
+    """(A, w)(B, v) = (A + wB, wv).  A + wB is prefix-closed because w is in
+    A: a prefix of wu is a prefix of w or w followed by a prefix of u.  And
+    wv is in wB because v is in B."""
     w = x.word
-    merged = PrefixSet(x.pset.words | {w + v for v in y.pset.words})
-    return LRElement(merged, w + y.word)
+    merged = _prefix_set(x.pset.words | {w + v for v in y.pset.words})
+    return _lr(merged, w + y.word)
 
 
 def lr_plus(x: LRElement) -> LRElement:
-    return LRElement(x.pset, "")
+    """(A, w)+ = (A, e); the empty word is in every prefix set."""
+    return _lr(x.pset, "")
 
 
 def act_word(w: str, a: PrefixSet) -> PrefixSet:

@@ -111,19 +111,24 @@ def _gn(n: int) -> PresentationBundle:
     if n < 2:
         raise ValueError("the symmetric presentation needs n >= 2")
     names = [f"s{i}" for i in range(1, n)]
-    rels = [((i, i), ()) for i in range(n - 1)]
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            if j - i > 1:
-                rels.append(((i, j), (j, i)))
-            else:
-                rels.append(((i, j, i), (j, i, j)))
-    pres = Presentation.make(names, rels, "monoid")
+    pres = Presentation.make(names, _gn_relations(n), "monoid")
     from .registry import ptrans_table
     target = ptrans_table("G", n)
     idx = _payload_index(target)
     gen_map = tuple(idx[ptrans.tau(i, i + 1, n)] for i in range(1, n))
     return PresentationBundle(pres, target, gen_map, f"Gn(n={n})")
+
+
+def _gn_relations(n: int):
+    """Coxeter relations of the symmetric group over the letters s1..s(n-1)."""
+    R = [((i, i), ()) for i in range(n - 1)]
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            if j - i > 1:
+                R.append(((i, j), (j, i)))
+            else:
+                R.append(((i, j, i), (j, i, j)))
+    return R
 
 
 def _tn_letters(n: int):
@@ -461,13 +466,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
         fam_rels = _tn_relations(n)
     else:
         fam_names = [f"s{i}" for i in range(1, n)]
-        fam_rels = [((i, i), ()) for i in range(n - 1)]
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                if j - i > 1:
-                    fam_rels.append(((i, j), (j, i)))
-                else:
-                    fam_rels.append(((i, j, i), (j, i, j)))
+        fam_rels = _gn_relations(n)
         fs = lambda i: i - 1
         fl = fr = None
     names = list(tup.pres.alphabet) + fam_names

@@ -3,6 +3,11 @@
 Points are 1-based externally and in serialized forms; internally the image
 tuple stores 0 as the undefined marker, so entries live in {0} | {1..n}.
 Composition is left to right: x(ab) is defined iff xa and (xa)b are.
+
+The public constructor `PartialMap(n, img)` and every parser validate the
+image tuple.  `compose` and `plus` take maps that are already valid and build
+their results through the trusted `_pmap`, which skips that check: each
+result is valid by construction (see their docstrings).
 """
 
 from __future__ import annotations
@@ -114,17 +119,30 @@ class PartialMap:
                           tuple(UNDEF if v is None else v for v in seq))
 
 
+def _pmap(n: int, img: tuple) -> PartialMap:
+    """Trusted constructor: `img` must already be a valid image tuple of
+    degree n.  Sets the slots and the cached hash and checks nothing."""
+    a = object.__new__(PartialMap)
+    a.n = n
+    a.img = img
+    a._hash = hash((n, img))
+    return a
+
+
 def compose(a: PartialMap, b: PartialMap) -> PartialMap:
-    if a.n != b.n:
-        raise DegreeMismatch(f"degrees {a.n} and {b.n}")
-    bi = b.img
-    return PartialMap(a.n, tuple(UNDEF if v == UNDEF else bi[v - 1] for v in a.img))
+    """The left-to-right composite ab.  Each image reads b's image tuple (or
+    stays 0), so the result lies in {0..n} and needs no validation."""
+    n = a.n
+    if n != b.n:
+        raise DegreeMismatch(f"degrees {n} and {b.n}")
+    bi = (UNDEF,) + b.img
+    return _pmap(n, tuple([bi[v] for v in a.img]))
 
 
 def plus(a: PartialMap) -> PartialMap:
-    """The partial identity on dom(a)."""
-    return PartialMap(a.n, tuple(x + 1 if v != UNDEF else UNDEF
-                                 for x, v in enumerate(a.img)))
+    """The partial identity on dom(a); each image is its own point or 0."""
+    return _pmap(a.n, tuple([UNDEF if v == UNDEF else x
+                             for x, v in enumerate(a.img, 1)]))
 
 
 # -- constructors ------------------------------------------------------------

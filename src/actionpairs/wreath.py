@@ -4,6 +4,12 @@ A wreath element is a pair (tuple, partial map) whose tuple support equals
 the map's domain; the product is (a, f)(b, g) = (a * f·b, fg) where f·b moves
 entry b_{xf} to position x.  Entries are element ids of a base monoid table;
 -1 is the reserved zero marker.
+
+The public constructors `MTuple(...)`, `WreathElement(...)` and
+`WreathElement.from_json` validate their input.  The products and unary
+operations on valid operands (`MTuple.__mul__`, `act`, `wr_product`,
+`wr_plus`) build their results through the trusted `_mtuple` and `_wreath`,
+which skip validation; each docstring says why its result is valid.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 from typing import Iterable, Optional, Sequence
 
 from . import ptrans
+from .ptrans import UNDEF, _pmap
 from .fmonoid import CayleyTable, SizeBoundExceeded, closure_from_generators
 
 ZERO = -1
@@ -55,17 +62,27 @@ class MTuple:
         return frozenset(i + 1 for i, v in enumerate(self.entries) if v != ZERO)
 
     def __mul__(self, other: "MTuple") -> "MTuple":
-        if self.base is not other.base or self.n != other.n:
+        """Entrywise product; a base product is an element id, never ZERO."""
+        base = self.base
+        if base is not other.base or self.n != other.n:
             raise BaseMismatch("mismatched tuples")
-        mul = self.base.mul
-        return MTuple(self.base,
-                      tuple(ZERO if a == ZERO or b == ZERO else mul(a, b)
-                            for a, b in zip(self.entries, other.entries)))
+        mul = base.mul
+        return _mtuple(base, tuple([ZERO if a == ZERO or b == ZERO else mul(a, b)
+                                    for a, b in zip(self.entries, other.entries)]))
 
     def restrict(self, points: Iterable[int]) -> "MTuple":
         keep = set(points)
         return MTuple(self.base, tuple(v if i + 1 in keep else ZERO
                                        for i, v in enumerate(self.entries)))
+
+
+def _mtuple(base: CayleyTable, entries: tuple) -> MTuple:
+    """Trusted constructor: `entries` must already be valid for `base`."""
+    t = object.__new__(MTuple)
+    t.base = base
+    t.entries = entries
+    t._hash = hash(entries)
+    return t
 
 
 def ones(base: CayleyTable, n: int, support: Optional[Iterable[int]] = None) -> MTuple:
@@ -84,12 +101,12 @@ def unit_tuple(base: CayleyTable, n: int, pos: int, a: int) -> MTuple:
 
 
 def act(a: ptrans.PartialMap, t: MTuple) -> MTuple:
-    """Position x of the result reads entry xa of t when x is in dom(a), else 0."""
+    """Position x of the result reads entry xa of t when x is in dom(a), else 0.
+    Every entry is one of t's entries or ZERO, so the result is valid."""
     if a.n != t.n:
         raise ptrans.DegreeMismatch(f"degrees {a.n} and {t.n}")
-    ent = t.entries
-    return MTuple(t.base, tuple(ZERO if v == ptrans.UNDEF else ent[v - 1]
-                                for v in a.img))
+    ent = (ZERO,) + t.entries
+    return _mtuple(t.base, tuple([ent[v] for v in a.img]))
 
 
 class WreathElement:
@@ -138,16 +155,41 @@ class WreathElement:
         return f"[{lab}] over {self.pmap.two_line()}"
 
 
+def _wreath(tup: MTuple, pmap: ptrans.PartialMap) -> WreathElement:
+    """Trusted constructor: supp(tup) must already equal dom(pmap)."""
+    w = object.__new__(WreathElement)
+    w.tup = tup
+    w.pmap = pmap
+    w._hash = hash((tup.entries, pmap.img))
+    return w
+
+
 def wr_product(x: WreathElement, y: WreathElement) -> WreathElement:
-    if x.tup.base is not y.tup.base:
+    """(a, f)(b, g) = (a * f·b, fg), computed in one pass beside fg.
+
+    Position p of the tuple is non-zero exactly when p is in dom(fg): then p
+    is in dom(f) = supp(a) and pf is in dom(g) = supp(b), and a base product
+    is never ZERO.  So the result keeps support = domain."""
+    base = x.tup.base
+    if base is not y.tup.base:
         raise BaseMismatch("different base monoids")
-    return WreathElement(x.tup * act(x.pmap, y.tup), x.pmap * y.pmap)
+    pm = ptrans.compose(x.pmap, y.pmap)
+    mul = base.mul
+    ye = (ZERO,) + y.tup.entries
+    ent = tuple([ZERO if c == UNDEF else mul(a, ye[f])
+                 for a, f, c in zip(x.tup.entries, x.pmap.img, pm.img)])
+    return _wreath(_mtuple(base, ent), pm)
 
 
 def wr_plus(x: WreathElement) -> WreathElement:
-    """The embedded partial identity on dom of the map part."""
-    d = x.pmap.dom()
-    return WreathElement(ones(x.tup.base, x.tup.n, d), ptrans.id_on(d, x.tup.n))
+    """The embedded partial identity on dom of the map part: the base identity
+    on that domain and ZERO elsewhere, over the partial identity on it, so
+    support = domain."""
+    img = x.pmap.img
+    e = x.tup.base.identity
+    tup = _mtuple(x.tup.base, tuple([ZERO if v == UNDEF else e for v in img]))
+    return _wreath(tup, _pmap(len(img), tuple([UNDEF if v == UNDEF else p
+                                               for p, v in enumerate(img, 1)])))
 
 
 def embed_pmap(base: CayleyTable, a: ptrans.PartialMap) -> WreathElement:

@@ -185,3 +185,31 @@ def test_non_associative_monoid_file_is_bad_input(capsys, tmp_path):
                          "--n", "2", "--monoid", str(path))
     assert code == cli.EXIT_BAD_INPUT
     assert "associative" in rep["error"]
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_classify_pair", broken)
+    code = cli.main(["classify-pair", "--ambient", "PT2", "--U", "E", "--S", "T"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(out)["error"] == "RuntimeError: boom"
+    assert "Traceback" in err and "boom" in err
+
+
+def test_unusable_algebra_files_are_bad_input_or_over_the_cap(capsys, tmp_path):
+    # a unary map merging 0 into 1 breaks the exchange property
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"carrier": 3, "ops": [{"arity": 1, "table": [1, 1, 2]}]}))
+    code, _ = run(capsys, "verify-presentation", "--family", "SubA",
+                  "--instance", str(path))
+    assert code == cli.EXIT_BAD_INPUT
+    code, _ = run(capsys, "verify-presentation", "--family", "SubA",
+                  "--instance", str(tmp_path / "missing.json"))
+    assert code == cli.EXIT_BAD_INPUT
+    path.write_text(json.dumps({"carrier": 10,
+                                "ops": [{"arity": 1, "table": list(range(10))}]}))
+    code, _ = run(capsys, "verify-presentation", "--family", "SubA",
+                  "--instance", str(path))
+    assert code == cli.EXIT_BOUND

@@ -132,3 +132,40 @@ def test_proper_by_construction(seed):
     s = Sampler(seed=seed)
     x, y = s.element(), s.element()
     assert (x == y) == (lr_plus(x) == lr_plus(y) and sigma_related(x, y))
+
+
+# --- the trusted fast paths against the plain definitions ---------------------
+
+def assert_rebuilds(x):
+    """The public constructors accept the result and give an equal element
+    with the same hash."""
+    y = LRElement(PrefixSet(x.pset.words), x.word)
+    assert y == x and hash(y) == hash(x)
+    assert hash(y.pset) == hash(x.pset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_and_plus_match_their_definitions(seed):
+    s = Sampler(seed=seed)
+    x, y = s.element(), s.element()
+    # (A, w)(B, v) = (A + wB, wv); `element` takes the prefix closure itself,
+    # so a result that were not prefix-closed would differ from it
+    w = x.word
+    want = element(list(x.pset.words) + [w + v for v in y.pset.words], w + y.word)
+    for got in (lr_product(x, y), x * y):
+        assert got == want and hash(got) == hash(want)
+        assert_rebuilds(got)
+    want = element(x.pset.words, "")
+    got = lr_plus(x)
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        PrefixSet({"", "x", "xyx"})
+    with pytest.raises(ValueError):
+        LRElement(PrefixSet(down(["xy"])), "yx")
+    with pytest.raises(ValueError):
+        parse("{e,x}@y")

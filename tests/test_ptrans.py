@@ -161,3 +161,42 @@ def test_json_round_trip():
 def test_composition_associative(xa, xb, xc):
     a, b, c = from_images(xa), from_images(xb), from_images(xc)
     assert (a * b) * c == a * (b * c)
+
+
+# --- the trusted fast paths against the plain definitions -------------------------
+
+@st.composite
+def same_degree_maps(draw, k=2, max_n=4):
+    n = draw(st.integers(0, max_n))
+    img = st.lists(st.integers(0, n), min_size=n, max_size=n)
+    return [PartialMap(n, draw(img)) for _ in range(k)]
+
+
+def assert_rebuilds(a):
+    """The public constructor accepts the result and gives an equal map with
+    the same hash."""
+    b = PartialMap(a.n, a.img)
+    assert b == a and hash(b) == hash(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_degree_maps())
+def test_compose_and_plus_match_their_definitions(maps):
+    a, b = maps
+    pts = range(1, a.n + 1)
+    want = from_images([None if a(x) is None else b(a(x)) for x in pts])
+    for got in (compose(a, b), a * b):
+        assert got == want and hash(got) == hash(want)
+        assert_rebuilds(got)
+    want = id_on({x for x in pts if a(x) is not None}, a.n)
+    got = plus(a)
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+
+def test_public_constructor_rejects_bad_image_tuples():
+    for n, img in ((3, (4, 0, 0)), (2, (1,)), (2, (-1, 1)), (2, (1, 2, 0))):
+        with pytest.raises(BadParams):
+            PartialMap(n, img)
+    with pytest.raises(BadParams):
+        PartialMap.from_json("[1, 7]")

@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionpairs import ptrans, wreath
 from actionpairs.fmonoid import iso_by_generators
-from actionpairs.ptrans import from_images, id_on, identity
+from actionpairs.ptrans import PartialMap, from_images, id_on, identity
+from actionpairs.registry import monoid_table
 from actionpairs.wreath import (MTuple, WreathElement, ZERO, act, embed_pmap,
                                 embed_tuple, enumerate_wreath, ones,
                                 unit_tuple, wr_plus, wr_product, wreath_size)
@@ -177,3 +179,87 @@ def test_pair_report_is_json_ready(c2):
     assert back["strong"] is True and back["proper"] is False
     # projection elements render as generator words
     assert all(isinstance(w, list) for w in back["p_elements"])
+
+
+# --- the trusted fast paths against the plain definitions -------------------------
+
+BASES = {name: monoid_table(name) for name in ("c1", "c2", "sl2")}
+
+
+@st.composite
+def wreath_operands(draw, k=2, max_n=3):
+    """k wreath elements over one base and degree, and k free tuples."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    n = draw(st.integers(0, max_n))
+    entry = st.integers(0, base.size - 1)
+    elems, tuples = [], []
+    for _ in range(k):
+        img = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        ent = [draw(entry) if v else ZERO for v in img]
+        elems.append(WreathElement(MTuple(base, ent), PartialMap(n, img)))
+        free = st.one_of(st.just(ZERO), entry)
+        tuples.append(MTuple(base, draw(st.lists(free, min_size=n, max_size=n))))
+    return base, elems, tuples
+
+
+def assert_rebuilds(x):
+    """The public constructors accept the result and give an equal value
+    with the same hash."""
+    if isinstance(x, MTuple):
+        y = MTuple(x.base, x.entries)
+    else:
+        y = WreathElement(MTuple(x.tup.base, x.tup.entries),
+                          PartialMap(x.pmap.n, x.pmap.img))
+    assert y == x and hash(y) == hash(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wreath_operands())
+def test_wreath_fast_paths_match_their_definitions(operands):
+    base, (x, y), (s, t) = operands
+    n = x.pmap.n
+    pts = range(1, n + 1)
+
+    # (a, f)(b, g) = (a * f.b, fg): position p carries a_p b_{pf} when p(fg)
+    # is defined and 0 otherwise
+    img, ent = [], []
+    for p in pts:
+        f = x.pmap(p)
+        c = None if f is None else y.pmap(f)
+        img.append(c)
+        ent.append(ZERO if c is None else
+                   base.mul(x.tup.entries[p - 1], y.tup.entries[f - 1]))
+    want = WreathElement(MTuple(base, ent), from_images(img))
+    for got in (wr_product(x, y), x * y):
+        assert got == want and hash(got) == hash(want)
+        assert_rebuilds(got)
+
+    d = x.pmap.dom()
+    want = WreathElement(ones(base, n, d), id_on(d, n))
+    got = wr_plus(x)
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+    # position p of a.t reads entry pa of t, or 0 off dom(a)
+    a = x.pmap
+    want = MTuple(base, [ZERO if a(p) is None else t.entries[a(p) - 1] for p in pts])
+    got = act(a, t)
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+    want = MTuple(base, [ZERO if ZERO in (u, v) else base.mul(u, v)
+                         for u, v in zip(s.entries, t.entries)])
+    got = s * t
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+
+def test_public_constructors_still_validate(c2):
+    with pytest.raises(ValueError):
+        MTuple(c2, (0, 2))
+    with pytest.raises(ValueError):
+        WreathElement(MTuple(c2, (0, ZERO)), id_on({2}, 2))
+    with pytest.raises(ValueError):
+        WreathElement.from_json(c2, '{"tuple": [0, 1], "map": [1, null]}')
+    with pytest.raises(ptrans.DegreeMismatch):
+        WreathElement(ones(c2, 2), identity(3))
