@@ -94,14 +94,27 @@ class AmbientContext:
 
 
 class ActionTable:
-    """The action of S1 on U1, stored as a dense dict (s, u) -> u'."""
+    """The action of S1 on U1, stored as a dense dict (s, u) -> u'.
+
+    `report` is the PairReport of the last check that verified this action
+    (`check_pair_from_plus` or `check_weak_pair`); the later stages read it
+    instead of checking the pair again.
+    """
 
     def __init__(self, ctx: AmbientContext, table: dict):
         self.ctx = ctx
         self.table = dict(table)
+        self.report: Optional[PairReport] = None
         ident = ctx.identity
         for u in ctx.u1():
             self.table.setdefault((ident, u), u)
+
+    def pair_report(self) -> PairReport:
+        """The stored report; an action no check has seen is checked once by
+        `check_weak_pair`."""
+        if self.report is None:
+            check_weak_pair(self.ctx, self)
+        return self.report
 
     def __call__(self, s, u):
         return self.table[(s, u)]
@@ -139,53 +152,6 @@ class ActionTable:
         return failures
 
 
-class SPartition:
-    """Equivalence on the members of S, keyed by ambient element id."""
-
-    def __init__(self, members: Sequence):
-        self.members = list(members)
-        self.pos = {s: i for i, s in enumerate(self.members)}
-        self.parent = list(range(len(self.members)))
-
-    def find(self, s):
-        x = self.pos[s]
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, s, t):
-        ra, rb = self.find(s), self.find(t)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def same(self, s, t) -> bool:
-        return self.find(s) == self.find(t)
-
-    def classes(self) -> list[list]:
-        by_root: dict[int, list] = {}
-        for s in self.members:
-            by_root.setdefault(self.find(s), []).append(s)
-        return sorted((sorted(c) for c in by_root.values()), key=lambda c: c[0])
-
-    def is_trivial(self) -> bool:
-        return all(len(c) == 1 for c in self.classes())
-
-    def canonical(self):
-        return tuple(tuple(c) for c in self.classes())
-
-    def __eq__(self, other):
-        return isinstance(other, SPartition) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
-
 W_CONDITION_NAMES = (
     "some u is a right identity for S",
     "every s has a right identity from U",
@@ -220,7 +186,7 @@ class PairReport:
     failures: list = field(default_factory=list)
     p_set: Optional[frozenset] = None
     p_closed_under_action: Optional[bool] = None
-    sigma: Optional[SPartition] = None
+    sigma: Optional[CongruencePartition] = None
     proper: Optional[bool] = None
     left_dense: Optional[bool] = None
     w_conditions: Optional[tuple] = None
@@ -271,6 +237,42 @@ class PairReport:
 # Axioms and action reconstruction
 # ---------------------------------------------------------------------------
 
+def _us_fibres(ctx: AmbientContext) -> dict:
+    """The pairs (u, s) of U1 x S grouped by their product us."""
+    m = ctx.m
+    fibres: dict = {}
+    for u in ctx.u1():
+        for s in ctx.s_list():
+            fibres.setdefault(m.mul(u, s), []).append((u, s))
+    return fibres
+
+
+def _kernel_failures(ctx: AmbientContext, splus) -> list:
+    """The kernel condition us = vt => u s+ = v t+, one witness per fibre."""
+    m = ctx.m
+    failures = []
+    for items in _us_fibres(ctx).values():
+        u0, s0 = items[0]
+        ref = m.mul(u0, splus(s0))
+        for u, s in items[1:]:
+            if m.mul(u, splus(s)) != ref:
+                failures.append(("kernel-condition", ((u0, s0), (u, s))))
+                break
+    return failures
+
+
+def _compatibility_failures(ctx: AmbientContext, act: ActionTable) -> list:
+    """The compatibility law su = (s>u) s, the first failing u per s."""
+    m = ctx.m
+    failures = []
+    for s in ctx.s_list():
+        for u in ctx.u1():
+            if m.mul(s, u) != m.mul(act(s, u), s):
+                failures.append(("compatibility", (s, u)))
+                break
+    return failures
+
+
 def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
                          ) -> tuple[PairReport, Optional[ActionTable]]:
     """Verify the pair axioms from the s -> s+ data and rebuild the action.
@@ -279,7 +281,7 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
     map, then reconstructs s>u as v s+ for the least witness v with su = vs
     (re-checking that the choice of witness does not matter) and verifies
     that the result is a genuine action by semigroup morphisms satisfying
-    the compatibility law su = (s>u) s.
+    the compatibility law su = (s>u) s.  The report is stored on the action.
     """
     m = ctx.m
     rep = PairReport(name=ctx.name)
@@ -318,20 +320,9 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
             if plus[st] != m.mul(plus[st], plus[s]):
                 fail("projection-absorbs", (s, t))
 
-    # kernel condition: us = vt implies u s+ = v t+
-    buckets: dict = {}
-    for u in u1:
-        for s in slist:
-            buckets.setdefault(m.mul(u, s), []).append((u, s))
-    a2_ok = True
-    for val, items in buckets.items():
-        u0, s0 = items[0]
-        ref = m.mul(u0, plus[s0])
-        for u, s in items[1:]:
-            if m.mul(u, plus[s]) != ref:
-                a2_ok = False
-                fail("kernel-condition", ((u0, s0), (u, s)))
-                break
+    kernel = _kernel_failures(ctx, plus.__getitem__)
+    for which, wit in kernel:
+        fail(which, wit)
 
     # reconstruct the action, least witness first, well-definedness re-checked
     table = {}
@@ -346,55 +337,31 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
             table[(s, u)] = m.mul(min(vs), plus[s])
     act = ActionTable(ctx, table)
 
-    law_failures = act.verify_laws()
+    law_failures = act.verify_laws() + _compatibility_failures(ctx, act)
     for which, wit in law_failures:
         fail(which, wit)
-    compat_ok = True
-    for s in slist:
-        for u in u1:
-            if m.mul(s, u) != m.mul(act(s, u), s):
-                compat_ok = False
-                fail("compatibility", (s, u))
-                break
 
-    rep.weak = not law_failures and compat_ok and well_defined
-    rep.action = rep.weak and a2_ok and not any(
+    rep.weak = not law_failures and well_defined
+    rep.action = rep.weak and not kernel and not any(
         which in ("s-equals-plus-s", "shift-projection", "projection-absorbs")
         for which, _ in rep.failures)
     rep.strong = rep.action and all(plus[s] == ident for s in slist)
+    act.report = rep
     return rep, act
 
 
 def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
     """Verify the compatibility axiom for a user-supplied action; the kernel
-    condition is reported separately in the action verdict."""
-    m = ctx.m
+    condition is reported separately in the action verdict.  The report is
+    stored on the action."""
     rep = PairReport(name=ctx.name)
-    failures = act.verify_laws()
-    compat_ok = True
-    for s in ctx.s_list():
-        for u in ctx.u1():
-            if m.mul(s, u) != m.mul(act(s, u), s):
-                compat_ok = False
-                failures.append(("compatibility", (s, u)))
-                break
-    rep.weak = compat_ok and not failures
-
-    a2_ok = True
-    buckets: dict = {}
-    for u in ctx.u1():
-        for s in ctx.s_list():
-            buckets.setdefault(m.mul(u, s), []).append((u, s))
-    for val, items in buckets.items():
-        ref = m.mul(items[0][0], act.splus(items[0][1]))
-        for u, s in items[1:]:
-            if m.mul(u, act.splus(s)) != ref:
-                a2_ok = False
-                failures.append(("kernel-condition", ((items[0]), (u, s))))
-                break
-    rep.action = rep.weak and a2_ok
+    rep.failures = act.verify_laws() + _compatibility_failures(ctx, act)
+    rep.weak = not rep.failures
+    kernel = _kernel_failures(ctx, act.splus)
+    rep.failures += kernel
+    rep.action = rep.weak and not kernel
     rep.strong = rep.action and all(act.splus(s) == ctx.identity for s in ctx.s_list())
-    rep.failures = failures
+    act.report = rep
     return rep
 
 
@@ -402,31 +369,34 @@ def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
 # P, sigma, properness
 # ---------------------------------------------------------------------------
 
-def projection_semigroup(ctx: AmbientContext, act: ActionTable) -> frozenset:
-    """The subsemigroup of U1 generated by the projections s+."""
-    m = ctx.m
-    gens = sorted({act.splus(s) for s in ctx.s_list()})
-    seen = set(gens)
-    frontier = list(gens)
+def _right_orbit(m: CayleyTable, seeds: Iterable, gens: Iterable) -> frozenset:
+    """The products a g1 ... gk (k >= 0) of the seeds a by generators gi."""
+    gens = list(gens)
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                for c in (m.mul(a, g), m.mul(g, a)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
+        a = frontier.pop()
+        for g in gens:
+            c = m.mul(a, g)
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
     return frozenset(seen)
 
 
+def projection_semigroup(ctx: AmbientContext, act: ActionTable) -> frozenset:
+    """The subsemigroup of U1 generated by the projections s+."""
+    gens = {act.splus(s) for s in ctx.s_list()}
+    return _right_orbit(ctx.m, gens, gens)
+
+
 def sigma_partition(ctx: AmbientContext, act: ActionTable,
-                    p_set: frozenset) -> tuple[SPartition, bool]:
+                    p_set: frozenset) -> tuple[CongruencePartition, bool]:
     """sigma as the transitive closure of {(s, t) : ps = qt for p, q in P1};
     also reports whether the one-step relation was already transitive."""
     m = ctx.m
     slist = ctx.s_list()
-    part = SPartition(slist)
+    part = CongruencePartition(slist)
     p1 = sorted(p_set | {ctx.identity})
     buckets: dict = {}
     for s in slist:
@@ -471,11 +441,7 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
 
     # proper: us = vt  iff  u s+ = v t+ and s sigma t
     forward = True
-    buckets: dict = {}
-    for u in u1:
-        for s in slist:
-            buckets.setdefault(m.mul(u, s), []).append((u, s))
-    for items in buckets.values():
+    for items in _us_fibres(ctx).values():
         u0, s0 = items[0]
         ref = m.mul(u0, act.splus(s0))
         for u, s in items[1:]:
@@ -550,6 +516,15 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     # left density + trivial sigma forces properness; cross-check
     if rep.left_dense and sigma.is_trivial() and not rep.proper:
         rep.failures.append(("density-properness-mismatch", ()))
+    return rep
+
+
+def _classified(ctx: AmbientContext, act: ActionTable) -> PairReport:
+    """The action's report with its properness side filled in once (a second
+    `classify_proper` would append its failures again)."""
+    rep = act.pair_report()
+    if rep.p_set is None:
+        classify_proper(ctx, act, rep)
     return rep
 
 
@@ -680,12 +655,26 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
 @dataclass
 class ThetaResult:
     theta: CongruencePartition           # on sd.table
-    theta_u: dict                        # u in U1 -> SPartition over S
-    theta_u1: dict                       # u in U1 -> SPartition over S1
+    theta_u: dict                        # u in U1 -> partition of S
+    theta_u1: dict                       # u in U1 -> partition of S1
     stab: dict                           # u in U1 -> frozenset of s with us = u
     product_values: list                 # pi(u, s) per sd table id
     factorization_laws_ok: bool
     description_ok: bool                 # theta via projections + theta_{us+}
+
+
+def _partition_by(members, key) -> CongruencePartition:
+    """The members (0..n-1 given n) grouped by their value under key."""
+    part = CongruencePartition(members)
+    first: dict = {}
+    for x in part.members:
+        part.union(first.setdefault(key(x), x), x)
+    return part
+
+
+def _fibre_partition(m: CayleyTable, u, members: Sequence) -> CongruencePartition:
+    """theta_u on the members: s ~ t iff us = ut."""
+    return _partition_by(members, lambda s: m.mul(u, s))
 
 
 def theta_and_friends(ctx: AmbientContext, act: ActionTable,
@@ -698,39 +687,19 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
     s1 = ctx.s1()
 
     values = [m.mul(u, s) for (u, s) in sd.table.elements]
-    theta = CongruencePartition(sd.table.size)
-    first: dict = {}
-    for i, v in enumerate(values):
-        if v in first:
-            theta.union(first[v], i)
-        else:
-            first[v] = i
+    theta = _partition_by(sd.table.size, values.__getitem__)
 
-    def fibre_partition(members, u):
-        part = SPartition(members)
-        bucket: dict = {}
-        for s in members:
-            bucket.setdefault(m.mul(u, s), []).append(s)
-        for group in bucket.values():
-            for s in group[1:]:
-                part.union(group[0], s)
-        return part
-
-    theta_u = {u: fibre_partition(slist, u) for u in u1}
-    theta_u1 = {u: fibre_partition(s1, u) for u in u1}
+    theta_u = {u: _fibre_partition(m, u, slist) for u in u1}
+    theta_u1 = {u: _fibre_partition(m, u, s1) for u in u1}
     stab = {u: frozenset(s for s in slist if m.mul(u, s) == u) for u in u1}
 
     # theta(u,s)(v,t) iff u s+ = v t+ and (s,t) in theta_{u s+}
-    desc = CongruencePartition(sd.table.size)
-    firstd: dict = {}
-    for i, (u, s) in enumerate(sd.table.elements):
+    def description(i):
+        u, s = sd.table.elements[i]
         usp = m.mul(u, act.splus(s))
-        key = (usp, theta_u[usp].find(s) if usp in theta_u else s)
-        if key in firstd:
-            desc.union(firstd[key], i)
-        else:
-            firstd[key] = i
-    description_ok = desc == theta
+        return usp, (theta_u[usp].find(s) if usp in theta_u else s)
+
+    description_ok = _partition_by(sd.table.size, description) == theta
 
     # natural factorisations: existence, unique left part, sigma-related
     # right parts for proper pairs
@@ -796,28 +765,27 @@ class OmegaResult:
     matches_theta: Optional[bool]
 
 
-def _pairs_for(part: SPartition) -> list:
-    out = []
-    for cls in part.classes():
-        out.extend((cls[0], s) for s in cls[1:])
-    return out
+def _pairs_for(part: CongruencePartition) -> list:
+    return [(cls[0], s) for cls in part.classes() for s in cls[1:]]
 
 
-def _join(members: Sequence, parts: Iterable[SPartition]) -> SPartition:
-    out = SPartition(members)
+def _join(members: Sequence, parts: Iterable[CongruencePartition]
+          ) -> CongruencePartition:
+    out = CongruencePartition(members)
     for p in parts:
-        for cls in p.classes():
-            for s in cls[1:]:
-                out.union(cls[0], s)
+        for a, b in _pairs_for(p):
+            out.union(a, b)
     return out
 
 
-def _right_closure_on_s(ctx: AmbientContext, seed_pairs) -> SPartition:
-    """Least right congruence on S containing the given pairs."""
+def _right_closure_on_s(ctx: AmbientContext, seed_pairs,
+                        members: Optional[Sequence] = None) -> CongruencePartition:
+    """Least right congruence on the members (S unless given) containing the
+    given pairs."""
     m = ctx.m
     slist = ctx.s_list()
     gens = list(ctx.s_gens) if ctx.s_gens else slist
-    part = SPartition(slist)
+    part = CongruencePartition(slist if members is None else members)
     queue = [p for p in seed_pairs if part.union(*p)]
     while queue:
         a, b = queue.pop()
@@ -828,10 +796,24 @@ def _right_closure_on_s(ctx: AmbientContext, seed_pairs) -> SPartition:
     return part
 
 
-def _divides(ctx, v, u) -> bool:
-    """v divides u on the left: u = wv for some w in U1."""
-    m = ctx.m
-    return any(m.mul(w, v) == u for w in ctx.u1())
+def _pairwise_join_failure(m: CayleyTable, ulist: Sequence, value, join):
+    """The first (a, b) in U x U with join(value[a], value[b]) != value[ab]."""
+    for a in ulist:
+        for b in ulist:
+            if join((value[a], value[b])) != value[m.mul(a, b)]:
+                return a, b
+    return None
+
+
+def _family_join_failure(m: CayleyTable, u1: Sequence, v_subset: Sequence,
+                         targets: Iterable, value, join):
+    """The first target u where the join of value[v] over the members v of V
+    dividing u on the left (u = wv for some w in U1) is not value[u]."""
+    multiples = {v: {m.mul(w, v) for w in u1} for v in v_subset}
+    for u in targets:
+        if join([value[v] for v in v_subset if u in multiples[v]]) != value[u]:
+            return u
+    return None
 
 
 def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
@@ -844,17 +826,19 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
 
     omega_u: per-element generating pairs for the right congruences on S
     (defaults to all their pairs); v_subset: the reduction family V;
-    gamma_u: group generating sets for the stabilizers.
+    gamma_u: group generating sets for the stabilizers.  The pair verdicts
+    are read from the action's report.
     """
     if rule not in OMEGA_RULES:
         raise ValueError(f"unknown rule {rule!r}")
     m = ctx.m
     ident = ctx.identity
     ulist = ctx.u_list()
+    u1 = ctx.u1()
     slist = ctx.s_list()
     failures: list = []
 
-    rep, _ = check_pair_from_plus(ctx)
+    rep = act.pair_report()
     if not rep.action:
         failures.append("not an action pair")
     strong = rep.strong
@@ -866,6 +850,12 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
     def omega_u_generates(u) -> bool:
         return _right_closure_on_s(ctx, omega_u.get(u, ())) == th.theta_u[u]
 
+    def u_commutative() -> bool:
+        return all(m.mul(a, b) == m.mul(b, a) for a in ulist for b in ulist)
+
+    def theta_join(parts):
+        return _join(slist, parts)
+
     if rule in ("submonoids", "join_family", "join_pairwise",
                 "group_generators", "group_join_family", "group_join_pairwise"):
         if not have_units:
@@ -874,9 +864,7 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
         if not strong:
             failures.append("pair is not strong")
     if rule == "right_generators":
-        if rep.w_conditions is None:
-            classify_proper(ctx, act, rep)
-        if not any(rep.w_conditions):
+        if not any(_classified(ctx, act).w_conditions):
             failures.append("no one-sided identity condition holds")
         for u in ulist:
             if not omega_u_generates(u):
@@ -885,79 +873,44 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
 
     if rule in ("join_family", "join_pairwise"):
         if rule == "join_pairwise":
-            if not all(m.mul(a, b) == m.mul(b, a) for a in ulist for b in ulist):
+            if not u_commutative():
                 failures.append("U is not commutative")
-            for a in ulist:
-                for b in ulist:
-                    ab = m.mul(a, b)
-                    if _join(slist, (th.theta_u[a], th.theta_u[b])) != th.theta_u[ab]:
-                        failures.append(f"pairwise join fails at ({a},{b})")
-                        break
-                else:
-                    continue
-                break
+            bad = _pairwise_join_failure(m, ulist, th.theta_u, theta_join)
+            if bad is not None:
+                failures.append(f"pairwise join fails at ({bad[0]},{bad[1]})")
             if v_subset is None:
                 failures.append("join_pairwise needs a generating family V")
-            else:
-                seen = {ident}
-                frontier = [ident]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for v in v_subset:
-                            y = m.mul(x, v)
-                            if y not in seen:
-                                seen.add(y)
-                                nxt.append(y)
-                    frontier = nxt
-                if seen != set(ctx.u1()):
-                    failures.append("V does not generate U as a monoid")
+            elif _right_orbit(m, [ident], v_subset) != set(u1):
+                failures.append("V does not generate U as a monoid")
         else:
             if v_subset is None:
                 failures.append("join_family needs the family V")
             else:
-                for u in ulist:
-                    parts = [th.theta_u[v] for v in v_subset if _divides(ctx, v, u)]
-                    if _join(slist, parts) != th.theta_u[u]:
-                        failures.append(f"join reduction fails at u={u}")
-                        break
+                bad = _family_join_failure(m, u1, v_subset, ulist, th.theta_u,
+                                           theta_join)
+                if bad is not None:
+                    failures.append(f"join reduction fails at u={bad}")
         if v_subset is not None:
             for v in v_subset:
                 if not omega_u_generates(v):
                     failures.append(f"generators miss theta_u at v={v}")
                     break
 
-    def group_closure(gens_s) -> frozenset:
-        inv = {}
-        for s in slist:
-            for t in slist + [ident]:
-                if m.mul(s, t) == ident and m.mul(t, s) == ident:
-                    inv[s] = t
-        seed = set()
-        for s in gens_s:
-            seed.add(s)
-            if s not in inv:
-                return frozenset()
-            seed.add(inv[s])
-        seen = {ident} | seed
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in seed:
-                    c = m.mul(a, b)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(seen)
-
     if rule in ("group_generators", "group_join_family", "group_join_pairwise"):
-        is_group = all(any(m.mul(s, t) == ident and m.mul(t, s) == ident
-                           for t in slist) for s in slist)
-        if not is_group:
+        inv = {s: t for s in slist for t in slist
+               if m.mul(s, t) == ident == m.mul(t, s)}
+        if len(inv) < len(slist):
             failures.append("S is not a group")
         else:
+            def group_closure(gens_s) -> frozenset:
+                gens_s = list(gens_s)
+                if any(s not in inv for s in gens_s):
+                    return frozenset()
+                return _right_orbit(m, [ident], gens_s + [inv[s] for s in gens_s])
+
+            def stab_join(parts):
+                return group_closure(s for p in parts for s in p)
+
             if gamma_u is None:
                 gamma_u = {u: sorted(th.stab[u] - {ident}) for u in ulist}
             stab1 = {u: (th.stab[u] | {ident}) for u in ulist}
@@ -974,28 +927,21 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
                 if v_subset is None:
                     failures.append("group_join_family needs the family V")
                 else:
-                    for u in ulist:
-                        gen_pool = [s for v in v_subset if _divides(ctx, v, u)
-                                    for s in stab1[v]]
-                        if group_closure(gen_pool) != stab1[u]:
-                            failures.append(f"stabilizer join fails at u={u}")
-                            break
+                    bad = _family_join_failure(m, u1, v_subset, ulist, stab1,
+                                               stab_join)
+                    if bad is not None:
+                        failures.append(f"stabilizer join fails at u={bad}")
                     for v in v_subset:
                         if not gamma_generates(v):
                             failures.append(f"generators miss the stabilizer at v={v}")
                             break
             else:
-                if not all(m.mul(a, b) == m.mul(b, a) for a in ulist for b in ulist):
+                if not u_commutative():
                     failures.append("U is not commutative")
-                for a in ulist:
-                    for b in ulist:
-                        if group_closure(list(stab1[a]) + list(stab1[b])) != \
-                                stab1[m.mul(a, b)]:
-                            failures.append(f"pairwise stabilizer join fails ({a},{b})")
-                            break
-                    else:
-                        continue
-                    break
+                bad = _pairwise_join_failure(m, ulist, stab1, stab_join)
+                if bad is not None:
+                    failures.append(
+                        f"pairwise stabilizer join fails ({bad[0]},{bad[1]})")
                 if v_subset is None:
                     failures.append("group_join_pairwise needs V")
 
@@ -1003,47 +949,25 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
         return OmegaResult(rule, False, failures, None, None)
 
     # assemble the generating pairs inside the semidirect table
-    pairs = []
-    if rule == "generic":
-        for u in ulist:
-            for a, b in _pairs_for(th.theta_u[u]):
-                pairs.append((sd.id_of(u, a), sd.id_of(u, b)))
-        for u in ulist:
-            for s in slist:
-                pairs.append((sd.id_of(u, s),
-                              sd.id_of(m.mul(u, act.splus(s)), s)))
-        side = "two_sided"
-    elif rule == "submonoids":
-        for u in ulist:
-            for a, b in _pairs_for(th.theta_u[u]):
-                pairs.append((sd.id_of(u, a), sd.id_of(u, b)))
-        for s in slist:
-            pairs.append((sd.id_of(ident, s), sd.id_of(act.splus(s), s)))
-        side = "two_sided"
-    elif rule == "right_generators":
-        for u in ulist:
-            for a, b in omega_u.get(u, ()):
-                pairs.append((sd.id_of(u, a), sd.id_of(u, b)))
-        side = "right"
-    elif rule in ("join_family", "join_pairwise"):
-        for v in v_subset:
-            for a, b in omega_u.get(v, ()):
-                pairs.append((sd.id_of(v, a), sd.id_of(v, b)))
-        side = "two_sided"
-    elif rule == "group_generators":
-        for u in ulist:
-            for s in gamma_u.get(u, ()):
-                pairs.append((sd.id_of(u, ident), sd.id_of(u, s)))
-        side = "two_sided"
+    if rule in ("generic", "submonoids"):
+        pairs = [(sd.id_of(u, a), sd.id_of(u, b))
+                 for u in ulist for a, b in _pairs_for(th.theta_u[u])]
+        if rule == "generic":
+            pairs += [(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
+                      for u in ulist for s in slist]
+        else:
+            pairs += [(sd.id_of(ident, s), sd.id_of(act.splus(s), s))
+                      for s in slist]
+    elif rule in ("right_generators", "join_family", "join_pairwise"):
+        pool = ulist if rule == "right_generators" else v_subset
+        pairs = [(sd.id_of(v, a), sd.id_of(v, b))
+                 for v in pool for a, b in omega_u.get(v, ())]
     else:
-        if v_subset is None:
-            v_subset = ulist
-        for v in v_subset:
-            for s in gamma_u.get(v, ()):
-                pairs.append((sd.id_of(v, ident), sd.id_of(v, s)))
-        side = "two_sided"
-
-    part = congruence_closure(sd.table, pairs, side)
+        pool = ulist if rule == "group_generators" else v_subset
+        pairs = [(sd.id_of(v, ident), sd.id_of(v, s))
+                 for v in pool for s in gamma_u.get(v, ())]
+    part = congruence_closure(sd.table, pairs,
+                              "right" if rule == "right_generators" else "two_sided")
     return OmegaResult(rule, True, [], part, part == th.theta)
 
 
@@ -1079,18 +1003,10 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     if not cong_ok:
         fails.append("input relation is not a two-sided congruence")
 
-    def sig_u(u) -> SPartition:
-        part = SPartition(slist)
+    def sig_u(u) -> CongruencePartition:
         if u == ident and ident not in ctx.u_set:
-            return part
-        firsts: dict = {}
-        for s in slist:
-            r = sigma.find(sd.id_of(u, s))
-            if r in firsts:
-                part.union(firsts[r], s)
-            else:
-                firsts[r] = s
-        return part
+            return CongruencePartition(slist)
+        return _partition_by(slist, lambda s: sigma.find(sd.id_of(u, s)))
 
     sig = {u: sig_u(u) for u in set(ulist) | {ident}}
     axioms = []
@@ -1355,19 +1271,19 @@ def embed_central(ctx: AmbientContext, act: ActionTable, *,
     sets, assuming the projections generate a central submonoid of U.
 
     The codomain is never materialized: well-definedness, injectivity and
-    the homomorphism law are checked pointwise on the product set.
+    the homomorphism law are checked pointwise on the product set.  The
+    properness verdict is read from the action's report.
     """
     m = ctx.m
     ident = ctx.identity
     failures: list = []
 
-    rep, _ = check_pair_from_plus(ctx)
-    classify_proper(ctx, act, rep)
+    rep = _classified(ctx, act)
     if not rep.proper:
         failures.append("pair is not proper")
     if ident not in ctx.u_set or ident not in ctx.s_set:
         failures.append("U and S must be submonoids")
-    p_set = rep.p_set or projection_semigroup(ctx, act)
+    p_set = rep.p_set
     p1 = sorted(p_set | {ident})
     if not all(m.mul(p, u) == m.mul(u, p) for p in p1 for u in ctx.u_list()):
         failures.append("projections are not central in U")

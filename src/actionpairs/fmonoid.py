@@ -436,13 +436,22 @@ def associativity_audit(table: CayleyTable) -> bool:
 # ---------------------------------------------------------------------------
 
 class CongruencePartition:
-    """Union-find partition of a table's elements, tagged by closure side."""
+    """Union-find partition of 0..n-1 (given n), or of a list of members.
 
-    __slots__ = ("parent", "side")
+    Classes list their members in member order and come in the order of
+    their first members; partitions of the same members compare equal
+    exactly when they have the same classes.
+    """
 
-    def __init__(self, n: int, side: str = "two_sided"):
-        self.parent = list(range(n))
-        self.side = side
+    __slots__ = ("parent", "members")
+
+    def __init__(self, members):
+        if isinstance(members, int):
+            members = range(members)
+            self.parent = list(members)
+        else:
+            self.parent = {x: x for x in members}
+        self.members = members
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -461,20 +470,18 @@ class CongruencePartition:
         return True
 
     def canonical(self) -> tuple[int, ...]:
-        """Per-element least class member; equal partitions compare equal."""
-        n = len(self.parent)
-        least = {}
-        for x in range(n):
-            r = self.find(x)
-            if r not in least or x < least[r]:
-                least[r] = x
-        return tuple(least[self.find(x)] for x in range(n))
+        """Per member, the first member of its class."""
+        first: dict = {}
+        return tuple(first.setdefault(self.find(x), x) for x in self.members)
 
     def classes(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
+        by_root: dict = {}
+        for x in self.members:
             by_root.setdefault(self.find(x), []).append(x)
-        return sorted((sorted(c) for c in by_root.values()), key=lambda c: c[0])
+        return list(by_root.values())
+
+    def is_trivial(self) -> bool:
+        return all(len(c) == 1 for c in self.classes())
 
     def same(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
@@ -495,7 +502,7 @@ def congruence_closure(table: CayleyTable, pairs: Iterable[tuple[int, int]],
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError(f"bad side {side!r}")
-    part = CongruencePartition(table.size, side)
+    part = CongruencePartition(table.size)
     right = table.right
     left = table.left_by_gen() if side in ("left", "two_sided") else None
     g = len(table.gens)

@@ -15,7 +15,9 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         check_pair_from_plus, semidirect, theta_and_friends)
+                         _family_join_failure, _fibre_partition, _join,
+                         _pairs_for, _pairwise_join_failure, _partition_by,
+                         _right_closure_on_s, semidirect, theta_and_friends)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
                       congruence_closure, subtable, table_from_elements,
                       table_presentation, verify_presentation)
@@ -674,10 +676,28 @@ def _check(cond, msg):
         raise HypothesisFailed(msg)
 
 
-def _product_subtable(ctx: AmbientContext, images: Sequence[int]):
-    prod = sorted(ctx.product_set())
-    tbl, old2new = subtable(ctx.m, prod, gens=list(images))
-    return tbl, old2new
+def _pair_letters(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
+                  pres_s: LetteredSubset):
+    """What the pair presentations share: the letters u:* then s:*, the
+    normal forms over the U-letters, the relations of U and of S side by
+    side, and per acting letter x its shuffling relations x y = (x>y) x over
+    the U-letters y with its projection-prefix relation x = x+ x (when x+ is
+    not the identity)."""
+    ident = ctx.identity
+    nu = len(pres_u.pres.alphabet)
+    nf_u = pres_u.normal_forms(ctx.m, identity=ident)
+    names = [f"u:{a}" for a in pres_u.pres.alphabet] + \
+            [f"s:{a}" for a in pres_s.pres.alphabet]
+    rels = list(pres_u.pres.relations)
+    rels += [(tuple(nu + i for i in u), tuple(nu + i for i in v))
+             for u, v in pres_s.pres.relations]
+    blocks = []
+    for xi, xs in enumerate(pres_s.images):
+        x, sp = nu + xi, act.splus(xs)
+        blocks.append(([((x, yi), nf_u[act(xs, yu)] + (x,))
+                        for yi, yu in enumerate(pres_u.images)],
+                       [((x,), nf_u[sp] + (x,))] if sp != ident else []))
+    return names, nf_u, rels, blocks
 
 
 def lavers(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
@@ -685,23 +705,12 @@ def lavers(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
     """Presentation of the semidirect product when it is a monoid: the two
     presentations side by side plus letter-shuffling relations moving acting
     letters past acted-on letters."""
-    m = ctx.m
     ident = ctx.identity
     _check(ident in ctx.u_set and ident in ctx.s_set, "both parts must be submonoids")
     _check(all(act.splus(s) == ident for s in ctx.s_list()),
            "the action must be by monoid morphisms")
-    nf_u = pres_u.normal_forms(m, identity=ident)
-    nu = len(pres_u.pres.alphabet)
-
-    rels = list(pres_u.pres.relations)
-    rels += [(tuple(nu + i for i in u), tuple(nu + i for i in v))
-             for u, v in pres_s.pres.relations]
-    for xi, xs in enumerate(pres_s.images):
-        for yi, yu in enumerate(pres_u.images):
-            acted = nf_u[act(xs, yu)]
-            rels.append(((nu + xi, yi), tuple(acted) + (nu + xi,)))
-    names = [f"u:{a}" for a in pres_u.pres.alphabet] + \
-            [f"s:{a}" for a in pres_s.pres.alphabet]
+    names, _, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
+    rels += [r for shuffles, _ in blocks for r in shuffles]
     pres = Presentation.make(names, rels, "monoid")
 
     sd = semidirect(ctx, act)
@@ -716,23 +725,10 @@ def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
     """Presentation of the local monoid of pairs absorbing their projection,
     for a monoidal action by semigroup morphisms: the shuffling relations
     plus one projection-prefix relation per acting letter."""
-    m = ctx.m
     ident = ctx.identity
     _check(ident in ctx.u_set and ident in ctx.s_set, "both parts must be submonoids")
-    nf_u = pres_u.normal_forms(m, identity=ident)
-    nu = len(pres_u.pres.alphabet)
-
-    rels = list(pres_u.pres.relations)
-    rels += [(tuple(nu + i for i in u), tuple(nu + i for i in v))
-             for u, v in pres_s.pres.relations]
-    for xi, xs in enumerate(pres_s.images):
-        for yi, yu in enumerate(pres_u.images):
-            rels.append(((nu + xi, yi), tuple(nf_u[act(xs, yu)]) + (nu + xi,)))
-        sp = act.splus(xs)
-        if sp != ident:
-            rels.append(((nu + xi,), tuple(nf_u[sp]) + (nu + xi,)))
-    names = [f"u:{a}" for a in pres_u.pres.alphabet] + \
-            [f"s:{a}" for a in pres_s.pres.alphabet]
+    names, _, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
+    rels += [r for shuffles, prefix in blocks for r in shuffles + prefix]
     pres = Presentation.make(names, rels, "monoid")
 
     sd = semidirect(ctx, act)
@@ -767,15 +763,15 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     The hypotheses of the selected variant are machine-checked: submonoid
     membership, the extension condition for the semigroup variants, join
     reductions for the reduced variants, and the generating property of all
-    supplied congruence data.
+    supplied congruence data.  The pair verdicts are read from the action's
+    report.
     """
     if kind not in PAIR_PRESENTATION_KINDS:
         raise KeyError(f"unknown kind {kind!r}")
     m = ctx.m
     ident = ctx.identity
-    rep, act2 = check_pair_from_plus(ctx)
+    rep = act.pair_report()
     monoid_case = kind.startswith("product_monoid")
-    semigroup_case = not monoid_case
     _check(ident in ctx.u_set, "U must be a submonoid")
     if monoid_case:
         _check(ident in ctx.s_set, "S must be a submonoid")
@@ -787,163 +783,84 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         _check(all(m.mul(a, b) in u_min for a in u_min for b in u_min),
                "U minus the identity must be a subsemigroup")
         _check(u_min <= ctx.product_set(), "U minus the identity must lie in US")
+        u1set = set(ctx.u1())
         for u in ctx.u1():
             for s in ctx.s_list():
                 v = m.mul(u, s)
-                if v in ctx.u1() and m.mul(u, act.splus(s)) != v:
+                if v in u1set and m.mul(u, act.splus(s)) != v:
                     raise HypothesisFailed("the pair does not extend over S^1")
 
-    strongish = all(act.splus(s) == ident for s in ctx.s_list())
     if kind == "product_monoid_strong":
-        _check(strongish, "the action must be by monoid morphisms")
+        _check(all(act.splus(s) == ident for s in ctx.s_list()),
+               "the action must be by monoid morphisms")
 
-    word_kind = "monoid" if monoid_case else "semigroup"
+    names, nf_u, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
+    rels += [r for shuffles, _ in blocks for r in shuffles]
+    rels += [r for _, prefix in blocks for r in prefix]
     nu = len(pres_u.pres.alphabet)
-    nf_u = pres_u.normal_forms(m, identity=ident)
     nf_s = pres_s.normal_forms(m, identity=ident if monoid_case else None)
     nf_s.setdefault(ident, ())
 
-    def sword(s):
-        return tuple(nu + i for i in nf_s[s])
-
-    rels = list(pres_u.pres.relations)
-    rels += [(tuple(nu + i for i in u), tuple(nu + i for i in v))
-             for u, v in pres_s.pres.relations]
-    # shuffling relations
-    for xi, xs in enumerate(pres_s.images):
-        for yi, yu in enumerate(pres_u.images):
-            rels.append(((nu + xi, yi), tuple(nf_u[act(xs, yu)]) + (nu + xi,)))
-    # projection-prefix relations
-    if not strongish:
-        for xi, xs in enumerate(pres_s.images):
-            sp = act.splus(xs)
-            if sp != ident:
-                rels.append(((nu + xi,), tuple(nf_u[sp]) + (nu + xi,)))
-
-    # right-congruence relations
-    slist = ctx.s_list()
-    if monoid_case:
-        members = slist
-        def rel_classes(u):
-            bucket: dict = {}
-            for s in members:
-                bucket.setdefault(m.mul(u, s), []).append(s)
-            return [c for c in bucket.values() if len(c) > 1]
-    else:
-        members = [ident] + slist
-        def rel_classes(u):
-            bucket: dict = {}
-            for s in members:
-                bucket.setdefault(m.mul(u, s), []).append(s)
-            return [c for c in bucket.values() if len(c) > 1]
-
-    def closure_matches(u, pairs) -> bool:
-        from .actionpair import SPartition
-        want = SPartition(members)
-        for c in rel_classes(u):
-            for s in c[1:]:
-                want.union(c[0], s)
-        got = SPartition(members)
-        gens = list(ctx.s_gens) if ctx.s_gens else slist
-        queue = [p for p in pairs if got.union(*p)]
-        while queue:
-            a, b = queue.pop()
-            for g in gens:
-                x, y = m.mul(a, g), m.mul(b, g)
-                if got.union(x, y):
-                    queue.append((x, y))
-        return got == want
+    def relation(u1, s1, u2, s2):
+        return (nf_u[u1] + tuple(nu + i for i in nf_s[s1]),
+                nf_u[u2] + tuple(nu + i for i in nf_s[s2]))
 
     if kind in ("product_monoid_via_local", "product_monoid_strong") and \
             omega_pairs is not None:
         # explicit congruence data on the semidirect product
         sd = semidirect(ctx, act)
-        th = theta_and_friends(ctx, act, sd)
         if kind == "product_monoid_strong":
+            th = theta_and_friends(ctx, act, sd)
             part = congruence_closure(sd.table, omega_pairs, "two_sided")
             _check(part == th.theta, "the supplied pairs do not generate theta")
-            for i, j in omega_pairs:
-                (u1, s1), (u2, s2) = sd.table.elements[i], sd.table.elements[j]
-                rels.append((tuple(nf_u[u1]) + sword(s1),
-                             tuple(nf_u[u2]) + sword(s2)))
         else:
             carrier = sorted(sd.mm)
             tbl, old2new = subtable(sd.table, carrier)
             vart = congruence_closure(
                 tbl, [(old2new[i], old2new[j]) for i, j in omega_pairs],
                 "two_sided")
-            fibres: dict = {}
-            want = []
-            for i in carrier:
-                u, s = sd.table.elements[i]
-                v = m.mul(u, s)
-                if v in fibres:
-                    want.append((old2new[fibres[v]], old2new[i]))
-                else:
-                    fibres[v] = i
-            want_part = congruence_closure(tbl, want, "two_sided")
+            fibres = _partition_by(carrier, lambda i: m.mul(*sd.table.elements[i]))
+            want_part = congruence_closure(
+                tbl, [(old2new[i], old2new[j]) for i, j in _pairs_for(fibres)],
+                "two_sided")
             _check(vart == want_part,
                    "the supplied pairs do not generate the local kernel")
-            for i, j in omega_pairs:
-                (u1, s1), (u2, s2) = sd.table.elements[i], sd.table.elements[j]
-                rels.append((tuple(nf_u[u1]) + sword(s1),
-                             tuple(nf_u[u2]) + sword(s2)))
+        rels += [relation(*sd.table.elements[i], *sd.table.elements[j])
+                 for i, j in omega_pairs]
     else:
+        # right-congruence relations: theta_u on S, or on S1 for semigroups
+        members = ctx.s_list() if monoid_case else ctx.s1()
         ulist = [u for u in ctx.u_list() if monoid_case or u != ident]
-        if kind.endswith("reduced_family") or kind.endswith("reduced_letters"):
-            if kind.endswith("reduced_letters"):
-                _check(all(m.mul(a, b) == m.mul(b, a)
-                           for a in ctx.u_list() for b in ctx.u_list()),
-                       "U must be commutative for the letter reduction")
-                v_subset = list(dict.fromkeys(pres_u.images))
-                from .actionpair import SPartition
-                for a in ctx.u_list():
-                    for b in ctx.u_list():
-                        joined = SPartition(members)
-                        for u0 in (a, b):
-                            for c in rel_classes(u0):
-                                for s in c[1:]:
-                                    joined.union(c[0], s)
-                        target = SPartition(members)
-                        for c in rel_classes(m.mul(a, b)):
-                            for s in c[1:]:
-                                target.union(c[0], s)
-                        _check(joined == target,
-                               "pairwise join reduction fails")
-            else:
-                _check(v_subset is not None, "the reduced variant needs V")
-                from .actionpair import SPartition
-                for u in ulist:
-                    joined = SPartition(members)
-                    for v in v_subset:
-                        if any(m.mul(w, v) == u for w in ctx.u1()):
-                            for c in rel_classes(v):
-                                for s in c[1:]:
-                                    joined.union(c[0], s)
-                    target = SPartition(members)
-                    for c in rel_classes(u):
-                        for s in c[1:]:
-                            target.union(c[0], s)
-                    _check(joined == target, f"join reduction fails at {u}")
-            pool = list(v_subset)
-        else:
-            pool = ulist
-        if omega_u is None:
-            omega_u = {}
-            for u in pool:
-                omega_u[u] = [(c[0], s) for c in rel_classes(u) for s in c[1:]]
-        for u in pool:
-            _check(closure_matches(u, omega_u.get(u, ())),
-                   f"congruence data does not generate at {u}")
-            for a, b in omega_u.get(u, ()):
-                rels.append((tuple(nf_u[u]) + sword(a),
-                             tuple(nf_u[u]) + sword(b)))
+        if kind.endswith("reduced_letters"):
+            v_subset = list(dict.fromkeys(pres_u.images))
+        theta = {u: _fibre_partition(m, u, members)
+                 for u in [*ctx.u1(), *(v_subset or ())]}
 
-    names = [f"u:{a}" for a in pres_u.pres.alphabet] + \
-            [f"s:{a}" for a in pres_s.pres.alphabet]
-    pres = Presentation.make(names, rels, word_kind)
+        def theta_join(parts):
+            return _join(members, parts)
+
+        if kind.endswith("reduced_letters"):
+            _check(all(m.mul(a, b) == m.mul(b, a)
+                       for a in ctx.u_list() for b in ctx.u_list()),
+                   "U must be commutative for the letter reduction")
+            _check(_pairwise_join_failure(m, ctx.u_list(), theta, theta_join)
+                   is None, "pairwise join reduction fails")
+        elif kind.endswith("reduced_family"):
+            _check(v_subset is not None, "the reduced variant needs V")
+            bad = _family_join_failure(m, ctx.u1(), v_subset, ulist, theta,
+                                       theta_join)
+            _check(bad is None, f"join reduction fails at {bad}")
+        pool = list(v_subset) if "reduced" in kind else ulist
+        if omega_u is None:
+            omega_u = {u: _pairs_for(theta[u]) for u in pool}
+        for u in pool:
+            _check(_right_closure_on_s(ctx, omega_u.get(u, ()), members) == theta[u],
+                   f"congruence data does not generate at {u}")
+            rels += [relation(u, a, u, b) for a, b in omega_u.get(u, ())]
+
+    pres = Presentation.make(names, rels, "monoid" if monoid_case else "semigroup")
     images = tuple(pres_u.images) + tuple(pres_s.images)
-    tbl, old2new = _product_subtable(ctx, images)
+    tbl, old2new = subtable(m, sorted(ctx.product_set()), gens=list(images))
     gm = tuple(old2new[e] for e in images)
     return PresentationBundle(pres, tbl, gm, f"{kind}({ctx.name})")
 

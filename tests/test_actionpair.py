@@ -13,7 +13,7 @@ from actionpairs.actionpair import (ActionTable, AmbientContext, AxiomFailed,
                                     omega_check, proper_cover,
                                     quotient_matches_product, semidirect,
                                     theta_and_friends)
-from actionpairs.fmonoid import CongruencePartition
+from actionpairs.fmonoid import CongruencePartition, congruence_closure
 from actionpairs.registry import (ambient_plus_map, ambient_wreath,
                                   catalogue_pair, make_pair, ptrans_table,
                                   subset_ids)
@@ -234,6 +234,45 @@ def test_semidirect_without_units_is_generated_by_few_pairs():
     assert len(sd.table.gens) < 567
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([p for p in DIFFERENTIAL_PAIRS if p[1] == 2]),
+       st.sampled_from(["right", "two_sided"]), st.data())
+def test_small_generator_closure_matches_the_all_element_closure(pair, side,
+                                                                  data):
+    # congruence_closure multiplies by the pruned generators of the
+    # semidirect table only; the naive closure multiplies by every element
+    # through the defining product (u, s)(v, t) = (u.(s>v), st)
+    ctx = catalogue_pair(*pair)
+    rep, act = check_pair_from_plus(ctx)
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    m, els = ctx.m, sd.table.elements
+    # the generating pairs of the generic omega rule, then a few drawn ones
+    pairs = [(sd.id_of(u, a), sd.id_of(u, b))
+             for u in ctx.u_list() for a, b in ap._pairs_for(th.theta_u[u])]
+    pairs += [(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
+              for u in ctx.u_list() for s in ctx.s_list()]
+    ids = st.integers(0, sd.table.size - 1)
+    pairs += data.draw(st.lists(st.tuples(ids, ids), max_size=3))
+    fast = congruence_closure(sd.table, pairs, side)
+
+    def prod(x, y):
+        (u, s), (v, t) = x, y
+        return (m.mul(u, act(s, v)), m.mul(s, t))
+
+    naive = CongruencePartition(els)        # members: the (u, s) pairs
+    queue = [(els[a], els[b]) for a, b in pairs if naive.union(els[a], els[b])]
+    while queue:
+        x, y = queue.pop()
+        for z in els:
+            images = [(prod(x, z), prod(y, z))]
+            if side == "two_sided":
+                images.append((prod(z, x), prod(z, y)))
+            queue += [(p, q) for p, q in images if naive.union(p, q)]
+    assert {frozenset(sd.id_of(*e) for e in c) for c in naive.classes()} == \
+        {frozenset(c) for c in fast.classes()}
+
+
 # --- the kernel congruence ------------------------------------------------------------
 
 def test_theta_e2_g2():
@@ -418,6 +457,27 @@ def test_embed_refuses_non_proper():
     ctx, rep, act = classified("c1", 2, "E", "G")
     emb = embed_central(ctx, act)
     assert not emb.hypotheses_ok
+
+
+@pytest.mark.parametrize("base", ["c1", "c2"])
+def test_hand_built_action_gives_the_derived_results(base):
+    # an ActionTable no check has seen is checked by check_weak_pair; on the
+    # catalogue its verdicts, omega rule and embedding are the derived ones
+    for spec in registry.catalogue_specs(2):
+        uk, sk, rule = spec["u"], spec["s"], spec["rule"]
+        ctx = catalogue_pair(base, 2, uk, sk)
+        rep, act = check_pair_from_plus(ctx)
+        hand = ActionTable(ctx, act.table)
+        assert hand.report is None and act.report is rep
+        sd = semidirect(ctx, act)
+        th = theta_and_friends(ctx, act, sd)
+        kw = registry.omega_inputs(ctx, act, rule, uk, sk, 2)
+        assert omega_check(ctx, hand, sd, th, rule, **kw) == \
+            omega_check(ctx, act, sd, th, rule, **kw), (uk, sk)
+        assert embed_central(ctx, hand) == embed_central(ctx, act), (uk, sk)
+        assert [hand.report.weak, hand.report.action, hand.report.strong,
+                hand.report.proper] == [rep.weak, rep.action, rep.strong,
+                                        rep.proper], (uk, sk)
 
 
 def test_degree_one_catalogue_degenerates_gracefully():

@@ -94,6 +94,29 @@ def test_classify_pair_with_omega_rule(capsys):
     assert rep["omega"]["matches_theta"] is True
 
 
+def test_classify_pair_checks_each_context_once(capsys, monkeypatch):
+    # the pair and the cover carrier are each checked and classified once;
+    # the omega rule and the embedding read the report stored on the action
+    from collections import Counter
+    from actionpairs import actionpair as ap
+    calls = Counter()
+    for name in ("check_pair_from_plus", "classify_proper"):
+        def counted(ctx, *args, _fn=getattr(ap, name), _name=name, **kw):
+            calls[_name, ctx.name] += 1
+            return _fn(ctx, *args, **kw)
+        monkeypatch.setattr(ap, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "MwrPT2",
+                         "--M", "c2", "--U", "Mn", "--S", "T",
+                         "--omega", "right_generators", "--cover", "--embed")
+    assert code == cli.EXIT_PASS
+    assert rep["omega"]["matches_theta"] and rep["embed"]["homomorphic"]
+    pair = rep["pair"]["name"]
+    assert calls == Counter({(name, ctx): 1
+                             for name in ("check_pair_from_plus", "classify_proper")
+                             for ctx in (pair, f"cover({pair})")})
+
+
 def test_classify_pair_bad_inputs(capsys):
     code, _ = run(capsys, "classify-pair", "--ambient", "XX2",
                   "--U", "E", "--S", "T")

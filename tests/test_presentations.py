@@ -345,6 +345,65 @@ def test_pair_presentation_hypothesis_failures():
         pr.general_pair_pres("product_monoid", ctx, act, pu, ps)
 
 
+def _one_letter_per_element(ctx, ids):
+    """A relation-free lettering: one letter per non-identity element."""
+    ids = sorted(set(ids) - {ctx.identity})
+    return pr.LetteredSubset(
+        Presentation.make([f"x{i}" for i in ids], [], "monoid"), tuple(ids))
+
+
+def test_pair_presentation_rejects_failed_letter_reductions():
+    amb = ambient_wreath("c1", 2)
+    # (E, G): theta at the empty map is not the join of the theta of two
+    # partial identities whose product it is
+    ctx = make_pair(amb, "E", "G", 2)
+    rep, act = ap.check_pair_from_plus(ctx)
+    assert rep.action
+    with pytest.raises(HypothesisFailed, match="^pairwise join reduction fails$"):
+        pr.general_pair_pres("product_monoid_reduced_letters", ctx, act,
+                             _one_letter_per_element(ctx, ctx.u_set),
+                             _one_letter_per_element(ctx, ctx.s_set))
+    # T2 under the trivial acting monoid: U is not commutative
+    ctx = ap.AmbientContext(amb, registry.subset_ids(amb, "pmap:T", 2),
+                            frozenset({amb.identity}),
+                            {amb.identity: amb.identity}, name="(T2,1)")
+    rep, act = ap.check_pair_from_plus(ctx)
+    assert rep.strong
+    with pytest.raises(HypothesisFailed,
+                       match="^U must be commutative for the letter reduction$"):
+        pr.general_pair_pres("product_monoid_reduced_letters", ctx, act,
+                             _one_letter_per_element(ctx, ctx.u_set),
+                             _one_letter_per_element(ctx, ctx.s_set))
+
+
+@pytest.mark.parametrize("kind,u_kind,s_kind", [("product_monoid", "E", "T"),
+                                                ("product_semigroup", "E", "SingT")])
+def test_pair_presentation_rejects_congruence_data_missing_a_class(kind, u_kind,
+                                                                    s_kind):
+    amb = ambient_wreath("c1", 2)
+    ctx = make_pair(amb, u_kind, s_kind, 2)
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu = _one_letter_per_element(ctx, ctx.u_set)
+    ps = _one_letter_per_element(ctx, ctx.s_set)
+    # theta_u on S (on S1 for the semigroup variants): us = ut
+    monoid_case = kind == "product_monoid"
+    members = ctx.s_list() if monoid_case else ctx.s1()
+    full = {}
+    for u in ctx.u_list():
+        if monoid_case or u != ctx.identity:
+            fibres = {}
+            for s in members:
+                fibres.setdefault(amb.mul(u, s), []).append(s)
+            full[u] = [(c[0], s) for c in fibres.values() for s in c[1:]]
+    assert pr.general_pair_pres(kind, ctx, act, pu, ps, omega_u=full)
+    # no pairs at the least u whose theta_u has a class of two or more
+    u = min(u for u, pairs in full.items() if pairs)
+    missing = {**full, u: []}
+    with pytest.raises(HypothesisFailed,
+                       match=f"^congruence data does not generate at {u}$"):
+        pr.general_pair_pres(kind, ctx, act, pu, ps, omega_u=missing)
+
+
 def test_sd_letters_bundle():
     amb = ambient_wreath("c1", 2)
     ctx = ap.AmbientContext(
