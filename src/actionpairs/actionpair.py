@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
                       congruence_closure, greedy_generators, is_compatible,
-                      quotient)
+                      quotient, right_orbit)
 
 
 class NotSubsemigroup(Exception):
@@ -369,25 +369,10 @@ def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
 # P, sigma, properness
 # ---------------------------------------------------------------------------
 
-def _right_orbit(m: CayleyTable, seeds: Iterable, gens: Iterable) -> frozenset:
-    """The products a g1 ... gk (k >= 0) of the seeds a by generators gi."""
-    gens = list(gens)
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            c = m.mul(a, g)
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return frozenset(seen)
-
-
 def projection_semigroup(ctx: AmbientContext, act: ActionTable) -> frozenset:
     """The subsemigroup of U1 generated by the projections s+."""
     gens = {act.splus(s) for s in ctx.s_list()}
-    return _right_orbit(ctx.m, gens, gens)
+    return frozenset(right_orbit(gens, lambda a: [ctx.m.mul(a, g) for g in gens]))
 
 
 def sigma_partition(ctx: AmbientContext, act: ActionTable,
@@ -744,16 +729,25 @@ def quotient_matches_product(ctx: AmbientContext, sd: SemidirectResult,
 # Congruence generating rules
 # ---------------------------------------------------------------------------
 
-OMEGA_RULES = (
-    "generic",               # any action pair; two-sided closure
-    "submonoids",            # U, S submonoids; two-sided closure
-    "right_generators",      # strong + a one-sided identity condition; right closure
-    "join_family",           # strong submonoids; family V with join reduction
-    "join_pairwise",         # strong submonoids; commutative U, pairwise joins
-    "group_generators",      # submonoids with S a group; stabilizer generators
-    "group_join_family",     # group case with join reduction over V
-    "group_join_pairwise",   # group case, commutative U, pairwise joins
-)
+# Per rule: whether U and S must be submonoids, whether the pair must be
+# strong, the per-element data whose generators are supplied (theta: omega_u
+# generates each theta_u as a right congruence on S; stab: gamma_u generates
+# each stabilizer as a group; None: all of each theta_u is taken), and the
+# reduction of U to a family V (family: each value is the join of those at
+# its V-divisors; pairwise: U is commutative and generated by V, and values
+# join pairwise).  Theta data over all of U closes on the right only and
+# needs a one-sided identity condition; every other rule closes two-sided.
+_OMEGA_TABLE = {
+    "generic": (False, False, None, None),
+    "submonoids": (True, False, None, None),
+    "right_generators": (False, True, "theta", None),
+    "join_family": (True, True, "theta", "family"),
+    "join_pairwise": (True, True, "theta", "pairwise"),
+    "group_generators": (True, False, "stab", None),
+    "group_join_family": (True, False, "stab", "family"),
+    "group_join_pairwise": (True, False, "stab", "pairwise"),
+}
+OMEGA_RULES = tuple(_OMEGA_TABLE)
 
 
 @dataclass
@@ -821,153 +815,106 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
                 v_subset: Optional[Sequence] = None,
                 gamma_u: Optional[dict] = None) -> OmegaResult:
     """Build a generating set for theta by the selected rule, verify the
-    rule's hypotheses first, close it (as a right congruence for
-    right_generators, two-sided otherwise) and compare with theta exactly.
+    hypotheses its `_OMEGA_TABLE` entry names first, close it and compare
+    with theta exactly.
 
     omega_u: per-element generating pairs for the right congruences on S
     (defaults to all their pairs); v_subset: the reduction family V;
-    gamma_u: group generating sets for the stabilizers.  The pair verdicts
-    are read from the action's report.
+    gamma_u: group generating sets for the stabilizers (defaults to the
+    stabilizers).  Supplied data outside the pair fails the hypotheses.  The
+    pair verdicts are read from the action's report.
     """
-    if rule not in OMEGA_RULES:
+    if rule not in _OMEGA_TABLE:
         raise ValueError(f"unknown rule {rule!r}")
+    units, strong, data, reduction = _OMEGA_TABLE[rule]
     m = ctx.m
     ident = ctx.identity
     ulist = ctx.u_list()
-    u1 = ctx.u1()
     slist = ctx.s_list()
     failures: list = []
 
     rep = act.pair_report()
     if not rep.action:
         failures.append("not an action pair")
-    strong = rep.strong
-    have_units = ident in ctx.u_set and ident in ctx.s_set
+    if units and not (ident in ctx.u_set and ident in ctx.s_set):
+        failures.append("U and S must be submonoids")
+    if strong and not rep.strong:
+        failures.append("pair is not strong")
+    if data == "theta" and reduction is None and \
+            not any(_classified(ctx, act).w_conditions):
+        failures.append("no one-sided identity condition holds")
+    if reduction and (v_subset is None or not set(v_subset) <= ctx.u_set):
+        failures.append(f"{rule} needs a family V inside U")
 
-    if omega_u is None:
-        omega_u = {u: _pairs_for(th.theta_u[u]) for u in ulist}
-
-    def omega_u_generates(u) -> bool:
-        return _right_closure_on_s(ctx, omega_u.get(u, ())) == th.theta_u[u]
-
-    def u_commutative() -> bool:
-        return all(m.mul(a, b) == m.mul(b, a) for a in ulist for b in ulist)
-
-    def theta_join(parts):
-        return _join(slist, parts)
-
-    if rule in ("submonoids", "join_family", "join_pairwise",
-                "group_generators", "group_join_family", "group_join_pairwise"):
-        if not have_units:
-            failures.append("U and S must be submonoids")
-    if rule in ("right_generators", "join_family", "join_pairwise"):
-        if not strong:
-            failures.append("pair is not strong")
-    if rule == "right_generators":
-        if not any(_classified(ctx, act).w_conditions):
-            failures.append("no one-sided identity condition holds")
-        for u in ulist:
-            if not omega_u_generates(u):
-                failures.append(f"generators miss theta_u at u={u}")
-                break
-
-    if rule in ("join_family", "join_pairwise"):
-        if rule == "join_pairwise":
-            if not u_commutative():
-                failures.append("U is not commutative")
-            bad = _pairwise_join_failure(m, ulist, th.theta_u, theta_join)
-            if bad is not None:
-                failures.append(f"pairwise join fails at ({bad[0]},{bad[1]})")
-            if v_subset is None:
-                failures.append("join_pairwise needs a generating family V")
-            elif _right_orbit(m, [ident], v_subset) != set(u1):
-                failures.append("V does not generate U as a monoid")
-        else:
-            if v_subset is None:
-                failures.append("join_family needs the family V")
-            else:
-                bad = _family_join_failure(m, u1, v_subset, ulist, th.theta_u,
-                                           theta_join)
-                if bad is not None:
-                    failures.append(f"join reduction fails at u={bad}")
-        if v_subset is not None:
-            for v in v_subset:
-                if not omega_u_generates(v):
-                    failures.append(f"generators miss theta_u at v={v}")
-                    break
-
-    if rule in ("group_generators", "group_join_family", "group_join_pairwise"):
-        inv = {s: t for s in slist for t in slist
-               if m.mul(s, t) == ident == m.mul(t, s)}
-        if len(inv) < len(slist):
+    # per element, pairs (a, b) of S: related by theta_u, or a = 1 and b generates
+    if data == "stab":
+        if not all(any(m.mul(s, t) == ident == m.mul(t, s) for t in slist)
+                   for s in slist):
             failures.append("S is not a group")
-        else:
-            def group_closure(gens_s) -> frozenset:
-                gens_s = list(gens_s)
-                if any(s not in inv for s in gens_s):
-                    return frozenset()
-                return _right_orbit(m, [ident], gens_s + [inv[s] for s in gens_s])
-
-            def stab_join(parts):
-                return group_closure(s for p in parts for s in p)
-
-            if gamma_u is None:
-                gamma_u = {u: sorted(th.stab[u] - {ident}) for u in ulist}
-            stab1 = {u: (th.stab[u] | {ident}) for u in ulist}
-
-            def gamma_generates(u) -> bool:
-                return group_closure(gamma_u.get(u, ())) == stab1[u]
-
-            if rule == "group_generators":
-                for u in ulist:
-                    if not gamma_generates(u):
-                        failures.append(f"generators miss the stabilizer at u={u}")
-                        break
-            elif rule == "group_join_family":
-                if v_subset is None:
-                    failures.append("group_join_family needs the family V")
-                else:
-                    bad = _family_join_failure(m, u1, v_subset, ulist, stab1,
-                                               stab_join)
-                    if bad is not None:
-                        failures.append(f"stabilizer join fails at u={bad}")
-                    for v in v_subset:
-                        if not gamma_generates(v):
-                            failures.append(f"generators miss the stabilizer at v={v}")
-                            break
-            else:
-                if not u_commutative():
-                    failures.append("U is not commutative")
-                bad = _pairwise_join_failure(m, ulist, stab1, stab_join)
-                if bad is not None:
-                    failures.append(
-                        f"pairwise stabilizer join fails ({bad[0]},{bad[1]})")
-                if v_subset is None:
-                    failures.append("group_join_pairwise needs V")
-
+        if gamma_u is None:
+            gamma_u = {u: sorted(th.stab[u] - {ident}) for u in ulist}
+        gen_pairs = {u: [(ident, s) for s in gs] for u, gs in gamma_u.items()}
+    elif data == "theta" and omega_u is not None:
+        gen_pairs = omega_u
+    else:
+        gen_pairs = {u: _pairs_for(th.theta_u[u]) for u in ulist}
+    if not failures and not all(a in ctx.s_set and b in ctx.s_set
+                                for ps in gen_pairs.values() for a, b in ps):
+        failures.append("supplied generators lie outside S")
     if failures:
         return OmegaResult(rule, False, failures, None, None)
 
-    # assemble the generating pairs inside the semidirect table
-    if rule in ("generic", "submonoids"):
-        pairs = [(sd.id_of(u, a), sd.id_of(u, b))
-                 for u in ulist for a, b in _pairs_for(th.theta_u[u])]
-        if rule == "generic":
-            pairs += [(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
-                      for u in ulist for s in slist]
-        else:
-            pairs += [(sd.id_of(ident, s), sd.id_of(act.splus(s), s))
-                      for s in slist]
-    elif rule in ("right_generators", "join_family", "join_pairwise"):
-        pool = ulist if rule == "right_generators" else v_subset
-        pairs = [(sd.id_of(v, a), sd.id_of(v, b))
-                 for v in pool for a, b in omega_u.get(v, ())]
-    else:
-        pool = ulist if rule == "group_generators" else v_subset
-        pairs = [(sd.id_of(v, ident), sd.id_of(v, s))
-                 for v in pool for s in gamma_u.get(v, ())]
-    part = congruence_closure(sd.table, pairs,
-                              "right" if rule == "right_generators" else "two_sided")
+    if data == "theta":
+        value = th.theta_u
+
+        def span(pairs):
+            return _right_closure_on_s(ctx, pairs)
+
+        def join(parts):
+            return _join(slist, parts)
+    elif data == "stab":
+        value = {u: th.stab[u] | {ident} for u in ulist}
+
+        def span(pairs):
+            # S is finite, so the monoid its members generate is a subgroup
+            gens = [s for _, s in pairs]
+            return frozenset(right_orbit([ident], lambda a: [m.mul(a, g) for g in gens]))
+
+        def join(parts):
+            return span([(ident, s) for p in parts for s in p])
+
+    pool = ulist if reduction is None else v_subset
+    if reduction == "family":
+        bad = _family_join_failure(m, ctx.u1(), v_subset, ulist, value, join)
+        if bad is not None:
+            failures.append(f"join reduction fails at u={bad}")
+    elif reduction == "pairwise":
+        if any(m.mul(a, b) != m.mul(b, a) for a in ulist for b in ulist):
+            failures.append("U is not commutative")
+        bad = _pairwise_join_failure(m, ulist, value, join)
+        if bad is not None:
+            failures.append(f"pairwise join fails at ({bad[0]},{bad[1]})")
+        if frozenset(right_orbit([ident], lambda a: [m.mul(a, v) for v in v_subset])) \
+                != ctx.u_set:
+            failures.append("V does not generate U as a monoid")
+    if data is not None:
+        bad = next((u for u in pool if span(gen_pairs.get(u, ())) != value[u]), None)
+        if bad is not None:
+            failures.append(f"the supplied generators miss at u={bad}")
+    if failures:
+        return OmegaResult(rule, False, failures, None, None)
+
+    # without per-element data every theta_u is taken whole, together with
+    # (u, s) ~ (u s+, s), or with (1, s) ~ (s+, s) when U and S are submonoids
+    pairs = [(sd.id_of(v, a), sd.id_of(v, b))
+             for v in pool for a, b in gen_pairs.get(v, ())]
+    if data is None and not units:
+        pairs += [(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
+                  for u in ulist for s in slist]
+    elif data is None:
+        pairs += [(sd.id_of(ident, s), sd.id_of(act.splus(s), s)) for s in slist]
+    side = "right" if data == "theta" and reduction is None else "two_sided"
+    part = congruence_closure(sd.table, pairs, side)
     return OmegaResult(rule, True, [], part, part == th.theta)
 
 
@@ -1348,17 +1295,11 @@ def embed_central(ctx: AmbientContext, act: ActionTable, *,
 
     values_semilattice = None
     if ctx.u_set == p_set or ctx.u_set | {ident} == frozenset(p1):
-        pool = {v for f in f_of.values() for v in f}
-        frontier = list(pool)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(pool):
-                    c = frozenset(m.mul(x, y) for x in a for y in b)
-                    if c not in pool:
-                        pool.add(c)
-                        nxt.append(c)
-            frontier = nxt
+        # the semigroup the values generate under the set product, which is
+        # their right orbit under themselves
+        gens = list({v for f in f_of.values() for v in f})
+        pool = right_orbit(gens, lambda a: [frozenset(m.mul(x, y) for x in a for y in b)
+                                            for b in gens])
         values_semilattice = all(
             frozenset(m.mul(x, y) for x in a for y in a) == a for a in pool) and all(
             frozenset(m.mul(x, y) for x in a for y in b) ==

@@ -1,12 +1,15 @@
 """Command-line front end: batch verification with machine-readable reports.
 
-Exit codes: 0 pass, 1 verification failure, 2 bad input (a KeyError,
-ValueError, BadParams or OSError, such as an unknown name, a malformed
-ACTIONPAIR_NODE_CAP or a missing --monoid or algebra file, or an algebra
-file that is not an independence algebra), 3 enumeration budget or size cap
-exceeded, 4 internal error (any other exception: the JSON `error` names its
-type and the traceback goes to stderr).  Reports are schema "v1" and embed
-the run configuration: the seed and the table cap, and for
+Exit codes: 0 pass, 1 verification failure (for classify-pair: the pair
+axioms, an omega rule whose closure misses theta, a cover that is not onto
+or not proper, or an embedding whose hypotheses hold that is not injective
+or not a homomorphism; unmet hypotheses are reported and still pass), 2 bad
+input (a KeyError, ValueError, BadParams or OSError, such as an unknown
+name, a malformed ACTIONPAIR_NODE_CAP or a missing --monoid or algebra file,
+or an algebra file that is not an independence algebra), 3 enumeration
+budget or size cap exceeded, 4 internal error (any other exception: the
+JSON `error` names its type and the traceback goes to stderr).  Reports are
+schema "v1" and embed the run configuration: the table cap, and for
 verify-presentation also the node cap requested for this run (through
 --bound or the ACTIONPAIR_NODE_CAP environment variable; neither changes the
 library's default for later calls).  classify-pair enumerates no
@@ -41,7 +44,7 @@ ALGEBRA_INSTANCES = indalg.BUILTIN_ALGEBRAS
 
 
 def _config(args) -> dict:
-    return {"table_cap": fmonoid.FULL_TABLE_CAP, "seed": args.seed}
+    return {"table_cap": fmonoid.FULL_TABLE_CAP}
 
 
 def _enumeration_config(args) -> dict:
@@ -176,6 +179,7 @@ def cmd_classify_pair(args) -> int:
         report["error"] = str(e)
         _emit(report, args.format)
         return EXIT_BAD_INPUT
+    failed = False
     try:
         rep, act = check_pair_from_plus(ctx)
         if act is not None and rep.weak:
@@ -193,6 +197,7 @@ def cmd_classify_pair(args) -> int:
                                    "hypotheses_ok": res.hypotheses_ok,
                                    "matches_theta": res.matches_theta,
                                    "failures": res.failures}
+                failed |= res.matches_theta is False
             if args.cover:
                 cov = proper_cover(ctx, act,
                                    ambient_plus=registry.ambient_plus_map(ctx.m))
@@ -203,6 +208,7 @@ def cmd_classify_pair(args) -> int:
                     "surjective": cov.surjective,
                     "projection_separating": cov.projection_separating,
                 }
+                failed |= not (cov.surjective and cov.proper)
             if args.embed:
                 emb = embed_central(ctx, act)
                 report["embed"] = {
@@ -211,6 +217,7 @@ def cmd_classify_pair(args) -> int:
                     "homomorphic": emb.homomorphic,
                     "failures": emb.failures,
                 }
+                failed |= emb.hypotheses_ok and not (emb.injective and emb.homomorphic)
         report["pair"] = rep.to_dict(ctx)
     except fmonoid.SizeBoundExceeded as e:
         report["error"] = str(e)
@@ -218,7 +225,7 @@ def cmd_classify_pair(args) -> int:
         return EXIT_BOUND
     report["elapsed"] = round(time.time() - t0, 3)
     _emit(report, args.format)
-    return EXIT_PASS if rep.weak else EXIT_FAIL
+    return EXIT_PASS if rep.weak and not failed else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the enumeration node budget")
     vp.add_argument("--show-relations", action="store_true")
     vp.add_argument("--format", choices=("json", "text"), default="text")
-    vp.add_argument("--seed", type=int, default=0)
     vp.set_defaults(func=cmd_verify_presentation)
 
     cp = sub.add_parser("classify-pair",
@@ -256,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--embed", action="store_true")
     cp.add_argument("--omega", choices=list(OMEGA_RULES))
     cp.add_argument("--format", choices=("json", "text"), default="text")
-    cp.add_argument("--seed", type=int, default=0)
     cp.set_defaults(func=cmd_classify_pair)
     return p
 

@@ -154,13 +154,6 @@ class CayleyTable:
             x = right[x][k]
         return x
 
-    def mul_word(self, a: int, word: Word) -> int:
-        x = a
-        right = self.right
-        for k in word:
-            x = right[x][k]
-        return x
-
     def eval_word(self, word: Word) -> int:
         """Evaluate a generator word to an element; empty word needs an identity."""
         if not word:
@@ -214,12 +207,6 @@ class CayleyTable:
         return self._left
 
     # -- misc ----------------------------------------------------------------
-
-    def is_identity_ok(self) -> bool:
-        e = self.identity
-        if e is None:
-            return True
-        return all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(self.size))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -390,6 +377,41 @@ def greedy_generators(candidates: Iterable, product: Callable) -> list:
                     elems.append(p)
             i += 1
     return kept
+
+
+def right_orbit(seeds: Iterable, successors: Callable,
+                trail: Optional[Sequence[tuple]] = None) -> dict:
+    """The right orbit of the seeds: every element reached from them by
+    repeatedly taking `successors(x)`, the right multiples of x by the
+    generators in generator order.
+
+    This is the generator-closure step of Froidure & Pin, "Algorithms for
+    computing finite semigroups" (1997).  Elements are visited first in,
+    first out, and the returned dict lists them in that order, each mapped
+    to None.  Given a trail entry (word, parent) per seed, with words in
+    shortlex order (the empty word, or (k,) for letter k), an element first
+    reached as successors(x)[k] maps to (x's word + (k,), (x, k)) instead,
+    and the visiting order makes that word the shortlex-least one.
+    """
+    found: dict = {}
+    frontier = []
+    for i, x in enumerate(seeds):
+        if x not in found:
+            found[x] = None if trail is None else trail[i]
+            frontier.append(x)
+    for x in frontier:
+        if trail is None:
+            for y in successors(x):
+                if y not in found:
+                    found[y] = None
+                    frontier.append(y)
+        else:
+            word = found[x][0]
+            for k, y in enumerate(successors(x)):
+                if y not in found:
+                    found[y] = (word + (k,), (x, k))
+                    frontier.append(y)
+    return found
 
 
 def table_from_elements(elements: Sequence, product: Callable, *,
@@ -574,32 +596,17 @@ def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
 
 
 def _bfs_words(right, gens, identity):
-    """Shortlex-BFS words over `gens` reaching every element of a right table."""
-    n = len(right)
-    nf: list = [None] * n
-    parent: list = [None] * n
-    order = []
-    if identity is not None:
-        nf[identity] = ()
-        order.append(identity)
-    for k, ge in enumerate(gens):
-        if nf[ge] is None:
-            nf[ge] = (k,)
-            parent[ge] = (identity if identity is not None else -1, k)
-            order.append(ge)
-    i = 0
-    while i < len(order):
-        e = order[i]
-        i += 1
-        for k in range(len(gens)):
-            t = right[e][k]
-            if nf[t] is None:
-                nf[t] = nf[e] + (k,)
-                parent[t] = (e, k)
-                order.append(t)
-    if any(w is None for w in nf):
+    """Shortlex-BFS words over `gens` reaching every element of a right
+    table, with the parent trail of each (see CayleyTable)."""
+    root = -1 if identity is None else identity
+    seeds = [] if identity is None else [identity]
+    found = right_orbit(seeds + list(gens), right.__getitem__,
+                        [((), None)] * len(seeds) +
+                        [((k,), (root, k)) for k in range(len(gens))])
+    if len(found) != len(right):
         raise ValueError("generators do not reach every element")
-    return nf, parent
+    nf, parent = zip(*map(found.__getitem__, range(len(right))))
+    return list(nf), list(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -845,22 +852,13 @@ def verify_presentation(p: Presentation, m: CayleyTable,
             rep.failed_relation = (u, v)
             break
 
-    seen = set(gen_map)
+    seeds = list(gen_map)
     if p.kind == "monoid":
         if m.identity is None:
             raise ValueError("monoid presentation against a table without identity")
-        seen.add(m.identity)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gen_map:
-                c = m.mul(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    rep.surjective = len(seen) == m.size
+        seeds.append(m.identity)
+    reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
+    rep.surjective = len(reached) == m.size
 
     bound = max(4 * m.size + 16, m.size + 1)
     rep.node_budget = node_budget(bound, node_cap)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from .fmonoid import right_orbit
+
 
 class AlphabetMismatch(Exception):
     pass
@@ -172,22 +174,10 @@ def min_genset(alphabet: Iterable[str], length_bound: int) -> list[LRElement]:
 def all_prefix_sets(alphabet: Iterable[str], length_bound: int) -> list[PrefixSet]:
     """Every prefix-closed set of words of length <= the bound (small scales)."""
     letters = sorted(alphabet)
-    out = [frozenset({""})]
-    frontier = [frozenset({""})]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for ws in frontier:
-            for w in ws:
-                if len(w) < length_bound:
-                    for c in letters:
-                        ext = ws | {w + c}
-                        if ext not in seen:
-                            seen.add(ext)
-                            nxt.append(ext)
-                            out.append(ext)
-        frontier = nxt
-    return [PrefixSet(ws) for ws in out]
+    found = right_orbit([frozenset({""})],
+                        lambda ws: [ws | {w + c} for w in ws if len(w) < length_bound
+                                    for c in letters])
+    return [PrefixSet(ws) for ws in found]
 
 
 def is_atom(target: PrefixSet, pool: Iterable[PrefixSet]) -> bool:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import ptrans
-from .fmonoid import CayleyTable, SizeBoundExceeded, table_from_elements
+from .fmonoid import (CayleyTable, SizeBoundExceeded, right_orbit,
+                      table_from_elements)
 
 
 class NotIndependenceAlgebra(Exception):
@@ -281,17 +282,8 @@ class SubalgebraLattice:
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.subs)}
 
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
     def join(self, a: frozenset, b: frozenset) -> frozenset:
         return self.alg.closure(a | b)
-
-    def dims(self) -> dict:
-        return {s: self.alg.dim(s) for s in self.subs}
-
-    def codims(self) -> dict:
-        return {s: self.alg.codim(s) for s in self.subs}
 
     def maximal(self) -> list:
         return [s for s in self.subs if self.alg.codim(s) == 1]
@@ -307,19 +299,9 @@ def all_subalgebras(alg: AlgebraInstance) -> SubalgebraLattice:
     """Every subalgebra, generated by one-point extensions from the least one."""
     if alg.size > SUBALG_CAP:
         raise SizeBoundExceeded(f"carrier {alg.size} beyond {SUBALG_CAP}")
-    first = alg.closure(())
-    found = {first, frozenset(range(alg.size))}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for x in range(alg.size):
-                if x not in b:
-                    c = alg.closure(b | {x})
-                    if c not in found:
-                        found.add(c)
-                        nxt.append(c)
-        frontier = nxt
+    found = right_orbit([alg.closure(()), frozenset(range(alg.size))],
+                        lambda b: [alg.closure(b | {x}) for x in range(alg.size)
+                                   if x not in b])
     subs = sorted(found, key=lambda s: (len(s), sorted(s)))
     lat = SubalgebraLattice(alg, subs)
     alg._lattice = lat
@@ -503,19 +485,9 @@ def gamma(alg: AlgebraInstance, kappa: int,
 
 
 def generated_subgroup(gens: Iterable[ptrans.PartialMap], n: int) -> frozenset:
-    seen = {ptrans.identity(n)} | set(gens)
-    frontier = list(seen)
     gen_list = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gen_list:
-                c = a * g
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(right_orbit([ptrans.identity(n)],
+                                 lambda a: [a * g for g in gen_list]))
 
 
 @dataclass
@@ -646,13 +618,6 @@ def classify_conditions(alg: AlgebraInstance) -> ConditionReport:
     return ConditionReport(sub1, sub1_consistent, sub2, len(set(sub2)) == 1,
                            sub5, len(set(sub5)) == 1, sub3, sub3_consistent,
                            (f1, f2), cover_impl, strong)
-
-
-def suba_bundle(alg: AlgebraInstance, *, enlarged: bool = False):
-    """Presentation bundle for the meet-semilattice of finite-codimensional
-    subalgebras, over the maximal-subalgebra generators."""
-    from .presentations import build_catalog
-    return build_catalog("SubA_enlarged" if enlarged else "SubA", algebra=alg)
 
 
 # -- bridge to wreath products ---------------------------------------------------

@@ -19,8 +19,9 @@ from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
                          _pairs_for, _pairwise_join_failure, _partition_by,
                          _right_closure_on_s, semidirect, theta_and_friends)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
-                      congruence_closure, subtable, table_from_elements,
-                      table_presentation, verify_presentation)
+                      congruence_closure, right_orbit, subtable,
+                      table_from_elements, table_presentation,
+                      verify_presentation)
 
 
 @dataclass
@@ -54,31 +55,6 @@ class PresentationBundle:
 
 def _payload_index(table: CayleyTable) -> dict:
     return {e: i for i, e in enumerate(table.elements)}
-
-
-def normal_forms_over(m: CayleyTable, letter_images: Sequence[int], *,
-                      identity: Optional[int] = None) -> dict:
-    """Shortlex-first words over the letters reaching elements of m by
-    right multiplication (the identity, when given, gets the empty word)."""
-    nf: dict = {}
-    order = []
-    if identity is not None:
-        nf[identity] = ()
-        order.append(identity)
-    for k, e in enumerate(letter_images):
-        if e not in nf:
-            nf[e] = (k,)
-            order.append(e)
-    i = 0
-    while i < len(order):
-        e = order[i]
-        i += 1
-        for k, g in enumerate(letter_images):
-            t = m.mul(e, g)
-            if t not in nf:
-                nf[t] = nf[e] + (k,)
-                order.append(t)
-    return nf
 
 
 def delete_letters(pres: Presentation, drop: Sequence[str]) -> Presentation:
@@ -195,12 +171,6 @@ def _tn(n: int) -> PresentationBundle:
 # Tuple monoids over a base monoid
 # ---------------------------------------------------------------------------
 
-def _base_letters(M: CayleyTable):
-    """Letters of the multiplication-table presentation of the base monoid."""
-    mp, elems = table_presentation(M)
-    return mp, elems
-
-
 def _tuples_table(M: CayleyTable, n: int, *, with_zero: bool) -> CayleyTable:
     vals = list(range(M.size)) + ([wreath.ZERO] if with_zero else [])
     def mul(a, b):
@@ -222,7 +192,7 @@ def _tuples_table(M: CayleyTable, n: int, *, with_zero: bool) -> CayleyTable:
 def _coordinate_relations(M: CayleyTable, n: int):
     """Per-coordinate copies of the base relations plus cross-coordinate
     commuting; returns (letter names, relations, base letters per coordinate)."""
-    mp, elems = _base_letters(M)
+    mp, elems = table_presentation(M)
     k = len(mp.alphabet)
     names = [f"{mp.alphabet[j]}^{i}" for i in range(1, n + 1) for j in range(k)]
     def lid(i, j):          # coordinate i in 1..n, base letter j
@@ -454,7 +424,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
         tup = _m0n(M, n)
     else:
         tup = _mn(M, n)
-    mp, elems = _base_letters(M)
+    mp, elems = table_presentation(M)
     k = len(mp.alphabet)
     base = len(tup.pres.alphabet)
     def lid(i, j):
@@ -668,7 +638,14 @@ class LetteredSubset:
     images: tuple            # letter -> ambient id
 
     def normal_forms(self, m: CayleyTable, *, identity=None) -> dict:
-        return normal_forms_over(m, self.images, identity=identity)
+        """Shortlex-first words over the letters reaching elements of m by
+        right multiplication (the identity, when given, gets the empty word)."""
+        seeds = [] if identity is None else [identity]
+        found = right_orbit(seeds + list(self.images),
+                            lambda e: [m.mul(e, g) for g in self.images],
+                            [((), None)] * len(seeds) +
+                            [((k,), None) for k in range(len(self.images))])
+        return {e: word for e, (word, _) in found.items()}
 
 
 def _check(cond, msg):

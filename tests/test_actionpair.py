@@ -603,3 +603,31 @@ def test_projection_pair_of_the_ambient():
     assert strict_prod == frozenset(range(amb.size)) - frozenset(
         i for i in range(amb.size) if i in total
         and amb.elements[i].pmap.is_total())
+
+
+def test_every_catalogue_rule_combination_returns_a_report():
+    # every (pair, rule) combination over c1/c2/sl2 at n=2 and c1 at n=3,
+    # with the catalogue inputs: supplied data outside the pair (a generating
+    # pair (s, 1) with 1 outside S, or V outside U) fails the hypotheses
+    # instead of raising, and every rule whose hypotheses hold matches theta
+    from collections import Counter
+    tally = Counter()
+    for base, n in (("c1", 2), ("c2", 2), ("sl2", 2), ("c1", 3)):
+        for spec in registry.catalogue_specs(n):
+            uk, sk = spec["u"], spec["s"]
+            ctx = catalogue_pair(base, n, uk, sk)
+            rep, act = check_pair_from_plus(ctx)
+            sd = semidirect(ctx, act)
+            th = theta_and_friends(ctx, act, sd)
+            for rule in ap.OMEGA_RULES:
+                kw = registry.omega_inputs(ctx, act, rule, uk, sk, n)
+                res = omega_check(ctx, act, sd, th, rule, **kw)
+                assert res.hypotheses_ok == bool(res.matches_theta), (uk, sk, rule)
+                assert res.hypotheses_ok or res.failures, (uk, sk, rule)
+                tally[rule, res.hypotheses_ok] += 1
+    assert {rule: (tally[rule, True], tally[rule, False])
+            for rule in ap.OMEGA_RULES} == {
+        "generic": (64, 0), "submonoids": (32, 32), "right_generators": (48, 16),
+        "join_family": (14, 50), "join_pairwise": (6, 58),
+        "group_generators": (11, 53), "group_join_family": (6, 58),
+        "group_join_pairwise": (0, 64)}

@@ -24,7 +24,6 @@ def test_verify_gn3_passes(capsys):
     assert code == cli.EXIT_PASS
     assert rep["schema"] == "v1"
     assert rep["verdicts"]["presented_size"] == 6
-    assert rep["config"]["seed"] == 0
     assert "node_cap" in rep["config"]
 
 
@@ -236,3 +235,45 @@ def test_unusable_algebra_files_are_bad_input_or_over_the_cap(capsys, tmp_path):
     code, _ = run(capsys, "verify-presentation", "--family", "SubA",
                   "--instance", str(path))
     assert code == cli.EXIT_BOUND
+
+
+def test_omega_inputs_outside_the_pair_fail_the_hypotheses(capsys):
+    # the catalogue's join_family inputs relate generators to an identity
+    # that SingT lacks: a failed hypothesis, not bad input
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "PT2",
+                         "--U", "E", "--S", "SingT", "--omega", "join_family")
+    assert code == cli.EXIT_PASS
+    assert rep["omega"]["hypotheses_ok"] is False
+    assert rep["omega"]["matches_theta"] is None and rep["omega"]["failures"]
+
+
+def test_unmet_omega_hypotheses_still_pass(capsys):
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "PT2",
+                         "--U", "E", "--S", "G", "--omega", "join_pairwise")
+    assert code == cli.EXIT_PASS
+    assert rep["omega"]["hypotheses_ok"] is False
+
+
+@pytest.mark.parametrize("stage", ["omega", "cover_onto", "cover_proper",
+                                   "embed_injective", "embed_homomorphic"])
+def test_failed_pair_verdicts_exit_1(capsys, monkeypatch, stage):
+    # no catalogue pair fails these verdicts, so each is forced to fail
+    import dataclasses
+    from actionpairs import actionpair as ap
+    field = {"omega": "matches_theta", "cover_onto": "surjective",
+             "cover_proper": "proper", "embed_injective": "injective",
+             "embed_homomorphic": "homomorphic"}[stage]
+    name = {"omega": "omega_check", "cover": "proper_cover",
+            "embed": "embed_central"}[stage.split("_")[0]]
+
+    def forced(*args, _fn=getattr(ap, name), **kw):
+        return dataclasses.replace(_fn(*args, **kw), **{field: False})
+    monkeypatch.setattr(cli, name, forced)
+    argv = ["classify-pair", "--ambient", "MwrPT2", "--M", "c2", "--U", "Mn",
+            "--S", "T", "--omega", "right_generators", "--cover", "--embed"]
+    assert run_json(capsys, *argv)[0] == cli.EXIT_FAIL
+    monkeypatch.undo()
+    code, rep = run_json(capsys, *argv)
+    assert code == cli.EXIT_PASS
+    assert rep["omega"]["matches_theta"] and rep["cover"]["surjective"]
+    assert rep["embed"]["injective"] and rep["embed"]["homomorphic"]

@@ -423,3 +423,55 @@ def test_weakened_presentations_never_undershoot(picks, drop_seed):
         assert smaller.size >= t.size
     except BoundExceeded as e:
         assert e.undecided or (e.size or t.size) >= t.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 26), min_size=1, max_size=3), st.data())
+def test_right_orbit_matches_the_fixpoint_and_gives_shortlex_words(picks, data):
+    # the closure of 1-3 maps of T_3, with drawn seeds and generators
+    from actionpairs.fmonoid import right_orbit
+    maps = all_total_maps(3)
+    t = closure_from_generators([maps[i] for i in picks], ptrans.compose)
+    ids = st.integers(0, t.size - 1)
+    gens = data.draw(st.lists(ids, min_size=1, max_size=3))
+    seeds = data.draw(st.lists(ids, max_size=3))
+
+    def successors(x):
+        return [t.mul(x, g) for g in gens]
+
+    want = set(seeds)
+    while True:
+        more = {t.mul(x, g) for x in want for g in gens} - want
+        if not more:
+            break
+        want |= more
+    assert set(right_orbit(seeds, successors)) == want
+
+    # words: the identity (when present and drawn) gets the empty word,
+    # generator k the word (k,)
+    ident = t.identity if data.draw(st.booleans()) else None
+    lead = [] if ident is None else [ident]
+    found = right_orbit(lead + gens, successors,
+                        [((), None)] * len(lead) +
+                        [((k,), None) for k in range(len(gens))])
+
+    def evaluate(word):
+        x = ident if not word else gens[word[0]]
+        for k in word[1:]:
+            x = t.mul(x, gens[k])
+        return x
+
+    lengths = [len(w) for w, _ in found.values()]
+    assert lengths == sorted(lengths)
+    for x, (word, parent) in found.items():
+        assert evaluate(word) == x
+        if parent is not None:
+            p, k = parent
+            assert successors(p)[k] == x and found[p][0] + (k,) == word
+    least = {} if ident is None else {ident: ()}
+    layer = [()]
+    for _ in range(max(lengths)):
+        layer = [w + (k,) for w in layer for k in range(len(gens))]
+        for w in layer:
+            least.setdefault(evaluate(w), w)
+    assert {x: word for x, (word, _) in found.items()} == least
