@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
-                      congruence_closure, greedy_generators, is_compatible,
-                      quotient, right_orbit)
+from .fmonoid import (FULL_TABLE_CAP, CayleyTable, CongruencePartition,
+                      closure_from_generators, congruence_closure,
+                      greedy_generators, is_compatible, quotient, right_orbit)
 
 
 class NotSubsemigroup(Exception):
@@ -98,13 +98,17 @@ class ActionTable:
 
     `report` is the PairReport of the last check that verified this action
     (`check_pair_from_plus` or `check_weak_pair`); the later stages read it
-    instead of checking the pair again.
+    instead of checking the pair again.  `sd` and `th` hold the results of
+    `semidirect` and `theta_and_friends` once computed, and a second call
+    returns them.
     """
 
     def __init__(self, ctx: AmbientContext, table: dict):
         self.ctx = ctx
         self.table = dict(table)
         self.report: Optional[PairReport] = None
+        self.sd: Optional[SemidirectResult] = None
+        self.th: Optional[ThetaResult] = None
         ident = ctx.identity
         for u in ctx.u1():
             self.table.setdefault((ident, u), u)
@@ -237,21 +241,16 @@ class PairReport:
 # Axioms and action reconstruction
 # ---------------------------------------------------------------------------
 
-def _us_fibres(ctx: AmbientContext) -> dict:
-    """The pairs (u, s) of U1 x S grouped by their product us."""
+def _kernel_failures(ctx: AmbientContext, splus) -> list:
+    """The kernel condition us = vt => u s+ = v t+, one witness per fibre of
+    (u, s) -> us over U1 x S."""
     m = ctx.m
     fibres: dict = {}
     for u in ctx.u1():
         for s in ctx.s_list():
             fibres.setdefault(m.mul(u, s), []).append((u, s))
-    return fibres
-
-
-def _kernel_failures(ctx: AmbientContext, splus) -> list:
-    """The kernel condition us = vt => u s+ = v t+, one witness per fibre."""
-    m = ctx.m
     failures = []
-    for items in _us_fibres(ctx).values():
+    for items in fibres.values():
         u0, s0 = items[0]
         ref = m.mul(u0, splus(s0))
         for u, s in items[1:]:
@@ -424,29 +423,15 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
         for x in p_els for y in p_els) if p_els else True
     rep.sigma_is_transitive_kappa = (not right_reversible) or transitive
 
-    # proper: us = vt  iff  u s+ = v t+ and s sigma t
-    forward = True
-    for items in _us_fibres(ctx).values():
-        u0, s0 = items[0]
-        ref = m.mul(u0, act.splus(s0))
-        for u, s in items[1:]:
-            if m.mul(u, act.splus(s)) != ref or not sigma.same(s, s0):
-                forward = False
-                break
-        if not forward:
-            break
-    backward = True
-    back: dict = {}
+    # proper: us = vt  iff  u s+ = v t+ and s sigma t, that is, the map
+    # us -> (u s+, sigma class of s) is well defined and injective
+    keys_of: dict = {}
     for u in u1:
         for s in slist:
-            key = (m.mul(u, act.splus(s)), sigma.find(s))
-            back.setdefault(key, []).append((u, s))
-    for items in back.values():
-        val = m.mul(items[0][0], items[0][1])
-        if any(m.mul(u, s) != val for u, s in items[1:]):
-            backward = False
-            break
-    rep.proper = forward and backward
+            keys_of.setdefault(m.mul(u, s), set()).add(
+                (m.mul(u, act.splus(s)), sigma.find(s)))
+    keys = [k for ks in keys_of.values() for k in ks]
+    rep.proper = len(keys) == len(keys_of) == len(set(keys))
 
     # left density of P in U: every u admits p in P with pu in P
     rep.left_dense = all(any(m.mul(p, u) in p_set for p in p_els)
@@ -524,6 +509,25 @@ def _shortlex_pairs(m: CayleyTable, us: Sequence, ss: Sequence) -> list:
                                  m.nf[p[0]], m.nf[p[1]]))
 
 
+def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
+                  identity_hint, size: int, what: str) -> CayleyTable:
+    """The `size` pairs (u, s) generated under (u, s)(v, t) = (u.(s>v), st)
+    by the candidates that `greedy_generators` keeps, with payload (u, s)."""
+    m = ctx.m
+
+    def prod(x, y):
+        (u, s), (v, t) = x, y
+        return (m.mul(u, act(s, v)), m.mul(s, t))
+
+    gens = greedy_generators((c for c in candidates if c != identity_hint),
+                             prod) or [identity_hint]
+    table = closure_from_generators(gens, prod, identity_hint=identity_hint,
+                                    cap=size + 1)
+    if table.size != size:
+        raise ValueError(f"{what} generators failed to cover {size} pairs")
+    return table
+
+
 @dataclass
 class SemidirectResult:
     table: CayleyTable                   # U x S, payload (u, s) ambient pairs
@@ -555,16 +559,15 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     candidates start with (u, 1) over the generators of U and (1, s) over
     those of S (all of U and S when none are known); every other pair
     follows in shortlex order of its ambient normal forms.  No m x m table
-    is built.
+    is built.  The result is stored on the action, and a second call
+    returns it.
     """
+    if act.sd is not None:
+        return act.sd
     m = ctx.m
     ident = ctx.identity
     ulist = ctx.u_list()
     slist = ctx.s_list()
-
-    def prod(x, y):
-        (u, s), (v, t) = x, y
-        return (m.mul(u, act(s, v)), m.mul(s, t))
 
     have_units = ident in ctx.u_set and ident in ctx.s_set
     identity_hint = None
@@ -577,13 +580,8 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
         if all(m.mul(u, act.splus(s)) == u for u in ulist for s in slist):
             identity_hint = (ident, ident)
     candidates += _shortlex_pairs(m, ulist, slist)
-    gens = greedy_generators((c for c in candidates if c != identity_hint),
-                             prod) or [identity_hint]
-    size = len(ulist) * len(slist)
-    table = closure_from_generators(gens, prod, identity_hint=identity_hint,
-                                    cap=size + 1, full_cap=0)
-    if table.size != size:
-        raise ValueError("semidirect generators failed to cover U x S")
+    table = _pair_closure(ctx, act, candidates, identity_hint,
+                          len(ulist) * len(slist), "semidirect")
     index = {pair: i for i, pair in enumerate(table.elements)}
 
     m1 = frozenset(i for i, (u, s) in enumerate(table.elements)
@@ -614,23 +612,14 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     # mid-identity of the extended product: x (1,1) y = x y reduces to
     # (u s+).(s>v) = u.(s>v) for all coordinates
     u1 = ctx.u1()
-    s1 = ctx.s1()
-    mid_ok = True
-    for s in s1:
-        for u in u1:
-            usp = m.mul(u, act.splus(s))
-            for v in u1:
-                if m.mul(usp, act(s, v)) != m.mul(u, act(s, v)):
-                    mid_ok = False
-                    break
-            if not mid_ok:
-                break
-        if not mid_ok:
-            break
+    mid_ok = all(m.mul(usp, act(s, v)) == m.mul(u, act(s, v))
+                 for s in ctx.s1() for u in u1
+                 for usp in (m.mul(u, act.splus(s)),) for v in u1)
 
-    return SemidirectResult(table, index, ulist, slist, m1, m2, mm,
-                            retraction, retr_ok, has_identity, monoid_rule_ok,
-                            mid_ok)
+    act.sd = SemidirectResult(table, index, ulist, slist, m1, m2, mm,
+                              retraction, retr_ok, has_identity,
+                              monoid_rule_ok, mid_ok)
+    return act.sd
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +654,11 @@ def _fibre_partition(m: CayleyTable, u, members: Sequence) -> CongruencePartitio
 def theta_and_friends(ctx: AmbientContext, act: ActionTable,
                       sd: SemidirectResult) -> ThetaResult:
     """theta as the fibres of (u, s) -> us, the per-element right congruences
-    on S and S1, the stabilizers, and the structural cross-checks."""
+    on S and S1, the stabilizers, and the structural cross-checks.  The
+    result for the action's stored semidirect product is stored on the
+    action, and a second call returns it."""
+    if act.th is not None and sd is act.sd:
+        return act.th
     m = ctx.m
     u1 = ctx.u1()
     slist = sd.slist
@@ -703,8 +696,11 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
             nf_ok = False
             break
 
-    return ThetaResult(theta, theta_u, theta_u1, stab, values, nf_ok,
-                       description_ok)
+    th = ThetaResult(theta, theta_u, theta_u1, stab, values, nf_ok,
+                     description_ok)
+    if sd is act.sd:
+        act.th = th
+    return th
 
 
 def quotient_matches_product(ctx: AmbientContext, sd: SemidirectResult,
@@ -772,22 +768,12 @@ def _join(members: Sequence, parts: Iterable[CongruencePartition]
     return out
 
 
-def _right_closure_on_s(ctx: AmbientContext, seed_pairs,
-                        members: Optional[Sequence] = None) -> CongruencePartition:
-    """Least right congruence on the members (S unless given) containing the
-    given pairs."""
+def _s_successors(ctx: AmbientContext, members: Sequence):
+    """Per member, its right multiples by the generators of S (all of S when
+    none are known), as the successor function of a right congruence."""
     m = ctx.m
-    slist = ctx.s_list()
-    gens = list(ctx.s_gens) if ctx.s_gens else slist
-    part = CongruencePartition(slist if members is None else members)
-    queue = [p for p in seed_pairs if part.union(*p)]
-    while queue:
-        a, b = queue.pop()
-        for g in gens:
-            x, y = m.mul(a, g), m.mul(b, g)
-            if part.union(x, y):
-                queue.append((x, y))
-    return part
+    gens = ctx.s_gens or ctx.s_list()
+    return {s: [m.mul(s, g) for g in gens] for s in members}.__getitem__
 
 
 def _pairwise_join_failure(m: CayleyTable, ulist: Sequence, value, join):
@@ -866,9 +852,10 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
 
     if data == "theta":
         value = th.theta_u
+        succ = _s_successors(ctx, slist)
 
         def span(pairs):
-            return _right_closure_on_s(ctx, pairs)
+            return CongruencePartition(slist).close(pairs, succ)
 
         def join(parts):
             return _join(slist, parts)
@@ -976,79 +963,35 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
         roots[r] = s
     axioms.append(ax2)
 
-    ax3 = True
-    for cls in sigma.classes():
-        u0, s0 = sd.table.elements[cls[0]]
-        ref = m.mul(u0, act.splus(s0))
-        for i in cls[1:]:
-            u, s = sd.table.elements[i]
-            if m.mul(u, act.splus(s)) != ref:
-                ax3 = False
-                break
-        if not ax3:
-            break
-    axioms.append(ax3)
+    proj = [m.mul(u, act.splus(s)) for u, s in sd.table.elements]
+    axioms.append(all(proj[i] == proj[cls[0]]
+                      for cls in sigma.classes() for i in cls[1:]))
 
     axioms.append(sig[ident].is_trivial())
 
     u_classes = {u: sig[u].classes() for u in ulist}
     sgens = list(ctx.s_gens) if ctx.s_gens else slist
-    ax5 = True
-    for u in ulist:
-        part = sig[u]
-        for cls in u_classes[u]:
-            s0 = cls[0]
-            for t in cls[1:]:
-                if any(not part.same(m.mul(s0, g), m.mul(t, g)) for g in sgens):
-                    ax5 = False
-                    break
-            if not ax5:
-                break
-        if not ax5:
-            break
-    axioms.append(ax5)
+    axioms.append(all(sig[u].same(m.mul(cls[0], g), m.mul(t, g))
+                      for u in ulist for cls in u_classes[u]
+                      for t in cls[1:] for g in sgens))
 
     ax6 = all(all(all(sig[m.mul(w, u)].same(cls[0], t) for t in cls[1:])
                   for cls in u_classes[u])
               for u in ulist for w in ulist)
     axioms.append(ax6)
 
-    ax7 = True
-    for u in ulist:
-        for cls in u_classes[u]:
-            s0 = cls[0]
-            for t in cls[1:]:
-                for x in slist:
-                    xu = act(x, u)
-                    if not sig[xu].same(m.mul(x, s0), m.mul(x, t)):
-                        ax7 = False
-                        break
-                if not ax7:
-                    break
-            if not ax7:
-                break
-        if not ax7:
-            break
-    axioms.append(ax7)
+    axioms.append(all(sig[act(x, u)].same(m.mul(x, cls[0]), m.mul(x, t))
+                      for u in ulist for cls in u_classes[u]
+                      for t in cls[1:] for x in slist))
 
-    ax8 = True
-    for u in ulist:
-        for cls in u_classes[u]:
-            s0 = cls[0]
-            for w in ulist:
-                ref = m.mul(u, act(s0, w))
-                if any(m.mul(u, act(t, w)) != ref for t in cls[1:]):
-                    ax8 = False
-                    break
-                part = sig[ref] if (ref in sig) else sig_u(ref)
-                if any(not part.same(s0, t) for t in cls[1:]):
-                    ax8 = False
-                    break
-            if not ax8:
-                break
-        if not ax8:
-            break
-    axioms.append(ax8)
+    def twisted_ok(u, cls, w):
+        ref = m.mul(u, act(cls[0], w))
+        return all(m.mul(u, act(t, w)) == ref for t in cls[1:]) and \
+            all((sig[ref] if ref in sig else sig_u(ref)).same(cls[0], t)
+                for t in cls[1:])
+
+    axioms.append(all(twisted_ok(u, cls, w) for u in ulist
+                      for cls in u_classes[u] for w in ulist))
 
     for i, ok in enumerate(axioms):
         if not ok and not fails:
@@ -1091,32 +1034,23 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
 
     The carrier is generated by the members that `greedy_generators` keeps
     from the candidates (u, 1), then (s+, s), then every other member in
-    shortlex order of its ambient normal forms.  Its m x m table is built,
-    since the cover pair is classified with the carrier as its ambient.
+    shortlex order of its ambient normal forms.  Its m x m table is built
+    up to FULL_TABLE_CAP elements, since the cover pair is classified with
+    the carrier as its ambient.
     """
     m = ctx.m
     ident = ctx.identity
     u1 = ctx.u1()
     s1 = ctx.s1()
 
-    elements = [(u, s) for u in u1 for s in s1
-                if u == m.mul(u, act.splus(s))]
-
-    def prod(x, y):
-        (u, s), (v, t) = x, y
-        return (m.mul(u, act(s, v)), m.mul(s, t))
-
+    members = {(u, s) for u in u1 for s in s1 if u == m.mul(u, act.splus(s))}
     candidates = [(u, ident) for u in ctx.u_gens or u1] + \
                  [(act.splus(s), s) for s in ctx.s_gens or s1] + \
                  _shortlex_pairs(m, u1, s1)
-    members = set(elements)
-    gens = greedy_generators((c for c in candidates
-                              if c in members and c != (ident, ident)),
-                             prod) or [(ident, ident)]
-    carrier = closure_from_generators(gens, prod, identity_hint=(ident, ident),
-                                      cap=len(elements) + 1)
-    if carrier.size != len(elements):
-        raise ValueError("cover generators failed to cover the carrier")
+    carrier = _pair_closure(ctx, act, (c for c in candidates if c in members),
+                            (ident, ident), len(members), "cover")
+    if carrier.size <= FULL_TABLE_CAP:
+        carrier.full_table()
     cid = {e: i for i, e in enumerate(carrier.elements)}
 
     under = {u: cid[(u, ident)] for u in ctx.u_list()}

@@ -5,15 +5,18 @@ axioms, an omega rule whose closure misses theta, a cover that is not onto
 or not proper, or an embedding whose hypotheses hold that is not injective
 or not a homomorphism; unmet hypotheses are reported and still pass), 2 bad
 input (a KeyError, ValueError, BadParams or OSError, such as an unknown
-name, a malformed ACTIONPAIR_NODE_CAP or a missing --monoid or algebra file,
-or an algebra file that is not an independence algebra), 3 enumeration
+name, a --bound or ACTIONPAIR_NODE_CAP that is not a positive integer, a
+missing --monoid or algebra file, or an algebra file that is not an
+independence algebra), 3 enumeration
 budget or size cap exceeded, 4 internal error (any other exception: the
 JSON `error` names its type and the traceback goes to stderr).  Reports are
 schema "v1" and embed the run configuration: the table cap, and for
 verify-presentation also the node cap requested for this run (through
 --bound or the ACTIONPAIR_NODE_CAP environment variable; neither changes the
 library's default for later calls).  classify-pair enumerates no
-presentation, so it reports no node cap.
+presentation, so it reports no node cap.  Once the reader of stdout has
+gone, the rest of the report is dropped and the exit code stays the
+verdict's.
 """
 
 from __future__ import annotations
@@ -47,27 +50,43 @@ def _config(args) -> dict:
     return {"table_cap": fmonoid.FULL_TABLE_CAP}
 
 
+def _node_cap(value, name: str) -> int:
+    """A node cap given by --bound or ACTIONPAIR_NODE_CAP; anything but a
+    positive integer is bad input."""
+    if not str(value).strip().isdigit() or int(value) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _enumeration_config(args) -> dict:
     """The run configuration plus the node cap an enumeration gets."""
     cap = fmonoid.NODE_CAP
     if os.environ.get("ACTIONPAIR_NODE_CAP"):
-        cap = int(os.environ["ACTIONPAIR_NODE_CAP"])
-    if args.bound:
-        cap = args.bound
+        cap = _node_cap(os.environ["ACTIONPAIR_NODE_CAP"], "ACTIONPAIR_NODE_CAP")
+    if args.bound is not None:
+        cap = _node_cap(args.bound, "--bound")
     return {**_config(args), "node_cap": cap, "bound": args.bound}
+
+
+def _write(text: str) -> None:
+    """Print to stdout; once the reader has gone, send the rest nowhere."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write(json.dumps(report, indent=2, sort_keys=True))
         return
     def walk(d, indent=0):
         for k, v in d.items():
             if isinstance(v, dict):
-                print(" " * indent + f"{k}:")
+                _write(" " * indent + f"{k}:")
                 walk(v, indent + 2)
             else:
-                print(" " * indent + f"{k}: {v}")
+                _write(" " * indent + f"{k}: {v}")
     walk(report)
 
 
@@ -272,14 +291,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KeyError, ValueError, BadParams, OSError,
             indalg.NotIndependenceAlgebra) as e:
-        print(json.dumps({"schema": SCHEMA, "error": str(e)}))
+        _write(json.dumps({"schema": SCHEMA, "error": str(e)}))
         return EXIT_BAD_INPUT
     except fmonoid.SizeBoundExceeded as e:
-        print(json.dumps({"schema": SCHEMA, "error": str(e)}))
+        _write(json.dumps({"schema": SCHEMA, "error": str(e)}))
         return EXIT_BOUND
     except Exception as e:          # a bug, not the user's input
         traceback.print_exc()
-        print(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}"}))
+        _write(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}"}))
         return EXIT_INTERNAL
 
 

@@ -8,10 +8,18 @@ as the normal-form function used by the presentation machinery.
 Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
-traces every relation column by column over the compacted graph.  The
-presented monoid's m x m table is not materialised, and neither is a
-quotient's.  `greedy_generators` prunes a candidate generator list to the
-members the earlier ones do not generate.
+traces every relation column by column over the compacted graph.
+
+The closure layer has three routines.  `right_orbit` closes seeds under
+right multiplication by generators, optionally with shortlex words;
+`closure_from_generators` does the same over payload objects and is the one
+closure that builds a table (the right table over the generators); and
+`CongruencePartition.close` is the one congruence closure, reading each
+element's images under the generators from a successor function as
+`right_orbit` does.  `greedy_generators` prunes a candidate generator list
+to the members the earlier ones do not generate.  No closure materialises
+an m x m table: `mul` walks normal forms, and the callers that multiply by
+arbitrary elements at scale call `full_table()` themselves.
 """
 
 from __future__ import annotations
@@ -280,13 +288,22 @@ def _detect_identity(t: CayleyTable) -> Optional[int]:
 
 
 def closure_from_generators(gens: Sequence, product: Callable,
-                            identity_hint=None, *, cap: Optional[int] = None,
-                            full_cap: int = FULL_TABLE_CAP) -> CayleyTable:
+                            identity_hint=None, *, cap: Optional[int] = None
+                            ) -> CayleyTable:
     """Enumerate the semigroup generated by `gens` under `product`.
 
     Elements are numbered in shortlex-BFS discovery order (the identity
     hint, if given, comes first with the empty word as its normal form).
     Deterministic for a fixed generator order.  `cap` defaults to NODE_CAP.
+    Only the right table over the generators is built; call `full_table()`
+    on the result for the m x m table.
+
+    This is the table-building form of the generator closure of Froidure &
+    Pin (1997); `right_orbit` is the same closure without a table.  It keeps
+    its own loop because it fills the right table, the words and the parent
+    trail in the one pass: rebuilt on `right_orbit`, the bookkeeping of 48
+    wreath-product closures took 1.10 s against 0.69 s (best of 8 runs,
+    CPython 3.11 on a 2-core host).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -336,8 +353,6 @@ def closure_from_generators(gens: Sequence, product: Callable,
                  product(gens[k], identity_hint) == gens[k]
                  for k in range(len(gens))):
         raise ValueError("identity hint is not a two-sided identity")
-    if t.size <= full_cap:
-        t.full_table()
     return t
 
 
@@ -415,8 +430,8 @@ def right_orbit(seeds: Iterable, successors: Callable,
 
 
 def table_from_elements(elements: Sequence, product: Callable, *,
-                        gens: Optional[Sequence] = None, identity=None,
-                        full_cap: int = FULL_TABLE_CAP) -> CayleyTable:
+                        gens: Optional[Sequence] = None, identity=None
+                        ) -> CayleyTable:
     """Build a table over an explicitly known element list.
 
     When no generating set is known, every element serves as a generator;
@@ -427,7 +442,7 @@ def table_from_elements(elements: Sequence, product: Callable, *,
         if not gens and identity is not None:
             gens = [identity]
     t = closure_from_generators(gens, product, identity_hint=identity,
-                                cap=len(elements) + 1, full_cap=full_cap)
+                                cap=len(elements) + 1)
     if t.size != len(elements):
         raise ValueError("given generators do not generate the given elements")
     return t
@@ -491,6 +506,24 @@ class CongruencePartition:
         self.parent[rb] = ra
         return True
 
+    def close(self, pairs: Iterable[tuple], successors: Callable
+              ) -> "CongruencePartition":
+        """Merge the pairs, then the images of both members of every
+        effective merge under each generator, until nothing new merges.
+
+        successors(x) lists x's images under the generators in generator
+        order, as for `right_orbit`.  The result is the least equivalence
+        containing the pairs and the earlier merges that is compatible with
+        every successor map.  Returns self.
+        """
+        queue = [(a, b) for a, b in pairs if self.union(a, b)]
+        while queue:
+            a, b = queue.pop()
+            for x, y in zip(successors(a), successors(b)):
+                if self.union(x, y):
+                    queue.append((x, y))
+        return self
+
     def canonical(self) -> tuple[int, ...]:
         """Per member, the first member of its class."""
         first: dict = {}
@@ -519,33 +552,25 @@ def congruence_closure(table: CayleyTable, pairs: Iterable[tuple[int, int]],
                        side: str = "two_sided") -> CongruencePartition:
     """Smallest equivalence containing `pairs`, compatible on the given side(s).
 
-    Union-find with a pending queue: each effective merge (a, b) is propagated
-    to (a*g, b*g) per generator g, and to (g*a, g*b) for left/two-sided closure.
+    `CongruencePartition.close` over the right table's rows for the right
+    side, the rows of `left_by_gen()` for the left side, and both for the
+    two-sided closure.
     """
     if side not in ("left", "right", "two_sided"):
         raise ValueError(f"bad side {side!r}")
-    part = CongruencePartition(table.size)
-    right = table.right
-    left = table.left_by_gen() if side in ("left", "two_sided") else None
-    g = len(table.gens)
-    queue = []
+    pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < table.size and 0 <= b < table.size):
             raise ValueError(f"pair ({a},{b}) out of range")
-        if part.union(a, b):
-            queue.append((a, b))
-    while queue:
-        a, b = queue.pop()
-        for k in range(g):
-            if side in ("right", "two_sided"):
-                x, y = right[a][k], right[b][k]
-                if part.union(x, y):
-                    queue.append((x, y))
-            if side in ("left", "two_sided"):
-                x, y = left[a][k], left[b][k]
-                if part.union(x, y):
-                    queue.append((x, y))
-    return part
+    right = table.right
+    if side == "right":
+        successors = right.__getitem__
+    elif side == "left":
+        successors = table.left_by_gen().__getitem__
+    else:
+        left = table.left_by_gen()
+        successors = lambda x: right[x] + left[x]
+    return CongruencePartition(table.size).close(pairs, successors)
 
 
 def is_compatible(table: CayleyTable, part: CongruencePartition, side: str) -> bool:
@@ -838,7 +863,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
 
     relations_hold + surjective + size_match together certify the
     presentation by a finite cardinality argument; on success the presented
-    table is also matched to `m` by a generator-respecting simultaneous BFS.
+    table is also matched to `m` letter by letter (`iso_by_generators`).
     The enumeration gets `node_budget(bound, node_cap)` nodes; the report
     records that budget and the nodes created.
     """
@@ -888,45 +913,38 @@ def verify_presentation(p: Presentation, m: CayleyTable,
 
 def iso_by_generators(t1: CayleyTable, t2: CayleyTable,
                       pairs: Iterable[tuple[int, int]]) -> Optional[dict]:
-    """Simultaneous BFS matching: extends seed pairs to an isomorphism or fails.
+    """The isomorphism t1 -> t2 sending each g1 to g2 over the pairs (g1, g2),
+    or None when there is none.
 
-    Requires the seed pairs' first components to generate t1 (together with
-    its identity).  Right multiplication only; a resulting bijection that
-    respects all generator columns is a homomorphism on the generated sets.
+    The pairs' first components must generate t1 (together with its
+    identity, which goes to t2's).  Every element is reached along its
+    `right_orbit` trail from the seeds, and f(x g1_k) = f(x) g2_k fixes its
+    image; a seed given two images fails at once.  The map must then be a
+    bijection that respects every generator column, which makes it a
+    homomorphism on the generated sets.
     """
+    pairs = list(pairs)
     if t1.size != t2.size:
         return None
-    fmap: dict[int, int] = {}
-    back: dict[int, int] = {}
-    queue = []
-    seeds = list(pairs)
+    seeds = pairs[:]
     if t1.identity is not None and t2.identity is not None:
         seeds.append((t1.identity, t2.identity))
-
-    def put(a, b):
-        if a in fmap:
-            return fmap[a] == b
-        if b in back:
-            return False
-        fmap[a] = b
-        back[b] = a
-        queue.append((a, b))
-        return True
-
-    gen_pairs = list(pairs)
+    fmap: dict[int, int] = {}
     for a, b in seeds:
-        if not put(a, b):
+        if fmap.setdefault(a, b) != b:
             return None
-    while queue:
-        a, b = queue.pop()
-        for (g1, g2) in gen_pairs:
-            if not put(t1.mul(a, g1), t2.mul(b, g2)):
-                return None
-    if len(fmap) != t1.size:
+    gens1 = [g1 for g1, _ in pairs]
+    found = right_orbit(list(fmap), lambda x: [t1.mul(x, g) for g in gens1],
+                        [((), None)] * len(fmap))
+    for y, (_, par) in found.items():
+        if par is not None:
+            x, k = par
+            fmap[y] = t2.mul(fmap[x], pairs[k][1])
+    if len(fmap) != t1.size or len(set(fmap.values())) != t1.size:
         return None
     # full homomorphism audit on the matched bijection
     for a in range(t1.size):
-        for (g1, g2) in gen_pairs:
+        for (g1, g2) in pairs:
             if fmap[t1.mul(a, g1)] != t2.mul(fmap[a], g2):
                 return None
     return fmap

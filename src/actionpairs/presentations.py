@@ -15,13 +15,13 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         _family_join_failure, _fibre_partition, _join,
+                         SemidirectResult, _family_join_failure, _join,
                          _pairs_for, _pairwise_join_failure, _partition_by,
-                         _right_closure_on_s, semidirect, theta_and_friends)
-from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
-                      congruence_closure, right_orbit, subtable,
-                      table_from_elements, table_presentation,
-                      verify_presentation)
+                         _s_successors, semidirect, theta_and_friends)
+from .fmonoid import (CayleyTable, CongruencePartition, Presentation,
+                      VerificationReport, Word, congruence_closure,
+                      right_orbit, subtable, table_from_elements,
+                      table_presentation, verify_presentation)
 
 
 @dataclass
@@ -696,6 +696,12 @@ def lavers(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
     return PresentationBundle(pres, sd.table, gm, f"semidirect({ctx.name})")
 
 
+def _local_monoid(sd: SemidirectResult) -> tuple[CayleyTable, dict]:
+    """The local monoid of the pairs absorbing their projection, as a table
+    over its own ids with the map from semidirect ids."""
+    return subtable(sd.table, sorted(sd.mm))
+
+
 def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
                       pres_u: LetteredSubset,
                       pres_s: LetteredSubset) -> PresentationBundle:
@@ -709,8 +715,7 @@ def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
     pres = Presentation.make(names, rels, "monoid")
 
     sd = semidirect(ctx, act)
-    carrier = sorted(sd.mm)
-    tbl, old2new = subtable(sd.table, carrier)
+    tbl, old2new = _local_monoid(sd)
     gm = tuple(old2new[sd.id_of(u, ident)] for u in pres_u.images) + \
         tuple(old2new[sd.id_of(act.splus(s), s)] for s in pres_s.images)
     return PresentationBundle(pres, tbl, gm, f"local_monoid({ctx.name})")
@@ -740,8 +745,10 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     The hypotheses of the selected variant are machine-checked: submonoid
     membership, the extension condition for the semigroup variants, join
     reductions for the reduced variants, and the generating property of all
-    supplied congruence data.  The pair verdicts are read from the action's
-    report.
+    supplied congruence data.  Supplied data outside the pair (an omega_u
+    pair outside S, or S^1 for the semigroup variants, a member of V outside
+    U) fails before any closure runs.  The pair verdicts are read from the
+    action's report, theta_u from the action's stored `theta_and_friends`.
     """
     if kind not in PAIR_PRESENTATION_KINDS:
         raise KeyError(f"unknown kind {kind!r}")
@@ -770,6 +777,15 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     if kind == "product_monoid_strong":
         _check(all(act.splus(s) == ident for s in ctx.s_list()),
                "the action must be by monoid morphisms")
+    # theta_u partitions S, or S1 for semigroups
+    members = ctx.s_list() if monoid_case else ctx.s1()
+    if kind.endswith("reduced_letters"):
+        v_subset = list(dict.fromkeys(pres_u.images))
+    _check("reduced" not in kind or v_subset is None or set(v_subset) <= ctx.u_set,
+           "the family V must lie inside U")
+    _check(omega_u is None or all(a in members and b in members
+                                  for ps in omega_u.values() for a, b in ps),
+           "congruence data lies outside " + ("S" if monoid_case else "S^1"))
 
     names, nf_u, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
     rels += [r for shuffles, _ in blocks for r in shuffles]
@@ -782,21 +798,21 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         return (nf_u[u1] + tuple(nu + i for i in nf_s[s1]),
                 nf_u[u2] + tuple(nu + i for i in nf_s[s2]))
 
+    sd = semidirect(ctx, act)
     if kind in ("product_monoid_via_local", "product_monoid_strong") and \
             omega_pairs is not None:
         # explicit congruence data on the semidirect product
-        sd = semidirect(ctx, act)
         if kind == "product_monoid_strong":
-            th = theta_and_friends(ctx, act, sd)
             part = congruence_closure(sd.table, omega_pairs, "two_sided")
-            _check(part == th.theta, "the supplied pairs do not generate theta")
+            _check(part == theta_and_friends(ctx, act, sd).theta,
+                   "the supplied pairs do not generate theta")
         else:
-            carrier = sorted(sd.mm)
-            tbl, old2new = subtable(sd.table, carrier)
+            tbl, old2new = _local_monoid(sd)
             vart = congruence_closure(
                 tbl, [(old2new[i], old2new[j]) for i, j in omega_pairs],
                 "two_sided")
-            fibres = _partition_by(carrier, lambda i: m.mul(*sd.table.elements[i]))
+            fibres = _partition_by(sorted(sd.mm),
+                                   lambda i: m.mul(*sd.table.elements[i]))
             want_part = congruence_closure(
                 tbl, [(old2new[i], old2new[j]) for i, j in _pairs_for(fibres)],
                 "two_sided")
@@ -805,13 +821,9 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         rels += [relation(*sd.table.elements[i], *sd.table.elements[j])
                  for i, j in omega_pairs]
     else:
-        # right-congruence relations: theta_u on S, or on S1 for semigroups
-        members = ctx.s_list() if monoid_case else ctx.s1()
         ulist = [u for u in ctx.u_list() if monoid_case or u != ident]
-        if kind.endswith("reduced_letters"):
-            v_subset = list(dict.fromkeys(pres_u.images))
-        theta = {u: _fibre_partition(m, u, members)
-                 for u in [*ctx.u1(), *(v_subset or ())]}
+        th = theta_and_friends(ctx, act, sd)
+        theta = th.theta_u if monoid_case else th.theta_u1
 
         def theta_join(parts):
             return _join(members, parts)
@@ -830,9 +842,10 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         pool = list(v_subset) if "reduced" in kind else ulist
         if omega_u is None:
             omega_u = {u: _pairs_for(theta[u]) for u in pool}
+        succ = _s_successors(ctx, members)
         for u in pool:
-            _check(_right_closure_on_s(ctx, omega_u.get(u, ()), members) == theta[u],
-                   f"congruence data does not generate at {u}")
+            _check(CongruencePartition(members).close(omega_u.get(u, ()), succ)
+                   == theta[u], f"congruence data does not generate at {u}")
             rels += [relation(u, a, u, b) for a, b in omega_u.get(u, ())]
 
     pres = Presentation.make(names, rels, "monoid" if monoid_case else "semigroup")

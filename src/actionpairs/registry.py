@@ -14,23 +14,26 @@ from typing import Optional
 
 from . import ptrans, wreath
 from .actionpair import ActionTable, AmbientContext
-from .fmonoid import CayleyTable, table_from_elements
+from .fmonoid import FULL_TABLE_CAP, CayleyTable, table_from_elements
 
 BASE_MONOIDS = ("c1", "c2", "c3", "sl2")
+
+# name -> (order, product) over the elements 0..order-1, identity 0
+_BUILTIN = {"c1": (1, lambda a, b: 0), "c2": (2, lambda a, b: (a + b) % 2),
+            "c3": (3, lambda a, b: (a + b) % 3), "sl2": (2, max)}
 
 
 def monoid_table(name: str) -> CayleyTable:
     """Built-in base monoids: cyclic groups of order 1..3 and the two-element
-    semilattice.  A path to a serialized CayleyTable is also accepted."""
-    key = name.lower()
-    if key in ("c1", "trivial", "1"):
-        return table_from_elements([0], lambda a, b: 0, identity=0)
-    if key == "c2":
-        return table_from_elements([0, 1], lambda a, b: (a + b) % 2, identity=0)
-    if key == "c3":
-        return table_from_elements([0, 1, 2], lambda a, b: (a + b) % 3, identity=0)
-    if key == "sl2":
-        return table_from_elements([0, 1], lambda a, b: max(a, b), identity=0)
+    semilattice, with their m x m tables built (a wreath product multiplies
+    by them at every coordinate).  A path to a serialized CayleyTable is
+    also accepted."""
+    key = {"trivial": "c1", "1": "c1"}.get(name.lower(), name.lower())
+    if key in _BUILTIN:
+        order, product = _BUILTIN[key]
+        t = table_from_elements(list(range(order)), product, identity=0)
+        t.full_table()
+        return t
     if name.endswith(".json"):
         with open(name) as fh:
             return CayleyTable.from_json(fh.read())
@@ -63,8 +66,13 @@ def ptrans_table(kind: str, n: int) -> CayleyTable:
 
 @lru_cache(maxsize=None)
 def ambient_wreath(base_name: str, n: int) -> CayleyTable:
-    """The wreath product of a base monoid with all partial maps of degree n."""
-    return wreath.enumerate_wreath(_monoid_cached(base_name), "PT", n)
+    """The wreath product of a base monoid with all partial maps of degree n,
+    with its m x m table built up to FULL_TABLE_CAP elements (the pair
+    stages multiply ambient elements throughout)."""
+    t = wreath.enumerate_wreath(_monoid_cached(base_name), "PT", n)
+    if t.size <= FULL_TABLE_CAP:
+        t.full_table()
+    return t
 
 
 def ambient_plus_map(amb: CayleyTable) -> dict:

@@ -225,6 +225,16 @@ def test_semidirect_table_matches_the_defining_product(pair, data):
     assert t._full is None
 
 
+def test_semidirect_and_theta_are_stored_on_the_action():
+    ctx, rep, act = classified("c1", 2, "M0n", "PT")
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    assert act.sd is sd and semidirect(ctx, act) is sd
+    assert act.th is th and theta_and_friends(ctx, act, sd) is th
+    # a cover carrier is an ambient, so it gets its m x m table
+    assert ap.proper_cover(ctx, act).cover_table._full is not None
+
+
 def test_semidirect_without_units_is_generated_by_few_pairs():
     # S lacks the identity, so no (1, s) candidates exist; U x S has 567 pairs
     ctx = catalogue_pair("c2", 3, "M0n", "SingT")

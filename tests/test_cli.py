@@ -277,3 +277,37 @@ def test_failed_pair_verdicts_exit_1(capsys, monkeypatch, stage):
     assert code == cli.EXIT_PASS
     assert rep["omega"]["matches_theta"] and rep["cover"]["surjective"]
     assert rep["embed"]["injective"] and rep["embed"]["homomorphic"]
+
+
+@pytest.mark.parametrize("bound,env,names", [
+    ("0", None, "--bound"), ("-3", None, "--bound"),
+    (None, "0", "ACTIONPAIR_NODE_CAP")])
+def test_node_budget_below_one_is_bad_input(capsys, monkeypatch, bound, env,
+                                             names):
+    if env is not None:
+        monkeypatch.setenv("ACTIONPAIR_NODE_CAP", env)
+    argv = ["verify-presentation", "--family", "Gn", "--n", "3"]
+    if bound is not None:
+        argv.append(f"--bound={bound}")
+    code, rep = run_json(capsys, *argv)
+    assert code == cli.EXIT_BAD_INPUT
+    assert rep["error"].startswith(f"{names} must be a positive integer")
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code(capsys):
+    import os
+    import subprocess
+    import sys
+    argv = ["classify-pair", "--ambient", "PT2", "--U", "E", "--S", "T",
+            "--omega", "generic", "--cover", "--embed", "--format", "json"]
+    verdict = cli.main(argv)
+    capsys.readouterr()
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.Popen([sys.executable, "-m", "actionpairs.cli", *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    p.stdout.close()            # the reader leaves before any output
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait(timeout=120) == verdict
+    assert "Traceback" not in err and "BrokenPipeError" not in err

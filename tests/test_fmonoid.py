@@ -265,6 +265,48 @@ def test_verify_detects_non_surjective():
     assert rep.relations_hold and not rep.surjective and not rep.ok
 
 
+def _t3_by_three_maps():
+    # the 27 maps of T3, closed from (tau12, eps12, tau23)
+    gens = [ptrans.tau(1, 2, 3), ptrans.eps(1, 2, 3), ptrans.tau(2, 3, 3)]
+    t = closure_from_generators(gens, ptrans.compose)
+    assert t.size == 27
+    return t
+
+
+def test_iso_by_generators_reads_one_shot_pairs():
+    t = _t3_by_three_maps()
+    identity = {x: x for x in range(t.size)}
+    assert iso_by_generators(t, t, list(zip(t.gens, t.gens))) == identity
+    assert iso_by_generators(t, t, zip(t.gens, t.gens)) == identity
+
+
+def test_iso_by_generators_rejects():
+    t = _t3_by_three_maps()
+    tau12, eps12, tau23 = t.gens
+    # swapping a unit with an idempotent is no automorphism
+    assert iso_by_generators(t, t, [(tau12, eps12), (eps12, tau12),
+                                    (tau23, tau23)]) is None
+    # different sizes
+    assert iso_by_generators(t, ptrans_table("T", 2),
+                             zip(t.gens, ptrans_table("T", 2).gens)) is None
+    # a seed with two images
+    assert iso_by_generators(t, t, [(tau12, tau12), (tau12, tau23),
+                                    (eps12, eps12), (tau23, tau23)]) is None
+    # first components that generate only the symmetric group
+    assert iso_by_generators(t, t, [(tau12, tau12), (tau23, tau23)]) is None
+
+
+def test_closures_leave_the_full_table_to_their_callers():
+    from actionpairs.registry import ambient_wreath
+    assert _t3_by_three_maps()._full is None
+    assert ptrans_table("T", 3)._full is None
+    assert monoid_table("c2")._full is not None
+    assert ambient_wreath("c1", 2)._full is not None
+    # past FULL_TABLE_CAP the ambient still builds, without its m x m table
+    big = ambient_wreath("c2", 4)
+    assert big.size == 6561 and big._full is None
+
+
 # --- quotients --------------------------------------------------------------------
 
 def test_quotient_discrete_and_universal():

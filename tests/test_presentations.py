@@ -421,3 +421,46 @@ def test_sd_letters_bundle():
     b = pr.us_sd_pres(ctx, act, pu)
     assert len(b.pres.alphabet) == 2 * 2
     assert b.target.size == 6 and b.verify().ok
+
+
+@pytest.mark.parametrize("kind,s_kind,outside,names", [
+    ("product_monoid", "T", "omega_u", "S"),
+    ("product_semigroup", "SingT", "omega_u", r"S\^1"),
+    ("product_monoid_reduced_family", "T", "v_subset", "U"),
+    ("product_semigroup_reduced_family", "SingT", "v_subset", "U"),
+])
+def test_pair_presentation_rejects_data_outside_the_pair(kind, s_kind, outside,
+                                                         names):
+    amb = ambient_wreath("c1", 2)
+    ctx = make_pair(amb, "E", s_kind, 2)
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu = _one_letter_per_element(ctx, ctx.u_set)
+    ps = _one_letter_per_element(ctx, ctx.s_set)
+    v1 = embed(amb, ptrans.id_on({2}, 2))
+    tau = embed(amb, ptrans.tau(1, 2, 2))       # in neither U nor S^1
+    kw = {"v_subset": [v1, embed(amb, ptrans.id_on({1}, 2))]} \
+        if "reduced" in kind else {}
+    if outside == "omega_u":
+        # a partial identity lies outside T, a transposition outside S^1
+        x = v1 if s_kind == "T" else tau
+        kw["omega_u"] = {v1: [(x, ctx.identity)]}
+    else:
+        kw["v_subset"] = [v1, tau]
+    with pytest.raises(HypothesisFailed, match=f" {names}$"):
+        pr.general_pair_pres(kind, ctx, act, pu, ps, **kw)
+
+
+def test_pair_presentations_build_each_stage_result_once(monkeypatch):
+    counts = {"SemidirectResult": 0, "ThetaResult": 0}
+    for name in counts:
+        init = getattr(ap, name).__init__
+
+        def counting(self, *args, _init=init, _name=name, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(getattr(ap, name), "__init__", counting)
+    test_pair_presentation_strong_with_explicit_omega()
+    assert counts == {"SemidirectResult": 1, "ThetaResult": 1}
+    counts["SemidirectResult"] = 0
+    test_pair_presentation_via_local_quotient()
+    assert counts["SemidirectResult"] == 1
