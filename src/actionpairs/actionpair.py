@@ -531,7 +531,6 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
 @dataclass
 class SemidirectResult:
     table: CayleyTable                   # U x S, payload (u, s) ambient pairs
-    index: dict                          # (u, s) -> table id
     ulist: list
     slist: list
     m1: frozenset
@@ -544,7 +543,7 @@ class SemidirectResult:
     mid_identity_ok: bool
 
     def id_of(self, u, s) -> int:
-        return self.index[(u, s)]
+        return self.table.index[(u, s)]
 
 
 def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
@@ -582,7 +581,6 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     candidates += _shortlex_pairs(m, ulist, slist)
     table = _pair_closure(ctx, act, candidates, identity_hint,
                           len(ulist) * len(slist), "semidirect")
-    index = {pair: i for i, pair in enumerate(table.elements)}
 
     m1 = frozenset(i for i, (u, s) in enumerate(table.elements)
                    if u == m.mul(u, act.splus(s)))
@@ -593,7 +591,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     retraction = {}
     for i, (u, s) in enumerate(table.elements):
         img = (m.mul(act(ident, u), act.splus(s)), s)
-        retraction[i] = index[img]
+        retraction[i] = table.index[img]
     retr_ok = all(retraction[j] in mm for j in retraction) and \
         all(retraction[j] == j for j in mm) and \
         all(retraction[table.right[i][k]] ==
@@ -604,7 +602,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     monoid_expected = have_units and trivial_proj
     has_identity = False
     if have_units:
-        e = index[(ident, ident)]
+        e = table.index[(ident, ident)]
         has_identity = all(table.mul(e, x) == x and table.mul(x, e) == x
                            for x in range(table.size))
     monoid_rule_ok = has_identity == monoid_expected
@@ -616,7 +614,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
                  for s in ctx.s1() for u in u1
                  for usp in (m.mul(u, act.splus(s)),) for v in u1)
 
-    act.sd = SemidirectResult(table, index, ulist, slist, m1, m2, mm,
+    act.sd = SemidirectResult(table, ulist, slist, m1, m2, mm,
                               retraction, retr_ok, has_identity,
                               monoid_rule_ok, mid_ok)
     return act.sd
@@ -1051,7 +1049,7 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
                             (ident, ident), len(members), "cover")
     if carrier.size <= FULL_TABLE_CAP:
         carrier.full_table()
-    cid = {e: i for i, e in enumerate(carrier.elements)}
+    cid = carrier.index
 
     under = {u: cid[(u, ident)] for u in ctx.u_list()}
     over = {s: cid[(act.splus(s), s)] for s in ctx.s_list()}
@@ -1127,6 +1125,10 @@ def _left_restriction_laws(table: CayleyTable, carrier: Iterable[int],
 # Central embedding
 # ---------------------------------------------------------------------------
 
+EMBED_US_CAP = 10 ** 4      # largest product set embed_central checks
+EMBED_CLASS_CAP = 64        # most sigma classes embed_central checks
+
+
 @dataclass
 class EmbedResult:
     hypotheses_ok: bool
@@ -1145,8 +1147,7 @@ class EmbedResult:
                     self.injective and self.homomorphic)
 
 
-def embed_central(ctx: AmbientContext, act: ActionTable, *,
-                  us_cap: int = 10 ** 4, class_cap: int = 64) -> EmbedResult:
+def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
     """Embed the product monoid into a semidirect product over S modulo sigma,
     with first components the maps class -> V P built from the action orbit
     sets, assuming the projections generate a central submonoid of U.
@@ -1170,11 +1171,11 @@ def embed_central(ctx: AmbientContext, act: ActionTable, *,
         failures.append("projections are not central in U")
 
     us = sorted(ctx.product_set())
-    if len(us) > us_cap:
+    if len(us) > EMBED_US_CAP:
         failures.append(f"product set too large: {len(us)}")
     sigma = rep.sigma
     classes = sigma.classes()
-    if len(classes) > class_cap:
+    if len(classes) > EMBED_CLASS_CAP:
         failures.append(f"too many sigma classes: {len(classes)}")
     if failures:
         return EmbedResult(False, failures)

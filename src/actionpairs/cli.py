@@ -102,16 +102,8 @@ def cmd_verify_presentation(args) -> int:
     report = {"schema": SCHEMA, "command": "verify-presentation",
               "config": cfg, "family": args.family}
     try:
-        kwargs = {}
-        if args.family in ("En", "Gn", "Tn"):
-            if args.n is None:
-                raise ValueError("--n is required")
-            kwargs["n"] = args.n
-        elif args.family in ("Mn", "M0n", "MwrSingTn", "MwrSingPTn",
-                             "MwrPTn", "MwrGn", "MwrTn", "MwrIn"):
-            if args.n is None:
-                raise ValueError("--n is required")
-            kwargs["n"] = args.n
+        kwargs = {"n": args.n}
+        if args.family in presentations.BASE_FAMILIES:
             kwargs["base"] = registry.monoid_table(args.monoid or "c1")
         elif args.family in ("SubA", "SubA_enlarged"):
             kwargs["algebra"] = _algebra(args.instance or "fl93")

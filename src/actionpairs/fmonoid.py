@@ -5,6 +5,14 @@ A table stores right multiplication by its generators plus, for every
 element, a shortlex-minimal word over the generators; the word list doubles
 as the normal-form function used by the presentation machinery.
 
+This module is the table layer, and it decides three things in one place
+each.  A known element list becomes a table only through
+`table_from_elements` (a generator closure that must reach exactly that
+list; `subtable` is that call on element ids).  A table built over payload
+objects keeps the payload -> id dict its closure built as `index`, so no
+caller numbers `elements` again.  And a table without an identity hint
+finds its own: `CayleyTable.__init__` detects it.
+
 Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
@@ -134,13 +142,18 @@ class CayleyTable:
     generators evaluating to e (empty word = identity, monoids only).
     parent[e] encodes nf[e] = nf[p] + (k,), with p = -1 for one-letter words
     with no identity present; it lets products be evaluated without the full
-    table.  elements, when set, carries the original payload objects.
+    table.  elements, when set, carries the original payload objects and
+    index maps each payload back to its id (tables built by a closure have
+    both; quotients, presented monoids and `from_json` tables have neither).
+    When no identity is given the table looks for one (an element fixing
+    every generator on both sides) and leaves None when there is none.
     """
 
     __slots__ = ("size", "gens", "right", "nf", "parent", "identity",
-                 "elements", "_full", "_left")
+                 "elements", "index", "_full", "_left")
 
-    def __init__(self, size, gens, right, nf, parent, identity=None, elements=None):
+    def __init__(self, size, gens, right, nf, parent, identity=None,
+                 elements=None, index=None):
         self.size = size
         self.gens = list(gens)
         self.right = right
@@ -148,8 +161,11 @@ class CayleyTable:
         self.parent = parent
         self.identity = identity
         self.elements = elements
+        self.index = index
         self._full = None
         self._left = None
+        if identity is None:
+            self.identity = _detect_identity(self)
 
     # -- products ----------------------------------------------------------
 
@@ -232,7 +248,8 @@ class CayleyTable:
         element id, every normal form evaluates to its own element (the
         empty word marking an identity), every column agrees with the
         product by its generator, and the product is associative
-        (`associativity_audit`).
+        (`associativity_audit`).  When no word is empty, the identity is
+        the one the table detects on construction.
         """
         d = json.loads(text)
         size = d["size"]
@@ -273,8 +290,6 @@ class CayleyTable:
             raise ValueError("table columns disagree with the product")
         if not associativity_audit(t):
             raise ValueError("table is not associative")
-        if identity is None:
-            t.identity = _detect_identity(t)
         return t
 
 
@@ -296,7 +311,8 @@ def closure_from_generators(gens: Sequence, product: Callable,
     hint, if given, comes first with the empty word as its normal form).
     Deterministic for a fixed generator order.  `cap` defaults to NODE_CAP.
     Only the right table over the generators is built; call `full_table()`
-    on the result for the m x m table.
+    on the result for the m x m table.  The result keeps the payloads as
+    `elements` and the payload -> id dict as `index`.
 
     This is the table-building form of the generator closure of Froidure &
     Pin (1997); `right_orbit` is the same closure without a table.  It keeps
@@ -346,12 +362,10 @@ def closure_from_generators(gens: Sequence, product: Callable,
         right.append(row)
         e += 1
 
-    t = CayleyTable(len(elems), gen_ids, right, nf, parent, identity, elems)
-    if identity is None:
-        t.identity = _detect_identity(t)
-    elif not all(t.right[identity][k] == gen_ids[k] and
-                 product(gens[k], identity_hint) == gens[k]
-                 for k in range(len(gens))):
+    t = CayleyTable(len(elems), gen_ids, right, nf, parent, identity, elems, index)
+    if identity is not None and not all(
+            right[identity][k] == gen_ids[k] and
+            product(gens[k], identity_hint) == gens[k] for k in range(len(gens))):
         raise ValueError("identity hint is not a two-sided identity")
     return t
 
@@ -432,10 +446,15 @@ def right_orbit(seeds: Iterable, successors: Callable,
 def table_from_elements(elements: Sequence, product: Callable, *,
                         gens: Optional[Sequence] = None, identity=None
                         ) -> CayleyTable:
-    """Build a table over an explicitly known element list.
+    """The table over an explicitly known element list: the one path from a
+    list of elements to a table.
 
-    When no generating set is known, every element serves as a generator;
-    normal forms are then single letters (the identity keeps the empty word).
+    The elements are numbered by the closure of `gens` (with the identity,
+    if given, first), which must reach exactly the given elements; anything
+    else raises ValueError, or SizeBoundExceeded once the closure passes one
+    element more than the list.  When no generating set is known
+    (gens=None), every element serves as a generator in list order; normal
+    forms are then single letters (the identity keeps the empty word).
     """
     if gens is None:
         gens = [x for x in elements if identity is None or x != identity]
@@ -443,7 +462,7 @@ def table_from_elements(elements: Sequence, product: Callable, *,
             gens = [identity]
     t = closure_from_generators(gens, product, identity_hint=identity,
                                 cap=len(elements) + 1)
-    if t.size != len(elements):
+    if t.index.keys() != set(elements):
         raise ValueError("given generators do not generate the given elements")
     return t
 
@@ -614,10 +633,7 @@ def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
     gens = [cls_of[x] for x in table.gens]
     identity = cls_of[table.identity] if table.identity is not None else None
     nf, parent = _bfs_words(right, gens, identity)
-    q = CayleyTable(len(rep), gens, right, nf, parent, identity)
-    if identity is None:
-        q.identity = _detect_identity(q)
-    return q
+    return CayleyTable(len(rep), gens, right, nf, parent, identity)
 
 
 def _bfs_words(right, gens, identity):
@@ -799,10 +815,7 @@ def enumerate_presentation(p: Presentation, bound: int, *,
         gens = [j - 1 for j in gens]
         identity = None
     nf, parent = _bfs_words(right, gens, identity)
-    t = CayleyTable(size, gens, right, nf, parent, identity)
-    if identity is None:
-        t.identity = _detect_identity(t)
-    return t
+    return CayleyTable(size, gens, right, nf, parent, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -954,19 +967,15 @@ def subtable(m: CayleyTable, subset: Iterable[int], *,
              gens: Optional[Sequence[int]] = None) -> tuple[CayleyTable, dict]:
     """Table of a subsemigroup of `m` on the given ids; returns (table, old->new).
 
-    With no generating set every member acts as a generator.  The subset must
-    be closed under the product.
+    `table_from_elements` over the sorted ids, with m's identity as the
+    identity when the subset holds it; old->new is the table's `index`.
+    With no generating set every member acts as a generator.  The subset
+    must be closed under the product and generated by `gens`.
     """
-    ids = sorted(set(subset))
-    idset = set(ids)
-    identity = m.identity if m.identity in idset else None
-    if gens is None:
-        gens = [x for x in ids if x != identity]
-    t = closure_from_generators(list(gens), m.mul, identity_hint=identity,
-                                cap=len(ids) + 1)
-    if t.size != len(ids) or any(e not in idset for e in t.elements):
-        raise ValueError("subset is not closed / not generated by given gens")
-    return t, {e: i for i, e in enumerate(t.elements)}
+    ids = set(subset)
+    t = table_from_elements(sorted(ids), m.mul, gens=gens,
+                            identity=m.identity if m.identity in ids else None)
+    return t, t.index
 
 
 def table_presentation(m: CayleyTable) -> tuple[Presentation, list[int]]:

@@ -17,6 +17,9 @@ from .fmonoid import (CayleyTable, SizeBoundExceeded, right_orbit,
                       table_from_elements)
 
 
+EXCHANGE_SCAN_CAP = 9      # largest carrier the exchange-property scan takes
+
+
 class NotIndependenceAlgebra(Exception):
     pass
 
@@ -104,12 +107,11 @@ class AlgebraInstance:
         xs = frozenset(xs)
         return all(x not in self.closure(xs - {x}) for x in xs)
 
-    def independent_sets(self, *, within: Optional[frozenset] = None) -> list[frozenset]:
+    def independent_sets(self) -> list[frozenset]:
         """All independent subsets (independence is hereditary, so a DFS by
         increasing greatest element suffices)."""
-        pool = sorted(within) if within is not None else range(self.size)
         out = [frozenset()]
-        stack = [((), list(pool))]
+        stack = [((), list(range(self.size)))]
         while stack:
             cur, rest = stack.pop()
             for i, x in enumerate(rest):
@@ -119,10 +121,12 @@ class AlgebraInstance:
                     stack.append((cand, rest[i + 1:]))
         return out
 
-    def verify_exchange_property(self, *, cap: int = 9) -> bool:
-        """Exhaustive exchange-property scan (justifies greedy bases)."""
-        if self.size > cap:
-            raise SizeBoundExceeded(f"carrier {self.size} beyond the scan cap {cap}")
+    def verify_exchange_property(self) -> bool:
+        """Exhaustive exchange-property scan (justifies greedy bases), for
+        carriers of at most EXCHANGE_SCAN_CAP elements."""
+        if self.size > EXCHANGE_SCAN_CAP:
+            raise SizeBoundExceeded(
+                f"carrier {self.size} beyond the scan cap {EXCHANGE_SCAN_CAP}")
         universe = range(self.size)
         for r in range(self.size + 1):
             for xs in itertools.combinations(universe, r):

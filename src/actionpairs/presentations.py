@@ -53,10 +53,6 @@ class PresentationBundle:
         return all(ev(u) == ev(v) for u, v in self.pres.relations)
 
 
-def _payload_index(table: CayleyTable) -> dict:
-    return {e: i for i, e in enumerate(table.elements)}
-
-
 def delete_letters(pres: Presentation, drop: Sequence[str]) -> Presentation:
     """Remove letters and every relation mentioning them, renumbering."""
     dropset = {pres.letter(name) for name in drop}
@@ -79,7 +75,7 @@ def _en(n: int) -> PresentationBundle:
     pres = Presentation.make(names, rels, "monoid")
     from .registry import ptrans_table
     target = ptrans_table("E", n)
-    idx = _payload_index(target)
+    idx = target.index
     pts = set(range(1, n + 1))
     gen_map = tuple(idx[ptrans.id_on(pts - {i}, n)] for i in range(1, n + 1))
     return PresentationBundle(pres, target, gen_map, f"En(n={n})")
@@ -92,8 +88,7 @@ def _gn(n: int) -> PresentationBundle:
     pres = Presentation.make(names, _gn_relations(n), "monoid")
     from .registry import ptrans_table
     target = ptrans_table("G", n)
-    idx = _payload_index(target)
-    gen_map = tuple(idx[ptrans.tau(i, i + 1, n)] for i in range(1, n))
+    gen_map = tuple(target.index[ptrans.tau(i, i + 1, n)] for i in range(1, n))
     return PresentationBundle(pres, target, gen_map, f"Gn(n={n})")
 
 
@@ -160,7 +155,7 @@ def _tn(n: int) -> PresentationBundle:
     pres = Presentation.make(names, _tn_relations(n), "monoid")
     from .registry import ptrans_table
     target = ptrans_table("T", n)
-    idx = _payload_index(target)
+    idx = target.index
     gm = [idx[ptrans.tau(i, i + 1, n)] for i in range(1, n)]
     gm += [idx[ptrans.eps(i, i + 1, n)] for i in range(1, n)]
     gm += [idx[ptrans.eps(i + 1, i, n)] for i in range(1, n)]
@@ -215,8 +210,8 @@ def _mn(M: CayleyTable, n: int) -> PresentationBundle:
     names, rels, k, elems, lid = _coordinate_relations(M, n)
     pres = Presentation.make(names, rels, "monoid")
     target = _tuples_table(M, n, with_zero=False)
-    idx = _payload_index(target)
-    gm = tuple(idx[tuple(elems[j] if p == i else M.identity for p in range(1, n + 1))]
+    gm = tuple(target.index[tuple(elems[j] if p == i else M.identity
+                                  for p in range(1, n + 1))]
                for i in range(1, n + 1) for j in range(k))
     return PresentationBundle(pres, target, gm, f"Mn(|M|={M.size}, n={n})")
 
@@ -241,7 +236,7 @@ def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
                     rels.append(((lid(i, j), tid(i)), (tid(i),)))
     pres = Presentation.make(names, rels, "monoid")
     target = _tuples_table(M, n, with_zero=True)
-    idx = _payload_index(target)
+    idx = target.index
     gm = [idx[tuple(elems[j] if p == i else M.identity for p in range(1, n + 1))]
           for i in range(1, n + 1) for j in range(k)]
     gm += [idx[tuple(wreath.ZERO if p == i else M.identity for p in range(1, n + 1))]
@@ -315,8 +310,7 @@ def _mwr_sing_tn(M: CayleyTable, n: int) -> PresentationBundle:
         return pos[(i, j, a, b)]
     pres = Presentation.make(names, _mwr_sing_tn_relations(M, n, L), "semigroup")
     target = wreath.enumerate_wreath(M, "SingT", n)
-    idx = _payload_index(target)
-    gm = tuple(idx[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos)
+    gm = tuple(target.index[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos)
     return PresentationBundle(pres, target, gm,
                               f"MwrSingTn(|M|={M.size}, n={n})")
 
@@ -351,7 +345,7 @@ def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
         rels.append(((T(j), L(i, j, one, one)), (T(j),)))
     pres = Presentation.make(names, rels, "semigroup")
     target = wreath.enumerate_wreath(M, "SingPT", n)
-    idx = _payload_index(target)
+    idx = target.index
     pts = set(range(1, n + 1))
     gm = [idx[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos]
     gm += [idx[wreath.embed_pmap(M, ptrans.id_on(pts - {i}, n))]
@@ -463,7 +457,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
     pres = Presentation.make(names, rels, "monoid")
 
     target = wreath.enumerate_wreath(M, family, n)
-    idx = _payload_index(target)
+    idx = target.index
     pts = set(range(1, n + 1))
     gm = [idx[wreath.embed_tuple(wreath.unit_tuple(M, n, i, elems[j]))]
           for i in range(1, n + 1) for j in range(k)]
@@ -509,8 +503,7 @@ def _suba(alg, *, enlarged: bool) -> PresentationBundle:
                 rels.append((first, other))
     pres = Presentation.make(names, rels, "monoid")
     target = lat.meet_table()
-    idx = _payload_index(target)
-    gm = tuple(idx[b] for b in maxes)
+    gm = tuple(target.index[b] for b in maxes)
     tag = "SubA_enlarged" if enlarged else "SubA"
     expected = True
     if not enlarged:
@@ -590,20 +583,27 @@ def lrm_model_check(bundle: PresentationBundle) -> bool:
 FAMILIES = ("En", "Gn", "Tn", "Mn", "M0n", "MwrSingTn", "MwrSingPTn",
             "MwrPTn", "MwrGn", "MwrTn", "MwrIn", "SubA", "SubA_enlarged",
             "PX_truncated", "LX_truncated")
+BASE_FAMILIES = ("Mn", "M0n", "MwrSingTn", "MwrSingPTn",     # need a base monoid
+                 "MwrPTn", "MwrGn", "MwrTn", "MwrIn")
 
 
 def build_catalog(family: str, *, n: Optional[int] = None,
                   base: Optional[CayleyTable] = None,
                   algebra=None, alphabet: str = "xy",
                   length: int = 3) -> PresentationBundle:
+    """The bundle of a catalogued family.  En, Gn and Tn need the degree
+    `n`; the tuple and wreath families need `n` and a `base` monoid; SubA
+    and SubA_enlarged need an `algebra`; the truncations take `alphabet`
+    and `length`.  A missing input raises ValueError naming it."""
+    if family in ("En", "Gn", "Tn") + BASE_FAMILIES and n is None:
+        raise ValueError(f"{family} needs a degree n")
     if family == "En":
         return _en(n)
     if family == "Gn":
         return _gn(n)
     if family == "Tn":
         return _tn(n)
-    if family in ("Mn", "M0n", "MwrSingTn", "MwrSingPTn",
-                  "MwrPTn", "MwrGn", "MwrTn", "MwrIn"):
+    if family in BASE_FAMILIES:
         if base is None:
             raise ValueError(f"{family} needs a base monoid")
         if family == "Mn":

@@ -8,6 +8,7 @@ is the partial transformation monoid itself).
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 from typing import Optional
@@ -46,21 +47,16 @@ def _monoid_cached(name: str) -> CayleyTable:
 
 
 def ptrans_table(kind: str, n: int) -> CayleyTable:
-    """Cayley table of a transformation family, payload PartialMap objects."""
+    """Cayley table of a transformation family, payload PartialMap objects,
+    numbered by `table_from_elements` over the family's standard generators
+    (over every element when it has none: SingI, SingE, PTminusT)."""
     elems = ptrans.family(kind, n)
     ident = ptrans.identity(n)
     try:
         gens = ptrans.family_gens(kind, n)
     except ptrans.BadParams:
         gens = None
-    if gens is not None:
-        from .fmonoid import closure_from_generators
-        t = closure_from_generators(gens, ptrans.compose,
-                                    identity_hint=ident if ident in set(elems) else None,
-                                    cap=len(elems) + 1)
-        if t.size == len(elems):
-            return t
-    return table_from_elements(elems, ptrans.compose,
+    return table_from_elements(elems, ptrans.compose, gens=gens,
                                identity=ident if ident in set(elems) else None)
 
 
@@ -78,8 +74,7 @@ def ambient_wreath(base_name: str, n: int) -> CayleyTable:
 def ambient_plus_map(amb: CayleyTable) -> dict:
     """The left-restriction unary operation of a wreath ambient: the embedded
     partial identity on the domain of the map part."""
-    idx = {w: i for i, w in enumerate(amb.elements)}
-    return {i: idx[wreath.wr_plus(w)] for i, w in enumerate(amb.elements)}
+    return {i: amb.index[wreath.wr_plus(w)] for i, w in enumerate(amb.elements)}
 
 
 U_KINDS = ("E", "SingE", "M0n", "Mn")
@@ -130,7 +125,6 @@ def subset_ids(amb: CayleyTable, kind: str, n: int) -> frozenset:
 
 def _embedded_gens(amb: CayleyTable, kind: str, n: int) -> Optional[tuple]:
     """Ambient ids of natural generators for a named subset, when known."""
-    idx = {w: i for i, w in enumerate(amb.elements)}
     base = amb.elements[0].tup.base
     try:
         if kind in ("E", "SingE"):
@@ -153,7 +147,7 @@ def _embedded_gens(amb: CayleyTable, kind: str, n: int) -> Optional[tuple]:
         return None
     if gens is None:
         return None
-    return tuple(idx[g] for g in gens)
+    return tuple(amb.index[g] for g in gens)
 
 
 def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
@@ -187,8 +181,7 @@ def _embedded_pmap_gens(amb: CayleyTable, kind: str, n: int) -> Optional[tuple]:
     except ptrans.BadParams:
         return None
     base = amb.elements[0].tup.base
-    idx = {w: i for i, w in enumerate(amb.elements)}
-    return tuple(idx[wreath.embed_pmap(base, g)] for g in gens)
+    return tuple(amb.index[wreath.embed_pmap(base, g)] for g in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +257,7 @@ def omega_inputs(ctx: AmbientContext, act: ActionTable, rule: str,
     pairs or transpositions as the per-element generators."""
     amb = ctx.m
     base = amb.elements[0].tup.base
-    idx = {w: i for i, w in enumerate(amb.elements)}
+    idx = amb.index
     pts = set(range(1, n + 1))
     ident = ctx.identity
 
@@ -273,44 +266,31 @@ def omega_inputs(ctx: AmbientContext, act: ActionTable, rule: str,
 
     out: dict = {}
     if rule in ("join_family", "join_pairwise") and u_kind in ("E", "M0n"):
-        if s_kind == "G" or rule == "join_family" and u_kind == "E":
-            vs, om = [], {}
-            for i in range(1, n + 1):
-                v = emb(ptrans.id_on(pts - {i}, n))
-                vs.append(v)
-                if s_kind == "G":
-                    om[v] = [(idx[wreath.embed_tuple(
-                                  wreath.unit_tuple(base, n, i, g))], ident)
-                             for g in base.gens if g != base.identity]
-                elif pts - {i}:
-                    om[v] = [(emb(ptrans.eps(min(pts - {i}), i, n)), ident)]
-                else:
-                    # degree one: the fibre over the empty set identifies
-                    # everything, so relate every generator to the identity
-                    om[v] = [(s, ident) for s in (ctx.s_gens or ctx.s_list())]
+        vs, om = [], {}
+        for i in range(1, n + 1):
+            v = emb(ptrans.id_on(pts - {i}, n))
+            vs.append(v)
             if s_kind == "G":
-                import itertools
-                for i, j in itertools.combinations(sorted(pts), 2):
-                    v = emb(ptrans.id_on(pts - {i, j}, n))
-                    vs.append(v)
-                    om[v] = [(emb(ptrans.tau(i, j, n)), ident)] + \
-                            [(idx[wreath.embed_tuple(wreath.unit_tuple(base, n, k, g))],
-                              ident)
-                             for k in (i, j) for g in base.gens if g != base.identity]
-            out["v_subset"] = vs
-            out["omega_u"] = om
-        else:
-            vs, om = [], {}
-            for i in range(1, n + 1):
-                v = emb(ptrans.id_on(pts - {i}, n))
+                om[v] = [(idx[wreath.embed_tuple(
+                              wreath.unit_tuple(base, n, i, g))], ident)
+                         for g in base.gens if g != base.identity]
+            elif pts - {i}:
+                om[v] = [(emb(ptrans.eps(min(pts - {i}), i, n)), ident)]
+            else:
+                # degree one: the fibre over the empty set identifies
+                # everything, so relate every generator to the identity
+                om[v] = [(s, ident) for s in (ctx.s_gens or ctx.s_list())]
+        if s_kind == "G":
+            for i, j in itertools.combinations(sorted(pts), 2):
+                v = emb(ptrans.id_on(pts - {i, j}, n))
                 vs.append(v)
-                om[v] = ([(emb(ptrans.eps(min(pts - {i}), i, n)), ident)]
-                         if pts - {i} else
-                         [(s, ident) for s in (ctx.s_gens or ctx.s_list())])
-            out["v_subset"] = vs
-            out["omega_u"] = om
+                om[v] = [(emb(ptrans.tau(i, j, n)), ident)] + \
+                        [(idx[wreath.embed_tuple(wreath.unit_tuple(base, n, k, g))],
+                          ident)
+                         for k in (i, j) for g in base.gens if g != base.identity]
+        out["v_subset"] = vs
+        out["omega_u"] = om
     elif rule == "group_join_family":
-        import itertools
         vs, gam = [], {}
         for i, j in itertools.combinations(sorted(pts), 2):
             v = emb(ptrans.id_on(pts - {i, j}, n))

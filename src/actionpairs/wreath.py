@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import ptrans
 from .ptrans import UNDEF, _pmap
-from .fmonoid import CayleyTable, SizeBoundExceeded, closure_from_generators
+from .fmonoid import CayleyTable, SizeBoundExceeded, table_from_elements
 
 ZERO = -1
 
@@ -247,30 +247,20 @@ def wreath_gens(M: CayleyTable, kind: str, n: int) -> Optional[list[WreathElemen
     return None
 
 
-def enumerate_wreath(M: CayleyTable, kind: str, n: int, *,
-                     cap: int = 200_000) -> CayleyTable:
+WREATH_CAP = 200_000     # largest wreath product enumerate_wreath builds
+
+
+def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
     """Cayley table of the wreath product of M with a named family.
 
-    The element set is produced exhaustively, then numbered by a generator
-    closure (falling back to the full element list as generators when no
-    standard generating set covers the family).
+    The element set is produced exhaustively (at most WREATH_CAP elements),
+    then numbered by `table_from_elements` over the family's natural
+    generators, or over every element in `wreath_elements` order when the
+    family has none (SingI, E).
     """
     elems = wreath_elements(M, kind, n)
-    if len(elems) > cap:
+    if len(elems) > WREATH_CAP:
         raise SizeBoundExceeded(f"wreath product has {len(elems)} elements")
-    eset = set(elems)
     ident = wreath_identity(M, n)
-    identity = ident if ident in eset else None
-    gens = wreath_gens(M, kind, n)
-    if gens is not None:
-        try:
-            t = closure_from_generators(gens, wr_product, identity_hint=identity,
-                                        cap=len(elems) + 1)
-            if t.size == len(elems):
-                return t
-        except SizeBoundExceeded:
-            pass
-    ordered = sorted(elems, key=lambda w: (w.pmap.img, w.tup.entries))
-    gens = [w for w in ordered if identity is None or w != identity]
-    return closure_from_generators(gens, wr_product, identity_hint=identity,
-                                   cap=len(elems) + 1)
+    return table_from_elements(elems, wr_product, gens=wreath_gens(M, kind, n),
+                               identity=ident if ident in set(elems) else None)

@@ -56,6 +56,14 @@ def test_verify_bad_input(capsys):
     assert code == cli.EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("extra", [(), ("--monoid", "c2")])
+def test_verify_without_degree_is_bad_input(capsys, extra):
+    fam = "Mn" if extra else "En"
+    code, rep = run_json(capsys, "verify-presentation", "--family", fam, *extra)
+    assert code == cli.EXIT_BAD_INPUT
+    assert rep["error"] == f"{fam} needs a degree n"
+
+
 def test_verify_model_families(capsys):
     code, rep = run_json(capsys, "verify-presentation", "--family",
                          "LX_truncated", "--alphabet", "xy", "--length", "2")

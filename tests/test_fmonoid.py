@@ -391,6 +391,16 @@ def test_cayley_json_is_validated():
             CayleyTable.from_json(json.dumps({**good, **change}))
 
 
+def test_table_from_elements_needs_exactly_the_given_elements():
+    # max over {0, 2} closes to two elements, as many as [0, 1] has
+    with pytest.raises(ValueError):
+        table_from_elements([0, 1], max, gens=[0, 2])
+    with pytest.raises(ValueError):
+        subtable(ptrans_table("G", 3), [0, 1], gens=[0, 2])
+    t = table_from_elements([0, 1, 2], max, gens=[0, 2, 1])
+    assert t.index == {0: 0, 2: 1, 1: 2} and t.identity == 0
+
+
 def test_subtable_of_units():
     t = ptrans_table("PT", 2)
     units = [i for i, w in enumerate(t.elements) if w.is_bijection()]
@@ -411,6 +421,7 @@ def test_random_transformation_closures_match_oracle(seeds):
     gens = [all_total_maps(2)[i % 4] for i in seeds]
     t = closure_from_generators(gens, ptrans.compose)
     assert set(t.elements) == brute_closure(gens, ptrans.compose)
+    assert t.index == {w: i for i, w in enumerate(t.elements)}
 
 
 @settings(max_examples=25, deadline=None)

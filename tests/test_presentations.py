@@ -130,6 +130,15 @@ def test_unknown_family():
         pr.build_catalog("nope")
 
 
+@pytest.mark.parametrize("fam,kw", [("En", {}), ("Tn", {}),
+                                    ("Mn", {"base": "c2"}),
+                                    ("MwrPTn", {"base": "c1"})])
+def test_missing_degree_names_the_family(fam, kw):
+    kw = {k: monoid_table(v) for k, v in kw.items()}
+    with pytest.raises(ValueError, match=f"{fam} needs a degree n"):
+        pr.build_catalog(fam, **kw)
+
+
 # --- pair-based builders -----------------------------------------------------------------
 
 def test_lavers_wreath_of_groups():
