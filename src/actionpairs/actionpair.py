@@ -44,8 +44,10 @@ class HypothesisFailed(Exception):
 class AmbientContext:
     """A candidate pair inside an ambient monoid table.
 
-    plus maps each member of S to an element of U1; u_gens/s_gens are
-    optional generating sets (ambient ids) used to speed congruence work.
+    plus maps each member of S to an element of U1.  u_gens/s_gens are
+    optional hints (ambient ids) for generating sets of U and S.  They are
+    certified before use (`gens`), so a hint that does not generate, or
+    names ids outside the set, costs time but never changes a verdict.
     """
 
     m: CayleyTable
@@ -55,6 +57,8 @@ class AmbientContext:
     name: str = ""
     u_gens: Optional[tuple] = None
     s_gens: Optional[tuple] = None
+    _gens: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.m.identity is None:
@@ -87,6 +91,25 @@ class AmbientContext:
 
     def u_list(self) -> list:
         return sorted(self.u_set)
+
+    def gens(self, which: str) -> list:
+        """A certified generating set of U, U1, S or S1 (as `which` names
+        it) as a semigroup under the ambient product, computed once.
+
+        `greedy_generators` runs over the hint's members first and then over
+        every member.  Every member is a candidate, so the kept list
+        generates exactly the members whatever the hint says (Froidure &
+        Pin 1997).  For U1 and S1 it keeps the identity when U or S lacks
+        it, since no product of members of U or S gives it then.
+        """
+        if which not in self._gens:
+            members = {"U": self.u_list, "U1": self.u1,
+                       "S": self.s_list, "S1": self.s1}[which]()
+            hint = self.u_gens if which[0] == "U" else self.s_gens
+            inside = set(members)
+            self._gens[which] = greedy_generators(
+                [g for g in hint or () if g in inside] + members, self.m.mul)
+        return self._gens[which]
 
     def product_set(self) -> frozenset:
         m = self.m
@@ -129,30 +152,58 @@ class ActionTable:
         return self.table[(s, self.ctx.identity)]
 
     def verify_laws(self) -> list:
-        """Action axioms: composition, semigroup morphisms, values in U1."""
+        """The action laws and the compatibility law su = (s>u) s, as
+        failure records: values in U1, then composition (at most one witness
+        per (s, t)), the morphism law (per (s, u)) and compatibility (per s).
+
+        The range check is a full scan.  Writing f_s(u) = s>u, the other
+        laws hold on all elements once they hold on the certified
+        generators (`AmbientContext.gens`), by induction on word length:
+
+        - Composition f_s(f_t(u)) = f_st(u), with t over the generators of
+          S1 once every value lies in U1.  For t = t'g,
+          f_st'g(u) = f_st'(f_g(u)) = f_s(f_t'(f_g(u))) = f_s(f_t'g(u)):
+          the generator case twice, and the case t' at the point f_g(u).
+        - The morphism law f_s(uv) = f_s(u) f_s(v), with v over the
+          generators of U1.  For v = v'h, f_s(uv'h) = f_s(uv') f_s(h) =
+          f_s(u) f_s(v') f_s(h) = f_s(u) f_s(v'h).  Once composition holds,
+          s also ranges over the generators of S1 only: then f_tg = f_t f_g
+          is a composite of morphisms of U1.
+        - Compatibility, with s over the generators of S once composition
+          holds.  For s = s'g, s'gu = s' f_g(u) g = f_s'(f_g(u)) s'g =
+          f_s'g(u) s'g.
+
+        A law whose premise failed is scanned over all elements, so the set
+        of failure kinds is the one the full scans give; only the witnesses
+        may name generators.
+        """
         ctx = self.ctx
         m = ctx.m
-        failures = []
         u1 = ctx.u1()
         u1set = set(u1)
         s1 = ctx.s1()
+        failures = [("action-range", (s, u))
+                    for s in s1 for u in u1 if self(s, u) not in u1set]
+        in_range = not failures
         for s in s1:
-            for u in u1:
-                if self(s, u) not in u1set:
-                    failures.append(("action-range", (s, u)))
-        for s in s1:
-            for t in s1:
+            for t in ctx.gens("S1") if in_range else s1:
                 st = m.mul(s, t)
                 for u in u1:
                     if self(s, self(t, u)) != self(st, u):
                         failures.append(("action-composition", (s, t, u)))
                         break
-        for s in s1:
+        composes = not failures
+        for s in ctx.gens("S1") if composes else s1:
             for u in u1:
-                for v in u1:
+                for v in ctx.gens("U1"):
                     if self(s, m.mul(u, v)) != m.mul(self(s, u), self(s, v)):
                         failures.append(("action-morphism", (s, u, v)))
                         break
+        for s in ctx.gens("S") if composes else ctx.s_list():
+            for u in u1:
+                if m.mul(s, u) != m.mul(self(s, u), s):
+                    failures.append(("compatibility", (s, u)))
+                    break
         return failures
 
 
@@ -260,18 +311,6 @@ def _kernel_failures(ctx: AmbientContext, splus) -> list:
     return failures
 
 
-def _compatibility_failures(ctx: AmbientContext, act: ActionTable) -> list:
-    """The compatibility law su = (s>u) s, the first failing u per s."""
-    m = ctx.m
-    failures = []
-    for s in ctx.s_list():
-        for u in ctx.u1():
-            if m.mul(s, u) != m.mul(act(s, u), s):
-                failures.append(("compatibility", (s, u)))
-                break
-    return failures
-
-
 def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
                          ) -> tuple[PairReport, Optional[ActionTable]]:
     """Verify the pair axioms from the s -> s+ data and rebuild the action.
@@ -336,7 +375,7 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
             table[(s, u)] = m.mul(min(vs), plus[s])
     act = ActionTable(ctx, table)
 
-    law_failures = act.verify_laws() + _compatibility_failures(ctx, act)
+    law_failures = act.verify_laws()
     for which, wit in law_failures:
         fail(which, wit)
 
@@ -354,7 +393,7 @@ def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
     condition is reported separately in the action verdict.  The report is
     stored on the action."""
     rep = PairReport(name=ctx.name)
-    rep.failures = act.verify_laws() + _compatibility_failures(ctx, act)
+    rep.failures = act.verify_laws()
     rep.weak = not rep.failures
     kernel = _kernel_failures(ctx, act.splus)
     rep.failures += kernel
@@ -555,8 +594,8 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
 
     The table is generated by a small subset of U x S picked by
     `greedy_generators`: when U and S both contain the identity the
-    candidates start with (u, 1) over the generators of U and (1, s) over
-    those of S (all of U and S when none are known); every other pair
+    candidates start with (u, 1) over the certified generators of U and
+    (1, s) over those of S (`AmbientContext.gens`); every other pair
     follows in shortlex order of its ambient normal forms.  No m x m table
     is built.  The result is stored on the action, and a second call
     returns it.
@@ -572,8 +611,8 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     identity_hint = None
     candidates = []
     if have_units:
-        candidates = [(u, ident) for u in ctx.u_gens or ulist if u != ident] + \
-                     [(ident, s) for s in ctx.s_gens or slist if s != ident]
+        candidates = [(u, ident) for u in ctx.gens("U") if u != ident] + \
+                     [(ident, s) for s in ctx.gens("S") if s != ident]
         # (1, 1) is always a left identity here (the action is monoidal) but
         # a right identity only when every u absorbs every projection
         if all(m.mul(u, act.splus(s)) == u for u in ulist for s in slist):
@@ -767,10 +806,10 @@ def _join(members: Sequence, parts: Iterable[CongruencePartition]
 
 
 def _s_successors(ctx: AmbientContext, members: Sequence):
-    """Per member, its right multiples by the generators of S (all of S when
-    none are known), as the successor function of a right congruence."""
+    """Per member, its right multiples by the generators of S, as the
+    successor function of a right congruence."""
     m = ctx.m
-    gens = ctx.s_gens or ctx.s_list()
+    gens = ctx.gens("S")
     return {s: [m.mul(s, g) for g in gens] for s in members}.__getitem__
 
 
@@ -924,7 +963,31 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     """Verify the eight axioms singling out the congruences on a semidirect
     product whose quotients arise from action pairs.  The relation at the
     tuple identity is read off sigma when U is a monoid and taken to be
-    trivial otherwise."""
+    trivial otherwise.
+
+    Write s ~u t when (u, s) sigma (u, t).  Axioms 5-8 quantify over the
+    certified generators (`AmbientContext.gens`) where an induction on word
+    length shows generators suffice:
+
+    - Axiom 5 (~u is a right congruence), with the right factor over the
+      generators of S: sx ~u tx follows for x = x'g from sx' ~u tx'.
+    - Axiom 6 (~u within ~wu), with w over the generators of U: for
+      w = gw', ~u lies within ~w'u, which lies within ~gw'u.
+    - Axiom 7 (s ~u t gives xs ~x>u xt), with x over the generators of S
+      once the action composes (the action's report shows no composition
+      or range failure).  For x = gx', x's ~x'>u x't by induction; where
+      x'>u lies in U the generator case at x'>u gives gx's ~g>(x'>u) gx't,
+      and g>(x'>u) = x>u.  Where x'>u is an identity outside U, ~ is
+      trivial there, so x's = x't and xs = xt.
+    - Axiom 8 (s ~u t gives u(s>w) = u(t>w), related at that value), with
+      w over the generators of U once the action is a morphism (no
+      morphism or range failure).  For w = gw', s>w = (s>g)(s>w'); the
+      generator case gives u(s>g) = u(t>g) = u' in U with s ~u' t, and the
+      case w' at u' finishes.
+
+    Otherwise the axiom is scanned over all of S or U, so the vector of
+    verdicts is the one the full scans give.
+    """
     m = ctx.m
     ident = ctx.identity
     ulist = ctx.u_list()
@@ -935,12 +998,23 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     if not cong_ok:
         fails.append("input relation is not a two-sided congruence")
 
-    def sig_u(u) -> CongruencePartition:
-        if u == ident and ident not in ctx.u_set:
-            return CongruencePartition(slist)
-        return _partition_by(slist, lambda s: sigma.find(sd.id_of(u, s)))
+    laws = {which for which, _ in act.pair_report().failures}
+    composes = not laws & {"action-range", "action-composition"}
+    morphic = not laws & {"action-range", "action-morphism"}
+    u_gens = ctx.gens("U")
+    s_gens = ctx.gens("S")
 
-    sig = {u: sig_u(u) for u in set(ulist) | {ident}}
+    # per u in U1, s -> the sigma class of (u, s), so that s ~u t iff the
+    # two values agree; at the identity outside U each s is its own value
+    sig = {u: {s: s for s in slist} if u == ident and ident not in ctx.u_set
+           else {s: sigma.find(sd.id_of(u, s)) for s in slist}
+           for u in set(ulist) | {ident}}
+    # per u in U, the pairs (first member of its class, s) spanning ~u
+    links: dict = {}
+    for u in ulist:
+        first: dict = {}
+        links[u] = [(first[r], s) for s, r in sig[u].items()
+                    if first.setdefault(r, s) != s]
     axioms = []
 
     ax1 = all(sigma.same(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
@@ -965,31 +1039,28 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     axioms.append(all(proj[i] == proj[cls[0]]
                       for cls in sigma.classes() for i in cls[1:]))
 
-    axioms.append(sig[ident].is_trivial())
+    axioms.append(len(set(sig[ident].values())) == len(slist))
 
-    u_classes = {u: sig[u].classes() for u in ulist}
-    sgens = list(ctx.s_gens) if ctx.s_gens else slist
-    axioms.append(all(sig[u].same(m.mul(cls[0], g), m.mul(t, g))
-                      for u in ulist for cls in u_classes[u]
-                      for t in cls[1:] for g in sgens))
+    axioms.append(all(r[m.mul(a, g)] == r[m.mul(b, g)]
+                      for u in ulist for r in (sig[u],)
+                      for a, b in links[u] for g in s_gens))
 
-    ax6 = all(all(all(sig[m.mul(w, u)].same(cls[0], t) for t in cls[1:])
-                  for cls in u_classes[u])
-              for u in ulist for w in ulist)
-    axioms.append(ax6)
+    axioms.append(all(r[a] == r[b] for u in ulist for w in u_gens
+                      for r in (sig[m.mul(w, u)],) for a, b in links[u]))
 
-    axioms.append(all(sig[act(x, u)].same(m.mul(x, cls[0]), m.mul(x, t))
-                      for u in ulist for cls in u_classes[u]
-                      for t in cls[1:] for x in slist))
+    axioms.append(all(r[m.mul(x, a)] == r[m.mul(x, b)] for u in ulist
+                      for x in (s_gens if composes else slist)
+                      for r in (sig[act(x, u)],) for a, b in links[u]))
 
-    def twisted_ok(u, cls, w):
-        ref = m.mul(u, act(cls[0], w))
-        return all(m.mul(u, act(t, w)) == ref for t in cls[1:]) and \
-            all((sig[ref] if ref in sig else sig_u(ref)).same(cls[0], t)
-                for t in cls[1:])
+    def twisted_ok(u, w):
+        for a, b in links[u]:
+            ref = m.mul(u, act(a, w))
+            if m.mul(u, act(b, w)) != ref or sig[ref][a] != sig[ref][b]:
+                return False
+        return True
 
-    axioms.append(all(twisted_ok(u, cls, w) for u in ulist
-                      for cls in u_classes[u] for w in ulist))
+    axioms.append(all(twisted_ok(u, w) for u in ulist
+                      for w in (u_gens if morphic else ulist)))
 
     for i, ok in enumerate(axioms):
         if not ok and not fails:
@@ -1031,10 +1102,11 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     operation.
 
     The carrier is generated by the members that `greedy_generators` keeps
-    from the candidates (u, 1), then (s+, s), then every other member in
-    shortlex order of its ambient normal forms.  Its m x m table is built
-    up to FULL_TABLE_CAP elements, since the cover pair is classified with
-    the carrier as its ambient.
+    from the candidates (u, 1) and (s+, s), with u and s over the certified
+    generators of U1 and S1 (`AmbientContext.gens`), then every other
+    member in shortlex order of its ambient normal forms.  Its m x m table
+    is built up to FULL_TABLE_CAP elements, since the cover pair is
+    classified with the carrier as its ambient.
     """
     m = ctx.m
     ident = ctx.identity
@@ -1042,8 +1114,8 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     s1 = ctx.s1()
 
     members = {(u, s) for u in u1 for s in s1 if u == m.mul(u, act.splus(s))}
-    candidates = [(u, ident) for u in ctx.u_gens or u1] + \
-                 [(act.splus(s), s) for s in ctx.s_gens or s1] + \
+    candidates = [(u, ident) for u in ctx.gens("U1")] + \
+                 [(act.splus(s), s) for s in ctx.gens("S1")] + \
                  _shortlex_pairs(m, u1, s1)
     carrier = _pair_closure(ctx, act, (c for c in candidates if c in members),
                             (ident, ident), len(members), "cover")

@@ -190,6 +190,11 @@ class CayleyTable:
             x = right[x][k]
         return x
 
+    def _parents_first(self) -> list:
+        """Element ids by normal-form length: each element's parent comes
+        before it whatever the numbering (`from_json` accepts any)."""
+        return sorted(range(self.size), key=lambda e: len(self.nf[e]))
+
     def full_table(self):
         """Materialize and cache the m x m table (sizes under FULL_TABLE_CAP)."""
         if self._full is None:
@@ -199,9 +204,10 @@ class CayleyTable:
             right = self.right
             parent = self.parent
             identity = self.identity
+            order = self._parents_first()
             for a in range(self.size):
                 row = [0] * self.size
-                for b in range(self.size):
+                for b in order:
                     if b == identity:
                         row[b] = a
                     else:
@@ -214,19 +220,15 @@ class CayleyTable:
     def left_by_gen(self):
         """left[e][k] = gens[k] * e, built by the same parent recurrence."""
         if self._left is None:
-            g = len(self.gens)
             right = self.right
-            left = []
-            for e in range(self.size):
+            left: list = [None] * self.size
+            for e in self._parents_first():
                 if e == self.identity:
-                    left.append(list(self.gens))
+                    left[e] = list(self.gens)
                     continue
                 p, j = self.parent[e]
-                if p < 0 or p == self.identity:
-                    left.append([right[self.gens[k]][j] for k in range(g)])
-                else:
-                    lp = left[p]
-                    left.append([right[lp[k]][j] for k in range(g)])
+                src = self.gens if p < 0 or p == self.identity else left[p]
+                left[e] = [right[x][j] for x in src]
             self._left = left
         return self._left
 

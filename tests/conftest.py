@@ -88,3 +88,116 @@ def brute_congruence(table, pairs, side):
 def all_total_maps(n):
     return [ptrans.PartialMap(n, img)
             for img in itertools.product(range(1, n + 1), repeat=n)]
+
+
+# --- the pair definitions, read literally ---------------------------------------
+# Every quantifier ranges over all elements; nothing is reduced to generators.
+
+def _law_kinds(ctx, f):
+    """Failure kinds of the action laws and compatibility for the map
+    f(s, u) = s>u on S1 x U1."""
+    m = ctx.m
+    u1, s1, slist = ctx.u1(), ctx.s1(), ctx.s_list()
+    kinds = set()
+    if any(f(s, u) not in u1 for s in s1 for u in u1):
+        kinds.add("action-range")
+    if any(f(s, f(t, u)) != f(m.mul(s, t), u) for s in s1 for t in s1 for u in u1):
+        kinds.add("action-composition")
+    if any(f(s, m.mul(u, v)) != m.mul(f(s, u), f(s, v))
+           for s in s1 for u in u1 for v in u1):
+        kinds.add("action-morphism")
+    if any(m.mul(s, u) != m.mul(f(s, u), s) for s in slist for u in u1):
+        kinds.add("compatibility")
+    return kinds
+
+
+def _kernel_kinds(ctx, splus):
+    m = ctx.m
+    pairs = [(u, s) for u in ctx.u1() for s in ctx.s_list()]
+    if any(m.mul(u, s) == m.mul(v, t) and m.mul(u, splus(s)) != m.mul(v, splus(t))
+           for u, s in pairs for v, t in pairs):
+        return {"kernel-condition"}
+    return set()
+
+
+def naive_weak_kinds(ctx, table):
+    """Failure kinds `check_weak_pair` must report for the action given as a
+    dict (s, u) -> s>u, the identity acting identically where not given;
+    s+ is s>1, and 1+ is 1 (`ActionTable.splus`)."""
+    ident = ctx.identity
+
+    def f(s, u):
+        return table.get((s, u), u if s == ident else None)
+    return _law_kinds(ctx, f) | _kernel_kinds(
+        ctx, lambda s: ident if s == ident else f(s, ident))
+
+
+def naive_pair_kinds(ctx):
+    """Failure kinds `check_pair_from_plus` must report: the conditions on
+    s -> s+, then the laws of s>u = v s+ for the least v in U1 with su = vs."""
+    m, plus, ident = ctx.m, ctx.plus, ctx.identity
+    u1, slist = ctx.u1(), ctx.s_list()
+    witnesses = {(s, u): [v for v in u1 if m.mul(v, s) == m.mul(s, u)]
+                 for s in slist for u in u1}
+    if not all(witnesses.values()):
+        return {"sU1-in-U1s"}
+    kinds = set()
+    if any(m.mul(plus[s], s) != s for s in slist):
+        kinds.add("s-equals-plus-s")
+    if any(m.mul(s, plus[t]) != m.mul(plus[m.mul(s, t)], s) for s in slist for t in slist):
+        kinds.add("shift-projection")
+    if any(plus[m.mul(s, t)] != m.mul(plus[m.mul(s, t)], plus[s])
+           for s in slist for t in slist):
+        kinds.add("projection-absorbs")
+    kinds |= _kernel_kinds(ctx, plus.__getitem__)
+    if any(len({m.mul(v, plus[s]) for v in vs}) > 1 for (s, u), vs in witnesses.items()):
+        kinds.add("action-ill-defined")
+    table = {(s, u): m.mul(min(vs), plus[s]) for (s, u), vs in witnesses.items()}
+
+    def f(s, u):
+        return table.get((s, u), u if s == ident else None)
+    return kinds | _law_kinds(ctx, f)
+
+
+def naive_special(ctx, act, sd, sigma):
+    """(congruence_ok, axioms) of `check_special_congruence`, from the
+    definitions: s ~u t iff (u, s) sigma (u, t), trivial at an identity
+    outside U."""
+    m, ident = ctx.m, ctx.identity
+    ulist, slist = ctx.u_list(), ctx.s_list()
+    t = sd.table
+    root = [sigma.find(x) for x in range(t.size)]
+    first = {}
+    rep = [first.setdefault(r, x) for x, r in enumerate(root)]
+    related = [(x, y) for x in range(t.size) for y in range(t.size) if root[x] == root[y]]
+    congruence = all(root[t.mul(x, z)] == root[t.mul(rep[x], z)] and
+                     root[t.mul(z, x)] == root[t.mul(z, rep[x])]
+                     for x in range(t.size) for z in range(t.size))
+
+    def sim(u, s, s2):
+        if u == ident and ident not in ctx.u_set:
+            return s == s2
+        return root[sd.id_of(u, s)] == root[sd.id_of(u, s2)]
+
+    def proj(x):
+        u, s = t.elements[x]
+        return m.mul(u, act.splus(s))
+
+    sims = {u: [(s, s2) for s in slist for s2 in slist if sim(u, s, s2)] for u in ulist}
+    sections = [s for s in slist if act.splus(s) in ctx.u_set]
+    axioms = [
+        all(root[sd.id_of(u, s)] == root[sd.id_of(m.mul(u, act.splus(s)), s)]
+            for u in ulist for s in slist),
+        all(s == s2 for s in sections for s2 in sections
+            if root[sd.id_of(act.splus(s), s)] == root[sd.id_of(act.splus(s2), s2)]),
+        all(proj(x) == proj(y) for x, y in related),
+        all(not sim(ident, s, s2) for s in slist for s2 in slist if s != s2),
+        all(sim(u, m.mul(s, x), m.mul(s2, x)) for u in ulist for s, s2 in sims[u]
+            for x in slist),
+        all(sim(m.mul(w, u), s, s2) for u in ulist for s, s2 in sims[u] for w in ulist),
+        all(sim(act(x, u), m.mul(x, s), m.mul(x, s2)) for u in ulist
+            for s, s2 in sims[u] for x in slist),
+        all(m.mul(u, act(s, w)) == m.mul(u, act(s2, w)) and sim(m.mul(u, act(s, w)), s, s2)
+            for u in ulist for s, s2 in sims[u] for w in ulist),
+    ]
+    return congruence, axioms

@@ -374,6 +374,29 @@ def test_cayley_json_round_trip():
             assert back.mul(a, b) == t.mul(a, b)
 
 
+def test_cayley_json_loads_ids_in_any_order():
+    # T3 with its ids reversed puts every parent after its children; the
+    # table is just as valid, and its full and left tables must agree
+    t = ptrans_table("T", 3)
+    n = t.size
+    d = json.loads(t.to_json())
+
+    def rev(e):
+        return n - 1 - e
+
+    relabelled = {"size": n, "gens": [rev(g) for g in d["gens"]],
+                  "table": [[rev(x) for x in d["table"][rev(e)]] for e in range(n)],
+                  "nf": [d["nf"][rev(e)] for e in range(n)]}
+    back = CayleyTable.from_json(json.dumps(relabelled))
+    assert back.identity == rev(t.identity)
+    full, left = back.full_table(), back.left_by_gen()
+    t_left = t.left_by_gen()
+    for a in range(n):
+        assert [full[rev(a)][rev(b)] for b in range(n)] == \
+            [rev(t.mul(a, b)) for b in range(n)]
+        assert left[rev(a)] == [rev(x) for x in t_left[a]]
+
+
 def test_cayley_json_is_validated():
     good = {"size": 3, "gens": [0, 1, 2], "nf": [[0], [1], [2]],
             "table": [[max(a, b) for b in range(3)] for a in range(3)]}
