@@ -175,7 +175,8 @@ class ActionTable:
 
         A law whose premise failed is scanned over all elements, so the set
         of failure kinds is the one the full scans give; only the witnesses
-        may name generators.
+        may name generators.  A value outside U1 is reported, never looked
+        up as a key: s>x for such x equals no defined term, and 1>x = x.
         """
         ctx = self.ctx
         m = ctx.m
@@ -185,11 +186,15 @@ class ActionTable:
         failures = [("action-range", (s, u))
                     for s in s1 for u in u1 if self(s, u) not in u1set]
         in_range = not failures
+        table, ident = self.table, ctx.identity
         for s in s1:
             for t in ctx.gens("S1") if in_range else s1:
                 st = m.mul(s, t)
                 for u in u1:
-                    if self(s, self(t, u)) != self(st, u):
+                    # s>x for x outside U1 equals no defined term; 1>x = x
+                    x = self(t, u)
+                    if table.get((s, x), x if s == ident else None) \
+                            != self(st, u):
                         failures.append(("action-composition", (s, t, u)))
                         break
         composes = not failures
@@ -551,19 +556,63 @@ def _shortlex_pairs(m: CayleyTable, us: Sequence, ss: Sequence) -> list:
 def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
                   identity_hint, size: int, what: str) -> CayleyTable:
     """The `size` pairs (u, s) generated under (u, s)(v, t) = (u.(s>v), st)
-    by the candidates that `greedy_generators` keeps, with payload (u, s)."""
+    by the candidates that `greedy_generators` keeps, with payload (u, s).
+
+    The candidates include every one of the `size` pairs, so the closure is
+    those pairs iff it has `size` elements.
+
+    The closure runs on integer codes: (u, s) in U1 x S1 is iu*|S1| + is.
+    A kept generator (v, t) gets a column, the code of (u, s)(v, t) for
+    every code, built from the ambient's rows and the action the first time
+    a product needs it and dropped with the closure.  The code |U1||S1|
+    stands for every product outside U1 x S1 (an action value outside U1
+    makes one) and absorbs, so reaching it makes one element too many.
+    The table's `elements` and `index` are decoded back to pairs.
+    """
     m = ctx.m
+    u1, s1 = ctx.u1(), ctx.s1()
+    width = len(s1)
+    outside = len(u1) * width
+    ucode = {u: i * width for i, u in enumerate(u1)}
+    scode = {s: j for j, s in enumerate(s1)}
+    rows = m.full_table() if m.size <= FULL_TABLE_CAP else None
+    get = ucode.get
+    times: dict = {}        # w -> the codes of u.w over u in U1
+    cols: dict = {}
+
+    def left(w):
+        if w not in times:
+            times[w] = [get(m.mul(u, w) if rows is None else rows[u][w], outside)
+                        for u in u1]
+        return times[w]
+
+    def column(g):
+        v, t = u1[g // width], s1[g % width]
+        by_s = [left(act(s, v)) for s in s1]
+        st = [scode[m.mul(s, t)] for s in s1]
+        col = [a + b for us in zip(*by_s) for a, b in zip(us, st)]
+        if max(col) >= outside:
+            col = [min(c, outside) for c in col]
+        col.append(outside)
+        return col
 
     def prod(x, y):
-        (u, s), (v, t) = x, y
-        return (m.mul(u, act(s, v)), m.mul(s, t))
+        try:
+            return cols[y][x]
+        except KeyError:
+            cols[y] = column(y)
+            return cols[y][x]
 
-    gens = greedy_generators((c for c in candidates if c != identity_hint),
-                             prod) or [identity_hint]
-    table = closure_from_generators(gens, prod, identity_hint=identity_hint,
-                                    cap=size + 1)
+    hint = None if identity_hint is None else \
+        ucode[identity_hint[0]] + scode[identity_hint[1]]
+    gens = greedy_generators((ucode[u] + scode[s] for u, s in candidates
+                              if (u, s) != identity_hint), prod) or [hint]
+    table = closure_from_generators(gens, prod, identity_hint=hint,
+                                    cap=outside + 1)
     if table.size != size:
         raise ValueError(f"{what} generators failed to cover {size} pairs")
+    table.elements = [(u1[c // width], s1[c % width]) for c in table.elements]
+    table.index = {p: i for i, p in enumerate(table.elements)}
     return table
 
 
@@ -597,8 +646,24 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     candidates start with (u, 1) over the certified generators of U and
     (1, s) over those of S (`AmbientContext.gens`); every other pair
     follows in shortlex order of its ambient normal forms.  No m x m table
-    is built.  The result is stored on the action, and a second call
-    returns it.
+    is built (`_pair_closure` multiplies integer codes).  The result is
+    stored on the action, and a second call returns it.
+
+    The checks after the closure scan only what they read:
+
+    - The retraction r(u, s) = ((1>u) s+, s) is a morphism iff
+      r(xg) = r(x) r(g) for every x and generator g: for y = y'g,
+      r(xy'g) = r(xy') r(g) = r(x) r(y') r(g) = r(x) r(y'g).  Both sides
+      have S coordinate st, so the payload product compares U
+      coordinates: w.(s>w') against that of r(xg), where r(x) = (w, s)
+      and r(g) = (w', t).
+    - (1, 1) is the identity iff it is `table.identity`: a two-sided
+      identity is unique, and the table detects its own (or verifies the
+      hint).
+    - x (1, 1) y = xy reduces to (u s+).(s>v) = u.(s>v) for u, v in U1 and
+      s in S1, which holds for every u iff it holds for u = 1:
+      (u s+).(s>v) = u.(s+.(s>v)) by associativity.  So only
+      s+.(s>v) = s>v is scanned, |S1||U1| products instead of |S1||U1|^2.
     """
     if act.sd is not None:
         return act.sd
@@ -627,31 +692,24 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
                    if u == act(ident, u))
     mm = m1 & m2
 
-    retraction = {}
-    for i, (u, s) in enumerate(table.elements):
-        img = (m.mul(act(ident, u), act.splus(s)), s)
-        retraction[i] = table.index[img]
-    retr_ok = all(retraction[j] in mm for j in retraction) and \
-        all(retraction[j] == j for j in mm) and \
-        all(retraction[table.right[i][k]] ==
-            table.mul(retraction[i], retraction[j])
-            for i in range(table.size) for k, j in enumerate(table.gens))
+    els, index = table.elements, table.index
+    ru = [m.mul(act(ident, u), act.splus(s)) for u, s in els]  # U coordinate of r
+    retraction = {i: index[(w, s)] for i, (w, (_, s)) in enumerate(zip(ru, els))}
+    retr_ok = all(j in mm for j in retraction.values()) and \
+        all(retraction[j] == j for j in mm)
+    for k, g in enumerate(table.gens):
+        acted = {s: act(s, ru[g]) for s in slist}
+        retr_ok = retr_ok and all(
+            m.mul(w, acted[s]) == ru[row[k]]
+            for w, (_, s), row in zip(ru, els, table.right))
 
     trivial_proj = all(act.splus(s) == ident for s in slist)
     monoid_expected = have_units and trivial_proj
-    has_identity = False
-    if have_units:
-        e = table.index[(ident, ident)]
-        has_identity = all(table.mul(e, x) == x and table.mul(x, e) == x
-                           for x in range(table.size))
+    has_identity = have_units and table.identity == index[(ident, ident)]
     monoid_rule_ok = has_identity == monoid_expected
 
-    # mid-identity of the extended product: x (1,1) y = x y reduces to
-    # (u s+).(s>v) = u.(s>v) for all coordinates
-    u1 = ctx.u1()
-    mid_ok = all(m.mul(usp, act(s, v)) == m.mul(u, act(s, v))
-                 for s in ctx.s1() for u in u1
-                 for usp in (m.mul(u, act.splus(s)),) for v in u1)
+    mid_ok = all(m.mul(act.splus(s), w) == w
+                 for s in ctx.s1() for w in [act(s, v) for v in ctx.u1()])
 
     act.sd = SemidirectResult(table, ulist, slist, m1, m2, mm,
                               retraction, retr_ok, has_identity,
@@ -1175,20 +1233,40 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
 
 def _left_restriction_laws(table: CayleyTable, carrier: Iterable[int],
                            plus_of: dict) -> bool:
-    """The four defining unary-semigroup identities, scanned exhaustively."""
+    """The four defining unary-semigroup identities on the carrier P, with
+    x+ = plus_of[x], scanned exhaustively.
+
+    Each identity is scanned over only the variables it reads, so the
+    equations are those of the literal scan of every identity over P x P:
+
+    - x+x = x over P;
+    - x+y+ = y+x+ over pairs of projections x+, y+;
+    - (x+y)+ = x+y+ over projections x+ and y in P;
+    - xy+ = (xy)+x over P x P.
+
+    A product outside P has no x+, so it fails the identity that reads it.
+    Products are read from the table's rows.
+    """
     els = sorted(carrier)
-    mul = table.mul
+    if table.size <= FULL_TABLE_CAP:
+        rows = table.full_table()
+    else:
+        rows = {x: [table.mul(x, y) for y in range(table.size)]
+                for x in set(els) | set(plus_of.values())}
+    plus = plus_of.get
+    if any(rows[plus_of[x]][x] != x for x in els):
+        return False
+    projections = sorted({plus_of[x] for x in els})
+    if any(rows[p][q] != rows[q][p] for p in projections for q in projections):
+        return False
+    if any(plus(rows[p][y]) != rows[p][plus_of[y]]
+           for p in projections for y in els):
+        return False
     for x in els:
-        if mul(plus_of[x], x) != x:
-            return False
-    for x in els:
+        row = rows[x]
         for y in els:
-            px, py = plus_of[x], plus_of[y]
-            if mul(px, py) != mul(py, px):
-                return False
-            if plus_of[mul(px, y)] != mul(px, py):
-                return False
-            if mul(x, py) != mul(plus_of[mul(x, y)], x):
+            xy = plus(row[y])
+            if xy is None or row[plus_of[y]] != rows[xy][x]:
                 return False
     return True
 

@@ -354,9 +354,10 @@ def closure_from_generators(gens: Sequence, product: Callable,
     right: list[list[int]] = []
     e = 0
     while e < len(elems):
+        x = elems[e]
         row = []
-        for k in range(len(gens)):
-            p = product(elems[e], gens[k])
+        for k, g in enumerate(gens):
+            p = product(x, g)
             j = index.get(p)
             if j is None:
                 j = register(p, nf[e] + (k,), (e, k))
@@ -897,7 +898,11 @@ def verify_presentation(p: Presentation, m: CayleyTable,
         if m.identity is None:
             raise ValueError("monoid presentation against a table without identity")
         seeds.append(m.identity)
-    reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
+    full = m._full
+    if full is not None:
+        reached = right_orbit(seeds, lambda a: map(full[a].__getitem__, gen_map))
+    else:
+        reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
     rep.surjective = len(reached) == m.size
 
     bound = max(4 * m.size + 16, m.size + 1)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from actionpairs import ptrans
+from actionpairs.fmonoid import closure_from_generators, greedy_generators
 from actionpairs.registry import monoid_table, ptrans_table
 
 
@@ -201,3 +202,65 @@ def naive_special(ctx, act, sd, sigma):
             for u in ulist for s, s2 in sims[u] for w in ulist),
     ]
     return congruence, axioms
+
+
+def naive_left_restriction(table, carrier, plus_of):
+    """The four left-restriction identities on the carrier P, every one over
+    P x P; a product outside P has no x+ and fails the identity reading it."""
+    mul, els = table.mul, sorted(carrier)
+
+    def plus(x):
+        return plus_of.get(x)
+    return all(mul(plus_of[x], x) == x for x in els) and all(
+        mul(plus_of[x], plus_of[y]) == mul(plus_of[y], plus_of[x])
+        and plus(mul(plus_of[x], y)) == mul(plus_of[x], plus_of[y])
+        and plus(mul(x, y)) is not None
+        and mul(x, plus_of[y]) == mul(plus(mul(x, y)), x)
+        for x in els for y in els)
+
+
+def tuple_pair_closure(ctx, act, candidates, identity_hint, size):
+    """The pairs (u, s) generated under (u, s)(v, t) = (u.(s>v), st), with
+    the candidates pruned by `greedy_generators`, as a closure over (u, s)
+    tuples; raises ValueError unless it is `size` pairs of U1 x S1."""
+    m = ctx.m
+
+    def prod(x, y):
+        (u, s), (v, t) = x, y
+        return (m.mul(u, act(s, v)), m.mul(s, t))
+    gens = greedy_generators([c for c in candidates if c != identity_hint],
+                             prod) or [identity_hint]
+    table = closure_from_generators(gens, prod, identity_hint=identity_hint)
+    inside = {(u, s) for u in ctx.u1() for s in ctx.s1()}
+    if table.size != size or not set(table.elements) <= inside:
+        raise ValueError("the tuple closure is not the given pairs")
+    return table
+
+
+def naive_semidirect_flags(ctx, act, sd, factors=None):
+    """(retraction_ok, is_monoid, mid_identity_ok) of `semidirect`, from the
+    definitions over all elements and the product (u, s)(v, t) =
+    (u.(s>v), st): the retraction r(u, s) = ((1>u) s+, s) maps onto
+    m1 & m2, fixes it and preserves every product xy with y in `factors`
+    (all elements by default); (1, 1) is a two-sided identity of U x S;
+    x (1, 1) y = xy in the extended product."""
+    m, ident, t = ctx.m, ctx.identity, sd.table
+    els = t.elements
+    factors = els if factors is None else factors
+
+    def prod(x, y):
+        (u, s), (v, w) = x, y
+        return (m.mul(u, act(s, v)), m.mul(s, w))
+
+    def r(x):
+        u, s = x
+        return (m.mul(act(ident, u), act.splus(s)), s)
+    image = {els[i] for i in sd.mm}
+    retraction = all(r(x) in image for x in els) and all(r(x) == x for x in image) \
+        and all(r(prod(x, y)) == prod(r(x), r(y)) for x in els for y in factors)
+    one = (ident, ident)
+    monoid = one in t.index and all(prod(one, x) == x == prod(x, one) for x in els)
+    u1, s1 = ctx.u1(), ctx.s1()
+    mid = all(m.mul(m.mul(u, act.splus(s)), act(s, v)) == m.mul(u, act(s, v))
+              for u in u1 for s in s1 for v in u1)
+    return retraction, monoid, mid

@@ -1,21 +1,28 @@
 """The pair checks against the definitions read literally (conftest): random
-small pairs with planted action faults and coarser congruences, and
-catalogue pairs whose generator hints are wrong."""
+small pairs with planted action faults and coarser congruences, catalogue
+pairs whose generator hints are wrong, the pair closure on integer codes
+against the closure over (u, s) tuples, and the left-restriction identities
+against their scan over all pairs."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from actionpairs import actionpair as ap
 from actionpairs import ptrans, registry
 from actionpairs.actionpair import (ActionTable, AmbientContext,
                                     check_pair_from_plus,
                                     check_special_congruence, check_weak_pair,
-                                    omega_check, semidirect, theta_and_friends)
+                                    omega_check, proper_cover, semidirect,
+                                    theta_and_friends)
 from actionpairs.fmonoid import (SizeBoundExceeded, closure_from_generators,
                                  congruence_closure, right_orbit)
 
-from conftest import naive_pair_kinds, naive_special, naive_weak_kinds
+from conftest import (naive_left_restriction, naive_pair_kinds,
+                      naive_semidirect_flags, naive_special, naive_weak_kinds,
+                      tuple_pair_closure)
 
 DEGREE = 3
 SIZE_CAP = 12       # most members of U or S: the literal scans run over S^3
@@ -75,14 +82,23 @@ def small_pairs(draw):
 
 
 def _special_matches(ctx, act, data):
-    """theta, and theta joined with a drawn pair, give the literal axioms.
-    Their congruence verdicts are compared only when the laws hold: a
-    faulty action's product on U x S need not be associative, and then
-    compatibility with generators says nothing about all elements."""
+    """The semidirect flags, theta and theta joined with a drawn pair give
+    the literal ones.  The monoid flag and the congruence verdicts are
+    compared only when the laws hold, and the retraction is checked on
+    products by generators otherwise: a faulty action's product on U x S
+    need not be associative, and then what holds on generators says
+    nothing about all elements."""
     try:
         sd = semidirect(ctx, act)
     except (KeyError, ValueError, SizeBoundExceeded):
         return          # a faulty action's products need not stay in U x S
+    retraction, monoid, mid = naive_semidirect_flags(ctx, act, sd)
+    assert sd.mid_identity_ok == mid
+    if act.pair_report().weak:
+        assert (sd.retraction_ok, sd.is_monoid) == (retraction, monoid)
+    else:
+        gens = [sd.table.elements[g] for g in sd.table.gens]
+        assert sd.retraction_ok == naive_semidirect_flags(ctx, act, sd, gens)[0]
     theta = theta_and_friends(ctx, act, sd).theta
     ids = st.integers(0, sd.table.size - 1)
     spans = [(cls[0], x) for cls in theta.classes() for x in cls[1:]]
@@ -178,3 +194,138 @@ def test_single_entry_faults_match_the_definitions(u_kind, s_kind):
                 theta = theta_and_friends(ctx, hand, sd).theta
                 got = check_special_congruence(ctx, hand, sd, theta)
                 assert got.axioms == naive_special(ctx, hand, sd, theta)[1], (s, u, v)
+
+
+def test_action_values_outside_u1_are_reported():
+    # every one-entry change of (E,T) c1 n=2 to an ambient element outside
+    # U1 is an action-range failure, with the kinds of the full scans, and
+    # its closure on U x S is the tuple closure or fails like it
+    ctx = registry.catalogue_pair("c1", 2, "E", "T")
+    _, act = check_pair_from_plus(ctx)
+    u1 = ctx.u1()
+    outside = [x for x in range(ctx.m.size) if x not in u1]
+    pairs = ap._shortlex_pairs(ctx.m, ctx.u_list(), ctx.s_list())
+    size = len(pairs)
+    for s in ctx.s_list():
+        for u in u1:
+            for w in outside:
+                hand = ActionTable(ctx, {**act.table, (s, u): w})
+                got = kinds(check_weak_pair(ctx, hand))
+                assert "action-range" in got
+                assert got == naive_weak_kinds(ctx, hand.table), (s, u, w)
+                _closure_matches(ctx, hand, pairs, None, size)
+
+
+TABLE_FIELDS = ("elements", "gens", "right", "nf", "parent", "identity")
+
+
+def _closure_matches(ctx, act, candidates, identity_hint, size):
+    """`_pair_closure` on integer codes builds the tuple closure's table, or
+    both raise ValueError."""
+    try:
+        want = tuple_pair_closure(ctx, act, candidates, identity_hint, size)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ap._pair_closure(ctx, act, candidates, identity_hint, size, "test")
+        return
+    got = ap._pair_closure(ctx, act, candidates, identity_hint, size, "test")
+    for name in TABLE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.index == want.index
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pairs(), st.data())
+def test_pair_closure_matches_the_tuple_closure(ctx, data):
+    # U x S and the cover's pairs u = u s+ of U1 x S1, for the pair's own
+    # action and for one entry changed to any ambient element
+    m, ident = ctx.m, ctx.identity
+    _, act = check_pair_from_plus(ctx)
+    u1, s1, ulist, slist = ctx.u1(), ctx.s1(), ctx.u_list(), ctx.s_list()
+    base = dict(act.table) if act is not None else \
+        {(s, u): u for s in slist for u in u1}
+    entry = (data.draw(st.sampled_from(slist)), data.draw(st.sampled_from(u1)))
+    for table in (base, {**base, entry: data.draw(st.integers(0, m.size - 1))}):
+        hand = ActionTable(ctx, table)
+        hint = None
+        if ident in ctx.u_set and ident in ctx.s_set and all(
+                m.mul(u, hand.splus(s)) == u for u in ulist for s in slist):
+            hint = (ident, ident)
+        _closure_matches(ctx, hand, ap._shortlex_pairs(m, ulist, slist), hint,
+                         len(ulist) * len(slist))
+        members = {(u, s) for u in u1 for s in s1
+                   if hand.splus(s) in u1 and u == m.mul(u, hand.splus(s))}
+        _closure_matches(ctx, hand, [c for c in ap._shortlex_pairs(m, u1, s1)
+                                     if c in members],
+                         (ident, ident), len(members))
+
+
+@pytest.mark.parametrize("base", ["c1", "c2", "sl2"])
+def test_catalogue_pair_tables_are_the_tuple_closures(base):
+    # the semidirect tables and cover carriers at n=2 against the closure
+    # over (u, s) tuples of the same generators
+    for spec in registry.catalogue_specs(2):
+        ctx = registry.catalogue_pair(base, 2, spec["u"], spec["s"])
+        _, act = check_pair_from_plus(ctx)
+        m = ctx.m
+
+        def prod(x, y):
+            (u, s), (v, t) = x, y
+            return (m.mul(u, act(s, v)), m.mul(s, t))
+        for got in (semidirect(ctx, act).table, proper_cover(ctx, act).cover_table):
+            els = got.elements
+            hint = els[0] if got.nf[0] == () else None
+            want = closure_from_generators([els[g] for g in got.gens], prod,
+                                           identity_hint=hint)
+            for name in TABLE_FIELDS:
+                assert getattr(got, name) == getattr(want, name), (spec, name)
+
+
+@pytest.mark.parametrize("base,u_kind,s_kind,holds", [
+    ("c1", "E", "T", True), ("c1", "SingE", "SingT", True),
+    ("c1", "M0n", "PT", True), ("c1", "M0n", "SingPT", True),
+    ("c2", "E", "G", True), ("c2", "M0n", "SingT", False)])
+def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, holds):
+    # the cover's product set under (u, s)+ = (u, 1), as it is and with one
+    # value x+ moved to another projection p with px = x (so that only the
+    # last two identities can fail), to another carrier element, or off the
+    # product set
+    ctx = registry.catalogue_pair(base, 2, u_kind, s_kind)
+    _, act = check_pair_from_plus(ctx)
+    cov = proper_cover(ctx, act)
+    carrier, cid = cov.cover_table, cov.cover_table.index
+    cset = sorted(cov.psi)
+    plus_of = {i: cid[(carrier.elements[i][0], ctx.identity)] for i in cset}
+    assert ap._left_restriction_laws(carrier, cset, plus_of) is holds
+    assert naive_left_restriction(carrier, cset, plus_of) is holds
+    off = [x for x in range(carrier.size) if x not in plus_of]
+    projections = sorted(set(plus_of.values()))
+    verdicts = []
+    for k, x in enumerate(cset):
+        for y in [p for p in projections if carrier.mul(p, x) == x] + \
+                [cset[(k + 1) % len(cset)]] + off[k:k + 1]:
+            fault = {**plus_of, x: y}
+            want = naive_left_restriction(carrier, cset, fault)
+            assert ap._left_restriction_laws(carrier, cset, fault) == want, (x, y)
+            verdicts.append(want)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("kind", [("T", 2), ("E", 2), ("PT", 2), ("T", 3)])
+def test_left_restriction_laws_match_the_literal_scan_on_random_unary_maps(kind):
+    # unary maps on random carriers of at most six elements, into the
+    # idempotents, the carrier or everything, where each identity also
+    # fails alone (x+y+ = y+x+ in 6 of PT2's 8,000 draws)
+    t = registry.ptrans_table(*kind)
+    everything = list(range(t.size))
+    idempotents = [e for e in everything if t.mul(e, e) == e]
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(8000):
+        carrier = rng.sample(everything, rng.randint(1, min(t.size, 6)))
+        pool = rng.choice([idempotents, everything, carrier])
+        plus_of = {x: rng.choice(pool) for x in carrier}
+        want = naive_left_restriction(t, carrier, plus_of)
+        assert ap._left_restriction_laws(t, carrier, plus_of) == want, plus_of
+        verdicts.add(want)
+    assert verdicts == {True, False}
