@@ -16,7 +16,10 @@ finds its own: `CayleyTable.__init__` detects it.
 Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
-traces every relation column by column over the compacted graph.
+traces every relation column by column over the compacted graph.  A closed
+graph only ever shows a finite monoid; for verification, a completed
+rewriting system (`rewriting`) run once at a quarter of the node budget
+can show an infinite one.
 
 The closure layer has three routines.  `right_orbit` closes seeds under
 right multiplication by generators, optionally with shortlex words;
@@ -51,15 +54,17 @@ class BoundExceeded(Exception):
     """Raised by enumerate_presentation.
 
     undecided=True means the node budget ran out (no finiteness claim);
-    undecided=False means enumeration finished but the monoid is larger
-    than the requested bound, with its actual size in `size`.
+    undecided=False means the monoid is larger than the requested bound:
+    enumeration finished with its actual size in `size`, or a confluent
+    rewriting system certified it infinite (`infinite`, `size` None).
     """
 
-    def __init__(self, msg, *, undecided, size=None, nodes=None):
+    def __init__(self, msg, *, undecided, size=None, nodes=None, infinite=False):
         super().__init__(msg)
         self.undecided = undecided
         self.size = size
         self.nodes = nodes
+        self.infinite = infinite
 
 
 class NotACongruence(Exception):
@@ -660,12 +665,6 @@ def _bfs_words(right, gens, identity):
 BUDGET_FACTOR = 60
 
 
-def set_node_cap(value: int) -> None:
-    """Override the default enumeration budget for the rest of the process."""
-    global NODE_CAP
-    NODE_CAP = int(value)
-
-
 def node_budget(bound: int, cap: Optional[int] = None) -> int:
     """Nodes an enumeration up to `bound` elements may create: the cap
     (NODE_CAP by default), lowered to BUDGET_FACTOR * bound + 1000."""
@@ -676,7 +675,8 @@ def node_budget(bound: int, cap: Optional[int] = None) -> int:
 
 def enumerate_presentation(p: Presentation, bound: int, *,
                            node_cap: Optional[int] = None,
-                           stats: Optional[dict] = None) -> CayleyTable:
+                           stats: Optional[dict] = None,
+                           _complete_at_mark: bool = False) -> CayleyTable:
     """Enumerate the monoid/semigroup presented by `p` when it has <= bound elements.
 
     One construction pass builds the right Cayley graph by HLT-style
@@ -692,12 +692,17 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     materialised; call `full_table()` for one.
 
     `node_cap` is the exact node budget (default `node_budget(bound)`);
-    `stats`, when given, receives the number of nodes created.
+    `stats`, when given, receives the number of nodes created.  With
+    `_complete_at_mark` (set by `verify_presentation` only), the node count
+    reaching `node_cap // 4` runs a Knuth-Bendix completion once, which
+    either certifies the monoid infinite (BoundExceeded with `infinite`)
+    or lets the enumeration go on; `stats["completion"]` receives it.
     """
     if node_cap is None:
         node_cap = node_budget(bound)
     nl = len(p.alphabet)
     rels = p.relations
+    limit = node_cap // 4 if _complete_at_mark else node_cap
 
     rows: list[list[int]] = [[-1] * nl]
     uf = [0]
@@ -709,10 +714,22 @@ def enumerate_presentation(p: Presentation, bound: int, *,
         return x
 
     def new_node():
+        nonlocal limit
         n = len(uf)
-        if n >= node_cap:
-            raise BoundExceeded(f"node budget {node_cap} exhausted",
-                                undecided=True, nodes=n)
+        if n >= limit:
+            if limit == node_cap:
+                raise BoundExceeded(f"node budget {node_cap} exhausted",
+                                    undecided=True, nodes=n)
+            limit = node_cap
+            # imported here: enumerations that close never reach the mark,
+            # so most runs never load (or compile) the module
+            from . import rewriting
+            c = rewriting.complete(rels)
+            if stats is not None:
+                stats["completion"] = c
+            if c.confluent and rewriting.count_normal_forms(c.rules, nl) is None:
+                raise BoundExceeded("presented monoid is infinite",
+                                    undecided=False, nodes=n, infinite=True)
         uf.append(n)
         rows.append([-1] * nl)
         return n
@@ -836,6 +853,9 @@ class VerificationReport:
     failed_relation: Optional[tuple[Word, Word]] = None
     nodes: Optional[int] = None         # nodes the enumeration created
     node_budget: Optional[int] = None   # the node budget it was given
+    infinite: bool = False              # certified infinite by completion
+    completion_rules: Optional[int] = None     # rules the completion added
+    completion_overlaps: Optional[int] = None  # overlaps it examined
 
     @property
     def ok(self) -> bool:
@@ -858,6 +878,9 @@ class VerificationReport:
                 if self.failed_relation else None,
             "nodes": self.nodes,
             "node_budget": self.node_budget,
+            "infinite": self.infinite,
+            "completion_rules": self.completion_rules,
+            "completion_overlaps": self.completion_overlaps,
         }
 
 
@@ -882,6 +905,23 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     table is also matched to `m` letter by letter (`iso_by_generators`).
     The enumeration gets `node_budget(bound, node_cap)` nodes; the report
     records that budget and the nodes created.
+
+    A closed enumeration can only show a finite monoid, and dropping a
+    relation often leaves an infinite one, so the schedule is:
+      1. enumerate up to a quarter of the budget (every catalogue
+         presentation that closes does so well below it);
+      2. at that mark, run one shortlex Knuth-Bendix completion under the
+         fixed budget of `rewriting` (rules added, left-side length);
+      3. unless it certified the monoid infinite, continue the same
+         enumeration, from where it stopped, up to the full budget.
+    Proof sketch for step 2: a completion that resolves every overlap is a
+    confluent, terminating rewriting system for the same congruence, so
+    each element has exactly one irreducible word; the irreducible words
+    are those avoiding every left side, and a cycle of the left sides'
+    Aho-Corasick automaton that is reachable from the start without a
+    match spells infinitely many of them.  Then size_match is False,
+    presented_size stays None and `infinite` is set; the rules added and
+    overlaps examined are reported whenever the completion ran.
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
@@ -909,12 +949,14 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     rep.node_budget = node_budget(bound, node_cap)
     stats: dict = {}
     try:
-        t = enumerate_presentation(p, bound, node_cap=rep.node_budget, stats=stats)
+        t = enumerate_presentation(p, bound, node_cap=rep.node_budget, stats=stats,
+                                   _complete_at_mark=True)
         rep.nodes = stats["nodes"]
         rep.presented_size = t.size
         rep.size_match = t.size == m.size
     except BoundExceeded as e:
         rep.nodes = e.nodes
+        rep.infinite = e.infinite
         if e.undecided:
             rep.size_match = None       # inconclusive, never success
             rep.presented_size = None
@@ -922,6 +964,10 @@ def verify_presentation(p: Presentation, m: CayleyTable,
             rep.size_match = False
             rep.presented_size = e.size
         return rep
+    finally:
+        if "completion" in stats:
+            rep.completion_rules = stats["completion"].added
+            rep.completion_overlaps = stats["completion"].overlaps
 
     if rep.ok:
         pairs = list(zip(t.gens, gen_map))

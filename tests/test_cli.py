@@ -136,19 +136,35 @@ def test_classify_pair_bad_inputs(capsys):
 def test_node_cap_env_override(capsys, monkeypatch):
     import actionpairs.fmonoid as fm
     old = fm.NODE_CAP
-    try:
-        monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "12345")
-        code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
-                             "--n", "2")
-        assert rep["config"]["node_cap"] == 12345
-        # a starved budget forces the inconclusive exit, never a pass
-        monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "40")
-        code, rep = run_json(capsys, "verify-presentation", "--family", "Tn",
-                             "--n", "4")
-        assert code == cli.EXIT_BOUND
-        assert rep["verdicts"]["size_match"] is None
-    finally:
-        fm.set_node_cap(old)
+    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "12345")
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "2")
+    assert rep["config"]["node_cap"] == 12345
+    # a starved budget forces the inconclusive exit, never a pass
+    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "40")
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Tn",
+                         "--n", "4")
+    assert code == cli.EXIT_BOUND
+    assert rep["verdicts"]["size_match"] is None
+    assert fm.NODE_CAP == old
+
+
+def test_certified_infinite_presentation_exits_1(capsys, monkeypatch):
+    import dataclasses
+    from actionpairs import presentations as pr
+    from actionpairs.fmonoid import Presentation
+    gn3 = pr.build_catalog("Gn", n=3)
+    # without the braid relation the involutions generate Z2 * Z2
+    free = Presentation.make(gn3.pres.alphabet, gn3.pres.relations[:2])
+    monkeypatch.setattr(pr, "build_catalog",
+                        lambda *a, **kw: dataclasses.replace(gn3, pres=free))
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "3")
+    ver = rep["verdicts"]
+    assert code == cli.EXIT_FAIL
+    assert ver["infinite"] is True and ver["size_match"] is False
+    assert ver["presented_size"] is None and ver["nodes"] == ver["node_budget"] // 4
+    assert ver["completion_rules"] == 2 and ver["completion_overlaps"] == 2
 
 
 def test_bound_applies_to_its_run_only(capsys):

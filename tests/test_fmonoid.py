@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actionpairs import ptrans
+from actionpairs import ptrans, rewriting
 from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition,
                                  NotACongruence, Presentation, SizeBoundExceeded,
                                  associativity_audit, closure_from_generators,
@@ -15,6 +15,7 @@ from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition
                                  normal_form, quotient, subtable,
                                  table_from_elements, table_presentation,
                                  verify_presentation)
+from actionpairs.presentations import build_catalog
 from actionpairs.registry import monoid_table, ptrans_table
 
 from conftest import brute_closure, brute_congruence, all_total_maps
@@ -232,7 +233,14 @@ def test_verify_presentation_inconclusive_never_success(monkeypatch):
     idx = {w: i for i, w in enumerate(g3.elements)}
     gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
     rep = verify_presentation(p, g3, gm)
+    # Z2 * Z2 is infinite: the completion at a quarter of the budget says so
+    assert not rep.ok and rep.size_match is False and rep.infinite
+    assert rep.presented_size is None and rep.nodes == rep.node_budget // 4
+    # Tn(4) overruns the completion's rule budget, so at 40 nodes the
+    # enumeration runs out: inconclusive, never success
+    rep = build_catalog("Tn", n=4).verify(node_cap=40)
     assert rep.size_match is None and not rep.ok and rep.inconclusive
+    assert not rep.infinite and rep.completion_rules == rewriting.MAX_RULES
 
 
 def test_verify_reports_nodes_and_the_budget_applied():
@@ -246,7 +254,11 @@ def test_verify_reports_nodes_and_the_budget_applied():
     # an explicit cap lowers the budget for this call only
     free = Presentation.make(["s1", "s2"], [((0, 0), ()), ((1, 1), ())], "monoid")
     rep = verify_presentation(free, g3, gm, node_cap=40)
-    assert rep.inconclusive and rep.nodes == rep.node_budget == 40
+    assert not rep.ok and rep.size_match is False and rep.infinite
+    assert rep.node_budget == 40 and rep.nodes == 40 // 4
+    d = rep.to_dict()
+    assert d["infinite"] and d["presented_size"] is None
+    assert (d["completion_rules"], d["completion_overlaps"]) == (2, 2)
     assert verify_presentation(free, g3, gm).node_budget == 3400
 
 

@@ -1,0 +1,152 @@
+"""Knuth–Bendix completion and the normal-form count, against enumeration
+and against the plain definitions."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from actionpairs import presentations as pr
+from actionpairs import rewriting
+from actionpairs.fmonoid import BoundExceeded, Presentation, enumerate_presentation
+from actionpairs.registry import monoid_table
+
+
+def _has_factor(word, factor):
+    n = len(factor)
+    return any(word[i:i + n] == factor for i in range(len(word) - n + 1))
+
+
+def _normal_form(rules, word):
+    """Rewrite the leftmost-ending left side until none occurs."""
+    word = tuple(word)
+    while True:
+        for lhs, rhs in rules.items():
+            for i in range(len(word) - len(lhs) + 1):
+                if word[i:i + len(lhs)] == lhs:
+                    word = word[:i] + rhs + word[i + len(lhs):]
+                    break
+            else:
+                continue
+            break
+        else:
+            return word
+
+
+def _window_count(lefts, nletters):
+    """Irreducible words through their last m - 1 letters (m the longest
+    left side), which decide whether the next letter ends a left side: the
+    count, or None when a window recurs along a path."""
+    m = max(map(len, lefts))
+    count, path = {}, set()
+
+    def visit(s):
+        if s in path:
+            raise OverflowError
+        if s not in count:
+            path.add(s)
+            total = 1
+            for c in range(nletters):
+                w = s + (c,)
+                if not any(w[len(w) - len(lhs):] == lhs
+                           for lhs in lefts if len(lhs) <= len(w)):
+                    total += visit(w[max(0, len(w) - (m - 1)):])
+            path.discard(s)
+            count[s] = total
+        return count[s]
+
+    try:
+        return visit(())
+    except OverflowError:
+        return None
+
+
+def _assert_complete(relations, c):
+    """Interreduced, equivalent to the relations, and every overlap of two
+    left sides resolves (an interreduced system has no other critical
+    pairs)."""
+    rules = c.rules
+    for lhs, rhs in rules.items():
+        assert (len(rhs), rhs) < (len(lhs), lhs)
+        assert _normal_form(rules, rhs) == rhs
+        assert not any(other != lhs and _has_factor(lhs, other) for other in rules)
+    for u, v in relations:
+        assert _normal_form(rules, u) == _normal_form(rules, v)
+    for a, ra in rules.items():
+        for b, rb in rules.items():
+            for k in range(1, min(len(a), len(b))):
+                if a[len(a) - k:] == b[:k]:                      # a = xy, b = yz
+                    assert _normal_form(rules, ra + b[k:]) == \
+                        _normal_form(rules, a[:len(a) - k] + rb)
+
+
+words = st.lists(st.integers(0, 2), min_size=0, max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.lists(st.tuples(words.filter(bool), words),
+                                   min_size=1, max_size=4))
+def test_completion_agrees_with_enumeration(nletters, rels):
+    rels = [(tuple(x % nletters for x in u), tuple(x % nletters for x in v))
+            for u, v in rels]
+    p = Presentation.make([str(i) for i in range(nletters)], rels)
+    c = rewriting.complete(p.relations)
+    if not c.confluent:
+        return
+    _assert_complete(p.relations, c)
+    count = rewriting.count_normal_forms(c.rules, nletters)
+    try:
+        size = enumerate_presentation(p, 2000, node_cap=4000).size
+    except BoundExceeded as e:
+        # a presentation certified infinite never closes within its budget
+        assert count is not None or e.undecided
+        size = e.size
+    if count is None:
+        assert size is None
+    elif size is not None:
+        assert count == size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(st.lists(st.integers(0, 2), min_size=1,
+                                            max_size=4).map(tuple),
+                                   min_size=1, max_size=4))
+@example(2, [(0,), (1, 1), (1, 0, 0)])     # state 10 matches through its suffix 0
+def test_count_matches_the_words_avoiding_every_left_side(nletters, lefts):
+    lefts = [tuple(x % nletters for x in w) for w in lefts]
+    assert rewriting.count_normal_forms(lefts, nletters) == \
+        _window_count(lefts, nletters)
+
+
+def test_small_groups_and_the_free_product():
+    z2z2 = [((0, 0), ()), ((1, 1), ())]
+    s3 = z2z2 + [((1, 0, 1), (0, 1, 0))]
+    d8 = z2z2 + [((0, 1) * 4, ())]
+    for rels, size in ((z2z2, None), (s3, 6), (d8, 8)):
+        c = rewriting.complete(rels)
+        assert c.confluent and c.overlaps > 0
+        assert rewriting.count_normal_forms(c.rules, 2) == size
+
+
+def test_budget_is_a_count_of_rules():
+    # the positive braid monoid on two letters has no finite shortlex
+    # completion: the budget stops it after the same number of rules
+    c = rewriting.complete([((1, 0, 1), (0, 1, 0))])
+    assert not c.confluent and c.added <= rewriting.MAX_RULES
+    assert c == rewriting.complete([((1, 0, 1), (0, 1, 0))])
+
+
+@pytest.fixture(scope="module")
+def catalogue_bundles():
+    return {"Gn(5)": pr.build_catalog("Gn", n=5),
+            "M0n(c2,3)": pr.build_catalog("M0n", n=3, base=monoid_table("c2"))}
+
+
+@pytest.mark.parametrize("label,j", [("Gn(5)", j) for j in range(4)] +
+                         [("M0n(c2,3)", j) for j in (12, 13, 17, 18, 22, 23)])
+def test_catalogue_drops_count_the_enumerated_size(catalogue_bundles, label, j):
+    b = catalogue_bundles[label]
+    rels = [r for i, r in enumerate(b.pres.relations) if i != j]
+    p = Presentation.make(b.pres.alphabet, rels, b.pres.kind)
+    c = rewriting.complete(p.relations)
+    assert c.confluent
+    t = enumerate_presentation(p, 4 * b.target.size + 16)
+    assert rewriting.count_normal_forms(c.rules, len(p.alphabet)) == t.size
