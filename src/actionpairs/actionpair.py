@@ -44,10 +44,8 @@ class HypothesisFailed(Exception):
 class AmbientContext:
     """A candidate pair inside an ambient monoid table.
 
-    plus maps each member of S to an element of U1.  u_gens/s_gens are
-    optional hints (ambient ids) for generating sets of U and S.  They are
-    certified before use (`gens`), so a hint that does not generate, or
-    names ids outside the set, costs time but never changes a verdict.
+    U and S are nonempty sets of ambient ids closed under the product, and
+    plus maps each member of S to an element of U1.
     """
 
     m: CayleyTable
@@ -55,8 +53,6 @@ class AmbientContext:
     s_set: frozenset
     plus: dict
     name: str = ""
-    u_gens: Optional[tuple] = None
-    s_gens: Optional[tuple] = None
     _gens: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -67,6 +63,8 @@ class AmbientContext:
         self.s_set = frozenset(self.s_set)
         ident = self.m.identity
         for label, sub in (("U", self.u_set), ("S", self.s_set)):
+            if not sub:
+                raise ValueError(f"{label} of {self.name or 'the pair'} is empty")
             for a in sub:
                 for b in sub:
                     if self.m.mul(a, b) not in sub:
@@ -96,19 +94,17 @@ class AmbientContext:
         """A certified generating set of U, U1, S or S1 (as `which` names
         it) as a semigroup under the ambient product, computed once.
 
-        `greedy_generators` runs over the hint's members first and then over
-        every member.  Every member is a candidate, so the kept list
-        generates exactly the members whatever the hint says (Froidure &
-        Pin 1997).  For U1 and S1 it keeps the identity when U or S lacks
-        it, since no product of members of U or S gives it then.
+        `greedy_generators` runs over the members in ambient id order, the
+        shortlex order of their normal forms in a closure's table.  Every
+        member is a candidate, so the kept list generates exactly the
+        members (Froidure & Pin 1997).  For U1 and S1 it keeps the identity
+        when U or S lacks it, since no product of members of U or S gives
+        it then.
         """
         if which not in self._gens:
             members = {"U": self.u_list, "U1": self.u1,
                        "S": self.s_list, "S1": self.s1}[which]()
-            hint = self.u_gens if which[0] == "U" else self.s_gens
-            inside = set(members)
-            self._gens[which] = greedy_generators(
-                [g for g in hint or () if g in inside] + members, self.m.mul)
+            self._gens[which] = greedy_generators(members, self.m.mul)
         return self._gens[which]
 
     def product_set(self) -> frozenset:
@@ -641,13 +637,10 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     intersection with its retraction, the monoid verdict, and checks that
     the pair of identities is a mid-identity of the extended product.
 
-    The table is generated by a small subset of U x S picked by
-    `greedy_generators`: when U and S both contain the identity the
-    candidates start with (u, 1) over the certified generators of U and
-    (1, s) over those of S (`AmbientContext.gens`); every other pair
-    follows in shortlex order of its ambient normal forms.  No m x m table
-    is built (`_pair_closure` multiplies integer codes).  The result is
-    stored on the action, and a second call returns it.
+    The table is generated by the pairs that `greedy_generators` keeps
+    from U x S in shortlex order of their ambient normal forms.  No m x m
+    table is built (`_pair_closure` multiplies integer codes).  The result
+    is stored on the action, and a second call returns it.
 
     The checks after the closure scan only what they read:
 
@@ -674,17 +667,13 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
 
     have_units = ident in ctx.u_set and ident in ctx.s_set
     identity_hint = None
-    candidates = []
-    if have_units:
-        candidates = [(u, ident) for u in ctx.gens("U") if u != ident] + \
-                     [(ident, s) for s in ctx.gens("S") if s != ident]
-        # (1, 1) is always a left identity here (the action is monoidal) but
-        # a right identity only when every u absorbs every projection
-        if all(m.mul(u, act.splus(s)) == u for u in ulist for s in slist):
-            identity_hint = (ident, ident)
-    candidates += _shortlex_pairs(m, ulist, slist)
-    table = _pair_closure(ctx, act, candidates, identity_hint,
-                          len(ulist) * len(slist), "semidirect")
+    # (1, 1) is always a left identity here (the action is monoidal) but a
+    # right identity only when every u absorbs every projection
+    if have_units and all(m.mul(u, act.splus(s)) == u
+                          for u in ulist for s in slist):
+        identity_hint = (ident, ident)
+    table = _pair_closure(ctx, act, _shortlex_pairs(m, ulist, slist),
+                          identity_hint, len(ulist) * len(slist), "semidirect")
 
     m1 = frozenset(i for i, (u, s) in enumerate(table.elements)
                    if u == m.mul(u, act.splus(s)))
@@ -1059,8 +1048,8 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     laws = {which for which, _ in act.pair_report().failures}
     composes = not laws & {"action-range", "action-composition"}
     morphic = not laws & {"action-range", "action-morphism"}
-    u_gens = ctx.gens("U")
-    s_gens = ctx.gens("S")
+    ugen = ctx.gens("U")
+    sgen = ctx.gens("S")
 
     # per u in U1, s -> the sigma class of (u, s), so that s ~u t iff the
     # two values agree; at the identity outside U each s is its own value
@@ -1101,13 +1090,13 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
 
     axioms.append(all(r[m.mul(a, g)] == r[m.mul(b, g)]
                       for u in ulist for r in (sig[u],)
-                      for a, b in links[u] for g in s_gens))
+                      for a, b in links[u] for g in sgen))
 
-    axioms.append(all(r[a] == r[b] for u in ulist for w in u_gens
+    axioms.append(all(r[a] == r[b] for u in ulist for w in ugen
                       for r in (sig[m.mul(w, u)],) for a, b in links[u]))
 
     axioms.append(all(r[m.mul(x, a)] == r[m.mul(x, b)] for u in ulist
-                      for x in (s_gens if composes else slist)
+                      for x in (sgen if composes else slist)
                       for r in (sig[act(x, u)],) for a, b in links[u]))
 
     def twisted_ok(u, w):
@@ -1118,7 +1107,7 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
         return True
 
     axioms.append(all(twisted_ok(u, w) for u in ulist
-                      for w in (u_gens if morphic else ulist)))
+                      for w in (ugen if morphic else ulist)))
 
     for i, ok in enumerate(axioms):
         if not ok and not fails:
@@ -1160,10 +1149,8 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     operation.
 
     The carrier is generated by the members that `greedy_generators` keeps
-    from the candidates (u, 1) and (s+, s), with u and s over the certified
-    generators of U1 and S1 (`AmbientContext.gens`), then every other
-    member in shortlex order of its ambient normal forms.  Its m x m table
-    is built up to FULL_TABLE_CAP elements, since the cover pair is
+    in shortlex order of their ambient normal forms.  Its m x m table is
+    built up to FULL_TABLE_CAP elements, since the cover pair is
     classified with the carrier as its ambient.
     """
     m = ctx.m
@@ -1172,10 +1159,8 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     s1 = ctx.s1()
 
     members = {(u, s) for u in u1 for s in s1 if u == m.mul(u, act.splus(s))}
-    candidates = [(u, ident) for u in ctx.gens("U1")] + \
-                 [(act.splus(s), s) for s in ctx.gens("S1")] + \
-                 _shortlex_pairs(m, u1, s1)
-    carrier = _pair_closure(ctx, act, (c for c in candidates if c in members),
+    carrier = _pair_closure(ctx, act, (c for c in _shortlex_pairs(m, u1, s1)
+                                       if c in members),
                             (ident, ident), len(members), "cover")
     if carrier.size <= FULL_TABLE_CAP:
         carrier.full_table()
@@ -1400,12 +1385,11 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
 # Pair construction helpers
 # ---------------------------------------------------------------------------
 
-def lr_pair(table: CayleyTable, plus_of: dict, *, name: str = "",
-            s_gens: Optional[Sequence] = None) -> AmbientContext:
+def lr_pair(table: CayleyTable, plus_of: dict, *,
+            name: str = "") -> AmbientContext:
     """The (projections, everything) pair of a left restriction monoid."""
     projections = frozenset(plus_of[x] for x in range(table.size))
     return AmbientContext(table, projections,
                           frozenset(range(table.size)),
                           {s: plus_of[s] for s in range(table.size)},
-                          name=name or "projection-pair",
-                          s_gens=tuple(s_gens) if s_gens else None)
+                          name=name or "projection-pair")

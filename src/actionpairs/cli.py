@@ -6,11 +6,12 @@ an omega rule whose closure misses theta, a cover that is not onto or not
 proper, or an embedding whose hypotheses hold that is not injective or not
 a homomorphism; unmet hypotheses are reported and still pass), 2 bad input
 (a KeyError, ValueError, BadParams or OSError, such as an unknown name, a
---bound or ACTIONPAIR_NODE_CAP that is not a positive integer, a missing
---monoid or algebra file, or an algebra file that is not an independence
-algebra), 3 enumeration budget or size cap exceeded without a verdict, 4
-internal error (any other exception: the JSON `error` names its type and
-the traceback goes to stderr).  Reports are schema "v1" and embed the run
+--bound or ACTIONPAIR_NODE_CAP that is not a positive integer, a pair
+whose U or S is empty, a missing or malformed --monoid or algebra file, or
+an algebra file that is not an independence algebra), 3 enumeration budget
+or size cap exceeded without a verdict, 4 internal error (any other
+exception: the JSON `error` names its type and the traceback goes to
+stderr).  Reports are schema "v1" and embed the run
 configuration: the table cap, and for verify-presentation also the node cap
 requested for this run (through --bound or the ACTIONPAIR_NODE_CAP
 environment variable; neither changes the library's default for later

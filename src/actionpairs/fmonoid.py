@@ -251,15 +251,20 @@ class CayleyTable:
     def from_json(text: str) -> "CayleyTable":
         """Load a table written by `to_json`, validated before use.
 
-        Raises ValueError unless every table entry and generator is an
-        element id, every normal form evaluates to its own element (the
-        empty word marking an identity), every column agrees with the
-        product by its generator, and the product is associative
-        (`associativity_audit`).  When no word is empty, the identity is
-        the one the table detects on construction.
+        Raises ValueError unless the document is an object whose gens,
+        table and nf are lists (table and nf of lists), every table entry
+        and generator is an element id, every normal form evaluates to its
+        own element (the empty word marking an identity), every column
+        agrees with the product by its generator, and the product is
+        associative (`associativity_audit`).  When no word is empty, the
+        identity is the one the table detects on construction.
         """
         d = json.loads(text)
-        size = d["size"]
+        if not (isinstance(d, dict)
+                and all(isinstance(d.get(k), list) for k in ("gens", "table", "nf"))
+                and all(isinstance(r, list) for r in d["table"] + d["nf"])):
+            raise ValueError("a table is an object with lists gens, table and nf")
+        size = d.get("size")
         gens = list(d["gens"])
         right = [list(r) for r in d["table"]]
         nf = [tuple(w) for w in d["nf"]]

@@ -57,13 +57,23 @@ class AlgebraInstance:
 
     @staticmethod
     def from_dict(d: dict) -> "AlgebraInstance":
+        """An algebra from `to_dict`'s shape; raises ValueError unless d is
+        an object with an int carrier and a list of ops, each an object
+        with an int arity and a table of ints (a lone int for arity 0)."""
+        def ints(xs):
+            return all(type(x) is int for x in xs)
+
+        if not (isinstance(d, dict) and isinstance(d.get("ops"), list)
+                and ints([d.get("carrier")])):
+            raise ValueError("an algebra is an object with an int carrier and a list of ops")
         ops = []
         for entry in d["ops"]:
-            arity = entry["arity"]
-            flat = entry["table"]
-            if isinstance(flat, int):
+            flat = entry.get("table") if isinstance(entry, dict) else None
+            if type(flat) is int:
                 flat = [flat]
-            ops.append(Operation(arity, tuple(flat)))
+            if not (isinstance(flat, list) and ints([entry.get("arity")] + flat)):
+                raise ValueError("an operation is an int arity and a table of ints")
+            ops.append(Operation(entry["arity"], tuple(flat)))
         return AlgebraInstance(d["carrier"], ops)
 
     def to_dict(self) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
-from typing import Optional
 
 from . import ptrans, wreath
 from .actionpair import ActionTable, AmbientContext
@@ -123,33 +122,6 @@ def subset_ids(amb: CayleyTable, kind: str, n: int) -> frozenset:
     raise KeyError(f"unknown subset kind {kind!r}")
 
 
-def _embedded_gens(amb: CayleyTable, kind: str, n: int) -> Optional[tuple]:
-    """Ambient ids of natural generators for a named subset, when known."""
-    base = amb.elements[0].tup.base
-    try:
-        if kind in ("E", "SingE"):
-            pts = set(range(1, n + 1))
-            gens = [wreath.embed_pmap(base, ptrans.id_on(pts - {i}, n))
-                    for i in range(1, n + 1)]
-        elif kind in ("T", "G", "I", "PT", "SingT", "SingPT"):
-            gens = wreath.wreath_gens(base, kind, n)
-        elif kind == "M0n":
-            gens = [wreath.embed_tuple(wreath.unit_tuple(base, n, i, g))
-                    for i in range(1, n + 1) for g in base.gens] + \
-                   [wreath.embed_pmap(base, ptrans.id_on(
-                       set(range(1, n + 1)) - {i}, n)) for i in range(1, n + 1)]
-        elif kind == "Mn":
-            gens = [wreath.embed_tuple(wreath.unit_tuple(base, n, i, g))
-                    for i in range(1, n + 1) for g in base.gens]
-        else:
-            return None
-    except ptrans.BadParams:
-        return None
-    if gens is None:
-        return None
-    return tuple(amb.index[g] for g in gens)
-
-
 def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
               name: str = "") -> AmbientContext:
     """A catalogue pair inside a wreath ambient; the projection data is the
@@ -163,25 +135,12 @@ def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
         if s_kind in ("PT", "I", "SingPT", "SingI"):
             raise ValueError(f"semilattice pairs need total families, got {s_kind}")
         s_ids = subset_ids(amb, s_kind, n)
-        s_gens = _embedded_gens(amb, s_kind, n)
     else:
         s_ids = subset_ids(amb, f"pmap:{s_kind}", n)
-        s_gens = _embedded_pmap_gens(amb, s_kind, n)
     plus_all = ambient_plus_map(amb)
     plus = {s: plus_all[s] for s in s_ids}
     return AmbientContext(amb, u_ids, s_ids, plus,
-                          name=name or f"({u_kind},{s_kind}) n={n}",
-                          u_gens=_embedded_gens(amb, u_kind, n),
-                          s_gens=s_gens)
-
-
-def _embedded_pmap_gens(amb: CayleyTable, kind: str, n: int) -> Optional[tuple]:
-    try:
-        gens = ptrans.family_gens(kind, n)
-    except ptrans.BadParams:
-        return None
-    base = amb.elements[0].tup.base
-    return tuple(amb.index[wreath.embed_pmap(base, g)] for g in gens)
+                          name=name or f"({u_kind},{s_kind}) n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +238,7 @@ def omega_inputs(ctx: AmbientContext, act: ActionTable, rule: str,
             else:
                 # degree one: the fibre over the empty set identifies
                 # everything, so relate every generator to the identity
-                om[v] = [(s, ident) for s in (ctx.s_gens or ctx.s_list())]
+                om[v] = [(s, ident) for s in ctx.gens("S")]
         if s_kind == "G":
             for i, j in itertools.combinations(sorted(pts), 2):
                 v = emb(ptrans.id_on(pts - {i, j}, n))

@@ -236,7 +236,7 @@ def test_semidirect_and_theta_are_stored_on_the_action():
 
 
 def test_semidirect_without_units_is_generated_by_few_pairs():
-    # S lacks the identity, so no (1, s) candidates exist; U x S has 567 pairs
+    # S lacks the identity, yet pruning keeps few of the 567 pairs of U x S
     ctx = catalogue_pair("c2", 3, "M0n", "SingT")
     rep, act = check_pair_from_plus(ctx)
     sd = semidirect(ctx, act)

@@ -131,6 +131,12 @@ def test_classify_pair_bad_inputs(capsys):
     code, _ = run(capsys, "classify-pair", "--ambient", "PT2",
                   "--U", "E3", "--S", "T")
     assert code == cli.EXIT_BAD_INPUT
+    # SingT_1 is empty
+    for u in ("E", "M0n"):
+        code, rep = run_json(capsys, "classify-pair", "--ambient", "PT1",
+                             "--U", u, "--S", "SingT")
+        assert code == cli.EXIT_BAD_INPUT
+        assert "S of" in rep["error"] and "is empty" in rep["error"]
 
 
 def test_node_cap_env_override(capsys, monkeypatch):
@@ -233,6 +239,19 @@ def test_non_associative_monoid_file_is_bad_input(capsys, tmp_path):
     assert "associative" in rep["error"]
 
 
+@pytest.mark.parametrize("doc", [
+    [],
+    {"size": 1, "gens": [0], "table": [[0]], "nf": [5]},
+    {"size": 1, "gens": [0], "table": 5, "nf": [[]]},
+])
+def test_malformed_monoid_file_is_bad_input(capsys, tmp_path, doc):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "verify-presentation", "--family", "Mn",
+                  "--n", "2", "--monoid", str(path))
+    assert code == cli.EXIT_BAD_INPUT
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -254,6 +273,17 @@ def test_unusable_algebra_files_are_bad_input_or_over_the_cap(capsys, tmp_path):
     code, _ = run(capsys, "verify-presentation", "--family", "SubA",
                   "--instance", str(tmp_path / "missing.json"))
     assert code == cli.EXIT_BAD_INPUT
+    # malformed shapes, and values that are not ints (a float or a bool)
+    for doc in ([], {"carrier": 2, "ops": 5}, {"carrier": 2.5, "ops": []},
+                {"carrier": 2, "ops": [{"arity": "x", "table": [0, 1]}]},
+                {"carrier": 2, "ops": [{"arity": 1, "table": ["a", 1]}]},
+                {"carrier": 2, "ops": [{"arity": 1, "table": [0, 1.0]}]},
+                {"carrier": 2, "ops": [{"arity": 1, "table": [0, True]}]},
+                {"carrier": 2, "ops": [5]}):
+        path.write_text(json.dumps(doc))
+        code, _ = run(capsys, "verify-presentation", "--family", "SubA",
+                      "--instance", str(path))
+        assert code == cli.EXIT_BAD_INPUT, doc
     path.write_text(json.dumps({"carrier": 10,
                                 "ops": [{"arity": 1, "table": list(range(10))}]}))
     code, _ = run(capsys, "verify-presentation", "--family", "SubA",
