@@ -538,6 +538,28 @@ def _classified(ctx: AmbientContext, act: ActionTable) -> PairReport:
     return rep
 
 
+# The failure kinds that make an action no weak pair: the action laws,
+# compatibility, and a reconstruction that depends on the witness chosen.
+_LAW_KINDS = frozenset({"action-range", "action-composition", "action-morphism",
+                        "compatibility", "action-ill-defined"})
+
+
+def _require_laws(act: ActionTable, stage: str) -> None:
+    """Refuse an action that fails its laws, naming the failed kinds.
+
+    `semidirect`, `theta_and_friends`, `check_special_congruence`,
+    `proper_cover` and `embed_central` assume an action pair: S acts on U1
+    by morphisms, compatibly with the product, which is what makes U x S a
+    semigroup.  On any other action none of their results means anything,
+    so each calls this first and raises `HypothesisFailed`.
+    """
+    rep = act.pair_report()
+    if not rep.weak:
+        failed = sorted({which for which, _ in rep.failures} & _LAW_KINDS)
+        raise HypothesisFailed(f"{stage} needs an action satisfying its laws; "
+                               f"failed: {', '.join(failed)}")
+
+
 # ---------------------------------------------------------------------------
 # Semidirect products
 # ---------------------------------------------------------------------------
@@ -560,25 +582,22 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
     The closure runs on integer codes: (u, s) in U1 x S1 is iu*|S1| + is.
     A kept generator (v, t) gets a column, the code of (u, s)(v, t) for
     every code, built from the ambient's rows and the action the first time
-    a product needs it and dropped with the closure.  The code |U1||S1|
-    stands for every product outside U1 x S1 (an action value outside U1
-    makes one) and absorbs, so reaching it makes one element too many.
+    a product needs it and dropped with the closure.  Every action value
+    lies in U1 (the callers require the laws), so every product has a code.
     The table's `elements` and `index` are decoded back to pairs.
     """
     m = ctx.m
     u1, s1 = ctx.u1(), ctx.s1()
     width = len(s1)
-    outside = len(u1) * width
     ucode = {u: i * width for i, u in enumerate(u1)}
     scode = {s: j for j, s in enumerate(s1)}
     rows = m.full_table() if m.size <= FULL_TABLE_CAP else None
-    get = ucode.get
     times: dict = {}        # w -> the codes of u.w over u in U1
     cols: dict = {}
 
     def left(w):
         if w not in times:
-            times[w] = [get(m.mul(u, w) if rows is None else rows[u][w], outside)
+            times[w] = [ucode[m.mul(u, w) if rows is None else rows[u][w]]
                         for u in u1]
         return times[w]
 
@@ -586,11 +605,7 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
         v, t = u1[g // width], s1[g % width]
         by_s = [left(act(s, v)) for s in s1]
         st = [scode[m.mul(s, t)] for s in s1]
-        col = [a + b for us in zip(*by_s) for a, b in zip(us, st)]
-        if max(col) >= outside:
-            col = [min(c, outside) for c in col]
-        col.append(outside)
-        return col
+        return [a + b for us in zip(*by_s) for a, b in zip(us, st)]
 
     def prod(x, y):
         try:
@@ -603,8 +618,7 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
         ucode[identity_hint[0]] + scode[identity_hint[1]]
     gens = greedy_generators((ucode[u] + scode[s] for u, s in candidates
                               if (u, s) != identity_hint), prod) or [hint]
-    table = closure_from_generators(gens, prod, identity_hint=hint,
-                                    cap=outside + 1)
+    table = closure_from_generators(gens, prod, identity_hint=hint)
     if table.size != size:
         raise ValueError(f"{what} generators failed to cover {size} pairs")
     table.elements = [(u1[c // width], s1[c % width]) for c in table.elements]
@@ -658,6 +672,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
       (u s+).(s>v) = u.(s+.(s>v)) by associativity.  So only
       s+.(s>v) = s>v is scanned, |S1||U1| products instead of |S1||U1|^2.
     """
+    _require_laws(act, "semidirect")
     if act.sd is not None:
         return act.sd
     m = ctx.m
@@ -741,6 +756,7 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
     on S and S1, the stabilizers, and the structural cross-checks.  The
     result for the action's stored semidirect product is stored on the
     action, and a second call returns it."""
+    _require_laws(act, "theta_and_friends")
     if act.th is not None and sd is act.sd:
         return act.th
     m = ctx.m
@@ -759,7 +775,7 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
     def description(i):
         u, s = sd.table.elements[i]
         usp = m.mul(u, act.splus(s))
-        return usp, (theta_u[usp].find(s) if usp in theta_u else s)
+        return usp, theta_u[usp].find(s)
 
     description_ok = _partition_by(sd.table.size, description) == theta
 
@@ -1020,21 +1036,17 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
       generators of S: sx ~u tx follows for x = x'g from sx' ~u tx'.
     - Axiom 6 (~u within ~wu), with w over the generators of U: for
       w = gw', ~u lies within ~w'u, which lies within ~gw'u.
-    - Axiom 7 (s ~u t gives xs ~x>u xt), with x over the generators of S
-      once the action composes (the action's report shows no composition
-      or range failure).  For x = gx', x's ~x'>u x't by induction; where
+    - Axiom 7 (s ~u t gives xs ~x>u xt), with x over the generators of S:
+      the action composes.  For x = gx', x's ~x'>u x't by induction; where
       x'>u lies in U the generator case at x'>u gives gx's ~g>(x'>u) gx't,
       and g>(x'>u) = x>u.  Where x'>u is an identity outside U, ~ is
       trivial there, so x's = x't and xs = xt.
     - Axiom 8 (s ~u t gives u(s>w) = u(t>w), related at that value), with
-      w over the generators of U once the action is a morphism (no
-      morphism or range failure).  For w = gw', s>w = (s>g)(s>w'); the
-      generator case gives u(s>g) = u(t>g) = u' in U with s ~u' t, and the
-      case w' at u' finishes.
-
-    Otherwise the axiom is scanned over all of S or U, so the vector of
-    verdicts is the one the full scans give.
+      w over the generators of U: each s acts by a morphism.  For w = gw',
+      s>w = (s>g)(s>w'); the generator case gives u(s>g) = u(t>g) = u' in U
+      with s ~u' t, and the case w' at u' finishes.
     """
+    _require_laws(act, "check_special_congruence")
     m = ctx.m
     ident = ctx.identity
     ulist = ctx.u_list()
@@ -1045,9 +1057,6 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     if not cong_ok:
         fails.append("input relation is not a two-sided congruence")
 
-    laws = {which for which, _ in act.pair_report().failures}
-    composes = not laws & {"action-range", "action-composition"}
-    morphic = not laws & {"action-range", "action-morphism"}
     ugen = ctx.gens("U")
     sgen = ctx.gens("S")
 
@@ -1096,8 +1105,8 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
                       for r in (sig[m.mul(w, u)],) for a, b in links[u]))
 
     axioms.append(all(r[m.mul(x, a)] == r[m.mul(x, b)] for u in ulist
-                      for x in (sgen if composes else slist)
-                      for r in (sig[act(x, u)],) for a, b in links[u]))
+                      for x in sgen for r in (sig[act(x, u)],)
+                      for a, b in links[u]))
 
     def twisted_ok(u, w):
         for a, b in links[u]:
@@ -1106,8 +1115,7 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
                 return False
         return True
 
-    axioms.append(all(twisted_ok(u, w) for u in ulist
-                      for w in (ugen if morphic else ulist)))
+    axioms.append(all(twisted_ok(u, w) for u in ulist for w in ugen))
 
     for i, ok in enumerate(axioms):
         if not ok and not fails:
@@ -1153,6 +1161,7 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     built up to FULL_TABLE_CAP elements, since the cover pair is
     classified with the carrier as its ambient.
     """
+    _require_laws(act, "proper_cover")
     m = ctx.m
     ident = ctx.identity
     u1 = ctx.u1()
@@ -1291,6 +1300,7 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
     the homomorphism law are checked pointwise on the product set.  The
     properness verdict is read from the action's report.
     """
+    _require_laws(act, "embed_central")
     m = ctx.m
     ident = ctx.identity
     failures: list = []

@@ -6,18 +6,18 @@ an omega rule whose closure misses theta, a cover that is not onto or not
 proper, or an embedding whose hypotheses hold that is not injective or not
 a homomorphism; unmet hypotheses are reported and still pass), 2 bad input
 (a KeyError, ValueError, BadParams or OSError, such as an unknown name, a
---bound or ACTIONPAIR_NODE_CAP that is not a positive integer, a pair
-whose U or S is empty, a missing or malformed --monoid or algebra file, or
-an algebra file that is not an independence algebra), 3 enumeration budget
-or size cap exceeded without a verdict, 4 internal error (any other
-exception: the JSON `error` names its type and the traceback goes to
-stderr).  Reports are schema "v1" and embed the run
-configuration: the table cap, and for verify-presentation also the node cap
-requested for this run (through --bound or the ACTIONPAIR_NODE_CAP
-environment variable; neither changes the library's default for later
-calls).  classify-pair enumerates no presentation, so it reports no node
-cap.  Once the reader of stdout has gone, the rest of the report is dropped
-and the exit code stays the verdict's.
+--bound that is not a positive integer, a pair whose U or S is empty, a
+missing or malformed --monoid or algebra file, or an algebra file that is
+not an independence algebra), 3 enumeration budget or size cap exceeded
+without a verdict, 4 internal error (any other exception: the JSON `error`
+names its type and the traceback goes to stderr).  Each error, whatever
+--format says, prints one JSON object with `schema`, `command` and
+`error`.  Reports are schema "v1" and embed the run configuration: the
+table cap, and for verify-presentation also the node cap requested for
+this run (through --bound, which does not change the library's default for
+later calls).  classify-pair enumerates no presentation, so it reports no
+node cap.  Once the reader of stdout has gone, the rest of the report is
+dropped and the exit code stays the verdict's.
 """
 
 from __future__ import annotations
@@ -51,21 +51,12 @@ def _config(args) -> dict:
     return {"table_cap": fmonoid.FULL_TABLE_CAP}
 
 
-def _node_cap(value, name: str) -> int:
-    """A node cap given by --bound or ACTIONPAIR_NODE_CAP; anything but a
-    positive integer is bad input."""
-    if not str(value).strip().isdigit() or int(value) < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _enumeration_config(args) -> dict:
-    """The run configuration plus the node cap an enumeration gets."""
-    cap = fmonoid.NODE_CAP
-    if os.environ.get("ACTIONPAIR_NODE_CAP"):
-        cap = _node_cap(os.environ["ACTIONPAIR_NODE_CAP"], "ACTIONPAIR_NODE_CAP")
-    if args.bound is not None:
-        cap = _node_cap(args.bound, "--bound")
+    """The run configuration plus the node cap an enumeration gets; a
+    --bound below one is bad input."""
+    if args.bound is not None and args.bound < 1:
+        raise ValueError(f"--bound must be a positive integer, got {args.bound}")
+    cap = fmonoid.NODE_CAP if args.bound is None else args.bound
     return {**_config(args), "node_cap": cap, "bound": args.bound}
 
 
@@ -102,20 +93,15 @@ def cmd_verify_presentation(args) -> int:
     cfg = _enumeration_config(args)
     report = {"schema": SCHEMA, "command": "verify-presentation",
               "config": cfg, "family": args.family}
-    try:
-        kwargs = {"n": args.n}
-        if args.family in presentations.BASE_FAMILIES:
-            kwargs["base"] = registry.monoid_table(args.monoid or "c1")
-        elif args.family in ("SubA", "SubA_enlarged"):
-            kwargs["algebra"] = _algebra(args.instance or "fl93")
-        elif args.family in ("PX_truncated", "LX_truncated"):
-            kwargs["alphabet"] = args.alphabet
-            kwargs["length"] = args.length
-        bundle = presentations.build_catalog(args.family, **kwargs)
-    except (KeyError, ValueError, BadParams) as e:
-        report["error"] = str(e)
-        _emit(report, args.format)
-        return EXIT_BAD_INPUT
+    kwargs = {"n": args.n}
+    if args.family in presentations.BASE_FAMILIES:
+        kwargs["base"] = registry.monoid_table(args.monoid or "c1")
+    elif args.family in ("SubA", "SubA_enlarged"):
+        kwargs["algebra"] = _algebra(args.instance or "fl93")
+    elif args.family in ("PX_truncated", "LX_truncated"):
+        kwargs["alphabet"] = args.alphabet
+        kwargs["length"] = args.length
+    bundle = presentations.build_catalog(args.family, **kwargs)
 
     report["provenance"] = bundle.provenance
     report["letters"] = len(bundle.pres.alphabet)
@@ -180,56 +166,45 @@ def cmd_classify_pair(args) -> int:
     cfg = _config(args)
     report = {"schema": SCHEMA, "command": "classify-pair", "config": cfg,
               "ambient": args.ambient, "U": args.U, "S": args.S}
-    try:
-        ctx, n, u_kind, s_kind = _resolve_pair(args)
-    except (KeyError, ValueError) as e:
-        report["error"] = str(e)
-        _emit(report, args.format)
-        return EXIT_BAD_INPUT
+    ctx, n, u_kind, s_kind = _resolve_pair(args)
     failed = False
-    try:
-        rep, act = check_pair_from_plus(ctx)
-        if act is not None and rep.weak:
-            classify_proper(ctx, act, rep)
-            sd = semidirect(ctx, act)
-            rep.mid_identity_ok = sd.mid_identity_ok
-            th = theta_and_friends(ctx, act, sd)
-            report["theta_classes"] = len(th.theta.classes())
-            report["product_size"] = len(ctx.product_set())
-            if args.omega:
-                kw = registry.omega_inputs(ctx, act, args.omega, u_kind,
-                                           s_kind, n)
-                res = omega_check(ctx, act, sd, th, args.omega, **kw)
-                report["omega"] = {"rule": res.rule,
-                                   "hypotheses_ok": res.hypotheses_ok,
-                                   "matches_theta": res.matches_theta,
-                                   "failures": res.failures}
-                failed |= res.matches_theta is False
-            if args.cover:
-                cov = proper_cover(ctx, act,
-                                   ambient_plus=registry.ambient_plus_map(ctx.m))
-                report["cover"] = {
-                    "carrier_size": cov.cover_table.size,
-                    "sigma_trivial": cov.sigma_trivial,
-                    "proper": cov.proper,
-                    "surjective": cov.surjective,
-                    "projection_separating": cov.projection_separating,
-                }
-                failed |= not (cov.surjective and cov.proper)
-            if args.embed:
-                emb = embed_central(ctx, act)
-                report["embed"] = {
-                    "hypotheses_ok": emb.hypotheses_ok,
-                    "injective": emb.injective,
-                    "homomorphic": emb.homomorphic,
-                    "failures": emb.failures,
-                }
-                failed |= emb.hypotheses_ok and not (emb.injective and emb.homomorphic)
-        report["pair"] = rep.to_dict(ctx)
-    except fmonoid.SizeBoundExceeded as e:
-        report["error"] = str(e)
-        _emit(report, args.format)
-        return EXIT_BOUND
+    rep, act = check_pair_from_plus(ctx)
+    if act is not None and rep.weak:
+        classify_proper(ctx, act, rep)
+        sd = semidirect(ctx, act)
+        rep.mid_identity_ok = sd.mid_identity_ok
+        th = theta_and_friends(ctx, act, sd)
+        report["theta_classes"] = len(th.theta.classes())
+        report["product_size"] = len(ctx.product_set())
+        if args.omega:
+            kw = registry.omega_inputs(ctx, act, args.omega, u_kind, s_kind, n)
+            res = omega_check(ctx, act, sd, th, args.omega, **kw)
+            report["omega"] = {"rule": res.rule,
+                               "hypotheses_ok": res.hypotheses_ok,
+                               "matches_theta": res.matches_theta,
+                               "failures": res.failures}
+            failed |= res.matches_theta is False
+        if args.cover:
+            cov = proper_cover(ctx, act,
+                               ambient_plus=registry.ambient_plus_map(ctx.m))
+            report["cover"] = {
+                "carrier_size": cov.cover_table.size,
+                "sigma_trivial": cov.sigma_trivial,
+                "proper": cov.proper,
+                "surjective": cov.surjective,
+                "projection_separating": cov.projection_separating,
+            }
+            failed |= not (cov.surjective and cov.proper)
+        if args.embed:
+            emb = embed_central(ctx, act)
+            report["embed"] = {
+                "hypotheses_ok": emb.hypotheses_ok,
+                "injective": emb.injective,
+                "homomorphic": emb.homomorphic,
+                "failures": emb.failures,
+            }
+            failed |= emb.hypotheses_ok and not (emb.injective and emb.homomorphic)
+    report["pair"] = rep.to_dict(ctx)
     report["elapsed"] = round(time.time() - t0, 3)
     _emit(report, args.format)
     return EXIT_PASS if rep.weak and not failed else EXIT_FAIL
@@ -275,18 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+
+    def error(text: str) -> None:
+        _write(json.dumps({"schema": SCHEMA, "command": args.command,
+                           "error": text}))
     try:
         return args.func(args)
     except (KeyError, ValueError, BadParams, OSError,
             indalg.NotIndependenceAlgebra) as e:
-        _write(json.dumps({"schema": SCHEMA, "error": str(e)}))
+        error(str(e))
         return EXIT_BAD_INPUT
     except fmonoid.SizeBoundExceeded as e:
-        _write(json.dumps({"schema": SCHEMA, "error": str(e)}))
+        error(str(e))
         return EXIT_BOUND
     except Exception as e:          # a bug, not the user's input
         traceback.print_exc()
-        _write(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}"}))
+        error(f"{type(e).__name__}: {e}")
         return EXIT_INTERNAL
 
 

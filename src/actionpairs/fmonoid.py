@@ -480,11 +480,6 @@ def table_from_elements(elements: Sequence, product: Callable, *,
     return t
 
 
-def normal_form(table: CayleyTable, e: int) -> Word:
-    """Stored shortlex-BFS word for element e."""
-    return table.nf[e]
-
-
 def associativity_audit(table: CayleyTable) -> bool:
     """Exhaustive (xy)z == x(yz) scan; meant for small tables."""
     full = table.full_table()

@@ -222,7 +222,8 @@ def naive_left_restriction(table, carrier, plus_of):
 def tuple_pair_closure(ctx, act, candidates, identity_hint, size):
     """The pairs (u, s) generated under (u, s)(v, t) = (u.(s>v), st), with
     the candidates pruned by `greedy_generators`, as a closure over (u, s)
-    tuples; raises ValueError unless it is `size` pairs of U1 x S1."""
+    tuples of U1 x S1 (every action value lies in U1); raises ValueError
+    unless it is `size` pairs."""
     m = ctx.m
 
     def prod(x, y):
@@ -231,22 +232,19 @@ def tuple_pair_closure(ctx, act, candidates, identity_hint, size):
     gens = greedy_generators([c for c in candidates if c != identity_hint],
                              prod) or [identity_hint]
     table = closure_from_generators(gens, prod, identity_hint=identity_hint)
-    inside = {(u, s) for u in ctx.u1() for s in ctx.s1()}
-    if table.size != size or not set(table.elements) <= inside:
+    if table.size != size:
         raise ValueError("the tuple closure is not the given pairs")
     return table
 
 
-def naive_semidirect_flags(ctx, act, sd, factors=None):
+def naive_semidirect_flags(ctx, act, sd):
     """(retraction_ok, is_monoid, mid_identity_ok) of `semidirect`, from the
     definitions over all elements and the product (u, s)(v, t) =
     (u.(s>v), st): the retraction r(u, s) = ((1>u) s+, s) maps onto
-    m1 & m2, fixes it and preserves every product xy with y in `factors`
-    (all elements by default); (1, 1) is a two-sided identity of U x S;
-    x (1, 1) y = xy in the extended product."""
+    m1 & m2, fixes it and preserves every product; (1, 1) is a two-sided
+    identity of U x S; x (1, 1) y = xy in the extended product."""
     m, ident, t = ctx.m, ctx.identity, sd.table
     els = t.elements
-    factors = els if factors is None else factors
 
     def prod(x, y):
         (u, s), (v, w) = x, y
@@ -257,7 +255,7 @@ def naive_semidirect_flags(ctx, act, sd, factors=None):
         return (m.mul(act(ident, u), act.splus(s)), s)
     image = {els[i] for i in sd.mm}
     retraction = all(r(x) in image for x in els) and all(r(x) == x for x in image) \
-        and all(r(prod(x, y)) == prod(r(x), r(y)) for x in els for y in factors)
+        and all(r(prod(x, y)) == prod(r(x), r(y)) for x in els for y in els)
     one = (ident, ident)
     monoid = one in t.index and all(prod(one, x) == x == prod(x, one) for x in els)
     u1, s1 = ctx.u1(), ctx.s1()

@@ -137,20 +137,22 @@ def test_classify_pair_bad_inputs(capsys):
                              "--U", u, "--S", "SingT")
         assert code == cli.EXIT_BAD_INPUT
         assert "S of" in rep["error"] and "is empty" in rep["error"]
+    # a negative degree is refused by the transformation families, and the
+    # error object is the same as for every other bad input
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "PT-1",
+                         "--U", "E", "--S", "T")
+    assert code == cli.EXIT_BAD_INPUT
+    assert rep["command"] == "classify-pair" and rep["error"]
 
 
-def test_node_cap_env_override(capsys, monkeypatch):
+def test_starved_node_budget_is_inconclusive(capsys):
     import actionpairs.fmonoid as fm
     old = fm.NODE_CAP
-    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "12345")
-    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
-                         "--n", "2")
-    assert rep["config"]["node_cap"] == 12345
     # a starved budget forces the inconclusive exit, never a pass
-    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "40")
     code, rep = run_json(capsys, "verify-presentation", "--family", "Tn",
-                         "--n", "4")
+                         "--n", "4", "--bound", "40")
     assert code == cli.EXIT_BOUND
+    assert rep["config"]["node_cap"] == 40
     assert rep["verdicts"]["size_match"] is None
     assert fm.NODE_CAP == old
 
@@ -217,9 +219,8 @@ def test_classify_pair_omega_join_family_gets_catalogue_inputs(capsys):
         assert rep["omega"]["matches_theta"] is True, rule
 
 
-def test_classify_pair_reports_no_node_cap(capsys, monkeypatch):
+def test_classify_pair_reports_no_node_cap(capsys):
     # no pair stage enumerates a presentation, so no node cap applies
-    monkeypatch.setenv("ACTIONPAIR_NODE_CAP", "3")
     code, rep = run_json(capsys, "classify-pair", "--ambient", "PT2",
                          "--U", "E2", "--S", "T")
     assert code == cli.EXIT_PASS
@@ -333,19 +334,13 @@ def test_failed_pair_verdicts_exit_1(capsys, monkeypatch, stage):
     assert rep["embed"]["injective"] and rep["embed"]["homomorphic"]
 
 
-@pytest.mark.parametrize("bound,env,names", [
-    ("0", None, "--bound"), ("-3", None, "--bound"),
-    (None, "0", "ACTIONPAIR_NODE_CAP")])
-def test_node_budget_below_one_is_bad_input(capsys, monkeypatch, bound, env,
-                                             names):
-    if env is not None:
-        monkeypatch.setenv("ACTIONPAIR_NODE_CAP", env)
-    argv = ["verify-presentation", "--family", "Gn", "--n", "3"]
-    if bound is not None:
-        argv.append(f"--bound={bound}")
-    code, rep = run_json(capsys, *argv)
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_node_budget_below_one_is_bad_input(capsys, bound):
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "3", f"--bound={bound}")
     assert code == cli.EXIT_BAD_INPUT
-    assert rep["error"].startswith(f"{names} must be a positive integer")
+    assert rep["command"] == "verify-presentation"
+    assert rep["error"].startswith("--bound must be a positive integer")
 
 
 def test_closed_stdout_keeps_the_verdict_exit_code(capsys):

@@ -11,10 +11,9 @@ from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition
                                  NotACongruence, Presentation, SizeBoundExceeded,
                                  associativity_audit, closure_from_generators,
                                  congruence_closure, enumerate_presentation,
-                                 greedy_generators, iso_by_generators,
-                                 normal_form, quotient, subtable,
-                                 table_from_elements, table_presentation,
-                                 verify_presentation)
+                                 greedy_generators, iso_by_generators, quotient,
+                                 subtable, table_from_elements,
+                                 table_presentation, verify_presentation)
 from actionpairs.presentations import build_catalog
 from actionpairs.registry import monoid_table, ptrans_table
 
@@ -63,13 +62,13 @@ def test_closure_is_deterministic():
 def test_normal_forms_evaluate_and_are_shortlex():
     t = ptrans_table("E", 2)
     for e in range(t.size):
-        assert t.eval_word(normal_form(t, e)) == e
+        assert t.eval_word(t.nf[e]) == e
     idx = {w: i for i, w in enumerate(t.elements)}
     empty = idx[ptrans.empty_map(2)]
-    assert normal_form(t, empty) == (0, 1)
-    assert normal_form(t, t.identity) == ()
+    assert t.nf[empty] == (0, 1)
+    assert t.nf[t.identity] == ()
     for k, g in enumerate(t.gens):
-        assert normal_form(t, g) == (k,)
+        assert t.nf[g] == (k,)
 
 
 def test_identity_detection_without_hint():
