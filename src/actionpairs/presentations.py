@@ -297,18 +297,23 @@ def _mwr_sing_tn_relations(M: CayleyTable, n: int, L):
     return R
 
 
-def _mwr_sing_tn(M: CayleyTable, n: int) -> PresentationBundle:
+def _mwr_sing_tn_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
+    """The SingT wreath presentation, with its letters' (i, j, a, b) in
+    alphabet order; `_mwr_sing_ptn` extends it without building the SingT
+    target."""
     if n < 2:
         raise ValueError("singular wreath presentations need n >= 2")
-    pairs = list(itertools.permutations(range(1, n + 1), 2))
-    Ms = range(M.size)
-    combos = [(i, j, a, b) for (i, j) in pairs
-              for a in Ms for b in Ms]
-    pos = {c: idx for idx, c in enumerate(combos)}
+    combos = [(i, j, a, b) for (i, j) in itertools.permutations(range(1, n + 1), 2)
+              for a in range(M.size) for b in range(M.size)]
+    pos = {c: k for k, c in enumerate(combos)}
     names = [f"e{i}{j};{a},{b}" for (i, j, a, b) in combos]
     def L(i, j, a, b):
         return pos[(i, j, a, b)]
-    pres = Presentation.make(names, _mwr_sing_tn_relations(M, n, L), "semigroup")
+    return Presentation.make(names, _mwr_sing_tn_relations(M, n, L), "semigroup"), combos
+
+
+def _mwr_sing_tn(M: CayleyTable, n: int) -> PresentationBundle:
+    pres, combos = _mwr_sing_tn_pres(M, n)
     target = wreath.enumerate_wreath(M, "SingT", n)
     gm = tuple(target.index[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos)
     return PresentationBundle(pres, target, gm,
@@ -316,25 +321,19 @@ def _mwr_sing_tn(M: CayleyTable, n: int) -> PresentationBundle:
 
 
 def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
-    inner = _mwr_sing_tn(M, n)
-    base = len(inner.pres.alphabet)
-    names = list(inner.pres.alphabet) + [f"t{i}" for i in range(1, n + 1)]
+    inner, combos = _mwr_sing_tn_pres(M, n)
+    base = len(inner.alphabet)
+    names = list(inner.alphabet) + [f"t{i}" for i in range(1, n + 1)]
     def T(i):
         return base + i - 1
-    combos = [(i, j, a, b) for (i, j) in itertools.permutations(range(1, n + 1), 2)
-              for a in range(M.size) for b in range(M.size)]
-    pos = {c: k for k, c in enumerate(combos)}
-    def L(i, j, a, b):
-        return pos[(i, j, a, b)]
     one = M.identity
-    rels = list(inner.pres.relations)
+    rels = list(inner.relations)
     for i in range(1, n + 1):
         rels.append(((T(i), T(i)), (T(i),)))
         for j in range(1, n + 1):
             rels.append(((T(i), T(j)), (T(j), T(i))))
-    for (i, j, a, b) in combos:
+    for e, (i, j, a, b) in enumerate(combos):
         for k in range(1, n + 1):
-            e = L(i, j, a, b)
             if k == j:
                 rels.append(((e, T(k)), (e,)))
             elif k == i:
@@ -342,7 +341,7 @@ def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
             else:
                 rels.append(((e, T(k)), (T(k), e)))
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        rels.append(((T(j), L(i, j, one, one)), (T(j),)))
+        rels.append(((T(j), combos.index((i, j, one, one))), (T(j),)))
     pres = Presentation.make(names, rels, "semigroup")
     target = wreath.enumerate_wreath(M, "SingPT", n)
     idx = target.index

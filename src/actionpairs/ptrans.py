@@ -261,8 +261,11 @@ def family_gens(kind: str, n: int) -> list[PartialMap]:
 
 
 def family_size(kind: str, n: int) -> int:
-    """Counting formulas, used as independent oracles in tests."""
+    """Counting formulas: independent oracles in tests, and the size bound
+    `wreath.enumerate_wreath` checks before listing a family."""
     import math
+    if n < 0:
+        raise BadParams("negative degree")
     if kind == "PT":
         return (n + 1) ** n
     if kind == "T":

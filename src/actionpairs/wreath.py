@@ -10,6 +10,9 @@ The public constructors `MTuple(...)`, `WreathElement(...)` and
 operations on valid operands (`MTuple.__mul__`, `act`, `wr_product`,
 `wr_plus`) build their results through the trusted `_mtuple` and `_wreath`,
 which skip validation; each docstring says why its result is valid.
+`enumerate_wreath` builds its tables over integer digit codes of the
+elements, not over payloads, and decodes them through the same trusted
+constructors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import ptrans
 from .ptrans import UNDEF, _pmap
-from .fmonoid import CayleyTable, SizeBoundExceeded, table_from_elements
+from .fmonoid import CayleyTable, SizeBoundExceeded, closure_from_generators
 
 ZERO = -1
 
@@ -250,17 +253,97 @@ def wreath_gens(M: CayleyTable, kind: str, n: int) -> Optional[list[WreathElemen
 WREATH_CAP = 200_000     # largest wreath product enumerate_wreath builds
 
 
-def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
-    """Cayley table of the wreath product of M with a named family.
+def _digit_code(M: CayleyTable, n: int):
+    """The digit coding of M wr PT_n, as (encode, decode, product).
 
-    The element set is produced exhaustively (at most WREATH_CAP elements),
-    then numbered by `table_from_elements` over the family's natural
-    generators, or over every element in `wreath_elements` order when the
-    family has none (SingI, E).
+    `encode` takes a `WreathElement` to its digit tuple, `decode` takes a
+    digit tuple back through the trusted constructors, and `product`
+    multiplies two digit tuples through the column of its right factor
+    (see `enumerate_wreath`).  The columns live in `product`'s closure, so
+    they last as long as the caller keeps it.
     """
-    elems = wreath_elements(M, kind, n)
-    if len(elems) > WREATH_CAP:
-        raise SizeBoundExceeded(f"wreath product has {len(elems)} elements")
-    ident = wreath_identity(M, n)
-    return table_from_elements(elems, wr_product, gens=wreath_gens(M, kind, n),
-                               identity=ident if ident in set(elems) else None)
+    m = M.size
+    full = M.full_table()
+    digits = range(1, n * m + 1)
+    image = [UNDEF] + [(d - 1) // m + 1 for d in digits]
+    entry = [ZERO] + [(d - 1) % m for d in digits]
+    comb = [None] + [[0] + [1 + (image[e] - 1) * m + full[entry[d]][entry[e]]
+                            for e in digits] for d in digits]
+    cols: dict = {}
+
+    def encode(w: WreathElement) -> tuple:
+        return tuple([0 if q == UNDEF else 1 + (q - 1) * m + a
+                      for a, q in zip(w.tup.entries, w.pmap.img)])
+
+    def decode(c: tuple) -> WreathElement:
+        return _wreath(_mtuple(M, tuple(map(entry.__getitem__, c))),
+                       _pmap(n, tuple(map(image.__getitem__, c))))
+
+    def product(x: tuple, y: tuple) -> tuple:
+        col = cols.get(y)
+        if col is None:
+            col = cols[y] = [0] + [comb[d][y[image[d] - 1]] for d in digits]
+        return tuple(map(col.__getitem__, x))
+
+    return encode, decode, product
+
+
+def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
+    """Cayley table of the wreath product M wr F of M with a named family F.
+
+    Size.  Every map of F carries |M|^(domain size) >= 1 elements, so
+    |F| <= |M wr F|: a family already larger than WREATH_CAP is refused
+    (SizeBoundExceeded) before anything is listed, and otherwise so is a
+    product whose `wreath_size` is.
+
+    Coding (`_digit_code`).  With m = |M|, the element (a, f) is the n-tuple
+    of digits whose digit p is 0 when p is outside dom f and
+    1 + (pf - 1)*m + a_p otherwise; support = domain makes the coding
+    one-to-one.  Digit p of (a, f)(b, g) is 0 unless digit d of (a, f) at p
+    and digit e of (b, g) at pf are both non-zero, and then it is
+    1 + (pfg - 1)*m + a_p b_pf: a function C[d][e] of the two digits, read
+    once from M's full table.  So right multiplication by y maps each digit
+    d to col_y[d] = C[d][y at the image point of d].  A right factor gets
+    its column the first time a product needs it; the columns are dropped
+    with the closure.
+
+    Numbering.  `closure_from_generators` closes the codes of the family's
+    natural generators (`wreath_gens`), or of every element but the
+    identity in `wreath_elements` order when the family has none (SingI, E,
+    SingE, PTminusT), with the identity first when F holds it.  The
+    numbering depends only on the generator order and on equality of
+    products, so it is the one the payload product `wr_product` gives, and
+    `elements` and `index` are decoded back to `WreathElement`s.
+
+    Certificate.  Each generator's map is checked to lie in F, so every
+    generator lies in M wr F.  F is closed under composition (a monoid, an
+    ideal of one, or PTminusT, where dom(fg) lies inside dom f), so M wr F
+    is closed under the product and the closure lies inside it.  A closure
+    of exactly `wreath_size(|M|, kind, n)` elements is therefore all of
+    M wr F, and any other count raises ValueError.
+    """
+    if ptrans.family_size(kind, n) > WREATH_CAP:
+        raise SizeBoundExceeded(f"wreath product over {kind}{n} has more than "
+                                f"{WREATH_CAP} elements")
+    size = wreath_size(M.size, kind, n)
+    if size > WREATH_CAP:
+        raise SizeBoundExceeded(f"wreath product has {size} elements")
+    family = set(ptrans.family(kind, n))
+    ident = wreath_identity(M, n) if ptrans.identity(n) in family else None
+    gens = wreath_gens(M, kind, n)
+    if gens is None:
+        gens = [w for w in wreath_elements(M, kind, n) if w != ident]
+        if not gens and ident is not None:
+            gens = [ident]
+    if any(g.pmap not in family for g in gens):
+        raise ValueError(f"a generator lies outside the wreath product over {kind}")
+
+    encode, decode, product = _digit_code(M, n)
+    table = closure_from_generators([encode(g) for g in gens], product,
+                                    identity_hint=None if ident is None else encode(ident),
+                                    cap=size + 1)
+    if table.size != size:
+        raise ValueError(f"generators reach {table.size} of {size} elements")
+    table.elements = [decode(c) for c in table.elements]
+    table.index = {w: i for i, w in enumerate(table.elements)}
+    return table

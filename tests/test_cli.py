@@ -157,6 +157,13 @@ def test_starved_node_budget_is_inconclusive(capsys):
     assert fm.NODE_CAP == old
 
 
+def test_over_cap_wreath_target_exits_bound(capsys):
+    code, rep = run_json(capsys, "verify-presentation", "--family", "MwrPTn",
+                         "--n", "7", "--monoid", "c1")
+    assert code == cli.EXIT_BOUND
+    assert rep["command"] == "verify-presentation" and rep["error"]
+
+
 def test_certified_infinite_presentation_exits_1(capsys, monkeypatch):
     import dataclasses
     from actionpairs import presentations as pr

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import ptrans, wreath
-from actionpairs.fmonoid import iso_by_generators
+from actionpairs.fmonoid import (SizeBoundExceeded, iso_by_generators,
+                                 table_from_elements)
 from actionpairs.ptrans import PartialMap, from_images, id_on, identity
-from actionpairs.registry import monoid_table
+from actionpairs.registry import monoid_table, ptrans_table
 from actionpairs.wreath import (MTuple, WreathElement, ZERO, act, embed_pmap,
                                 embed_tuple, enumerate_wreath, ones,
-                                unit_tuple, wr_plus, wr_product, wreath_size)
+                                unit_tuple, wr_plus, wr_product, wreath_elements,
+                                wreath_gens, wreath_identity, wreath_size)
 
 
 def test_act_figure(c3):
@@ -187,9 +189,9 @@ BASES = {name: monoid_table(name) for name in ("c1", "c2", "sl2")}
 
 
 @st.composite
-def wreath_operands(draw, k=2, max_n=3):
+def wreath_operands(draw, k=2, max_n=3, bases=BASES):
     """k wreath elements over one base and degree, and k free tuples."""
-    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    base = bases[draw(st.sampled_from(sorted(bases)))]
     n = draw(st.integers(0, max_n))
     entry = st.integers(0, base.size - 1)
     elems, tuples = [], []
@@ -252,6 +254,70 @@ def test_wreath_fast_paths_match_their_definitions(operands):
     got = s * t
     assert got == want and hash(got) == hash(want)
     assert_rebuilds(got)
+
+
+# the built-in bases are all commutative; T_2 is not, so it tells a_p b_pf
+# from b_pf a_p
+CODED_BASES = {**BASES, "T2": ptrans_table("T", 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(wreath_operands(bases=CODED_BASES))
+def test_digit_code_matches_the_payload_product(operands):
+    base, (x, y), _ = operands
+    encode, decode, product = wreath._digit_code(base, x.pmap.n)
+    for w in (x, y):
+        back = decode(encode(w))
+        assert back == w and hash(back) == hash(w)
+    got = decode(product(encode(x), encode(y)))
+    want = wr_product(x, y)
+    assert got == want and hash(got) == hash(want)
+    assert_rebuilds(got)
+
+
+# every wreath target of the presentation suite (criterion 2), the three
+# larger verify-presentation cases, two families without natural generators
+WREATH_TARGETS = (
+    [(b, k, n) for b in ("c1", "c2", "sl2") for n in (2, 3) for k in ("SingT", "SingPT")]
+    + [(b, k, 2) for k in ("PT", "G", "T", "I") for b in ("c1", "c2", "c3", "sl2")]
+    + [(b, k, 3) for k in ("PT", "G", "T", "I") for b in ("c1", "c2", "sl2")]
+    + [("c3", "PT", 3), ("c3", "T", 3), ("c3", "I", 3), ("c2", "SingI", 2), ("c2", "E", 2)])
+
+
+def _oracle_table(M, kind, n):
+    """The table built the literal way: every element listed, numbered by
+    the closure of the natural generators under the payload product."""
+    elems = wreath_elements(M, kind, n)
+    ident = wreath_identity(M, n)
+    return table_from_elements(elems, wr_product, gens=wreath_gens(M, kind, n),
+                               identity=ident if ident in set(elems) else None)
+
+
+def _assert_same_table(got, want):
+    for field in ("right", "nf", "parent", "gens", "identity", "elements", "index"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("base,kind,n", WREATH_TARGETS)
+def test_wreath_table_matches_the_literal_construction(base, kind, n):
+    M = monoid_table(base)
+    _assert_same_table(enumerate_wreath(M, kind, n), _oracle_table(M, kind, n))
+
+
+def test_ambient_wreath_matches_the_literal_construction():
+    from actionpairs import registry
+    amb = registry.ambient_wreath("c2", 4)
+    # tuples are equal only over the same base object: use the ambient's
+    _assert_same_table(amb, _oracle_table(amb.elements[0].tup.base, "PT", 4))
+
+
+def test_over_cap_wreath_is_refused_before_listing(monkeypatch):
+    # |PT_7| = 8^7 is already past the cap, so nothing is listed
+    def no_listing(kind, n):
+        raise AssertionError(f"listed {kind}{n}")
+    monkeypatch.setattr(ptrans, "family", no_listing)
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_wreath(monoid_table("c1"), "PT", 7)
 
 
 def test_public_constructors_still_validate(c2):
