@@ -752,18 +752,6 @@ def enumerate_presentation(p: Presentation, bound: int, *,
                 elif t2 != -1:
                     stack.append((t1, t2))
 
-    def trace(n, word):
-        x = n if uf[n] == n else find(n)
-        for k in word:
-            row = rows[x]
-            t = row[k]
-            if t == -1:
-                t = row[k] = new_node()
-            elif uf[t] != t:
-                t = row[k] = find(t)
-            x = t
-        return x
-
     def construct():
         i = 0
         while i < len(rows):
@@ -773,7 +761,25 @@ def enumerate_presentation(p: Presentation, bound: int, *,
                     if row[k] == -1:
                         row[k] = new_node()
                 for u, v in rels:
-                    a, b = trace(i, u), trace(i, v)
+                    # trace u, then v, from the class of i (a merge by an
+                    # earlier relation may have moved i; tracing does not)
+                    a = b = i if uf[i] == i else find(i)
+                    for k in u:
+                        row = rows[a]
+                        t = row[k]
+                        if t == -1:
+                            t = row[k] = new_node()
+                        elif uf[t] != t:
+                            t = row[k] = find(t)
+                        a = t
+                    for k in v:
+                        row = rows[b]
+                        t = row[k]
+                        if t == -1:
+                            t = row[k] = new_node()
+                        elif uf[t] != t:
+                            t = row[k] = find(t)
+                        b = t
                     if a != b:
                         merge(a, b)
             i += 1

@@ -7,8 +7,13 @@ single-character alphabet, with 'e' printing as the empty word.
 
 The public constructors `PrefixSet(...)` and `LRElement(...)` and `parse`
 validate their input.  `lr_product` and `lr_plus` take valid elements and
-build their results through the trusted `_prefix_set` and `_lr`, which skip
-validation; each docstring says why its result is valid.
+build their results directly, skipping validation; each docstring says why
+its result is valid.
+
+Hashes are computed on first use and cached, with the values hash(words)
+for a prefix set and hash((pset, word)) for an element, whichever path
+built the object.  Element equality compares the word, then the prefix
+set's words.
 """
 
 from __future__ import annotations
@@ -47,13 +52,16 @@ class PrefixSet:
         if "" not in ws:
             raise ValueError("the empty word is always present")
         self.words = ws
-        self._hash = hash(ws)
+        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, PrefixSet) and self.words == other.words
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.words)
+        return h
 
     def __contains__(self, w):
         return w in self.words
@@ -80,14 +88,17 @@ class LRElement:
             raise ValueError(f"{word!r} is not in the prefix set")
         self.pset = pset
         self.word = word
-        self._hash = hash((pset, word))
+        self._hash = None
 
     def __eq__(self, other):
-        return (isinstance(other, LRElement) and self.pset == other.pset
-                and self.word == other.word)
+        return (isinstance(other, LRElement) and self.word == other.word
+                and self.pset.words == other.pset.words)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.pset, self.word))
+        return h
 
     def __mul__(self, other):
         return lr_product(self, other)
@@ -98,24 +109,6 @@ class LRElement:
     def to_json(self):
         import json
         return json.dumps({"set": self.pset.sorted_words(), "word": self.word})
-
-
-def _prefix_set(words: frozenset) -> PrefixSet:
-    """Trusted constructor: `words` must already be non-empty, prefix-closed
-    and hold the empty word."""
-    a = object.__new__(PrefixSet)
-    a.words = words
-    a._hash = hash(words)
-    return a
-
-
-def _lr(pset: PrefixSet, word: str) -> LRElement:
-    """Trusted constructor: `word` must already be a member of `pset`."""
-    x = object.__new__(LRElement)
-    x.pset = pset
-    x.word = word
-    x._hash = hash((pset, word))
-    return x
 
 
 def element(words: Iterable[str], word: str = "") -> LRElement:
@@ -135,13 +128,23 @@ def lr_product(x: LRElement, y: LRElement) -> LRElement:
     A: a prefix of wu is a prefix of w or w followed by a prefix of u.  And
     wv is in wB because v is in B."""
     w = x.word
-    merged = _prefix_set(x.pset.words | {w + v for v in y.pset.words})
-    return _lr(merged, w + y.word)
+    a = object.__new__(PrefixSet)
+    a.words = x.pset.words | {w + v for v in y.pset.words}
+    a._hash = None
+    z = object.__new__(LRElement)
+    z.pset = a
+    z.word = w + y.word
+    z._hash = None
+    return z
 
 
 def lr_plus(x: LRElement) -> LRElement:
     """(A, w)+ = (A, e); the empty word is in every prefix set."""
-    return _lr(x.pset, "")
+    z = object.__new__(LRElement)
+    z.pset = x.pset
+    z.word = ""
+    z._hash = None
+    return z
 
 
 def act_word(w: str, a: PrefixSet) -> PrefixSet:

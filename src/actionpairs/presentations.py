@@ -206,17 +206,26 @@ def _coordinate_relations(M: CayleyTable, n: int):
     return names, rels, k, elems, lid
 
 
-def _mn(M: CayleyTable, n: int) -> PresentationBundle:
+def _mn_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
+    """The Mn presentation and the base elements its letters stand for
+    (letter j of each coordinate is elems[j]); `_mwr_family` extends it
+    without building the tuple target."""
     names, rels, k, elems, lid = _coordinate_relations(M, n)
-    pres = Presentation.make(names, rels, "monoid")
+    return Presentation.make(names, rels, "monoid"), elems
+
+
+def _mn(M: CayleyTable, n: int) -> PresentationBundle:
+    pres, elems = _mn_pres(M, n)
     target = _tuples_table(M, n, with_zero=False)
-    gm = tuple(target.index[tuple(elems[j] if p == i else M.identity
+    gm = tuple(target.index[tuple(e if p == i else M.identity
                                   for p in range(1, n + 1))]
-               for i in range(1, n + 1) for j in range(k))
+               for i in range(1, n + 1) for e in elems)
     return PresentationBundle(pres, target, gm, f"Mn(|M|={M.size}, n={n})")
 
 
-def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
+def _m0n_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
+    """The M0n presentation, with the base elements as in `_mn_pres`; the
+    zero markers t1..tn follow the coordinate letters."""
     names, rels, k, elems, lid = _coordinate_relations(M, n)
     base = len(names)
     names = names + [f"t{i}" for i in range(1, n + 1)]
@@ -234,11 +243,15 @@ def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
                 else:
                     rels.append(((tid(i), lid(i, j)), (tid(i),)))
                     rels.append(((lid(i, j), tid(i)), (tid(i),)))
-    pres = Presentation.make(names, rels, "monoid")
+    return Presentation.make(names, rels, "monoid"), elems
+
+
+def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
+    pres, elems = _m0n_pres(M, n)
     target = _tuples_table(M, n, with_zero=True)
     idx = target.index
-    gm = [idx[tuple(elems[j] if p == i else M.identity for p in range(1, n + 1))]
-          for i in range(1, n + 1) for j in range(k)]
+    gm = [idx[tuple(e if p == i else M.identity for p in range(1, n + 1))]
+          for i in range(1, n + 1) for e in elems]
     gm += [idx[tuple(wreath.ZERO if p == i else M.identity for p in range(1, n + 1))]
            for i in range(1, n + 1)]
     return PresentationBundle(pres, target, tuple(gm), f"M0n(|M|={M.size}, n={n})")
@@ -413,13 +426,9 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
     if n < 2:
         raise ValueError("wreath presentations need n >= 2")
     with_zero = family in ("PT", "I")
-    if with_zero:
-        tup = _m0n(M, n)
-    else:
-        tup = _mn(M, n)
-    mp, elems = table_presentation(M)
-    k = len(mp.alphabet)
-    base = len(tup.pres.alphabet)
+    tup, elems = _m0n_pres(M, n) if with_zero else _mn_pres(M, n)
+    k = len(elems)
+    base = len(tup.alphabet)
     def lid(i, j):
         return (i - 1) * k + j
     def tid(i):
@@ -434,7 +443,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
         fam_rels = _gn_relations(n)
         fs = lambda i: i - 1
         fl = fr = None
-    names = list(tup.pres.alphabet) + fam_names
+    names = list(tup.alphabet) + fam_names
     def s(i):
         return base + fs(i)
     if total_family == "T":
@@ -445,7 +454,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
     else:
         l = r = None
 
-    rels = list(tup.pres.relations)
+    rels = list(tup.relations)
     rels += [(tuple(base + i for i in u), tuple(base + i for i in v))
              for u, v in fam_rels]
     rels += _mwr_main_relations(M, n, lid, tid, s, l, r, k,

@@ -6,8 +6,13 @@ Composition is left to right: x(ab) is defined iff xa and (xa)b are.
 
 The public constructor `PartialMap(n, img)` and every parser validate the
 image tuple.  `compose` and `plus` take maps that are already valid and build
-their results through the trusted `_pmap`, which skips that check: each
-result is valid by construction (see their docstrings).
+their results directly, skipping that check: each result is valid by
+construction (see their docstrings).  Other modules build trusted maps
+through `_pmap`.
+
+The hash of a map is computed on first use and cached; its value is always
+hash((n, img)), whichever path built the map.  Equality compares the image
+tuples alone, since a valid map has len(img) == n.
 """
 
 from __future__ import annotations
@@ -36,13 +41,16 @@ class PartialMap:
             raise BadParams(f"bad image tuple {img} for degree {n}")
         self.n = n
         self.img = img
-        self._hash = hash((n, img))
+        self._hash = None
 
     def __eq__(self, other):
-        return isinstance(other, PartialMap) and self.n == other.n and self.img == other.img
+        return isinstance(other, PartialMap) and self.img == other.img
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.img))
+        return h
 
     def __repr__(self):
         return f"PartialMap({self.n}, {self.two_line()!r})"
@@ -121,11 +129,12 @@ class PartialMap:
 
 def _pmap(n: int, img: tuple) -> PartialMap:
     """Trusted constructor: `img` must already be a valid image tuple of
-    degree n.  Sets the slots and the cached hash and checks nothing."""
+    degree n.  Sets the slots, leaves the hash to be computed on first use
+    and checks nothing."""
     a = object.__new__(PartialMap)
     a.n = n
     a.img = img
-    a._hash = hash((n, img))
+    a._hash = None
     return a
 
 
@@ -136,13 +145,20 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
     if n != b.n:
         raise DegreeMismatch(f"degrees {n} and {b.n}")
     bi = (UNDEF,) + b.img
-    return _pmap(n, tuple([bi[v] for v in a.img]))
+    c = object.__new__(PartialMap)
+    c.n = n
+    c.img = tuple([bi[v] for v in a.img])
+    c._hash = None
+    return c
 
 
 def plus(a: PartialMap) -> PartialMap:
     """The partial identity on dom(a); each image is its own point or 0."""
-    return _pmap(a.n, tuple([UNDEF if v == UNDEF else x
-                             for x, v in enumerate(a.img, 1)]))
+    c = object.__new__(PartialMap)
+    c.n = a.n
+    c.img = tuple([UNDEF if v == UNDEF else x for x, v in enumerate(a.img, 1)])
+    c._hash = None
+    return c
 
 
 # -- constructors ------------------------------------------------------------

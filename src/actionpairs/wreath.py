@@ -7,12 +7,18 @@ entry b_{xf} to position x.  Entries are element ids of a base monoid table;
 
 The public constructors `MTuple(...)`, `WreathElement(...)` and
 `WreathElement.from_json` validate their input.  The products and unary
-operations on valid operands (`MTuple.__mul__`, `act`, `wr_product`,
-`wr_plus`) build their results through the trusted `_mtuple` and `_wreath`,
-which skip validation; each docstring says why its result is valid.
-`enumerate_wreath` builds its tables over integer digit codes of the
-elements, not over payloads, and decodes them through the same trusted
-constructors.
+operations on valid operands skip validation; each docstring says why its
+result is valid.  `MTuple.__mul__` and `act` build their results through the
+trusted `_mtuple`, and `wr_product` and `wr_plus` build theirs in one step,
+with no helper call.  `enumerate_wreath` builds its tables over integer
+digit codes of the elements, not over payloads, and decodes them through the
+trusted `_mtuple`, `_wreath` and `ptrans._pmap`.
+
+Hashes are computed on first use and cached, with the values
+hash(entries) for a tuple and hash((entries, img)) for a wreath element,
+whichever path built the object.  Equality compares the flat fields: a
+wreath element compares its map's image tuple, then its tuple's entries,
+then the identity of the base table.
 """
 
 from __future__ import annotations
@@ -45,14 +51,17 @@ class MTuple:
             raise ValueError(f"bad entries {entries}")
         self.base = base
         self.entries = entries
-        self._hash = hash(entries)
+        self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, MTuple) and self.base is other.base
                 and self.entries == other.entries)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.entries)
+        return h
 
     def __repr__(self):
         return f"MTuple({self.entries})"
@@ -80,11 +89,12 @@ class MTuple:
 
 
 def _mtuple(base: CayleyTable, entries: tuple) -> MTuple:
-    """Trusted constructor: `entries` must already be valid for `base`."""
+    """Trusted constructor: `entries` must already be valid for `base`.
+    The hash is left to be computed on first use."""
     t = object.__new__(MTuple)
     t.base = base
     t.entries = entries
-    t._hash = hash(entries)
+    t._hash = None
     return t
 
 
@@ -122,14 +132,19 @@ class WreathElement:
             raise ValueError("support must equal the map's domain")
         self.tup = tup
         self.pmap = pmap
-        self._hash = hash((tup.entries, pmap.img))
+        self._hash = None
 
     def __eq__(self, other):
-        return (isinstance(other, WreathElement) and self.tup == other.tup
-                and self.pmap == other.pmap)
+        return (isinstance(other, WreathElement)
+                and self.pmap.img == other.pmap.img
+                and self.tup.entries == other.tup.entries
+                and self.tup.base is other.tup.base)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.tup.entries, self.pmap.img))
+        return h
 
     def __repr__(self):
         return f"WreathElement({self.tup.entries}, {self.pmap.two_line()!r})"
@@ -159,11 +174,12 @@ class WreathElement:
 
 
 def _wreath(tup: MTuple, pmap: ptrans.PartialMap) -> WreathElement:
-    """Trusted constructor: supp(tup) must already equal dom(pmap)."""
+    """Trusted constructor: supp(tup) must already equal dom(pmap).
+    The hash is left to be computed on first use."""
     w = object.__new__(WreathElement)
     w.tup = tup
     w.pmap = pmap
-    w._hash = hash((tup.entries, pmap.img))
+    w._hash = None
     return w
 
 
@@ -172,27 +188,65 @@ def wr_product(x: WreathElement, y: WreathElement) -> WreathElement:
 
     Position p of the tuple is non-zero exactly when p is in dom(fg): then p
     is in dom(f) = supp(a) and pf is in dom(g) = supp(b), and a base product
-    is never ZERO.  So the result keeps support = domain."""
-    base = x.tup.base
-    if base is not y.tup.base:
+    is never ZERO.  So the result keeps support = domain.  The map fg reads
+    g's image tuple as `ptrans.compose` does."""
+    xt, yt, f, g = x.tup, y.tup, x.pmap, y.pmap
+    base = xt.base
+    if base is not yt.base:
         raise BaseMismatch("different base monoids")
-    pm = ptrans.compose(x.pmap, y.pmap)
+    if f.n != g.n:
+        raise ptrans.DegreeMismatch(f"degrees {f.n} and {g.n}")
+    gi = (UNDEF,) + g.img
+    ye = (ZERO,) + yt.entries
     mul = base.mul
-    ye = (ZERO,) + y.tup.entries
-    ent = tuple([ZERO if c == UNDEF else mul(a, ye[f])
-                 for a, f, c in zip(x.tup.entries, x.pmap.img, pm.img)])
-    return _wreath(_mtuple(base, ent), pm)
+    img, ent = [], []
+    for a, v in zip(xt.entries, f.img):
+        c = gi[v]
+        img.append(c)
+        ent.append(ZERO if c == UNDEF else mul(a, ye[v]))
+    pm = object.__new__(ptrans.PartialMap)
+    pm.n = f.n
+    pm.img = tuple(img)
+    pm._hash = None
+    t = object.__new__(MTuple)
+    t.base = base
+    t.entries = tuple(ent)
+    t._hash = None
+    w = object.__new__(WreathElement)
+    w.tup = t
+    w.pmap = pm
+    w._hash = None
+    return w
 
 
 def wr_plus(x: WreathElement) -> WreathElement:
     """The embedded partial identity on dom of the map part: the base identity
     on that domain and ZERO elsewhere, over the partial identity on it, so
     support = domain."""
-    img = x.pmap.img
-    e = x.tup.base.identity
-    tup = _mtuple(x.tup.base, tuple([ZERO if v == UNDEF else e for v in img]))
-    return _wreath(tup, _pmap(len(img), tuple([UNDEF if v == UNDEF else p
-                                               for p, v in enumerate(img, 1)])))
+    f = x.pmap
+    base = x.tup.base
+    e = base.identity
+    img, ent = [], []
+    for p, v in enumerate(f.img, 1):
+        if v == UNDEF:
+            img.append(UNDEF)
+            ent.append(ZERO)
+        else:
+            img.append(p)
+            ent.append(e)
+    pm = object.__new__(ptrans.PartialMap)
+    pm.n = f.n
+    pm.img = tuple(img)
+    pm._hash = None
+    t = object.__new__(MTuple)
+    t.base = base
+    t.entries = tuple(ent)
+    t._hash = None
+    w = object.__new__(WreathElement)
+    w.tup = t
+    w.pmap = pm
+    w._hash = None
+    return w
 
 
 def embed_pmap(base: CayleyTable, a: ptrans.PartialMap) -> WreathElement:

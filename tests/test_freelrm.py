@@ -169,3 +169,44 @@ def test_public_constructors_still_validate():
         LRElement(PrefixSet(down(["xy"])), "yx")
     with pytest.raises(ValueError):
         parse("{e,x}@y")
+
+
+# --- hashes and equality on every construction path ---------------------------
+
+def assert_same_element(got, want):
+    """Equal and not unequal to the validated element, with its hash, and
+    the hashes are the documented hash((pset, word)) and hash(words)."""
+    assert got == want and not got != want
+    assert hash(got) == hash(want) == hash((want.pset, want.word))
+    assert got.pset == want.pset and hash(got.pset) == hash(want.pset.words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fast_paths_hash_by_the_documented_formula(seed):
+    s = Sampler(seed=seed)
+    x, y = s.element(), s.element()
+    w = x.word
+    got = lr_product(x, y)
+    assert_same_element(got, LRElement(PrefixSet(x.pset.words | {w + v for v in y.pset.words}),
+                                       w + y.word))
+    assert_same_element(lr_plus(x), LRElement(PrefixSet(x.pset.words), ""))
+    # equality reads the word, then the prefix set
+    for u, v in ((got, x), (got, y), (x, y), (lr_plus(x), lr_plus(y))):
+        same = u.word == v.word and u.pset.words == v.pset.words
+        assert (u == v) is same and (u != v) is not same
+    assert got != got.word and not got == got.pset
+
+
+def test_every_construction_path_is_hashable():
+    a = PrefixSet(down(["xy"]))
+    sets = [a, a.shift("y"), a | PrefixSet(down(["yy"])), PrefixSet({""})]
+    sets += all_prefix_sets("xy", 2)
+    for p in sets:
+        assert hash(p) == hash(p.words)
+    x = element(["xy", "y"], "xy")
+    built = [x, parse(repr(x)), lr_identity(), embed_word("xyx"), Sampler(seed=3).element(),
+             lr_product(x, x), lr_plus(x), LRElement(a.shift("x"), "xxy")]
+    built += min_genset("xy", 2)
+    for e in built:
+        assert hash(e) == hash((e.pset, e.word)) and hash(e.pset) == hash(e.pset.words)

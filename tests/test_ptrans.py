@@ -200,3 +200,40 @@ def test_public_constructor_rejects_bad_image_tuples():
             PartialMap(n, img)
     with pytest.raises(BadParams):
         PartialMap.from_json("[1, 7]")
+
+
+# --- hashes and equality on every construction path ---------------------------
+
+def assert_same_map(got, want):
+    """Equal and not unequal to the validated map, with its hash, and the
+    hash is the documented hash((n, img)) whichever path built `got`."""
+    assert got == want and not got != want
+    assert hash(got) == hash(want) == hash((want.n, want.img))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_degree_maps())
+def test_fast_paths_hash_by_the_documented_formula(maps):
+    a, b = maps
+    pts = range(1, a.n + 1)
+    got = compose(a, b)
+    assert_same_map(got, PartialMap(a.n, [0 if a(x) is None or b(a(x)) is None
+                                         else b(a(x)) for x in pts]))
+    assert_same_map(plus(a), PartialMap(a.n, [0 if a(x) is None else x for x in pts]))
+    # equality is decided by the image tuples, and by nothing else
+    for x, y in ((got, a), (got, b), (a, b)):
+        same = x.img == y.img
+        assert (x == y) is same and (x != y) is not same
+    assert got != a.img and not got == a.img
+
+
+def test_every_construction_path_is_hashable():
+    a = from_images([2, None, 3, 2])
+    built = [a, a.restrict({1, 3}), PartialMap.from_json(a.to_json()),
+             PartialMap.from_json("[2, null]", 2), PartialMap.from_two_line(a.two_line()),
+             identity(3), empty_map(3), id_on({1}, 3), eps(1, 2, 3), tau(1, 2, 3),
+             ptrans.constant(1, 3), compose(a, a), plus(a), ptrans._pmap(2, (2, 0))]
+    built += family("PT", 2) + family("E", 2) + family("G", 3) + family_gens("PT", 2)
+    for x in built:
+        assert hash(x) == hash((x.n, x.img))
+    assert len(set(built)) == len({(x.n, x.img) for x in built})

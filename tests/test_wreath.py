@@ -1,5 +1,6 @@
 """Wreath product tests: the action on tuples, products, unary structure."""
 
+import copy
 import itertools
 
 import pytest
@@ -329,3 +330,66 @@ def test_public_constructors_still_validate(c2):
         WreathElement.from_json(c2, '{"tuple": [0, 1], "map": [1, null]}')
     with pytest.raises(ptrans.DegreeMismatch):
         WreathElement(ones(c2, 2), identity(3))
+
+
+# --- hashes and equality on every construction path ---------------------------
+
+def assert_same_tuple(got, want):
+    """Equal and not unequal to the validated tuple, with its hash, and the
+    hash is the documented hash(entries)."""
+    assert got == want and not got != want
+    assert hash(got) == hash(want) == hash(want.entries)
+
+
+def assert_same_element(got, want):
+    """As `assert_same_tuple`, for the documented hash((entries, img))."""
+    assert got == want and not got != want
+    assert hash(got) == hash(want) == hash((want.tup.entries, want.pmap.img))
+    assert_same_tuple(got.tup, want.tup)
+    assert got.pmap == want.pmap and hash(got.pmap) == hash((want.pmap.n, want.pmap.img))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wreath_operands())
+def test_fast_paths_hash_by_the_documented_formula(operands):
+    base, (x, y), (s, t) = operands
+    n = x.pmap.n
+    f, g = x.pmap, y.pmap
+    img = [0 if f(p) is None or g(f(p)) is None else g(f(p)) for p in range(1, n + 1)]
+    ent = [ZERO if c == 0 else base.mul(x.tup.entries[p], y.tup.entries[f(p + 1) - 1])
+           for p, c in enumerate(img)]
+    got = wr_product(x, y)
+    assert_same_element(got, WreathElement(MTuple(base, ent), PartialMap(n, img)))
+    dom = [p if v else 0 for p, v in enumerate(f.img, 1)]
+    assert_same_element(wr_plus(x), WreathElement(
+        MTuple(base, [base.identity if v else ZERO for v in dom]), PartialMap(n, dom)))
+    assert_same_tuple(act(f, t), MTuple(base, [t.entries[v - 1] if v else ZERO
+                                               for v in f.img]))
+    assert_same_tuple(s * t, MTuple(base, [ZERO if ZERO in (u, v) else base.mul(u, v)
+                                           for u, v in zip(s.entries, t.entries)]))
+    # equality reads the map's image, the entries and the base table's identity
+    for u, v in ((got, x), (got, y), (x, y)):
+        same = u.pmap.img == v.pmap.img and u.tup.entries == v.tup.entries
+        assert (u == v) is same and (u != v) is not same
+    twin = copy.copy(base)
+    moved = WreathElement(MTuple(twin, got.tup.entries), got.pmap)
+    assert moved != got and not moved == got and MTuple(twin, t.entries) != t
+    assert got != got.pmap and not got == got.pmap
+
+
+def test_every_construction_path_is_hashable(c2):
+    a = from_images([2, None, 1])
+    x = embed_pmap(c2, a)
+    built = [x, WreathElement.from_json(c2, x.to_json()), embed_tuple(unit_tuple(c2, 3, 2, 1)),
+             wreath_identity(c2, 3), wr_product(x, x), wr_plus(x),
+             wreath._wreath(wreath._mtuple(c2, (1, ZERO)), ptrans._pmap(2, (1, 0)))]
+    built += wreath_elements(c2, "PT", 2) + wreath_gens(c2, "SingPT", 2)
+    built += enumerate_wreath(c2, "I", 2).elements
+    for w in built:
+        assert hash(w) == hash((w.tup.entries, w.pmap.img))
+        assert hash(w.tup) == hash(w.tup.entries)
+        assert hash(w.pmap) == hash((w.pmap.n, w.pmap.img))
+    tuples = [ones(c2, 3), ones(c2, 3, {1}), x.tup.restrict({1}), MTuple(c2, (0, ZERO)),
+              act(a, ones(c2, 3)), ones(c2, 3) * x.tup]
+    for t in tuples:
+        assert hash(t) == hash(t.entries)
