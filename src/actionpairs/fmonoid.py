@@ -18,8 +18,8 @@ right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
 traces every relation column by column over the compacted graph.  A closed
 graph only ever shows a finite monoid; for verification, a completed
-rewriting system (`rewriting`) run once at a quarter of the node budget
-can show an infinite one.
+rewriting system (`rewriting`), tried at a quarter of the node budget under
+a fixed schedule of letter orders, can show an infinite one.
 
 The closure layer has three routines.  `right_orbit` closes seeds under
 right multiplication by generators, optionally with shortlex words;
@@ -694,9 +694,12 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     `node_cap` is the exact node budget (default `node_budget(bound)`);
     `stats`, when given, receives the number of nodes created.  With
     `_complete_at_mark` (set by `verify_presentation` only), the node count
-    reaching `node_cap // 4` runs a Knuth-Bendix completion once, which
-    either certifies the monoid infinite (BoundExceeded with `infinite`)
-    or lets the enumeration go on; `stats["completion"]` receives it.
+    reaching `node_cap // 4` runs `rewriting.certify_infinite`: Knuth-Bendix
+    completions under the rotations of the letter order and of its reverse,
+    up to the first that finishes.  That either certifies the monoid
+    infinite (BoundExceeded with `infinite`) or lets the enumeration go on;
+    `stats["completion"]` receives the last completion and
+    `stats["completion_orders"]` the number of orders tried.
     """
     if node_cap is None:
         node_cap = node_budget(bound)
@@ -724,10 +727,11 @@ def enumerate_presentation(p: Presentation, bound: int, *,
             # imported here: enumerations that close never reach the mark,
             # so most runs never load (or compile) the module
             from . import rewriting
-            c = rewriting.complete(rels)
+            infinite, c, orders = rewriting.certify_infinite(rels, nl)
             if stats is not None:
                 stats["completion"] = c
-            if c.confluent and rewriting.count_normal_forms(c.rules, nl) is None:
+                stats["completion_orders"] = orders
+            if infinite:
                 raise BoundExceeded("presented monoid is infinite",
                                     undecided=False, nodes=n, infinite=True)
         uf.append(n)
@@ -862,6 +866,7 @@ class VerificationReport:
     infinite: bool = False              # certified infinite by completion
     completion_rules: Optional[int] = None     # rules the completion added
     completion_overlaps: Optional[int] = None  # overlaps it examined
+    completion_orders: Optional[int] = None    # letter orders it was tried under
 
     @property
     def ok(self) -> bool:
@@ -887,6 +892,7 @@ class VerificationReport:
             "infinite": self.infinite,
             "completion_rules": self.completion_rules,
             "completion_overlaps": self.completion_overlaps,
+            "completion_orders": self.completion_orders,
         }
 
 
@@ -916,18 +922,25 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     relation often leaves an infinite one, so the schedule is:
       1. enumerate up to a quarter of the budget (every catalogue
          presentation that closes does so well below it);
-      2. at that mark, run one shortlex Knuth-Bendix completion under the
-         fixed budget of `rewriting` (rules added, left-side length);
+      2. at that mark, run shortlex Knuth-Bendix completions under the n
+         rotations of the letter order, identity first, then the n
+         rotations of the reversed order, each under the fixed budget of
+         `rewriting` (rules added, left-side length), and stop at the
+         first completion that finishes;
       3. unless it certified the monoid infinite, continue the same
          enumeration, from where it stopped, up to the full budget.
-    Proof sketch for step 2: a completion that resolves every overlap is a
-    confluent, terminating rewriting system for the same congruence, so
-    each element has exactly one irreducible word; the irreducible words
-    are those avoiding every left side, and a cycle of the left sides'
-    Aho-Corasick automaton that is reachable from the start without a
-    match spells infinitely many of them.  Then size_match is False,
-    presented_size stays None and `infinite` is set; the rules added and
-    overlaps examined are reported whenever the completion ran.
+    Proof sketch for step 2: shortlex over any total order of the letters
+    is a reduction order, so a completion under it that resolves every
+    overlap is a confluent, terminating rewriting system for the same
+    congruence, and each element has exactly one irreducible word; the
+    irreducible words are those avoiding every left side, and a cycle of
+    the left sides' Aho-Corasick automaton that is reachable from the start
+    without a match spells infinitely many of them.  Then size_match is
+    False, presented_size stays None and `infinite` is set.  A completion
+    that finishes with finitely many irreducible words proves the monoid
+    finite, so the schedule stops there too.  Whenever a completion ran,
+    the number of orders tried and the rules added and overlaps examined
+    by the last completion are reported.
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
@@ -974,6 +987,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
         if "completion" in stats:
             rep.completion_rules = stats["completion"].added
             rep.completion_overlaps = stats["completion"].overlaps
+            rep.completion_orders = stats["completion_orders"]
 
     if rep.ok:
         pairs = list(zip(t.gens, gen_map))

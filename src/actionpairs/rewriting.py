@@ -17,8 +17,17 @@ Aho–Corasick automaton of the left sides: the count, or None when a cycle
 that avoids every match is reachable from the start, i.e. when there are
 infinitely many such words.
 
+Shortlex is an order for any total order of the letters, and a completion
+under any of them is a certificate; the letter order decides whether the
+completion is finite.  `certify_infinite` tries a fixed schedule of orders
+(`letter_orders`: the rotations of the alphabet, identity first, then the
+rotations of the reversed alphabet) and stops at the first completion that
+finishes: the monoid is infinite iff that completion's irreducible words
+are infinitely many, whatever the order.
+
 The budget is deterministic: a completion gives up once it would add more
-than MAX_RULES rules or a left side longer than MAX_LHS letters.  Words are
+than MAX_RULES rules or a left side longer than MAX_LHS letters, and
+`certify_infinite` runs at most 2n completions for n letters.  Words are
 strings of code points inside the completion (one letter per character, so
 factor tests and overlaps are string operations) and tuples of letter
 indices outside it.
@@ -170,3 +179,35 @@ def count_normal_forms(lefts: Iterable[Sequence[int]], nletters: int) -> Optiona
             on_path.discard(s)
             count[s] = 1 + sum(count[t] for t in delta[s] if not match[t])
     return count[0]
+
+
+def letter_orders(nletters: int) -> list[Word]:
+    """The letter orders `certify_infinite` tries, each listing the letters
+    from smallest to largest: the rotations of 0..n-1, identity first, then
+    the rotations of n-1..0, each once (below three letters they repeat)."""
+    up = tuple(range(nletters))
+    down = up[::-1]
+    return list(dict.fromkeys(w[k:] + w[:k] for w in (up, down)
+                              for k in range(max(nletters, 1))))
+
+
+def certify_infinite(relations: Iterable[tuple[Word, Word]],
+                     nletters: int) -> tuple[bool, Completion, int]:
+    """Complete `relations` under each of `letter_orders(nletters)` in turn,
+    up to the first completion that finishes.
+
+    Returns whether that completion certifies the monoid infinite (its
+    irreducible words are infinitely many), the last completion run and the
+    number of orders tried.  A finished completion with a finite count
+    proves the monoid finite, so no later order could certify it infinite.
+    Under an order, letter a is relabelled to its rank, so the completion's
+    rules are over ranks; its count does not depend on the relabelling.
+    """
+    relations = list(relations)
+    for tried, order in enumerate(letter_orders(nletters), 1):
+        rank = {a: r for r, a in enumerate(order)}
+        c = complete([(tuple(map(rank.__getitem__, u)), tuple(map(rank.__getitem__, v)))
+                      for u, v in relations])
+        if c.confluent:
+            return count_normal_forms(c.rules, nletters) is None, c, tried
+    return False, c, tried

@@ -182,6 +182,17 @@ def test_certified_infinite_presentation_exits_1(capsys, monkeypatch):
     assert ver["completion_rules"] == 2 and ver["completion_overlaps"] == 2
 
 
+def test_completion_orders_in_the_json_report(capsys):
+    # at a 40-node cap Gn(3) passes the mark: its first completion finishes
+    # finite and the enumeration closes; without the cap none runs
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "3", "--bound", "40")
+    assert code == cli.EXIT_PASS and rep["verdicts"]["completion_orders"] == 1
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "3")
+    assert code == cli.EXIT_PASS and rep["verdicts"]["completion_orders"] is None
+
+
 def test_bound_applies_to_its_run_only(capsys):
     import actionpairs.fmonoid as fm
     from actionpairs import presentations as pr

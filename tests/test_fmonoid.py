@@ -261,6 +261,44 @@ def test_verify_reports_nodes_and_the_budget_applied():
     assert verify_presentation(free, g3, gm).node_budget == 3400
 
 
+def test_verify_reports_the_letter_orders_completed_under():
+    g3 = ptrans_table("G", 3)
+    idx = {w: i for i, w in enumerate(g3.elements)}
+    gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
+    # Z2 * Z2 is certified infinite under the first order
+    free = Presentation.make(["s1", "s2"], [((0, 0), ()), ((1, 1), ())], "monoid")
+    rep = verify_presentation(free, g3, gm, node_cap=40)
+    assert rep.infinite and rep.completion_orders == 1
+    assert rep.to_dict()["completion_orders"] == 1
+    # Tn(4) finishes under none of its 2 x 9 orders, and the rules reported
+    # are the last completion's
+    tn4 = build_catalog("Tn", n=4)
+    rep = tn4.verify(node_cap=40)
+    assert len(tn4.pres.alphabet) == 9 and rep.completion_orders == 18
+    assert rep.inconclusive and rep.completion_rules == rewriting.MAX_RULES
+    # an enumeration that closes before the mark runs no completion
+    rep = verify_presentation(_symmetric3(), g3, gm)
+    assert rep.completion_orders is None and rep.to_dict()["completion_orders"] is None
+
+
+def test_a_finite_completion_stops_the_schedule():
+    # S3 passes the mark of a 40-node budget: its first completion finishes
+    # with 6 irreducible words, which proves it finite, so no other order is
+    # tried and the enumeration closes as it does without the mark
+    g3 = ptrans_table("G", 3)
+    idx = {w: i for i, w in enumerate(g3.elements)}
+    gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
+    p = _symmetric3()
+    infinite, c, orders = rewriting.certify_infinite(p.relations, 2)
+    assert not infinite and orders == 1 and c.confluent
+    assert rewriting.count_normal_forms(c.rules, 2) == 6
+    rep = verify_presentation(p, g3, gm, node_cap=40)
+    assert rep.nodes > 40 // 4 and rep.completion_orders == 1
+    assert (rep.completion_rules, rep.completion_overlaps) == (c.added, c.overlaps)
+    assert rep.ok and rep.isomorphic and not rep.infinite
+    assert rep.presented_size == verify_presentation(p, g3, gm).presented_size == 6
+
+
 def test_closure_cap_defaults_to_the_current_node_cap(monkeypatch):
     import actionpairs.fmonoid as fm
     monkeypatch.setattr(fm, "NODE_CAP", 3)

@@ -105,6 +105,43 @@ def test_completion_agrees_with_enumeration(nletters, rels):
         assert count == size
 
 
+def _relabelled(relations, order):
+    """The relations with letter a renamed to its rank in `order`."""
+    rank = {a: r for r, a in enumerate(order)}
+    return [(tuple(rank[a] for a in u), tuple(rank[a] for a in v))
+            for u, v in relations]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.lists(st.tuples(words.filter(bool), words),
+                                   min_size=1, max_size=4))
+def test_no_letter_order_contradicts_a_closed_enumeration(nletters, rels):
+    rels = [(tuple(x % nletters for x in u), tuple(x % nletters for x in v))
+            for u, v in rels]
+    p = Presentation.make([str(i) for i in range(nletters)], rels)
+    try:
+        size = enumerate_presentation(p, 2000, node_cap=4000).size
+    except BoundExceeded as e:
+        size = e.size
+    if size is None:
+        return
+    infinite, c, orders = rewriting.certify_infinite(p.relations, nletters)
+    assert not infinite and 1 <= orders <= 2 * nletters
+    for order in rewriting.letter_orders(nletters):
+        c = rewriting.complete(_relabelled(p.relations, order))
+        if c.confluent:
+            assert rewriting.count_normal_forms(c.rules, nletters) == size
+
+
+def test_letter_orders_are_the_rotations_then_the_reversed_rotations():
+    assert rewriting.letter_orders(2) == [(0, 1), (1, 0)]
+    orders = rewriting.letter_orders(4)
+    assert orders[0] == (0, 1, 2, 3) and orders[4] == (3, 2, 1, 0)
+    assert orders[1] == (1, 2, 3, 0) and orders[5] == (2, 1, 0, 3)
+    assert len(set(orders)) == 8
+    assert all(sorted(o) == [0, 1, 2, 3] for o in orders)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.lists(st.lists(st.integers(0, 2), min_size=1,
                                             max_size=4).map(tuple),
@@ -137,7 +174,13 @@ def test_budget_is_a_count_of_rules():
 @pytest.fixture(scope="module")
 def catalogue_bundles():
     return {"Gn(5)": pr.build_catalog("Gn", n=5),
-            "M0n(c2,3)": pr.build_catalog("M0n", n=3, base=monoid_table("c2"))}
+            "M0n(c2,3)": pr.build_catalog("M0n", n=3, base=monoid_table("c2")),
+            "Tn(4)": pr.build_catalog("Tn", n=4)}
+
+
+def _drop(bundle, j):
+    rels = [r for i, r in enumerate(bundle.pres.relations) if i != j]
+    return Presentation.make(bundle.pres.alphabet, rels, bundle.pres.kind)
 
 
 @pytest.mark.parametrize("label,j", [("Gn(5)", j) for j in range(4)] +
@@ -150,3 +193,24 @@ def test_catalogue_drops_count_the_enumerated_size(catalogue_bundles, label, j):
     assert c.confluent
     t = enumerate_presentation(p, 4 * b.target.size + 16)
     assert rewriting.count_normal_forms(c.rules, len(p.alphabet)) == t.size
+
+
+@pytest.mark.parametrize("label,j", [("M0n(c2,3)", j) for j in
+                                     (1, 2, 4, 5, 6, 7, 9, 14, 15, 16)] +
+                         [("Gn(5)", 4)])
+def test_another_letter_order_certifies_the_drop_infinite(catalogue_bundles, label, j):
+    p = _drop(catalogue_bundles[label], j)
+    assert not rewriting.complete(p.relations).confluent   # not under identity
+    infinite, c, orders = rewriting.certify_infinite(p.relations, len(p.alphabet))
+    assert infinite and c.confluent and 1 < orders <= 2 * len(p.alphabet)
+    assert c.added <= rewriting.MAX_RULES
+    order = rewriting.letter_orders(len(p.alphabet))[orders - 1]
+    _assert_complete(_relabelled(p.relations, order), c)
+
+
+@pytest.mark.parametrize("j", (47, 48, 55))
+def test_a_dropped_coxeter_relation_finishes_under_no_order(catalogue_bundles, j):
+    p = _drop(catalogue_bundles["Tn(4)"], j)
+    infinite, c, orders = rewriting.certify_infinite(p.relations, len(p.alphabet))
+    assert not infinite and not c.confluent
+    assert orders == 2 * len(p.alphabet) == 18 and c.added == rewriting.MAX_RULES
