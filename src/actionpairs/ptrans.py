@@ -8,7 +8,9 @@ The public constructor `PartialMap(n, img)` and every parser validate the
 image tuple.  `compose` and `plus` take maps that are already valid and build
 their results directly, skipping that check: each result is valid by
 construction (see their docstrings).  Other modules build trusted maps
-through `_pmap`.
+through `_pmap`.  From degree 2 on, `compose` gathers the composite's image
+tuple in C, with one `operator.itemgetter` over a's image tuple applied to
+b's padded image tuple.
 
 The hash of a map is computed on first use and cached; its value is always
 hash((n, img)), whichever path built the map.  Equality compares the image
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 UNDEF = 0
@@ -140,14 +143,20 @@ def _pmap(n: int, img: tuple) -> PartialMap:
 
 def compose(a: PartialMap, b: PartialMap) -> PartialMap:
     """The left-to-right composite ab.  Each image reads b's image tuple (or
-    stays 0), so the result lies in {0..n} and needs no validation."""
+    stays 0), so the result lies in {0..n} and needs no validation.
+
+    Point x of ab is bi[xa] with bi = (0,) + b.img, so the image tuple is
+    bi gathered at a's image tuple.  For n >= 2 one `itemgetter(*a.img)`
+    does that gather in C and returns a tuple.  Degrees 0 and 1 keep the
+    comprehension: itemgetter refuses zero keys and returns a scalar, not a
+    tuple, for one key."""
     n = a.n
     if n != b.n:
         raise DegreeMismatch(f"degrees {n} and {b.n}")
     bi = (UNDEF,) + b.img
     c = object.__new__(PartialMap)
     c.n = n
-    c.img = tuple([bi[v] for v in a.img])
+    c.img = itemgetter(*a.img)(bi) if n > 1 else tuple([bi[v] for v in a.img])
     c._hash = None
     return c
 

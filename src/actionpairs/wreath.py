@@ -14,6 +14,13 @@ with no helper call.  `enumerate_wreath` builds its tables over integer
 digit codes of the elements, not over payloads, and decodes them through the
 trusted `_mtuple`, `_wreath` and `ptrans._pmap`.
 
+Base entries are multiplied one way throughout: the product a b is read as
+`full[a][b]` from the base table's `full_table()`, which a table builds on
+first use and refuses (SizeBoundExceeded) past `fmonoid.FULL_TABLE_CAP`.
+`MTuple.__mul__`, `wr_product` and `_digit_code` all follow this rule; the
+two payload products read the rows a table has already built straight from
+its `_full` slot, and call `full_table()` only when there are none yet.
+
 Hashes are computed on first use and cached, with the values
 hash(entries) for a tuple and hash((entries, img)) for a wreath element,
 whichever path built the object.  Equality compares the flat fields: a
@@ -74,12 +81,14 @@ class MTuple:
         return frozenset(i + 1 for i, v in enumerate(self.entries) if v != ZERO)
 
     def __mul__(self, other: "MTuple") -> "MTuple":
-        """Entrywise product; a base product is an element id, never ZERO."""
+        """Entrywise product; a base product is an element id, never ZERO.
+        Each base product is read from the base's full table, as
+        `_digit_code` reads it."""
         base = self.base
         if base is not other.base or self.n != other.n:
             raise BaseMismatch("mismatched tuples")
-        mul = base.mul
-        return _mtuple(base, tuple([ZERO if a == ZERO or b == ZERO else mul(a, b)
+        full = base._full or base.full_table()
+        return _mtuple(base, tuple([ZERO if a == ZERO or b == ZERO else full[a][b]
                                     for a, b in zip(self.entries, other.entries)]))
 
     def restrict(self, points: Iterable[int]) -> "MTuple":
@@ -189,7 +198,8 @@ def wr_product(x: WreathElement, y: WreathElement) -> WreathElement:
     Position p of the tuple is non-zero exactly when p is in dom(fg): then p
     is in dom(f) = supp(a) and pf is in dom(g) = supp(b), and a base product
     is never ZERO.  So the result keeps support = domain.  The map fg reads
-    g's image tuple as `ptrans.compose` does."""
+    g's image tuple as `ptrans.compose` does, and each base product a_p b_pf
+    is read from the base's full table, as `_digit_code` reads it."""
     xt, yt, f, g = x.tup, y.tup, x.pmap, y.pmap
     base = xt.base
     if base is not yt.base:
@@ -198,12 +208,12 @@ def wr_product(x: WreathElement, y: WreathElement) -> WreathElement:
         raise ptrans.DegreeMismatch(f"degrees {f.n} and {g.n}")
     gi = (UNDEF,) + g.img
     ye = (ZERO,) + yt.entries
-    mul = base.mul
+    full = base._full or base.full_table()
     img, ent = [], []
     for a, v in zip(xt.entries, f.img):
         c = gi[v]
         img.append(c)
-        ent.append(ZERO if c == UNDEF else mul(a, ye[v]))
+        ent.append(ZERO if c == UNDEF else full[a][ye[v]])
     pm = object.__new__(ptrans.PartialMap)
     pm.n = f.n
     pm.img = tuple(img)

@@ -166,7 +166,7 @@ def test_composition_associative(xa, xb, xc):
 # --- the trusted fast paths against the plain definitions -------------------------
 
 @st.composite
-def same_degree_maps(draw, k=2, max_n=4):
+def same_degree_maps(draw, k=2, max_n=ptrans.FAMILY_CAP):
     n = draw(st.integers(0, max_n))
     img = st.lists(st.integers(0, n), min_size=n, max_size=n)
     return [PartialMap(n, draw(img)) for _ in range(k)]
@@ -192,6 +192,19 @@ def test_compose_and_plus_match_their_definitions(maps):
     got = plus(a)
     assert got == want and hash(got) == hash(want)
     assert_rebuilds(got)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_compose_matches_the_definition_on_every_pair_of_small_degree(n):
+    # degrees 0 and 1 take the comprehension, 2 and up the itemgetter gather
+    maps = family("PT", n)
+    for a in maps:
+        for b in maps:
+            c = compose(a, b)
+            want = tuple(0 if a(x) is None or b(a(x)) is None else b(a(x))
+                         for x in range(1, n + 1))
+            assert type(c.img) is tuple and c.img == want and c.n == n
+            assert hash(c) == hash((n, c.img))
 
 
 def test_public_constructor_rejects_bad_image_tuples():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import ptrans, wreath
-from actionpairs.fmonoid import (SizeBoundExceeded, iso_by_generators,
-                                 table_from_elements)
+from actionpairs import fmonoid
+from actionpairs.fmonoid import (CayleyTable, SizeBoundExceeded,
+                                 iso_by_generators, table_from_elements)
 from actionpairs.ptrans import PartialMap, from_images, id_on, identity
 from actionpairs.registry import monoid_table, ptrans_table
 from actionpairs.wreath import (MTuple, WreathElement, ZERO, act, embed_pmap,
@@ -319,6 +320,43 @@ def test_over_cap_wreath_is_refused_before_listing(monkeypatch):
     monkeypatch.setattr(ptrans, "family", no_listing)
     with pytest.raises(SizeBoundExceeded):
         enumerate_wreath(monoid_table("c1"), "PT", 7)
+
+
+def _fresh_c3():
+    """c3 as a closure leaves it, with no full table built yet."""
+    t = table_from_elements([0, 1, 2], lambda a, b: (a + b) % 3, identity=0)
+    assert t._full is None
+    return t
+
+
+def test_base_products_read_the_full_table_of_any_base(c3):
+    # products are entrywise element ids, so they agree over tables that
+    # number the base alike; tuples over different tables never compare equal
+    elems = wreath_elements(c3, "PT", 2)
+    tuples = [MTuple(c3, e) for e in itertools.product((ZERO, 0, 1, 2), repeat=2)]
+    for base in (CayleyTable.from_json(c3.to_json()), _fresh_c3()):
+        moved = [WreathElement(MTuple(base, w.tup.entries), w.pmap) for w in elems]
+        for x, u in zip(elems, moved):
+            for y, v in zip(elems, moved):
+                got, want = wr_product(u, v), wr_product(x, y)
+                assert got.tup.base is base
+                assert (got.tup.entries, got.pmap) == (want.tup.entries, want.pmap)
+        for s in tuples:
+            for t in tuples:
+                got = MTuple(base, s.entries) * MTuple(base, t.entries)
+                assert got.base is base and got.entries == (s * t).entries
+
+
+def test_base_past_the_full_table_cap_is_refused(monkeypatch):
+    base = _fresh_c3()
+    monkeypatch.setattr(fmonoid, "FULL_TABLE_CAP", base.size - 1)
+    x = embed_pmap(base, identity(2))
+    with pytest.raises(SizeBoundExceeded):
+        wr_product(x, x)
+    with pytest.raises(SizeBoundExceeded):
+        x.tup * x.tup
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_wreath(base, "PT", 2)
 
 
 def test_public_constructors_still_validate(c2):
