@@ -682,8 +682,12 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     One construction pass builds the right Cayley graph by HLT-style
     relation tracing with coincidence processing: every live node gets a
     complete row and every relation is traced from it.  A coincidence keeps
-    the smaller node, which has already been scanned, and keeps every closed
-    trace closed, so after the pass the graph is closed.  That is then
+    the smaller node, which is scanned no later than the larger one, and
+    keeps every closed trace closed, so after the pass the graph is closed.
+    When the younger end of a coincidence has no edges yet (mostly the node
+    its trace just made), it joins the older in one union-find write.  Both
+    ends are representatives, so `merge` would copy no edge and queue no
+    pair there: nodes, rows and counts stay the same.  That is then
     certified on the compacted graph: every row is complete and every
     relation, applied column by column to all nodes at once, ends on equal
     nodes (another pass runs if not).  A returned table is therefore
@@ -707,6 +711,7 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     rels = p.relations
     limit = node_cap // 4 if _complete_at_mark else node_cap
 
+    blank = [-1] * nl
     rows: list[list[int]] = [[-1] * nl]
     uf = [0]
 
@@ -785,7 +790,12 @@ def enumerate_presentation(p: Presentation, bound: int, *,
                             t = row[k] = find(t)
                         b = t
                     if a != b:
-                        merge(a, b)
+                        if b < a:
+                            a, b = b, a
+                        if rows[b] == blank:
+                            uf[b] = a
+                        else:
+                            merge(a, b)
             i += 1
 
     def certified():
@@ -896,7 +906,7 @@ class VerificationReport:
         }
 
 
-def _eval_map(p: Presentation, m: CayleyTable, gen_map: Sequence[int], word: Word) -> int:
+def _eval_map(m: CayleyTable, gen_map: Sequence[int], word: Word) -> int:
     if not word:
         if m.identity is None:
             raise ValueError("empty word needs an identity in the target")
@@ -947,7 +957,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     rep = VerificationReport(True, False, None, None, m.size)
 
     for u, v in p.relations:
-        if _eval_map(p, m, gen_map, u) != _eval_map(p, m, gen_map, v):
+        if _eval_map(m, gen_map, u) != _eval_map(m, gen_map, v):
             rep.relations_hold = False
             rep.failed_relation = (u, v)
             break
@@ -964,7 +974,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
         reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
     rep.surjective = len(reached) == m.size
 
-    bound = max(4 * m.size + 16, m.size + 1)
+    bound = 4 * m.size + 16
     rep.node_budget = node_budget(bound, node_cap)
     stats: dict = {}
     try:

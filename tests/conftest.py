@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from actionpairs import ptrans
-from actionpairs.fmonoid import closure_from_generators, greedy_generators
+from actionpairs.fmonoid import (BoundExceeded, CayleyTable, _bfs_words,
+                                 closure_from_generators, greedy_generators)
 from actionpairs.registry import monoid_table, ptrans_table
 
 
@@ -84,6 +85,84 @@ def brute_congruence(table, pairs, side):
                         if merge(table.mul(x, a), table.mul(x, b)):
                             changed = True
     return {frozenset(c) for c in classes.values()}
+
+
+def naive_enumerate(p, node_cap):
+    """(table, nodes) of the HLT enumeration of `p` with a `merge` on every
+    coincidence and no completion mark: construction passes, each tracing
+    every relation from every live node, until every row reachable from
+    the root is complete and every relation closes from every live node.
+    Raises BoundExceeded(undecided=True) at `node_cap` nodes."""
+    nl = len(p.alphabet)
+    rows, uf = [[-1] * nl], [0]
+
+    def find(x):
+        while uf[x] != x:
+            x = uf[x]
+        return x
+
+    def new_node():
+        if len(uf) >= node_cap:
+            raise BoundExceeded("node budget exhausted", undecided=True, nodes=len(uf))
+        uf.append(len(uf))
+        rows.append([-1] * nl)
+        return len(uf) - 1
+
+    def merge(a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = sorted(map(find, stack.pop()))
+            if x != y:
+                uf[y] = x
+                for k in range(nl):
+                    if rows[x][k] == -1:
+                        rows[x][k] = rows[y][k]
+                    elif rows[y][k] != -1:
+                        stack.append((rows[x][k], rows[y][k]))
+
+    def trace(x, w):
+        for k in w:
+            row = rows[x]
+            if row[k] == -1:
+                row[k] = new_node()
+            x = row[k] = find(row[k])
+        return x
+
+    def compact():
+        ids, order, right = {0: 0}, [0], []
+        for e in order:
+            out = []
+            for t in rows[e]:
+                if t == -1:
+                    return None
+                t = find(t)
+                if t not in ids:
+                    ids[t] = len(order)
+                    order.append(t)
+                out.append(ids[t])
+            right.append(out)
+        return right
+
+    while True:
+        i = 0
+        while i < len(rows):
+            if find(i) == i:
+                for k in range(nl):
+                    trace(i, [k])
+                for u, v in p.relations:
+                    merge(trace(find(i), u), trace(find(i), v))
+            i += 1
+        right = compact()
+        if right is not None and all(
+                trace(x, u) == trace(x, v) for x in range(len(rows))
+                if find(x) == x for u, v in p.relations):
+            break
+    gens, identity = right[0], 0
+    if p.kind == "semigroup" and not any(0 in row for row in right):
+        right = [[j - 1 for j in row] for row in right[1:]]
+        gens, identity = [j - 1 for j in gens], None
+    nf, parent = _bfs_words(right, gens, identity)
+    return CayleyTable(len(right), gens, right, nf, parent, identity), len(uf)
 
 
 def all_total_maps(n):

@@ -17,7 +17,7 @@ from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition
 from actionpairs.presentations import build_catalog
 from actionpairs.registry import monoid_table, ptrans_table
 
-from conftest import brute_closure, brute_congruence, all_total_maps
+from conftest import brute_closure, brute_congruence, all_total_maps, naive_enumerate
 
 
 # --- closure_from_generators ---------------------------------------------------
@@ -548,6 +548,36 @@ def test_weakened_presentations_never_undershoot(picks, drop_seed):
         assert smaller.size >= t.size
     except BoundExceeded as e:
         assert e.undecided or (e.size or t.size) >= t.size
+
+
+@st.composite
+def small_presentations(draw):
+    nl = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["monoid", "semigroup"]))
+    word = st.lists(st.integers(0, nl - 1), min_size=kind == "semigroup", max_size=4)
+    rels = draw(st.lists(st.tuples(word, word), min_size=1, max_size=4))
+    return Presentation.make([f"a{k}" for k in range(nl)], rels, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_presentations(), st.integers(1, 64), st.integers(20, 2000))
+def test_enumeration_matches_the_merge_every_coincidence_oracle(p, bound, cap):
+    # node for node: the same table and node count, or the same refusal
+    try:
+        want, nodes = naive_enumerate(p, cap)
+    except BoundExceeded as e:
+        want, nodes = None, e.nodes
+    stats: dict = {}
+    try:
+        t = enumerate_presentation(p, bound, node_cap=cap, stats=stats)
+    except BoundExceeded as e:
+        size = None if want is None else want.size
+        assert (e.undecided, e.size, e.nodes) == (want is None, size, nodes)
+        assert size is None or size > bound
+        return
+    assert want is not None
+    assert (t.right, t.nf, t.gens, t.identity, stats["nodes"]) == \
+        (want.right, want.nf, want.gens, want.identity, nodes)
 
 
 @settings(max_examples=40, deadline=None)

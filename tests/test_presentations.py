@@ -7,7 +7,7 @@ from actionpairs import actionpair as ap
 from actionpairs import presentations as pr
 from actionpairs import ptrans, registry, wreath
 from actionpairs.actionpair import HypothesisFailed
-from actionpairs.fmonoid import Presentation
+from actionpairs.fmonoid import Presentation, verify_presentation
 from actionpairs.registry import ambient_wreath, make_pair, monoid_table
 
 
@@ -29,6 +29,21 @@ def test_enumeration_node_counts(fam, n, nodes):
     rep = pr.build_catalog(fam, n=n).verify()
     assert rep.ok and rep.nodes == nodes
     assert rep.node_budget == 60 * (4 * rep.expected_size + 16) + 1000
+
+
+@pytest.mark.parametrize("fam,base,n,drop,nodes", [
+    ("Tn", None, 4, None, 2835), ("MwrSingPTn", "c2", 3, None, 9959),
+    ("MwrPTn", "c3", 3, None, 15497), ("Tn", None, 4, 22, 2842),
+])
+def test_large_enumeration_node_counts(fam, base, n, drop, nodes):
+    # the same counts on inputs whose coincidences mostly join a fresh node;
+    # Tn(4) still closes at its size with relation 22 dropped
+    kw = {"n": n} if base is None else {"n": n, "base": monoid_table(base)}
+    b = pr.build_catalog(fam, **kw)
+    rels = [r for j, r in enumerate(b.pres.relations) if j != drop]
+    pres = Presentation.make(b.pres.alphabet, rels, b.pres.kind)
+    rep = verify_presentation(pres, b.target, b.gen_map)
+    assert rep.ok and rep.nodes == nodes
 
 
 @pytest.mark.parametrize("fam,kw,size", [
