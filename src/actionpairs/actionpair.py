@@ -25,13 +25,6 @@ class NotSubsemigroup(Exception):
     pass
 
 
-class AxiomFailed(Exception):
-    def __init__(self, which, witness):
-        super().__init__(f"{which} fails at {witness}")
-        self.which = which
-        self.witness = witness
-
-
 class HypothesisFailed(Exception):
     pass
 
@@ -208,19 +201,6 @@ class ActionTable:
         return failures
 
 
-W_CONDITION_NAMES = (
-    "some u is a right identity for S",
-    "every s has a right identity from U",
-    "some u is a left identity for S",
-    "every s has a left identity from U",
-    "S is contained in US",
-    "S meets US",
-    "some v satisfies us = usv for all u, s",
-    "every us has a right identity from U",
-    "some v satisfies u = u.(s>v) for all u, s",
-    "every (u, s) has v with u = u.(s>v)",
-)
-
 SPECIAL_AXIOM_NAMES = (
     "pairs absorb the projection on the right",
     "projection sections separate",
@@ -241,7 +221,6 @@ class PairReport:
     strong: bool = False
     failures: list = field(default_factory=list)
     p_set: Optional[frozenset] = None
-    p_closed_under_action: Optional[bool] = None
     sigma: Optional[CongruencePartition] = None
     proper: Optional[bool] = None
     left_dense: Optional[bool] = None
@@ -262,16 +241,15 @@ class PairReport:
             return False
         return True
 
-    def to_dict(self, ctx: Optional[AmbientContext] = None):
-        def words(ids):
-            if ctx is None:
-                return sorted(ids)
-            return [list(ctx.m.nf[e]) for e in sorted(ids)]
+    def to_dict(self, ctx: AmbientContext):
+        nf = ctx.m.nf
 
-        def witness(w):
-            if ctx is not None and isinstance(w, int) and 0 <= w < ctx.m.size:
-                return list(ctx.m.nf[w])
-            return str(w)
+        def words(w):
+            """An ambient id as its normal-form word; a tuple or list of
+            them, nested to any depth, as the list of its members."""
+            if isinstance(w, (tuple, list)):
+                return [words(x) for x in w]
+            return list(nf[w])
         return {
             "name": self.name,
             "weak": self.weak,
@@ -280,12 +258,11 @@ class PairReport:
             "proper": self.proper,
             "left_dense": self.left_dense,
             "p_size": len(self.p_set) if self.p_set is not None else None,
-            "p_elements": words(self.p_set) if self.p_set is not None else None,
+            "p_elements": words(sorted(self.p_set)) if self.p_set is not None else None,
             "sigma_classes": len(self.sigma.classes()) if self.sigma else None,
             "w_conditions": list(self.w_conditions) if self.w_conditions else None,
             "mid_identity_ok": self.mid_identity_ok,
-            "failures": [[which, [witness(w) for w in wit]]
-                         for which, wit in self.failures],
+            "failures": [[which, words(wit)] for which, wit in self.failures],
         }
 
 
@@ -312,7 +289,7 @@ def _kernel_failures(ctx: AmbientContext, splus) -> list:
     return failures
 
 
-def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
+def check_pair_from_plus(ctx: AmbientContext
                          ) -> tuple[PairReport, Optional[ActionTable]]:
     """Verify the pair axioms from the s -> s+ data and rebuild the action.
 
@@ -327,11 +304,7 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
     u1 = ctx.u1()
     slist = ctx.s_list()
     ident = ctx.identity
-
-    def fail(which, witness):
-        rep.failures.append((which, witness))
-        if strict:
-            raise AxiomFailed(which, witness)
+    failures = rep.failures
 
     # sU1 <= U1 s, with witness lists per (s, value of su)
     witness: dict = {}
@@ -344,24 +317,23 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
             if su in traj:
                 witness[(s, u)] = traj[su]
             else:
-                fail("sU1-in-U1s", (s, u))
+                failures.append(("sU1-in-U1s", (s, u)))
                 return rep, None
 
     plus = ctx.plus
     for s in slist:
         if m.mul(plus[s], s) != s:
-            fail("s-equals-plus-s", (s,))
+            failures.append(("s-equals-plus-s", (s,)))
     for s in slist:
         for t in slist:
             st = m.mul(s, t)
             if m.mul(s, plus[t]) != m.mul(plus[st], s):
-                fail("shift-projection", (s, t))
+                failures.append(("shift-projection", (s, t)))
             if plus[st] != m.mul(plus[st], plus[s]):
-                fail("projection-absorbs", (s, t))
+                failures.append(("projection-absorbs", (s, t)))
 
     kernel = _kernel_failures(ctx, plus.__getitem__)
-    for which, wit in kernel:
-        fail(which, wit)
+    failures.extend(kernel)
 
     # reconstruct the action, least witness first, well-definedness re-checked
     table = {}
@@ -372,18 +344,17 @@ def check_pair_from_plus(ctx: AmbientContext, *, strict: bool = False
             vals = {m.mul(v, plus[s]) for v in vs}
             if len(vals) != 1:
                 well_defined = False
-                fail("action-ill-defined", (s, u, sorted(vs)[:2]))
+                failures.append(("action-ill-defined", (s, u, sorted(vs)[:2])))
             table[(s, u)] = m.mul(min(vs), plus[s])
     act = ActionTable(ctx, table)
 
     law_failures = act.verify_laws()
-    for which, wit in law_failures:
-        fail(which, wit)
+    failures.extend(law_failures)
 
     rep.weak = not law_failures and well_defined
     rep.action = rep.weak and not kernel and not any(
         which in ("s-equals-plus-s", "shift-projection", "projection-absorbs")
-        for which, _ in rep.failures)
+        for which, _ in failures)
     rep.strong = rep.action and all(plus[s] == ident for s in slist)
     act.report = rep
     return rep, act
@@ -450,8 +421,6 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
 
     p_set = projection_semigroup(ctx, act)
     rep.p_set = p_set
-    rep.p_closed_under_action = all(act(s, p) in (p_set | {ident})
-                                    for s in slist for p in p_set)
 
     sigma, transitive = sigma_partition(ctx, act, p_set)
     rep.sigma = sigma
@@ -581,8 +550,8 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
 
     The closure runs on integer codes: (u, s) in U1 x S1 is iu*|S1| + is.
     A kept generator (v, t) gets a column, the code of (u, s)(v, t) for
-    every code, built from the ambient's rows and the action the first time
-    a product needs it and dropped with the closure.  Every action value
+    every code, built from the ambient's products and the action the first
+    time a product needs it and dropped with the closure.  Every action value
     lies in U1 (the callers require the laws), so every product has a code.
     The table's `elements` and `index` are decoded back to pairs.
     """
@@ -591,14 +560,12 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
     width = len(s1)
     ucode = {u: i * width for i, u in enumerate(u1)}
     scode = {s: j for j, s in enumerate(s1)}
-    rows = m.full_table() if m.size <= FULL_TABLE_CAP else None
     times: dict = {}        # w -> the codes of u.w over u in U1
     cols: dict = {}
 
     def left(w):
         if w not in times:
-            times[w] = [ucode[m.mul(u, w) if rows is None else rows[u][w]]
-                        for u in u1]
+            times[w] = [ucode[m.mul(u, w)] for u in u1]
         return times[w]
 
     def column(g):
@@ -629,8 +596,6 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
 @dataclass
 class SemidirectResult:
     table: CayleyTable                   # U x S, payload (u, s) ambient pairs
-    ulist: list
-    slist: list
     m1: frozenset
     m2: frozenset
     mm: frozenset
@@ -715,7 +680,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     mid_ok = all(m.mul(act.splus(s), w) == w
                  for s in ctx.s1() for w in [act(s, v) for v in ctx.u1()])
 
-    act.sd = SemidirectResult(table, ulist, slist, m1, m2, mm,
+    act.sd = SemidirectResult(table, m1, m2, mm,
                               retraction, retr_ok, has_identity,
                               monoid_rule_ok, mid_ok)
     return act.sd
@@ -761,7 +726,7 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
         return act.th
     m = ctx.m
     u1 = ctx.u1()
-    slist = sd.slist
+    slist = ctx.s_list()
     s1 = ctx.s1()
 
     values = [m.mul(u, s) for (u, s) in sd.table.elements]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
@@ -887,23 +887,8 @@ class VerificationReport:
         return self.size_match is None
 
     def to_dict(self):
-        return {
-            "relations_hold": self.relations_hold,
-            "surjective": self.surjective,
-            "size_match": self.size_match,
-            "presented_size": self.presented_size,
-            "expected_size": self.expected_size,
-            "isomorphic": self.isomorphic,
-            "failed_relation":
-                [list(self.failed_relation[0]), list(self.failed_relation[1])]
-                if self.failed_relation else None,
-            "nodes": self.nodes,
-            "node_budget": self.node_budget,
-            "infinite": self.infinite,
-            "completion_rules": self.completion_rules,
-            "completion_overlaps": self.completion_overlaps,
-            "completion_orders": self.completion_orders,
-        }
+        return {**asdict(self), "failed_relation":
+                [list(w) for w in self.failed_relation or ()] or None}
 
 
 def _eval_map(m: CayleyTable, gen_map: Sequence[int], word: Word) -> int:
@@ -967,11 +952,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
         if m.identity is None:
             raise ValueError("monoid presentation against a table without identity")
         seeds.append(m.identity)
-    full = m._full
-    if full is not None:
-        reached = right_orbit(seeds, lambda a: map(full[a].__getitem__, gen_map))
-    else:
-        reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
+    reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
     rep.surjective = len(reached) == m.size
 
     bound = 4 * m.size + 16

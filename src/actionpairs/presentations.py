@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         SemidirectResult, _family_join_failure, _join,
-                         _pairs_for, _pairwise_join_failure, _partition_by,
+                         _family_join_failure, _join, _pairs_for,
+                         _pairwise_join_failure, _partition_by,
                          _s_successors, semidirect, theta_and_friends)
 from .fmonoid import (CayleyTable, CongruencePartition, Presentation,
                       VerificationReport, Word, congruence_closure,
@@ -704,12 +704,6 @@ def lavers(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
     return PresentationBundle(pres, sd.table, gm, f"semidirect({ctx.name})")
 
 
-def _local_monoid(sd: SemidirectResult) -> tuple[CayleyTable, dict]:
-    """The local monoid of the pairs absorbing their projection, as a table
-    over its own ids with the map from semidirect ids."""
-    return subtable(sd.table, sorted(sd.mm))
-
-
 def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
                       pres_u: LetteredSubset,
                       pres_s: LetteredSubset) -> PresentationBundle:
@@ -723,7 +717,7 @@ def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
     pres = Presentation.make(names, rels, "monoid")
 
     sd = semidirect(ctx, act)
-    tbl, old2new = _local_monoid(sd)
+    tbl, old2new = subtable(sd.table, sd.mm)
     gm = tuple(old2new[sd.id_of(u, ident)] for u in pres_u.images) + \
         tuple(old2new[sd.id_of(act.splus(s), s)] for s in pres_s.images)
     return PresentationBundle(pres, tbl, gm, f"local_monoid({ctx.name})")
@@ -815,7 +809,7 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
             _check(part == theta_and_friends(ctx, act, sd).theta,
                    "the supplied pairs do not generate theta")
         else:
-            tbl, old2new = _local_monoid(sd)
+            tbl, old2new = subtable(sd.table, sd.mm)
             vart = congruence_closure(
                 tbl, [(old2new[i], old2new[j]) for i, j in omega_pairs],
                 "two_sided")

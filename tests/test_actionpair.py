@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from actionpairs import actionpair as ap
 from actionpairs import ptrans, registry, wreath
-from actionpairs.actionpair import (ActionTable, AmbientContext, AxiomFailed,
+from actionpairs.actionpair import (ActionTable, AmbientContext,
                                     NotSubsemigroup, check_pair_from_plus,
                                     check_special_congruence, check_weak_pair,
                                     classify_proper, embed_central, lr_pair,
@@ -57,8 +57,13 @@ def test_idempotent_unit_pair_in_t2_fails_kernel_condition():
     assert rep.weak and not rep.action
     kinds = {which for which, _ in rep.failures}
     assert "kernel-condition" in kinds
-    with pytest.raises(AxiomFailed):
-        check_pair_from_plus(ctx, strict=True)
+    # the laws hold, so U x S and theta exist, but every omega rule refuses
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    for rule in ap.OMEGA_RULES:
+        res = omega_check(ctx, act, sd, th, rule)
+        assert not res.hypotheses_ok and res.matches_theta is None
+        assert "not an action pair" in res.failures, rule
 
 
 def test_not_subsemigroup_rejected():
@@ -545,6 +550,24 @@ def test_zero_joined_union_is_a_weak_pair():
     # the same data through the projection route agrees
     rep2, act2 = check_pair_from_plus(ctx)
     assert rep2.weak and act2.table == act.table
+
+
+def test_left_zero_band_takes_the_left_regular_band_branch():
+    # the left-zero band {e, f} (xy = x) with an identity adjoined acts on
+    # itself with s+ = s: P = {e, f} is a left regular band that is not
+    # commutative, so sigma is cross-checked against (s+ t+) s = s+ t
+    from actionpairs.fmonoid import table_from_elements
+    t = table_from_elements(["1", "e", "f"], lambda a, b: b if a == "1" else a,
+                            identity="1")
+    names = {e: i for i, e in enumerate(t.elements)}
+    e, f = names["e"], names["f"]
+    ctx = AmbientContext(t, frozenset({e, f}), frozenset({e, f}), {e: e, f: f},
+                         name="left-zero")
+    rep, act = check_pair_from_plus(ctx)
+    classify_proper(ctx, act, rep)
+    assert rep.action and rep.proper
+    assert rep.p_set == {e, f} and t.mul(e, f) != t.mul(f, e)
+    assert rep.sigma_equational_ok is True
 
 
 def test_theta_quotient_matches_independently_built_injective_maps():

@@ -83,6 +83,16 @@ def test_classify_pair_text_and_json(capsys):
     assert code == cli.EXIT_PASS
     assert rep["pair"]["strong"] is True and rep["pair"]["proper"] is False
     assert rep["product_size"] == 9
+    # the default text format: one "key: value" line per field, and a nested
+    # block under its key, indented two spaces
+    code, out = run(capsys, "classify-pair", "--ambient", "PT2",
+                    "--U", "E2", "--S", "T")
+    assert code == cli.EXIT_PASS
+    lines = out.splitlines()
+    assert lines[:3] == ["schema: v1", "command: classify-pair", "config:"]
+    assert "product_size: 9" in lines
+    pair = lines[lines.index("pair:") + 1:]
+    assert "  strong: True" in pair and "  proper: False" in pair
 
 
 def test_classify_pair_with_cover_and_embed(capsys):

@@ -264,18 +264,27 @@ def test_catalogue_pair_tables_are_the_tuple_closures(base):
     ("c1", "E", "T", True), ("c1", "SingE", "SingT", True),
     ("c1", "M0n", "PT", True), ("c1", "M0n", "SingPT", True),
     ("c2", "E", "G", True), ("c2", "M0n", "SingT", False)])
-def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, holds):
+def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, holds,
+                                                      monkeypatch):
     # the cover's product set under (u, s)+ = (u, 1), as it is and with one
     # value x+ moved to another projection p with px = x (so that only the
     # last two identities can fail), to another carrier element, or off the
-    # product set
+    # product set; each scan reads the carrier's full table and, with the
+    # cap at 0, the rows it builds itself past FULL_TABLE_CAP
     ctx = registry.catalogue_pair(base, 2, u_kind, s_kind)
     _, act = check_pair_from_plus(ctx)
     cov = proper_cover(ctx, act)
     carrier, cid = cov.cover_table, cov.cover_table.index
     cset = sorted(cov.psi)
     plus_of = {i: cid[(carrier.elements[i][0], ctx.identity)] for i in cset}
-    assert ap._left_restriction_laws(carrier, cset, plus_of) is holds
+
+    def both_paths(plus):
+        full = ap._left_restriction_laws(carrier, cset, plus)
+        with monkeypatch.context() as capped:
+            capped.setattr(ap, "FULL_TABLE_CAP", 0)
+            return full, ap._left_restriction_laws(carrier, cset, plus)
+
+    assert both_paths(plus_of) == (holds, holds)
     assert naive_left_restriction(carrier, cset, plus_of) is holds
     off = [x for x in range(carrier.size) if x not in plus_of]
     projections = sorted(set(plus_of.values()))
@@ -285,7 +294,7 @@ def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, hold
                 [cset[(k + 1) % len(cset)]] + off[k:k + 1]:
             fault = {**plus_of, x: y}
             want = naive_left_restriction(carrier, cset, fault)
-            assert ap._left_restriction_laws(carrier, cset, fault) == want, (x, y)
+            assert both_paths(fault) == (want, want), (x, y)
             verdicts.append(want)
     assert False in verdicts
 

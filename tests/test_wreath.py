@@ -183,6 +183,20 @@ def test_pair_report_is_json_ready(c2):
     assert back["strong"] is True and back["proper"] is False
     # projection elements render as generator words
     assert all(isinstance(w, list) for w in back["p_elements"])
+    # a failing pair: the kernel-condition witness of the idempotents
+    # against the units of T2 nests two (u, s) pairs, each member a word
+    t2 = ptrans_table("T", 2)
+    idx = {w: i for i, w in enumerate(t2.elements)}
+    one, tau = t2.identity, idx[ptrans.tau(1, 2, 2)]
+    ctx = ap.AmbientContext(t2, frozenset({idx[ptrans.constant(1, 2)],
+                                           idx[ptrans.constant(2, 2)], one}),
+                            frozenset({one, tau}), {one: one, tau: one})
+    rep, _ = ap.check_pair_from_plus(ctx)
+    back = json.loads(json.dumps(rep.to_dict(ctx)))
+    [(u0, s0), (u, s)] = dict(rep.failures)["kernel-condition"]
+    assert back["action"] is False
+    assert dict(back["failures"])["kernel-condition"] == \
+        [[list(t2.nf[u0]), list(t2.nf[s0])], [list(t2.nf[u]), list(t2.nf[s])]]
 
 
 # --- the trusted fast paths against the plain definitions -------------------------
