@@ -525,12 +525,17 @@ class CongruencePartition:
         return x
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        # `find`'s path halving, inline on both members; the least root wins
+        p = self.parent
+        while p[a] != a:
+            p[a] = a = p[p[a]]
+        while p[b] != b:
+            p[b] = b = p[p[b]]
+        if a == b:
             return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        if b < a:
+            a, b = b, a
+        p[b] = a
         return True
 
     def close(self, pairs: Iterable[tuple], successors: Callable
@@ -544,22 +549,35 @@ class CongruencePartition:
         every successor map.  Returns self.
         """
         queue = [(a, b) for a, b in pairs if self.union(a, b)]
+        p = self.parent
         while queue:
             a, b = queue.pop()
             for x, y in zip(successors(a), successors(b)):
-                if self.union(x, y):
+                # `union(x, y)` inline: the roots rx, ry, then the merge
+                rx, ry = x, y
+                while p[rx] != rx:
+                    p[rx] = rx = p[p[rx]]
+                while p[ry] != ry:
+                    p[ry] = ry = p[p[ry]]
+                if rx != ry:
+                    if ry < rx:
+                        p[rx] = ry
+                    else:
+                        p[ry] = rx
                     queue.append((x, y))
         return self
 
     def canonical(self) -> tuple[int, ...]:
         """Per member, the first member of its class."""
         first: dict = {}
-        return tuple(first.setdefault(self.find(x), x) for x in self.members)
+        find = self.find
+        return tuple([first.setdefault(find(x), x) for x in self.members])
 
     def classes(self) -> list[list[int]]:
         by_root: dict = {}
+        find = self.find
         for x in self.members:
-            by_root.setdefault(self.find(x), []).append(x)
+            by_root.setdefault(find(x), []).append(x)
         return list(by_root.values())
 
     def is_trivial(self) -> bool:

@@ -6,14 +6,15 @@ the unary operation drops the word part.  Words are plain strings over a
 single-character alphabet, with 'e' printing as the empty word.
 
 The public constructors `PrefixSet(...)` and `LRElement(...)` and `parse`
-validate their input.  `lr_product` and `lr_plus` take valid elements and
-build their results directly, skipping validation; each docstring says why
-its result is valid.
+validate their input.  `lr_product`, `lr_plus` and `Sampler` build their
+results through the trusted path instead, skipping validation; each
+docstring says why its result is valid.
 
 Hashes are computed on first use and cached, with the values hash(words)
 for a prefix set and hash((pset, word)) for an element, whichever path
 built the object.  Element equality compares the word, then the prefix
-set's words.
+set's words; each class defines `!=` as the negation of its `==` test, so
+`x != y` is one call.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class PrefixSet:
     def __eq__(self, other):
         return isinstance(other, PrefixSet) and self.words == other.words
 
+    def __ne__(self, other):
+        return not (isinstance(other, PrefixSet) and self.words == other.words)
+
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -94,6 +98,10 @@ class LRElement:
         return (isinstance(other, LRElement) and self.word == other.word
                 and self.pset.words == other.pset.words)
 
+    def __ne__(self, other):
+        return not (isinstance(other, LRElement) and self.word == other.word
+                    and self.pset.words == other.pset.words)
+
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -109,6 +117,25 @@ class LRElement:
     def to_json(self):
         import json
         return json.dumps({"set": self.pset.sorted_words(), "word": self.word})
+
+
+def _prefix_set(words: frozenset) -> PrefixSet:
+    """Trusted constructor: `words` must already be a prefix-closed
+    frozenset holding the empty word.  The hash is left to be computed on
+    first use."""
+    a = object.__new__(PrefixSet)
+    a.words = words
+    a._hash = None
+    return a
+
+
+def _lr_element(pset: PrefixSet, word: str) -> LRElement:
+    """Trusted constructor: `word` must already be a member of `pset`."""
+    z = object.__new__(LRElement)
+    z.pset = pset
+    z.word = word
+    z._hash = None
+    return z
 
 
 def element(words: Iterable[str], word: str = "") -> LRElement:
@@ -198,7 +225,13 @@ def is_atom(target: PrefixSet, pool: Iterable[PrefixSet]) -> bool:
 
 class Sampler:
     """Seeded random elements: prefix sets from up to four words of length
-    up to four, paired with a random member word."""
+    up to four, paired with a random member word.
+
+    Both draws build through the trusted constructors, as `lr_product`
+    does, because they cannot fail the public checks: `down` returns a
+    prefix-closed frozenset holding the empty word, and the word is drawn
+    from that set.  The public constructors would make the same RNG calls,
+    so a seed gives the same elements either way."""
 
     def __init__(self, alphabet="xy", seed=0x5EED):
         self.alphabet = sorted(alphabet)
@@ -210,12 +243,11 @@ class Sampler:
 
     def prefix_set(self) -> PrefixSet:
         k = self.rng.randint(0, 4)
-        return PrefixSet(down(self.word() for _ in range(k)))
+        return _prefix_set(down(self.word() for _ in range(k)))
 
     def element(self) -> LRElement:
         ps = self.prefix_set()
-        word = self.rng.choice(ps.sorted_words())
-        return LRElement(ps, word)
+        return _lr_element(ps, self.rng.choice(ps.sorted_words()))
 
 
 def parse(text: str) -> LRElement:

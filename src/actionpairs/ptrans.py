@@ -9,12 +9,15 @@ image tuple.  `compose` and `plus` take maps that are already valid and build
 their results directly, skipping that check: each result is valid by
 construction (see their docstrings).  Other modules build trusted maps
 through `_pmap`.  From degree 2 on, `compose` gathers the composite's image
-tuple in C, with one `operator.itemgetter` over a's image tuple applied to
-b's padded image tuple.
+tuple in C, with an `operator.itemgetter` over a's image tuple applied to
+b's padded image tuple.  A map builds that itemgetter the first time it is
+a left factor and keeps it in its `_get` slot, so a map that stays a left
+factor across many products builds it once.
 
 The hash of a map is computed on first use and cached; its value is always
 hash((n, img)), whichever path built the map.  Equality compares the image
-tuples alone, since a valid map has len(img) == n.
+tuples alone, since a valid map has len(img) == n; `!=` is its negation.
+Equality, the hash, repr and the text and JSON forms never read `_get`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class BadParams(Exception):
 
 
 class PartialMap:
-    __slots__ = ("n", "img", "_hash")
+    __slots__ = ("n", "img", "_hash", "_get")
 
     def __init__(self, n: int, img: Sequence[int]):
         img = tuple(img)
@@ -45,9 +48,13 @@ class PartialMap:
         self.n = n
         self.img = img
         self._hash = None
+        self._get = None
 
     def __eq__(self, other):
         return isinstance(other, PartialMap) and self.img == other.img
+
+    def __ne__(self, other):
+        return not (isinstance(other, PartialMap) and self.img == other.img)
 
     def __hash__(self):
         h = self._hash
@@ -132,12 +139,13 @@ class PartialMap:
 
 def _pmap(n: int, img: tuple) -> PartialMap:
     """Trusted constructor: `img` must already be a valid image tuple of
-    degree n.  Sets the slots, leaves the hash to be computed on first use
-    and checks nothing."""
+    degree n.  Sets the slots, leaves the hash and the gather to be built on
+    first use and checks nothing."""
     a = object.__new__(PartialMap)
     a.n = n
     a.img = img
     a._hash = None
+    a._get = None
     return a
 
 
@@ -146,18 +154,28 @@ def compose(a: PartialMap, b: PartialMap) -> PartialMap:
     stays 0), so the result lies in {0..n} and needs no validation.
 
     Point x of ab is bi[xa] with bi = (0,) + b.img, so the image tuple is
-    bi gathered at a's image tuple.  For n >= 2 one `itemgetter(*a.img)`
-    does that gather in C and returns a tuple.  Degrees 0 and 1 keep the
-    comprehension: itemgetter refuses zero keys and returns a scalar, not a
-    tuple, for one key."""
+    bi gathered at a's image tuple.  For n >= 2 `itemgetter(*a.img)` does
+    that gather in C and returns a tuple; a builds it on its first product
+    as a left factor and keeps it in `a._get`, which is valid for as long
+    as a, since a's image tuple never changes.  Degrees 0 and 1 keep the
+    comprehension and cache nothing: itemgetter refuses zero keys and
+    returns a scalar, not a tuple, for one key."""
     n = a.n
     if n != b.n:
         raise DegreeMismatch(f"degrees {n} and {b.n}")
-    bi = (UNDEF,) + b.img
     c = object.__new__(PartialMap)
     c.n = n
-    c.img = itemgetter(*a.img)(bi) if n > 1 else tuple([bi[v] for v in a.img])
+    get = a._get
+    if get is not None:
+        c.img = get((UNDEF,) + b.img)
+    elif n > 1:
+        get = a._get = itemgetter(*a.img)
+        c.img = get((UNDEF,) + b.img)
+    else:
+        bi = (UNDEF,) + b.img
+        c.img = tuple([bi[v] for v in a.img])
     c._hash = None
+    c._get = None
     return c
 
 
@@ -167,6 +185,7 @@ def plus(a: PartialMap) -> PartialMap:
     c.n = a.n
     c.img = tuple([UNDEF if v == UNDEF else x for x, v in enumerate(a.img, 1)])
     c._hash = None
+    c._get = None
     return c
 
 

@@ -25,7 +25,13 @@ Hashes are computed on first use and cached, with the values
 hash(entries) for a tuple and hash((entries, img)) for a wreath element,
 whichever path built the object.  Equality compares the flat fields: a
 wreath element compares its map's image tuple, then its tuple's entries,
-then the identity of the base table.
+then the identity of the base table.  Each class defines `!=` as the
+negation of that test, so `x != y` is one call.
+
+`wr_product` builds its map half in its own loop beside the base products:
+it neither calls `ptrans.compose` nor fills the left factor's cached gather
+(`PartialMap._get`), and the maps it and `wr_plus` build start with that
+slot empty, as `ptrans._pmap` leaves it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ class MTuple:
     def __eq__(self, other):
         return (isinstance(other, MTuple) and self.base is other.base
                 and self.entries == other.entries)
+
+    def __ne__(self, other):
+        return not (isinstance(other, MTuple) and self.base is other.base
+                    and self.entries == other.entries)
 
     def __hash__(self):
         h = self._hash
@@ -149,6 +159,12 @@ class WreathElement:
                 and self.tup.entries == other.tup.entries
                 and self.tup.base is other.tup.base)
 
+    def __ne__(self, other):
+        return not (isinstance(other, WreathElement)
+                    and self.pmap.img == other.pmap.img
+                    and self.tup.entries == other.tup.entries
+                    and self.tup.base is other.tup.base)
+
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -218,6 +234,7 @@ def wr_product(x: WreathElement, y: WreathElement) -> WreathElement:
     pm.n = f.n
     pm.img = tuple(img)
     pm._hash = None
+    pm._get = None
     t = object.__new__(MTuple)
     t.base = base
     t.entries = tuple(ent)
@@ -248,6 +265,7 @@ def wr_plus(x: WreathElement) -> WreathElement:
     pm.n = f.n
     pm.img = tuple(img)
     pm._hash = None
+    pm._get = None
     t = object.__new__(MTuple)
     t.base = base
     t.entries = tuple(ent)

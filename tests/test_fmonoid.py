@@ -141,6 +141,28 @@ def test_congruence_closure_matches_brute_force(pairs, side):
         brute_congruence(t, pairs, side)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.booleans(),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))))
+def test_union_merges_like_naive_classes_with_the_least_member_as_root(case):
+    n, listed, pairs = case
+    # CongruencePartition(n) keeps a parent list, a list of members a dict
+    part = CongruencePartition([(x,) for x in range(n)] if listed else n)
+    key = (lambda x: (x,)) if listed else (lambda x: x)
+    classes = [{key(x)} for x in range(n)]
+    for a, b in pairs:
+        ca = next(c for c in classes if key(a) in c)
+        cb = next(c for c in classes if key(b) in c)
+        assert part.union(key(a), key(b)) is (ca is not cb)
+        if ca is not cb:
+            ca |= cb
+            classes.remove(cb)
+    assert sorted(map(sorted, classes)) == sorted(part.classes())
+    assert all(part.find(x) == min(c) for c in classes for x in c)
+    assert part.canonical() == tuple(part.find(key(x)) for x in range(n))
+
+
 # --- enumeration of presented monoids -------------------------------------------
 
 def test_idempotent_letter():

@@ -1,6 +1,8 @@
 """Free left restriction monoid tests: products, the unary operation, the
 word-collapsing relation, generators and the seeded sampling suite."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +162,36 @@ def test_product_and_plus_match_their_definitions(seed):
     got = lr_plus(x)
     assert got == want and hash(got) == hash(want)
     assert_rebuilds(got)
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 7, 2 ** 31 + 11])
+def test_sampler_draws_what_the_public_constructors_build(seed):
+    # the same RNG calls, made here through the validating constructors
+    s, rng = Sampler(seed=seed), random.Random(seed)
+
+    def word():
+        return "".join(rng.choice("xy") for _ in range(rng.randint(0, 4)))
+
+    for _ in range(5000):
+        ps = PrefixSet(down(word() for _ in range(rng.randint(0, 4))))
+        want = LRElement(ps, rng.choice(ps.sorted_words()))
+        got = s.element()
+        assert type(got) is LRElement and type(got.pset) is PrefixSet
+        assert got == want and got.pset == want.pset
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def test_ne_is_the_negation_of_eq():
+    x = element(["xy", "y"], "xy")
+    y = element(["xy", "y"], "y")
+    cases = [(x, x), (x, parse(repr(x))), (x, lr_product(x, lr_identity())), (x, y),
+             (x, lr_plus(x)), (x, x.pset), (x, "xy"), (x, None), (x, object()),
+             (x.pset, x.pset), (x.pset, PrefixSet(x.pset.words)), (x.pset, y.pset),
+             (x.pset, PrefixSet({""})), (x.pset, x.pset.words), (x.pset, x), (x.pset, 1)]
+    for u, v in cases:
+        assert (u != v) is (not u == v)
+        assert (v != u) is (not v == u)
+    assert not x != parse(repr(x)) and x != lr_plus(x) and x.pset != PrefixSet({""})
 
 
 def test_public_constructors_still_validate():

@@ -1,6 +1,8 @@
 """Partial transformation tests: composition, families, unary structure."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,17 +196,48 @@ def test_compose_and_plus_match_their_definitions(maps):
     assert_rebuilds(got)
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(5))
 def test_compose_matches_the_definition_on_every_pair_of_small_degree(n):
-    # degrees 0 and 1 take the comprehension, 2 and up the itemgetter gather
+    # degrees 0 and 1 take the comprehension; from 2 on a left factor builds
+    # its itemgetter gather on first use and keeps it in `_get`: every pair
+    # is composed once with an unused left factor and once with a reused one
     maps = family("PT", n)
     for a in maps:
+        ax = [a(x) for x in range(1, n + 1)]
+        left = ptrans._pmap(n, a.img)
         for b in maps:
-            c = compose(a, b)
-            want = tuple(0 if a(x) is None or b(a(x)) is None else b(a(x))
-                         for x in range(1, n + 1))
-            assert type(c.img) is tuple and c.img == want and c.n == n
-            assert hash(c) == hash((n, c.img))
+            want = tuple(0 if y is None or b(y) is None else b(y) for y in ax)
+            for c in (compose(ptrans._pmap(n, a.img), b), compose(left, b)):
+                assert type(c.img) is tuple and c.img == want and c.n == n
+                assert hash(c) == hash((n, c.img)) and c._get is None
+        assert (left._get is None) is (n < 2)
+
+
+def test_a_left_factor_copies_and_pickles_as_a_fresh_map():
+    for n in range(5):
+        maps = family("PT", n)
+        a, b = maps[len(maps) // 3], maps[-1]
+        compose(a, b)
+        assert (a._get is None) is (n < 2)
+        fresh = PartialMap(n, a.img)
+        for c in (a, copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert c == fresh and not c != fresh
+            assert hash(c) == hash(fresh) == hash((n, a.img))
+            assert repr(c) == repr(fresh) and c.to_json() == fresh.to_json()
+            for d in maps:
+                assert compose(c, d) == compose(fresh, d)
+                assert compose(d, c) == compose(d, fresh)
+
+
+def test_ne_is_the_negation_of_eq():
+    a = from_images([2, None, 3])
+    others = [a, PartialMap(3, a.img), compose(a, identity(3)), from_images([2, None, 1]),
+              identity(3), empty_map(2), a.img, (2, 0, 3), None, 3, "map", object()]
+    for x in (a, compose(identity(3), a)):
+        for y in others:
+            assert (x != y) is (not x == y)
+            assert (y != x) is (not y == x)
+    assert not a != PartialMap(3, a.img) and a != a.img and a != from_images([2, None, 1])
 
 
 def test_public_constructor_rejects_bad_image_tuples():

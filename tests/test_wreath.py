@@ -373,6 +373,22 @@ def test_base_past_the_full_table_cap_is_refused(monkeypatch):
         enumerate_wreath(base, "PT", 2)
 
 
+def test_ne_is_the_negation_of_eq(c2, sl2):
+    x = wreath_identity(c2, 2)
+    y = wr_product(x, embed_pmap(c2, id_on({1}, 2)))
+    same = WreathElement(MTuple(c2, x.tup.entries), identity(2))
+    other_base = WreathElement(MTuple(sl2, x.tup.entries), identity(2))
+    assert other_base.tup.entries == x.tup.entries and other_base.pmap == x.pmap
+    cases = [(x, x), (x, same), (x, wr_product(x, x)), (x, y), (x, other_base),
+             (x, x.tup), (x, x.pmap), (x, None), (x, object()),
+             (x.tup, same.tup), (x.tup, y.tup), (x.tup, other_base.tup),
+             (x.tup, x.tup.entries), (x.tup, x), (x.tup, "t")]
+    for u, v in cases:
+        assert (u != v) is (not u == v)
+        assert (v != u) is (not v == u)
+    assert not x != same and x != other_base and x.tup != other_base.tup and x != y
+
+
 def test_public_constructors_still_validate(c2):
     with pytest.raises(ValueError):
         MTuple(c2, (0, 2))
