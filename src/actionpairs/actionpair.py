@@ -1018,7 +1018,7 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     slist = ctx.s_list()
     fails: list = []
 
-    cong_ok = is_compatible(sd.table, sigma, "two_sided")
+    cong_ok = is_compatible(sd.table, sigma)
     if not cong_ok:
         fails.append("input relation is not a two-sided congruence")
 

@@ -618,18 +618,13 @@ def congruence_closure(table: CayleyTable, pairs: Iterable[tuple[int, int]],
     return CongruencePartition(table.size).close(pairs, successors)
 
 
-def is_compatible(table: CayleyTable, part: CongruencePartition, side: str) -> bool:
-    """Re-scan compatibility of an equivalence on the requested side(s):
-    every member of a class must send each generator to the same class as
-    the class's first member does."""
+def is_compatible(table: CayleyTable, part: CongruencePartition) -> bool:
+    """Re-scan two-sided compatibility of an equivalence: on each side, every
+    member of a class must send each generator to the same class as the
+    class's first member does."""
     root = [part.find(x) for x in range(table.size)]
     members = Counter(root)
-    mults = []
-    if side in ("right", "two_sided"):
-        mults.append(table.right)
-    if side in ("left", "two_sided"):
-        mults.append(table.left_by_gen())
-    for mult in mults:
+    for mult in (table.right, table.left_by_gen()):
         first: dict = {}
         for x, row in enumerate(mult):
             if members[root[x]] > 1:
@@ -646,7 +641,7 @@ def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
     off the class representatives; no m x m table is built (`mul` walks
     normal forms, `full_table()` builds one on demand).
     """
-    if not is_compatible(table, part, "two_sided"):
+    if not is_compatible(table, part):
         raise NotACongruence("partition is not two-sided compatible")
     classes = part.classes()
     rep = [c[0] for c in classes]

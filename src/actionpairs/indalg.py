@@ -4,12 +4,22 @@ Carriers are integer ids; operations are stored as dense tables.  Dimension
 and codimension are computed by greedy basis growth, which the exchange
 property justifies; custom algebras therefore have the exchange property
 verified exhaustively before any dimension claim is made.
+
+A morphism is fixed by its values on a generating set.  Automorphisms and
+partial endomorphisms therefore come from one search: choose images for the
+greedy generators of the domain, extend them along the closure trail (each
+other member is an operation applied to members reached before it), and keep
+the maps that respect every operation instance inside the domain.  `AUT_CAP`
+bounds that search by its candidates: a domain with k generators in a carrier
+of n elements is refused when it has more than AUT_CAP! choices of images.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from operator import add, eq
 from typing import Iterable, Optional, Sequence
 
 from . import ptrans
@@ -29,7 +39,7 @@ class Operation:
     arity: int
     table: tuple      # arity 0: (value,); else dense tuple in mixed radix
 
-    def apply(self, size: int, args: tuple) -> int:
+    def apply(self, size: int, args: Iterable[int]) -> int:
         idx = 0
         for a in args:
             idx = idx * size + a
@@ -83,30 +93,48 @@ class AlgebraInstance:
 
     # -- closure --------------------------------------------------------------
 
-    def closure(self, subset: Iterable[int]) -> frozenset:
-        key = frozenset(subset)
-        got = self._closure_cache.get(key)
-        if got is not None:
-            return got
-        cur = set(key)
+    def trail(self, seeds: Iterable[int]) -> list:
+        """The closure of `seeds` in the order reached, as (member, op, args):
+        seeds first with op None, then the constants, then each new member
+        as op applied to members reached before it."""
+        trail = [(x, None, ()) for x in seeds]
+        seen = {x for x, _, _ in trail}
         for op in self.ops:
-            if op.arity == 0:
-                cur.add(op.table[0])
+            if op.arity == 0 and op.table[0] not in seen:
+                seen.add(op.table[0])
+                trail.append((op.table[0], op, ()))
         changed = True
         while changed:
             changed = False
-            base = sorted(cur)
+            base = sorted(seen)
             for op in self.ops:
                 if op.arity == 0:
                     continue
                 for args in itertools.product(base, repeat=op.arity):
                     v = op.apply(self.size, args)
-                    if v not in cur:
-                        cur.add(v)
+                    if v not in seen:
+                        seen.add(v)
+                        trail.append((v, op, args))
                         changed = True
-        out = frozenset(cur)
-        self._closure_cache[key] = out
-        return out
+        return trail
+
+    def closure(self, subset: Iterable[int]) -> frozenset:
+        key = frozenset(subset)
+        got = self._closure_cache.get(key)
+        if got is None:
+            got = self._closure_cache[key] = frozenset(v for v, _, _ in self.trail(key))
+        return got
+
+    def generators(self, subset: Iterable[int]) -> list:
+        """The greedy generating set of a subalgebra: its members, in id
+        order, that the earlier ones do not generate."""
+        gens: list = []
+        grown = self.closure(())
+        for x in sorted(subset):
+            if x not in grown:
+                gens.append(x)
+                grown = self.closure(gens)
+        return gens
 
     def constants(self) -> frozenset:
         return self.closure(())
@@ -160,14 +188,7 @@ class AlgebraInstance:
     def dim(self, subset: Optional[Iterable[int]] = None) -> int:
         """Greedy basis size of a subalgebra (the whole algebra by default)."""
         self.ensure_exchange()
-        carrier = frozenset(subset) if subset is not None else frozenset(range(self.size))
-        basis: list = []
-        grown = self.closure(())
-        for x in sorted(carrier):
-            if x not in grown:
-                basis.append(x)
-                grown = self.closure(basis)
-        return len(basis)
+        return len(self.generators(range(self.size) if subset is None else subset))
 
     def codim(self, subset: Iterable[int]) -> int:
         """Size of a greedy relative basis of the whole algebra over a subalgebra."""
@@ -214,10 +235,7 @@ def vecspace(p: int, d: int) -> AlgebraInstance:
     for lam in range(p):
         ops.append(Operation(1, tuple(pos[tuple((lam * a) % p for a in u)]
                                       for u in vecs)))
-    alg = AlgebraInstance(n, ops, family=f"gf{p}_{d}", ep_known=True)
-    alg.vectors = vecs   # used by the linear automorphism shortcut
-    alg.p, alg.d = p, d
-    return alg
+    return AlgebraInstance(n, ops, family=f"gf{p}_{d}", ep_known=True)
 
 
 def free_act(group: CayleyTable, x: int) -> AlgebraInstance:
@@ -353,127 +371,65 @@ def inclusion_exclusion_check(alg: AlgebraInstance) -> tuple[bool, Optional[tupl
 
 # -- automorphisms --------------------------------------------------------------
 
-AUT_CAP = 10
+AUT_CAP = 10      # a morphism search takes at most AUT_CAP! candidates
 
 
-def _morphism_backtrack(alg: AlgebraInstance, domain: list, codomain: list,
-                        *, bijective: bool) -> list[dict]:
-    """All op-preserving maps domain -> codomain by constraint-checked DFS.
-
-    Operation instances internal to the domain are grouped by the largest
-    domain position they mention so each assignment is checked once.
-    """
-    dpos = {x: i for i, x in enumerate(domain)}
-    dset = set(domain)
-    instances: list[list[tuple]] = [[] for _ in domain]
+def _morphisms(alg: AlgebraInstance, sub: frozenset, *,
+               bijective: bool) -> list[ptrans.PartialMap]:
+    """All morphisms from the subalgebra `sub` into `alg` (bijections of the
+    carrier when `bijective`), one candidate per choice of images for the
+    greedy generators of `sub`, extended along their closure trail."""
+    n = alg.size
+    gens = alg.generators(sub)
+    k = len(gens)
+    if (math.perm(n, k) if bijective else n ** k) > math.factorial(AUT_CAP):
+        raise SizeBoundExceeded(f"{k} generators in a carrier of {n} give more "
+                                f"than {AUT_CAP}! candidate morphisms")
+    rest = alg.trail(gens)[k:]
+    # per operation: its table, one column of argument ids per position over
+    # every instance inside sub, and the instances' values
+    checks = []
     for op in alg.ops:
-        if op.arity == 0:
-            v = op.table[0]
-            if v in dset:
-                instances[dpos[v]].append((op, (), v))
-            continue
-        for args in itertools.product(domain, repeat=op.arity):
-            out = op.apply(alg.size, args)
-            if out in dset:
-                hi = max(max(dpos[a] for a in args), dpos[out])
-                instances[hi].append((op, args, out))
-
-    results = []
-    img: dict = {}
-    used = set()
-
-    def ok_at(i):
-        for op, args, out in instances[i]:
-            if op.arity == 0:
-                if img[out] != op.table[0]:
-                    return False
-                continue
-            if op.apply(alg.size, tuple(img[a] for a in args)) != img[out]:
-                return False
-        return True
-
-    def rec(i):
-        if i == len(domain):
-            results.append(dict(img))
-            return
-        x = domain[i]
-        for y in codomain:
-            if bijective and y in used:
-                continue
+        argss = list(itertools.product(sorted(sub), repeat=op.arity))
+        checks.append((op.table.__getitem__, list(zip(*argss)),
+                       [op.apply(n, args) for args in argss]))
+    choices = (itertools.permutations(range(n), k) if bijective
+               else itertools.product(range(n), repeat=k))
+    out = []
+    for images in choices:
+        img = [None] * n
+        for x, y in zip(gens, images):
             img[x] = y
-            if bijective:
-                used.add(y)
-            if ok_at(i):
-                rec(i + 1)
-            if bijective:
-                used.discard(y)
-            del img[x]
+        for v, op, args in rest:
+            img[v] = op.apply(n, map(img.__getitem__, args))
+        if bijective and len(set(img)) < n:
+            continue
+        if all(_respects(img.__getitem__, n, *check) for check in checks):
+            out.append(ptrans.PartialMap(n, tuple(
+                ptrans.UNDEF if y is None else y + 1 for y in img)))
+    return out
 
-    rec(0)
-    return results
+
+def _respects(img, n: int, table, cols: list, outs: list) -> bool:
+    """Whether img(table(args)) == table(img(args)) on every instance, in C:
+    the mixed-radix index of img(args) is folded column by column."""
+    idx = itertools.repeat(0, len(outs))
+    for col in cols:
+        idx = map(add, map(n.__mul__, idx), map(img, col))
+    return all(map(eq, map(table, idx), map(img, outs)))
 
 
 def automorphisms(alg: AlgebraInstance) -> list[ptrans.PartialMap]:
-    """All automorphisms, as total maps on the 1-based carrier.  Vector
-    spaces go through invertible matrices; everything else uses bounded
-    backtracking."""
-    if alg.family.startswith("gf"):
-        p, d, vecs = alg.p, alg.d, alg.vectors
-        pos = {v: i for i, v in enumerate(vecs)}
-        out = []
-        for flat in itertools.product(range(p), repeat=d * d):
-            mat = [flat[i * d:(i + 1) * d] for i in range(d)]
-            if _det_modp(mat, p) == 0:
-                continue
-            images = []
-            for v in vecs:
-                w = tuple(sum(v[i] * mat[i][j] for i in range(d)) % p
-                          for j in range(d))
-                images.append(pos[w] + 1)
-            out.append(ptrans.PartialMap(alg.size, tuple(images)))
-        return sorted(out, key=lambda a: a.img)
-    if alg.size > AUT_CAP:
-        raise SizeBoundExceeded(f"carrier {alg.size} beyond the search cap")
-    maps = _morphism_backtrack(alg, list(range(alg.size)), list(range(alg.size)),
-                               bijective=True)
-    return sorted((ptrans.PartialMap(alg.size,
-                                     tuple(d[x] + 1 for x in range(alg.size)))
-                   for d in maps), key=lambda a: a.img)
-
-
-def _det_modp(mat, p):
-    m = [list(r) for r in mat]
-    d = len(m)
-    det = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, d):
-            f = m[r][col] * inv % p
-            for c in range(col, d):
-                m[r][c] = (m[r][c] - f * m[col][c]) % p
-    return det % p
+    """All automorphisms, as total maps on the 1-based carrier."""
+    return sorted(_morphisms(alg, frozenset(range(alg.size)), bijective=True),
+                  key=lambda a: a.img)
 
 
 def partial_endomorphisms(alg: AlgebraInstance) -> list[ptrans.PartialMap]:
-    """All morphisms from subalgebras into the algebra (small carriers)."""
-    lat = lattice(alg)
-    out = []
-    for b in lat.subs:
-        dom = sorted(b)
-        for img in _morphism_backtrack(alg, dom, list(range(alg.size)),
-                                       bijective=False):
-            images = [ptrans.UNDEF] * alg.size
-            for x in dom:
-                images[x] = img[x] + 1
-            out.append(ptrans.PartialMap(alg.size, tuple(images)))
-    return sorted(set(out), key=lambda a: a.img)
+    """All morphisms from subalgebras into the algebra."""
+    return sorted((a for b in lattice(alg).subs
+                   for a in _morphisms(alg, b, bijective=False)),
+                  key=lambda a: a.img)
 
 
 def partial_automorphisms(alg: AlgebraInstance) -> list[ptrans.PartialMap]:
@@ -520,7 +476,7 @@ def check_gamma_generates(alg: AlgebraInstance, *, check_fix: bool = True) -> Ga
     """The corank-one and corank-two automorphisms generate the whole group;
     refinements hold under the structural conditions of the classification.
     check_fix additionally witnesses factorizations through generators whose
-    fix sets contain the target's (quadratic in the group order)."""
+    fix sets contain the target's, closing one subgroup per distinct fix set."""
     autos = automorphisms(alg)
     aut_set = frozenset(autos)
     n = alg.size
@@ -532,11 +488,14 @@ def check_gamma_generates(alg: AlgebraInstance, *, check_fix: bool = True) -> Ga
 
     fix_ok = True
     if check_fix:
-        gen_pool = g1 + g2
+        gen_fixes = [(g, fix_set(alg, g)) for g in g1 + g2]
+        spans: dict = {}
         for a in autos:
             fa = fix_set(alg, a)
-            pool = [g for g in gen_pool if fa <= fix_set(alg, g)]
-            if a not in generated_subgroup(pool, n):
+            if fa not in spans:
+                spans[fa] = generated_subgroup(
+                    [g for g, fg in gen_fixes if fa <= fg], n)
+            if a not in spans[fa]:
                 fix_ok = False
                 break
     return GammaReport(len(autos), len(g1), len(g2),
@@ -588,7 +547,6 @@ def classify_conditions(alg: AlgebraInstance) -> ConditionReport:
     sub1_consistent = len(set(sub1)) == 1 if n_dim else True
 
     autos = automorphisms(alg)
-    import math
     d1 = bool(xset) and alg.is_independent(frozenset(xset) - {xset[0]})
     d2 = bool(xset) and all(alg.is_independent(frozenset(xset) - {x}) for x in xset)
     d3 = len(autos) == math.factorial(len(xset))

@@ -170,6 +170,38 @@ def all_total_maps(n):
             for img in itertools.product(range(1, n + 1), repeat=n)]
 
 
+def brute_morphisms(alg):
+    """(automorphisms, partial endomorphisms) of an algebra from the plain
+    definition, as sorted lists of 1-based image tuples: every bijection of
+    the carrier, and every map of every subset closed under the operations
+    into the carrier, kept when it respects every operation instance of its
+    domain.  Nothing is reduced to generators."""
+    n = alg.size
+
+    def instances(dom):
+        return [(op, args) for op in alg.ops
+                for args in itertools.product(dom, repeat=op.arity)]
+
+    def respects(f):
+        return all(f[op.apply(n, args)] == op.apply(n, tuple(f[a] for a in args))
+                   for op, args in instances(f))
+
+    def img(f):
+        return tuple(f[x] + 1 if x in f else ptrans.UNDEF for x in range(n))
+
+    autos = [img(f) for f in (dict(enumerate(p))
+                              for p in itertools.permutations(range(n)))
+             if respects(f)]
+    pend = []
+    for r in range(n + 1):
+        for dom in itertools.combinations(range(n), r):
+            if all(op.apply(n, args) in dom for op, args in instances(dom)):
+                pend += [img(f) for f in (dict(zip(dom, vals)) for vals in
+                                          itertools.product(range(n), repeat=r))
+                         if respects(f)]
+    return sorted(autos), sorted(pend)
+
+
 # --- the pair definitions, read literally ---------------------------------------
 # Every quantifier ranges over all elements; nothing is reduced to generators.
 

@@ -1,20 +1,26 @@
 """Independence algebra tests: closure, dimension, lattices, automorphisms,
 structural classifications, and the bridge to wreath products."""
 
+import dataclasses
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionpairs import indalg, ptrans
+from actionpairs.fmonoid import SizeBoundExceeded
 from actionpairs.indalg import (AlgebraInstance, NotIndependenceAlgebra,
                                 Operation, all_subalgebras, automorphisms,
                                 builtin_algebra, check_gamma_generates,
-                                classify_conditions, cofix, fl93, free_act,
-                                gamma, generated_subgroup,
+                                classify_conditions, cofix, fix_set, fl93,
+                                free_act, gamma, generated_subgroup,
                                 inclusion_exclusion_check, lattice,
                                 maximal_decomposition, partial_automorphisms,
-                                pend_table, set_algebra, vecspace)
+                                partial_endomorphisms, pend_table, set_algebra,
+                                vecspace)
 from actionpairs.registry import monoid_table
+from conftest import brute_morphisms
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +157,37 @@ def test_autogroup_sizes():
     assert len(automorphisms(set_algebra(4))) == 24
     assert len(automorphisms(builtin_algebra("gf2_2"))) == 6
     assert len(automorphisms(builtin_algebra("gf2_3"))) == 168
+    assert len(automorphisms(builtin_algebra("gf3_2"))) == 48      # |GL(2,3)|
     assert len(automorphisms(fl93())) == 24
+
+
+@pytest.mark.parametrize("make", [lambda: set_algebra(11), lambda: vecspace(3, 4)],
+                         ids=["set11", "gf3_4"])
+def test_over_cap_automorphism_search_is_refused_before_searching(make):
+    # 11! bijections, and perm(81, 4) images of gf3_4's four generators,
+    # are past AUT_CAP!
+    alg = make()
+    start = time.perf_counter()
+    with pytest.raises(SizeBoundExceeded):
+        automorphisms(alg)
+    assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def small_algebras(draw):
+    n = draw(st.integers(1, 4))
+    return AlgebraInstance(n, [
+        Operation(k, tuple(draw(st.lists(st.integers(0, n - 1),
+                                         min_size=n ** k, max_size=n ** k))))
+        for k in draw(st.lists(st.integers(0, 2), max_size=2))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras())
+def test_morphisms_from_generator_images_match_the_definition(alg):
+    autos, pend = brute_morphisms(alg)
+    assert [a.img for a in automorphisms(alg)] == autos
+    assert [a.img for a in partial_endomorphisms(alg)] == pend
 
 
 def test_gamma_layers_fl93(A):
@@ -174,6 +210,25 @@ def test_gamma_union_generates():
     for name in ("set3", "set4", "gf2_2", "fl93"):
         rep = check_gamma_generates(builtin_algebra(name))
         assert rep.union_generates and rep.fix_containment_ok, name
+
+
+def per_automorphism_fix_containment(alg):
+    """The fix-containment verdict with one subgroup closure per automorphism."""
+    autos = automorphisms(alg)
+    pool = gamma(alg, 1, autos) + gamma(alg, 2, autos)
+    return all(a in generated_subgroup([g for g in pool
+                                        if fix_set(alg, a) <= fix_set(alg, g)],
+                                       alg.size)
+               for a in autos)
+
+
+@pytest.mark.parametrize("name", ["fl93", "set3", "set4", "set5",
+                                  "gf2_2", "gf2_3", "act2_2"])
+def test_one_closure_per_fix_set_matches_the_per_automorphism_loop(name):
+    alg = builtin_algebra(name)
+    want = dataclasses.replace(check_gamma_generates(alg, check_fix=False),
+                               fix_containment_ok=per_automorphism_fix_containment(alg))
+    assert check_gamma_generates(alg) == want
 
 
 def test_vector_space_corank_one_generates():
