@@ -17,9 +17,9 @@ Presented monoids are enumerated with a node/coincidence procedure over the
 right Cayley graph (bounded rewriting cannot certify completeness; a closed
 graph can): one HLT-style construction pass, then a certifying check that
 traces every relation column by column over the compacted graph.  A closed
-graph only ever shows a finite monoid; for verification, a completed
-rewriting system (`rewriting`), tried at a quarter of the node budget under
-a fixed schedule of letter orders, can show an infinite one.
+graph only ever shows a finite monoid; `verify_presentation` pairs the
+enumerator with completed rewriting systems (`rewriting`), which can show an
+infinite one.
 
 The closure layer has three routines.  `right_orbit` closes seeds under
 right multiplication by generators, optionally with shortlex words;
@@ -40,6 +40,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import rewriting
+
 Word = tuple[int, ...]
 
 NODE_CAP = 5_000_000        # default enumeration budget (elements / nodes)
@@ -55,16 +57,14 @@ class BoundExceeded(Exception):
 
     undecided=True means the node budget ran out (no finiteness claim);
     undecided=False means the monoid is larger than the requested bound:
-    enumeration finished with its actual size in `size`, or a confluent
-    rewriting system certified it infinite (`infinite`, `size` None).
+    enumeration finished with its actual size in `size`.
     """
 
-    def __init__(self, msg, *, undecided, size=None, nodes=None, infinite=False):
+    def __init__(self, msg, *, undecided, size=None, nodes=None):
         super().__init__(msg)
         self.undecided = undecided
         self.size = size
         self.nodes = nodes
-        self.infinite = infinite
 
 
 class NotACongruence(Exception):
@@ -688,8 +688,7 @@ def node_budget(bound: int, cap: Optional[int] = None) -> int:
 
 def enumerate_presentation(p: Presentation, bound: int, *,
                            node_cap: Optional[int] = None,
-                           stats: Optional[dict] = None,
-                           _complete_at_mark: bool = False) -> CayleyTable:
+                           stats: Optional[dict] = None) -> CayleyTable:
     """Enumerate the monoid/semigroup presented by `p` when it has <= bound elements.
 
     One construction pass builds the right Cayley graph by HLT-style
@@ -709,20 +708,13 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     materialised; call `full_table()` for one.
 
     `node_cap` is the exact node budget (default `node_budget(bound)`);
-    `stats`, when given, receives the number of nodes created.  With
-    `_complete_at_mark` (set by `verify_presentation` only), the node count
-    reaching `node_cap // 4` runs `rewriting.certify_infinite`: Knuth-Bendix
-    completions under the rotations of the letter order and of its reverse,
-    up to the first that finishes.  That either certifies the monoid
-    infinite (BoundExceeded with `infinite`) or lets the enumeration go on;
-    `stats["completion"]` receives the last completion and
-    `stats["completion_orders"]` the number of orders tried.
+    `stats`, when given, receives the number of nodes created.  The run is
+    deterministic: the same input and budget create the same nodes.
     """
     if node_cap is None:
         node_cap = node_budget(bound)
     nl = len(p.alphabet)
     rels = p.relations
-    limit = node_cap // 4 if _complete_at_mark else node_cap
 
     blank = [-1] * nl
     rows: list[list[int]] = [[-1] * nl]
@@ -735,23 +727,10 @@ def enumerate_presentation(p: Presentation, bound: int, *,
         return x
 
     def new_node():
-        nonlocal limit
         n = len(uf)
-        if n >= limit:
-            if limit == node_cap:
-                raise BoundExceeded(f"node budget {node_cap} exhausted",
-                                    undecided=True, nodes=n)
-            limit = node_cap
-            # imported here: enumerations that close never reach the mark,
-            # so most runs never load (or compile) the module
-            from . import rewriting
-            infinite, c, orders = rewriting.certify_infinite(rels, nl)
-            if stats is not None:
-                stats["completion"] = c
-                stats["completion_orders"] = orders
-            if infinite:
-                raise BoundExceeded("presented monoid is infinite",
-                                    undecided=False, nodes=n, infinite=True)
+        if n >= node_cap:
+            raise BoundExceeded(f"node budget {node_cap} exhausted",
+                                undecided=True, nodes=n)
         uf.append(n)
         rows.append([-1] * nl)
         return n
@@ -890,6 +869,7 @@ class VerificationReport:
     completion_rules: Optional[int] = None     # rules the completion added
     completion_overlaps: Optional[int] = None  # overlaps it examined
     completion_orders: Optional[int] = None    # letter orders it was tried under
+    zero_letters: Optional[tuple[str, ...]] = None  # sent to zero, when that decided
 
     @property
     def ok(self) -> bool:
@@ -928,27 +908,42 @@ def verify_presentation(p: Presentation, m: CayleyTable,
 
     A closed enumeration can only show a finite monoid, and dropping a
     relation often leaves an infinite one, so the schedule is:
-      1. enumerate up to a quarter of the budget (every catalogue
+      1. enumerate with a quarter of the budget (every catalogue
          presentation that closes does so well below it);
-      2. at that mark, run shortlex Knuth-Bendix completions under the n
-         rotations of the letter order, identity first, then the n
+      2. if that runs out, run shortlex Knuth-Bendix completions under the
+         n rotations of the letter order, identity first, then the n
          rotations of the reversed order, each under the fixed budget of
          `rewriting` (rules added, left-side length), and stop at the
-         first completion that finishes;
-      3. unless it certified the monoid infinite, continue the same
-         enumeration, from where it stopped, up to the full budget.
+         first completion that finishes; unless that completion finished,
+         send to zero the letters `rewriting.zero_quotient` finds and run
+         the same completions on the presentation of what is left;
+      3. unless step 2 certified the monoid infinite, enumerate again with
+         the full budget.  The enumeration is deterministic, so the second
+         run repeats the first one's nodes before it creates more.
     Proof sketch for step 2: shortlex over any total order of the letters
     is a reduction order, so a completion under it that resolves every
     overlap is a confluent, terminating rewriting system for the same
     congruence, and each element has exactly one irreducible word; the
     irreducible words are those avoiding every left side, and a cycle of
     the left sides' Aho-Corasick automaton that is reachable from the start
-    without a match spells infinitely many of them.  Then size_match is
-    False, presented_size stays None and `infinite` is set.  A completion
-    that finishes with finitely many irreducible words proves the monoid
-    finite, so the schedule stops there too.  Whenever a completion ran,
-    the number of orders tried and the rules added and overlaps examined
-    by the last completion are reported.
+    without a match spells infinitely many of them.  A completion that
+    finishes with finitely many irreducible words proves the monoid
+    finite, so no later certificate could succeed.  For the zero quotient:
+    let Z be the letters that every relation has on both sides or on
+    neither.  Sending each letter of Z to a new zero and every other letter
+    to itself respects every relation (both sides go to zero, or the
+    relation avoids Z), so the monoid maps onto N with a zero adjoined,
+    where N is presented by the other letters and the relations that avoid
+    Z; if N is infinite, so is the monoid.  (In Tn, Z is the `l` and `r`
+    letters and N is a Coxeter presentation: with one braid or commuting
+    relation dropped, that m_ij becomes infinite and so does the group.)
+
+    When step 2 certifies the monoid infinite, size_match is False,
+    presented_size stays None, `infinite` is set and `nodes` is the
+    quarter mark; `zero_letters` names the letters sent to zero when the
+    zero quotient decided.  Whenever step 2 ran, the number of orders
+    tried and the rules added and overlaps examined by the last
+    completion on the whole presentation are reported.
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
@@ -972,26 +967,26 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     rep.node_budget = node_budget(bound, node_cap)
     stats: dict = {}
     try:
-        t = enumerate_presentation(p, bound, node_cap=rep.node_budget, stats=stats,
-                                   _complete_at_mark=True)
-        rep.nodes = stats["nodes"]
-        rep.presented_size = t.size
-        rep.size_match = t.size == m.size
+        try:
+            t = enumerate_presentation(p, bound, node_cap=rep.node_budget // 4,
+                                       stats=stats)
+        except BoundExceeded as e:
+            if not e.undecided:
+                raise
+            _certify_infinite(p, rep)
+            if rep.infinite:
+                rep.nodes, rep.size_match = e.nodes, False
+                return rep
+            t = enumerate_presentation(p, bound, node_cap=rep.node_budget,
+                                       stats=stats)
     except BoundExceeded as e:
         rep.nodes = e.nodes
-        rep.infinite = e.infinite
-        if e.undecided:
-            rep.size_match = None       # inconclusive, never success
-            rep.presented_size = None
-        else:
-            rep.size_match = False
-            rep.presented_size = e.size
+        rep.size_match = None if e.undecided else False   # None: inconclusive
+        rep.presented_size = e.size
         return rep
-    finally:
-        if "completion" in stats:
-            rep.completion_rules = stats["completion"].added
-            rep.completion_overlaps = stats["completion"].overlaps
-            rep.completion_orders = stats["completion_orders"]
+    rep.nodes = stats["nodes"]
+    rep.presented_size = t.size
+    rep.size_match = t.size == m.size
 
     if rep.ok:
         pairs = list(zip(t.gens, gen_map))
@@ -999,6 +994,19 @@ def verify_presentation(p: Presentation, m: CayleyTable,
             pairs.append((t.identity, m.identity))
         rep.isomorphic = iso_by_generators(t, m, pairs) is not None
     return rep
+
+
+def _certify_infinite(p: Presentation, rep: VerificationReport) -> None:
+    """Step 2 of `verify_presentation`'s schedule, recorded in `rep`."""
+    nl = len(p.alphabet)
+    rep.infinite, c, rep.completion_orders = rewriting.certify_infinite(p.relations, nl)
+    rep.completion_rules, rep.completion_overlaps = c.added, c.overlaps
+    if rep.infinite or c.confluent:
+        return
+    q = rewriting.zero_quotient(p.relations, nl)
+    if q is not None and rewriting.certify_infinite(q[1], q[2])[0]:
+        rep.infinite = True
+        rep.zero_letters = tuple(p.alphabet[a] for a in q[0])
 
 
 def iso_by_generators(t1: CayleyTable, t2: CayleyTable,

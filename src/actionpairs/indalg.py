@@ -482,9 +482,12 @@ def check_gamma_generates(alg: AlgebraInstance, *, check_fix: bool = True) -> Ga
     n = alg.size
     g1 = gamma(alg, 1, autos)
     g2 = gamma(alg, 2, autos)
-    span_union = generated_subgroup(g1 + g2, n)
     span1 = generated_subgroup(g1, n)
     span2 = generated_subgroup(g2, n)
+    # the union's span contains both, so it needs a closure of its own only
+    # when neither is the whole group
+    union_generates = aut_set in (span1, span2) or \
+        generated_subgroup(g1 + g2, n) == aut_set
 
     fix_ok = True
     if check_fix:
@@ -498,8 +501,7 @@ def check_gamma_generates(alg: AlgebraInstance, *, check_fix: bool = True) -> Ga
             if a not in spans[fa]:
                 fix_ok = False
                 break
-    return GammaReport(len(autos), len(g1), len(g2),
-                       span_union == aut_set,
+    return GammaReport(len(autos), len(g1), len(g2), union_generates,
                        span1 == aut_set, span2 == aut_set, len(span1), fix_ok)
 
 

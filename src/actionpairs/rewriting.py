@@ -25,6 +25,10 @@ rotations of the reversed alphabet) and stops at the first completion that
 finishes: the monoid is infinite iff that completion's irreducible words
 are infinitely many, whatever the order.
 
+`zero_quotient` sends to a new zero the largest set of letters that every
+relation has on both sides or on neither, and returns the presentation of
+what is left; `fmonoid.verify_presentation` runs `certify_infinite` on it.
+
 The budget is deterministic: a completion gives up once it would add more
 than MAX_RULES rules or a left side longer than MAX_LHS letters, and
 `certify_infinite` runs at most 2n completions for n letters.  Words are
@@ -211,3 +215,32 @@ def certify_infinite(relations: Iterable[tuple[Word, Word]],
         if c.confluent:
             return count_normal_forms(c.rules, nletters) is None, c, tried
     return False, c, tried
+
+
+def zero_quotient(relations: Iterable[tuple[Word, Word]], nletters: int
+                  ) -> Optional[tuple[Word, list[tuple[Word, Word]], int]]:
+    """The letters sent to zero, the relations that avoid them and the
+    number of letters kept, or None when no letter or every letter goes.
+
+    The letters sent to zero are the largest set Z that every relation has
+    on both sides or on neither.  Z is unique, since the condition is closed
+    under union, and is reached from the whole alphabet by removing the
+    Z-letters of each relation that has them on one side only, until none
+    does.  The kept letters are renumbered in order.
+    """
+    relations = list(relations)
+    zero = set(range(nletters))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in relations:
+            zu, zv = zero.intersection(u), zero.intersection(v)
+            if bool(zu) != bool(zv):
+                zero -= zu | zv
+                changed = True
+    if not zero or len(zero) == nletters:
+        return None
+    rank = {a: r for r, a in enumerate(a for a in range(nletters) if a not in zero)}
+    kept = [(tuple(map(rank.__getitem__, u)), tuple(map(rank.__getitem__, v)))
+            for u, v in relations if zero.isdisjoint(u + v)]
+    return tuple(sorted(zero)), kept, len(rank)

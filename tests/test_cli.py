@@ -203,6 +203,22 @@ def test_completion_orders_in_the_json_report(capsys):
     assert code == cli.EXIT_PASS and rep["verdicts"]["completion_orders"] is None
 
 
+def test_the_rerun_after_the_mark_creates_the_nodes_of_one_enumeration(capsys):
+    # at --bound 40 Gn(3) passes the mark undecided and closes on the rerun,
+    # which reports the nodes of a direct enumeration at the full budget
+    from actionpairs import presentations as pr
+    from actionpairs.fmonoid import enumerate_presentation
+    code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
+                         "--n", "3", "--bound", "40")
+    ver = rep["verdicts"]
+    assert code == cli.EXIT_PASS and ver["node_budget"] == 40
+    assert ver["zero_letters"] is None
+    stats = {}
+    gn3 = pr.build_catalog("Gn", n=3)
+    enumerate_presentation(gn3.pres, 4 * gn3.target.size + 16, node_cap=40, stats=stats)
+    assert ver["nodes"] == stats["nodes"] > 40 // 4
+
+
 def test_bound_applies_to_its_run_only(capsys):
     import actionpairs.fmonoid as fm
     from actionpairs import presentations as pr

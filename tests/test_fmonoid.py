@@ -321,6 +321,35 @@ def test_a_finite_completion_stops_the_schedule():
     assert rep.presented_size == verify_presentation(p, g3, gm).presented_size == 6
 
 
+def test_the_rerun_after_the_mark_repeats_the_enumeration_node_for_node():
+    # S3 passes the mark of a 40-node budget undecided, then closes: the
+    # full-budget run creates exactly the nodes of a direct enumeration
+    g3 = ptrans_table("G", 3)
+    idx = {w: i for i, w in enumerate(g3.elements)}
+    gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
+    rep = verify_presentation(_symmetric3(), g3, gm, node_cap=40)
+    stats = {}
+    enumerate_presentation(_symmetric3(), 4 * 6 + 16, node_cap=40, stats=stats)
+    assert rep.ok and rep.completion_orders == 1 and rep.nodes == stats["nodes"]
+
+
+def test_a_dropped_coxeter_relation_is_certified_by_its_zero_quotient():
+    # Tn(4) without s2s1s2 = s1s2s1: no letter order completes it, but with
+    # the l and r letters sent to zero what is left is an infinite Coxeter
+    # group, so the monoid is infinite at the quarter mark
+    tn4 = build_catalog("Tn", n=4)
+    rels = [r for i, r in enumerate(tn4.pres.relations) if i != 47]
+    p = Presentation.make(tn4.pres.alphabet, rels, tn4.pres.kind)
+    rep = verify_presentation(p, tn4.target, tn4.gen_map)
+    assert rep.infinite and rep.size_match is False and rep.presented_size is None
+    assert rep.nodes == rep.node_budget // 4 and rep.completion_orders == 18
+    assert rep.zero_letters == ("l1", "l2", "l3", "r1", "r2", "r3")
+    assert rep.to_dict()["zero_letters"] == rep.zero_letters
+    # Tn(4) itself is not certified: its zero quotient is the finite S4
+    rep = tn4.verify(node_cap=40)
+    assert rep.inconclusive and rep.zero_letters is None
+
+
 def test_closure_cap_defaults_to_the_current_node_cap(monkeypatch):
     import actionpairs.fmonoid as fm
     monkeypatch.setattr(fm, "NODE_CAP", 3)

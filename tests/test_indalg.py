@@ -231,6 +231,19 @@ def test_one_closure_per_fix_set_matches_the_per_automorphism_loop(name):
     assert check_gamma_generates(alg) == want
 
 
+@pytest.mark.parametrize("name", indalg.BUILTIN_ALGEBRAS)
+def test_gamma_report_matches_three_subgroup_closures(name):
+    # the union's span is closed only when neither layer's span is the group
+    alg = builtin_algebra(name)
+    autos = automorphisms(alg)
+    g1, g2 = gamma(alg, 1, autos), gamma(alg, 2, autos)
+    whole = frozenset(autos)
+    union, span1, span2 = (generated_subgroup(g, alg.size) for g in (g1 + g2, g1, g2))
+    want = indalg.GammaReport(len(autos), len(g1), len(g2), union == whole,
+                              span1 == whole, span2 == whole, len(span1), True)
+    assert check_gamma_generates(alg, check_fix=False) == want
+
+
 def test_vector_space_corank_one_generates():
     rep = check_gamma_generates(builtin_algebra("gf2_2"))
     assert rep.gamma1_generates

@@ -1,6 +1,8 @@
 """Knuth–Bendix completion and the normal-form count, against enumeration
 and against the plain definitions."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -214,3 +216,57 @@ def test_a_dropped_coxeter_relation_finishes_under_no_order(catalogue_bundles, j
     infinite, c, orders = rewriting.certify_infinite(p.relations, len(p.alphabet))
     assert not infinite and not c.confluent
     assert orders == 2 * len(p.alphabet) == 18 and c.added == rewriting.MAX_RULES
+
+
+def _largest_zero_set(relations, nletters):
+    """Over every subset of the letters, the largest that each relation has
+    on both sides or on neither."""
+    sets = [set(z) for k in range(nletters + 1)
+            for z in itertools.combinations(range(nletters), k)
+            if all(bool(set(z) & set(u)) == bool(set(z) & set(v)) for u, v in relations)]
+    return max(sets, key=len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(*[st.lists(st.integers(0, 4), max_size=3)
+                                               .map(tuple)] * 2), max_size=5))
+@example(3, [((0, 1), (2,)), ((1,), ())])  # 1 goes, 0 and 2 stay two-sided
+@example(2, [((1,), (0,)), ((0,), ())])    # 0 goes, then 1 is one-sided too
+def test_zero_quotient_sends_the_largest_two_sided_set_to_zero(nletters, rels):
+    rels = [(tuple(x % nletters for x in u), tuple(x % nletters for x in v))
+            for u, v in rels]
+    zero = _largest_zero_set(rels, nletters)
+    q = rewriting.zero_quotient(rels, nletters)
+    if not zero or len(zero) == nletters:
+        assert q is None
+        return
+    letters, kept, nkept = q
+    assert letters == tuple(sorted(zero)) and nkept == nletters - len(zero)
+    others = [a for a in range(nletters) if a not in zero]
+    assert kept == [(tuple(others.index(a) for a in u), tuple(others.index(a) for a in v))
+                    for u, v in rels if not zero & set(u + v)]
+
+
+def test_zero_quotient_is_none_when_no_letter_or_every_letter_goes():
+    z2z2 = [((0, 0), ()), ((1, 1), ())]
+    assert rewriting.zero_quotient(z2z2, 2) is None            # Z empty
+    assert rewriting.zero_quotient([((0, 1), (1, 0))], 2) is None   # Z everything
+    assert rewriting.zero_quotient([], 3) is None
+    # a letter no relation mentions goes to zero
+    assert rewriting.zero_quotient(z2z2, 3) == ((2,), z2z2, 2)
+
+
+@pytest.mark.parametrize("j", (66, 67, 73, 80, 81, 91))
+def test_the_zero_quotient_certifies_a_dropped_tn5_coxeter_relation(j):
+    # the l and r letters go to zero and leave S5's Coxeter presentation
+    # with one m_ij set to infinity: an infinite group, so Tn(5) without
+    # relation j is infinite, with no enumeration at all
+    tn5 = pr.build_catalog("Tn", n=5)
+    names = tn5.pres.alphabet
+    letters, kept, nkept = rewriting.zero_quotient(_drop(tn5, j).relations, len(names))
+    assert [names[a] for a in letters] == [a for a in names if a[0] in "lr"]
+    infinite, c, orders = rewriting.certify_infinite(kept, nkept)
+    assert infinite and c.confluent
+    # the whole of Tn(5) is not certified: its zero quotient is S5
+    letters, kept, nkept = rewriting.zero_quotient(tn5.pres.relations, len(names))
+    assert not rewriting.certify_infinite(kept, nkept)[0]
