@@ -694,7 +694,6 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
 class ThetaResult:
     theta: CongruencePartition           # on sd.table
     theta_u: dict                        # u in U1 -> partition of S
-    theta_u1: dict                       # u in U1 -> partition of S1
     stab: dict                           # u in U1 -> frozenset of s with us = u
     product_values: list                 # pi(u, s) per sd table id
     factorization_laws_ok: bool
@@ -718,7 +717,7 @@ def _fibre_partition(m: CayleyTable, u, members: Sequence) -> CongruencePartitio
 def theta_and_friends(ctx: AmbientContext, act: ActionTable,
                       sd: SemidirectResult) -> ThetaResult:
     """theta as the fibres of (u, s) -> us, the per-element right congruences
-    on S and S1, the stabilizers, and the structural cross-checks.  The
+    on S, the stabilizers, and the structural cross-checks.  The
     result for the action's stored semidirect product is stored on the
     action, and a second call returns it."""
     _require_laws(act, "theta_and_friends")
@@ -727,13 +726,11 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
     m = ctx.m
     u1 = ctx.u1()
     slist = ctx.s_list()
-    s1 = ctx.s1()
 
     values = [m.mul(u, s) for (u, s) in sd.table.elements]
     theta = _partition_by(sd.table.size, values.__getitem__)
 
     theta_u = {u: _fibre_partition(m, u, slist) for u in u1}
-    theta_u1 = {u: _fibre_partition(m, u, s1) for u in u1}
     stab = {u: frozenset(s for s in slist if m.mul(u, s) == u) for u in u1}
 
     # theta(u,s)(v,t) iff u s+ = v t+ and (s,t) in theta_{u s+}
@@ -761,7 +758,7 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
             nf_ok = False
             break
 
-    th = ThetaResult(theta, theta_u, theta_u1, stab, values, nf_ok,
+    th = ThetaResult(theta, theta_u, stab, values, nf_ok,
                      description_ok)
     if sd is act.sd:
         act.th = th
@@ -1095,8 +1092,6 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
 @dataclass
 class CoverResult:
     cover_table: CayleyTable             # the carrier monoid, payload (u, s)
-    cover_ctx: AmbientContext
-    cover_report: PairReport
     sigma_trivial: bool
     proper: bool
     psi: dict                            # cover product-set id -> ambient id
@@ -1170,7 +1165,7 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
         psi_u_iso = len({psi[under[u]] for u in ctx.u_list()}) == len(ctx.u_set) \
             and all(psi[under[u]] == u for u in ctx.u_list())
 
-    result = CoverResult(carrier, cover_ctx, rep,
+    result = CoverResult(carrier,
                          rep.sigma.is_trivial() if rep.sigma else False,
                          bool(rep.proper), psi, surjective, u_copy_ok,
                          s_copy_ok, psi_u_iso)

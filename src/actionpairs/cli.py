@@ -82,12 +82,6 @@ def _emit(report: dict, fmt: str) -> None:
     walk(report)
 
 
-def _algebra(name: str):
-    if name.endswith(".json"):
-        return registry.load_custom_algebra(name)
-    return indalg.builtin_algebra(name)
-
-
 def cmd_verify_presentation(args) -> int:
     t0 = time.time()
     cfg = _enumeration_config(args)
@@ -97,7 +91,7 @@ def cmd_verify_presentation(args) -> int:
     if args.family in presentations.BASE_FAMILIES:
         kwargs["base"] = registry.monoid_table(args.monoid or "c1")
     elif args.family in ("SubA", "SubA_enlarged"):
-        kwargs["algebra"] = _algebra(args.instance or "fl93")
+        kwargs["algebra"] = indalg.builtin_algebra(args.instance or "fl93")
     elif args.family in ("PX_truncated", "LX_truncated"):
         kwargs["alphabet"] = args.alphabet
         kwargs["length"] = args.length

@@ -869,6 +869,7 @@ class VerificationReport:
     completion_rules: Optional[int] = None     # rules the completion added
     completion_overlaps: Optional[int] = None  # overlaps it examined
     completion_orders: Optional[int] = None    # letter orders it was tried under
+    completion_order: Optional[tuple[str, ...]] = None  # letters of the one that finished
     zero_letters: Optional[tuple[str, ...]] = None  # sent to zero, when that decided
 
     @property
@@ -943,7 +944,9 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     quarter mark; `zero_letters` names the letters sent to zero when the
     zero quotient decided.  Whenever step 2 ran, the number of orders
     tried and the rules added and overlaps examined by the last
-    completion on the whole presentation are reported.
+    completion on the whole presentation are reported; when that
+    completion finished, `completion_order` lists the letters under its
+    order, smallest first, so its rules can be rebuilt and re-checked.
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
@@ -1001,7 +1004,9 @@ def _certify_infinite(p: Presentation, rep: VerificationReport) -> None:
     nl = len(p.alphabet)
     rep.infinite, c, rep.completion_orders = rewriting.certify_infinite(p.relations, nl)
     rep.completion_rules, rep.completion_overlaps = c.added, c.overlaps
-    if rep.infinite or c.confluent:
+    if c.confluent:
+        order = rewriting.letter_orders(nl)[rep.completion_orders - 1]
+        rep.completion_order = tuple(p.alphabet[a] for a in order)
         return
     q = rewriting.zero_quotient(p.relations, nl)
     if q is not None and rewriting.certify_infinite(q[1], q[2])[0]:

@@ -19,6 +19,7 @@ set's words; each class defines `!=` as the negation of its `==` test, so
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Iterable
 
@@ -115,7 +116,6 @@ class LRElement:
         return f"{self.pset!r}@{self.word or 'e'}"
 
     def to_json(self):
-        import json
         return json.dumps({"set": self.pset.sorted_words(), "word": self.word})
 
 

@@ -17,14 +17,16 @@ of n elements is refused when it has more than AUT_CAP! choices of images.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from operator import add, eq
 from typing import Iterable, Optional, Sequence
 
-from . import ptrans
+from . import ptrans, wreath
 from .fmonoid import (CayleyTable, SizeBoundExceeded, right_orbit,
                       table_from_elements)
+from .registry import monoid_table
 
 
 EXCHANGE_SCAN_CAP = 9      # largest carrier the exchange-property scan takes
@@ -286,6 +288,11 @@ BUILTIN_ALGEBRAS = ("fl93", "set2", "set3", "set4", "set5",
 
 
 def builtin_algebra(name: str) -> AlgebraInstance:
+    """A builtin algebra by name, or an algebra read from a .json path in
+    `AlgebraInstance.to_dict`'s shape."""
+    if name.endswith(".json"):
+        with open(name) as fh:
+            return AlgebraInstance.from_dict(json.load(fh))
     if name == "fl93":
         return fl93()
     if name.startswith("set"):
@@ -295,7 +302,6 @@ def builtin_algebra(name: str) -> AlgebraInstance:
         return vecspace(int(p), int(d))
     if name.startswith("act"):
         g, x = name[3:].split("_")
-        from .registry import monoid_table
         return free_act(monoid_table(f"c{g}"), int(x))
     raise KeyError(f"unknown algebra {name!r}")
 
@@ -607,8 +613,6 @@ def free_act_wreath_iso(group: CayleyTable, x: int) -> bool:
     """The partial endomorphism monoid of a free group act matches the wreath
     product of the group with the partial maps on the act's generators, via
     the natural coordinates (copy labels, induced map on copies)."""
-    from . import wreath
-
     alg = free_act(group, x)
     pend = partial_endomorphisms(alg)
 

@@ -15,13 +15,15 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         _family_join_failure, _join, _pairs_for,
-                         _pairwise_join_failure, _partition_by,
+                         _family_join_failure, _fibre_partition, _join,
+                         _pairs_for, _pairwise_join_failure, _partition_by,
                          _s_successors, semidirect, theta_and_friends)
 from .fmonoid import (CayleyTable, CongruencePartition, Presentation,
                       VerificationReport, Word, congruence_closure,
                       right_orbit, subtable, table_from_elements,
                       table_presentation, verify_presentation)
+from .indalg import lattice
+from .registry import ptrans_table
 
 
 @dataclass
@@ -73,7 +75,6 @@ def _en(n: int) -> PresentationBundle:
     rels = [((i, i), (i,)) for i in range(n)]
     rels += [((i, j), (j, i)) for i in range(n) for j in range(n)]
     pres = Presentation.make(names, rels, "monoid")
-    from .registry import ptrans_table
     target = ptrans_table("E", n)
     idx = target.index
     pts = set(range(1, n + 1))
@@ -86,7 +87,6 @@ def _gn(n: int) -> PresentationBundle:
         raise ValueError("the symmetric presentation needs n >= 2")
     names = [f"s{i}" for i in range(1, n)]
     pres = Presentation.make(names, _gn_relations(n), "monoid")
-    from .registry import ptrans_table
     target = ptrans_table("G", n)
     gen_map = tuple(target.index[ptrans.tau(i, i + 1, n)] for i in range(1, n))
     return PresentationBundle(pres, target, gen_map, f"Gn(n={n})")
@@ -153,7 +153,6 @@ def _tn(n: int) -> PresentationBundle:
         raise ValueError("the full transformation presentation needs n >= 2")
     names, s, l, r = _tn_letters(n)
     pres = Presentation.make(names, _tn_relations(n), "monoid")
-    from .registry import ptrans_table
     target = ptrans_table("T", n)
     idx = target.index
     gm = [idx[ptrans.tau(i, i + 1, n)] for i in range(1, n)]
@@ -485,7 +484,6 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
 # ---------------------------------------------------------------------------
 
 def _suba(alg, *, enlarged: bool) -> PresentationBundle:
-    from .indalg import lattice
     lat = lattice(alg)
     maxes = sorted(lat.maximal(), key=lambda s: sorted(s))
     if not maxes:
@@ -750,7 +748,8 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     supplied congruence data.  Supplied data outside the pair (an omega_u
     pair outside S, or S^1 for the semigroup variants, a member of V outside
     U) fails before any closure runs.  The pair verdicts are read from the
-    action's report, theta_u from the action's stored `theta_and_friends`.
+    action's report; theta_u on S from the action's stored
+    `theta_and_friends`, and on S^1 as the fibres of s -> us.
     """
     if kind not in PAIR_PRESENTATION_KINDS:
         raise KeyError(f"unknown kind {kind!r}")
@@ -824,8 +823,8 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
                  for i, j in omega_pairs]
     else:
         ulist = [u for u in ctx.u_list() if monoid_case or u != ident]
-        th = theta_and_friends(ctx, act, sd)
-        theta = th.theta_u if monoid_case else th.theta_u1
+        theta = theta_and_friends(ctx, act, sd).theta_u if monoid_case else \
+            {u: _fibre_partition(m, u, members) for u in ctx.u1()}
 
         def theta_join(parts):
             return _join(members, parts)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -307,7 +308,6 @@ def family_gens(kind: str, n: int) -> list[PartialMap]:
 def family_size(kind: str, n: int) -> int:
     """Counting formulas: independent oracles in tests, and the size bound
     `wreath.enumerate_wreath` checks before listing a family."""
-    import math
     if n < 0:
         raise BadParams("negative degree")
     if kind == "PT":

@@ -3,13 +3,15 @@
 The catalogue names mirror the standard transformation families: an ambient
 is always a wreath product of a base monoid with all partial maps of a given
 degree (the base defaulting to the trivial monoid, in which case the ambient
-is the partial transformation monoid itself).
+is the partial transformation monoid itself).  Every subset kind resolves to
+a family of `ptrans.family`, either as the wreath subproduct over it or as its
+embedded copy; each catalogue row names the family whose subproduct is its
+product set.  Custom algebra files load through `indalg.builtin_algebra`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 from . import ptrans, wreath
@@ -76,50 +78,31 @@ def ambient_plus_map(amb: CayleyTable) -> dict:
     return {i: amb.index[wreath.wr_plus(w)] for i, w in enumerate(amb.elements)}
 
 
-U_KINDS = ("E", "SingE", "M0n", "Mn")
-S_KINDS = ("PT", "T", "I", "G", "SingPT", "SingT", "SingI")
+# the pair kinds that name a family subset; M0n, the tuples with a zero, is
+# the subproduct over the partial identities
+_PAIR_KINDS = {"E": "pmap:E", "SingE": "pmap:SingE", "M0n": "E"}
 
 
 def subset_ids(amb: CayleyTable, kind: str, n: int) -> frozenset:
     """Element ids of a named subset of a wreath ambient.
 
-    Plain family names select the wreath subproduct over that family; the
-    prefix "pmap:" selects the embedded copy of the family itself (indicator
-    tuple over the domain)."""
-    def pick(pred):
-        return frozenset(i for i, w in enumerate(amb.elements) if pred(w))
-
-    if kind.startswith("pmap:"):
-        inner = kind[5:]
-        fam = set(ptrans.family(inner, n))
-        base = amb.elements[0].tup.base
-        return pick(lambda w: w.pmap in fam
-                    and w.tup == wreath.ones(base, n, w.pmap.dom()))
-    if kind == "E":
-        return pick(lambda w: w.pmap.img == ptrans.plus(w.pmap).img
-                    and all(v in (wreath.ZERO, w.tup.base.identity)
-                            for v in w.tup.entries))
-    if kind == "SingE":
-        ident = ptrans.identity(n)
-        return frozenset(i for i in subset_ids(amb, "E", n)
-                         if amb.elements[i].pmap != ident)
-    if kind == "M0n":
-        return pick(lambda w: w.pmap == ptrans.id_on(w.tup.supp(), n))
+    A kind K of `ptrans.family` selects the wreath subproduct over that
+    family; the prefix "pmap:" selects the embedded copy of the family itself
+    (indicator tuple over the domain).  The pair kinds E, SingE and M0n
+    resolve to one of these, and Mn selects the tuples over the identity."""
     if kind == "Mn":
-        return pick(lambda w: w.pmap == ptrans.identity(n))
-    preds = {
-        "PT": lambda a: True,
-        "T": lambda a: a.is_total(),
-        "I": lambda a: a.is_injective(),
-        "G": lambda a: a.is_bijection(),
-        "SingPT": lambda a: not a.is_bijection(),
-        "SingT": lambda a: a.is_total() and not a.is_bijection(),
-        "SingI": lambda a: a.is_injective() and not a.is_bijection(),
-        "PTminusT": lambda a: not a.is_total(),
-    }
-    if kind in preds:
-        return pick(lambda w: preds[kind](w.pmap))
-    raise KeyError(f"unknown subset kind {kind!r}")
+        ident = ptrans.identity(n)
+        return frozenset(i for i, w in enumerate(amb.elements) if w.pmap == ident)
+    name = _PAIR_KINDS.get(kind, kind)
+    fam = name.removeprefix("pmap:")
+    if fam not in ptrans.FAMILY_KINDS:
+        raise KeyError(f"unknown subset kind {kind!r}")
+    maps = ptrans.family(fam, n)
+    if fam != name:
+        base = amb.elements[0].tup.base
+        return frozenset(amb.index[wreath.embed_pmap(base, a)] for a in maps)
+    maps = set(maps)
+    return frozenset(i for i, w in enumerate(amb.elements) if w.pmap in maps)
 
 
 def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
@@ -147,32 +130,37 @@ def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
 # The catalogue of pairs for a given degree and base monoid
 # ---------------------------------------------------------------------------
 
-# (U kind, S wreath kind, expected strong, expected proper, congruence rule)
+# (U kind, S wreath kind, expected strong, expected proper, congruence rule,
+#  the family whose wreath subproduct is the product set US)
 CATALOGUE = (
     # semilattice-against-wreath pairs: all strong, none proper
-    ("E", "T", True, False, "join_pairwise"),
-    ("SingE", "T", True, False, "right_generators"),
-    ("E", "SingT", True, False, "right_generators"),
-    ("SingE", "SingT", True, False, "right_generators"),
-    ("E", "G", True, False, "join_family"),
-    ("SingE", "G", True, False, "right_generators"),
+    ("E", "T", True, False, "join_pairwise", "PT"),
+    ("SingE", "T", True, False, "right_generators", "PTminusT"),
+    ("E", "SingT", True, False, "right_generators", "SingPT"),
+    ("SingE", "SingT", True, False, "right_generators", "PTminusT"),
+    ("E", "G", True, False, "join_family", "I"),
+    ("SingE", "G", True, False, "right_generators", "SingI"),
     # tuple-against-maps pairs
-    ("M0n", "PT", False, False, "submonoids"),
-    ("M0n", "I", False, False, "submonoids"),
-    ("M0n", "T", True, False, "join_family"),
-    ("M0n", "G", True, False, "group_join_family"),
-    ("Mn", "T", True, True, "right_generators"),
-    ("Mn", "G", True, True, "right_generators"),
-    ("M0n", "SingPT", False, False, "generic"),
-    ("M0n", "SingI", False, False, "generic"),
-    ("M0n", "SingT", True, False, "right_generators"),
-    ("Mn", "SingT", True, True, "right_generators"),
+    ("M0n", "PT", False, False, "submonoids", "PT"),
+    ("M0n", "I", False, False, "submonoids", "I"),
+    ("M0n", "T", True, False, "join_family", "PT"),
+    ("M0n", "G", True, False, "group_join_family", "I"),
+    ("Mn", "T", True, True, "right_generators", "T"),
+    ("Mn", "G", True, True, "right_generators", "G"),
+    ("M0n", "SingPT", False, False, "generic", "SingPT"),
+    ("M0n", "SingI", False, False, "generic", "SingI"),
+    ("M0n", "SingT", True, False, "right_generators", "SingPT"),
+    ("Mn", "SingT", True, True, "right_generators", "SingT"),
 )
+
+
+U_KINDS = tuple(dict.fromkeys(row[0] for row in CATALOGUE))
+S_KINDS = tuple(dict.fromkeys(row[1] for row in CATALOGUE))
 
 
 def catalogue_specs(n: int) -> list:
     out = []
-    for u_kind, s_kind, strong, proper, rule in CATALOGUE:
+    for u_kind, s_kind, strong, proper, rule, _ in CATALOGUE:
         if n < 2 and s_kind.startswith("Sing"):
             continue
         out.append({"u": u_kind, "s": s_kind, "strong": strong,
@@ -187,26 +175,9 @@ def catalogue_pair(base_name: str, n: int, u_kind: str, s_kind: str) -> AmbientC
 
 
 def expected_product_kind(u_kind: str, s_kind: str) -> str:
-    """The named subset that each catalogue pair's product set must equal."""
-    table = {
-        ("E", "T"): "PT",
-        ("SingE", "T"): "PTminusT",
-        ("E", "SingT"): "SingPT",
-        ("SingE", "SingT"): "PTminusT",
-        ("E", "G"): "I",
-        ("SingE", "G"): "SingI",
-        ("M0n", "PT"): "PT",
-        ("M0n", "I"): "I",
-        ("M0n", "T"): "PT",
-        ("M0n", "G"): "I",
-        ("Mn", "T"): "T",
-        ("Mn", "G"): "G",
-        ("M0n", "SingPT"): "SingPT",
-        ("M0n", "SingI"): "SingI",
-        ("M0n", "SingT"): "SingPT",
-        ("Mn", "SingT"): "SingT",
-    }
-    return table[(u_kind, s_kind)]
+    """The family whose wreath subproduct each catalogue pair's product set
+    must equal."""
+    return {row[:2]: row[5] for row in CATALOGUE}[(u_kind, s_kind)]
 
 
 def omega_inputs(ctx: AmbientContext, act: ActionTable, rule: str,
@@ -259,10 +230,3 @@ def omega_inputs(ctx: AmbientContext, act: ActionTable, rule: str,
         out["gamma_u"] = gam
     return out
 
-
-def load_custom_algebra(path: str):
-    """Custom universal algebras from JSON: carrier size plus operation tables."""
-    from .indalg import AlgebraInstance
-    with open(path) as fh:
-        d = json.load(fh)
-    return AlgebraInstance.from_dict(d)

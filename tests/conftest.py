@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from actionpairs import ptrans
+from actionpairs import ptrans, wreath
 from actionpairs.fmonoid import (BoundExceeded, CayleyTable, _bfs_words,
                                  closure_from_generators, greedy_generators)
 from actionpairs.registry import monoid_table, ptrans_table
@@ -163,6 +163,112 @@ def naive_enumerate(p, node_cap):
         gens, identity = [j - 1 for j in gens], None
     nf, parent = _bfs_words(right, gens, identity)
     return CayleyTable(len(right), gens, right, nf, parent, identity), len(uf)
+
+
+def audit_infinite(relations, order, rules):
+    """Re-check a completion that certifies infinite, apart from
+    `rewriting.complete`: `relations` are over letters, `order` lists the
+    letters smallest first and `rules` (left side -> right side) are over
+    their ranks in it.  Returns the failed check, or None when it holds:
+      1. every rule is shortlex-decreasing, so rewriting terminates;
+      2. both sides of every relation reduce to the same word;
+      3. every overlap and every inclusion of two left sides resolves;
+    so the rules are a confluent system whose congruence contains the
+    relations, the presented monoid maps onto the irreducible words, and
+      4. infinitely many words contain no left side."""
+    rank = {a: r for r, a in enumerate(order)}
+    rules = {tuple(lhs): tuple(rhs) for lhs, rhs in rules.items()}
+    if not all((len(r), r) < (len(lhs), lhs) for lhs, r in rules.items()):
+        return "a rule is not shortlex-decreasing"
+
+    def reduce(w):
+        """Rewrite the left side that starts leftmost until none occurs."""
+        w = tuple(w)
+        i = 0
+        while i < len(w):
+            for lhs, rhs in rules.items():
+                if w[i:i + len(lhs)] == lhs:
+                    w, i = w[:i] + rhs + w[i + len(lhs):], 0
+                    break
+            else:
+                i += 1
+        return w
+
+    if any(reduce(rank[a] for a in u) != reduce(rank[a] for a in v)
+           for u, v in relations):
+        return "a relation does not reduce to one word"
+    for a, ra in rules.items():
+        for b, rb in rules.items():
+            for i in range(len(a) - len(b) + 1):              # a = x b y
+                if a != b and a[i:i + len(b)] == b and \
+                        reduce(ra) != reduce(a[:i] + rb + a[i + len(b):]):
+                    return f"{b} inside {a} does not resolve"
+            for k in range(1, min(len(a), len(b))):         # a = xy, b = yz
+                if a[-k:] == b[:k] and reduce(ra + b[k:]) != reduce(a[:-k] + rb):
+                    return f"the overlap of {a} and {b} does not resolve"
+    # irreducible words through their last m - 1 letters, which decide
+    # whether the next letter ends a left side: a window reached again
+    # along a path spells infinitely many
+    m = max(map(len, rules), default=1)
+    done, path = set(), set()
+
+    def cycles(w):
+        if w in path:
+            return True
+        if w in done:
+            return False
+        path.add(w)
+        for c in range(len(order)):
+            x = w + (c,)
+            if not any(x[len(x) - len(lhs):] == lhs for lhs in rules
+                       if len(lhs) <= len(x)) and \
+                    cycles(x[max(0, len(x) - (m - 1)):]):
+                return True
+        path.discard(w)
+        done.add(w)
+        return False
+    return None if cycles(()) else "finitely many irreducible words"
+
+
+def naive_subset_ids(amb, kind, n):
+    """Element ids of a named subset of a wreath ambient, from predicates
+    on each element: a plain family kind holds the elements whose map is in
+    the family; "pmap:K" those whose map is in K and whose tuple is the
+    identity on its domain and zero elsewhere; E and SingE the elements
+    whose map is a partial identity (not the identity for SingE) and whose
+    entries are all zero or the identity; M0n those whose map is the
+    partial identity on the tuple's support; Mn those over the identity."""
+    base = amb.elements[0].tup.base
+    ident = ptrans.identity(n)
+    families = {
+        "PT": lambda a: True,
+        "T": lambda a: a.is_total(),
+        "I": lambda a: a.is_injective(),
+        "G": lambda a: a.is_bijection(),
+        "SingPT": lambda a: not a.is_bijection(),
+        "SingT": lambda a: a.is_total() and not a.is_bijection(),
+        "SingI": lambda a: a.is_injective() and not a.is_bijection(),
+        "PTminusT": lambda a: not a.is_total(),
+        "E": lambda a: all(v in (ptrans.UNDEF, x) for x, v in enumerate(a.img, 1)),
+    }
+    families["SingE"] = lambda a: families["E"](a) and a != ident
+
+    def indicator(w):
+        dom = w.pmap.dom()
+        return all(v == (base.identity if x in dom else wreath.ZERO)
+                   for x, v in enumerate(w.tup.entries, 1))
+    if kind.startswith("pmap:"):
+        pred = lambda w: families[kind[5:]](w.pmap) and indicator(w)
+    elif kind in ("E", "SingE"):
+        pred = lambda w: families[kind](w.pmap) and all(
+            v in (wreath.ZERO, base.identity) for v in w.tup.entries)
+    elif kind == "M0n":
+        pred = lambda w: w.pmap == ptrans.id_on(w.tup.supp(), n)
+    elif kind == "Mn":
+        pred = lambda w: w.pmap == ident
+    else:
+        pred = lambda w: families[kind](w.pmap)
+    return frozenset(i for i, w in enumerate(amb.elements) if pred(w))
 
 
 def all_total_maps(n):
