@@ -821,41 +821,54 @@ def _pairs_for(part: CongruencePartition) -> list:
     return [(cls[0], s) for cls in part.classes() for s in cls[1:]]
 
 
-def _join(members: Sequence, parts: Iterable[CongruencePartition]
-          ) -> CongruencePartition:
-    out = CongruencePartition(members)
-    for p in parts:
-        for a, b in _pairs_for(p):
-            out.union(a, b)
-    return out
+def _element_data_failures(ctx: AmbientContext, value, pairs: dict,
+                           targets: Sequence, reduction: Optional[str] = None,
+                           v_subset: Optional[Sequence] = None, *, members=None,
+                           span=None, join=None) -> list:
+    """Certify per-element congruence data: the failures, first the
+    reduction of the targets to the family V, then the first element of the
+    pool (V when reduced, else the targets) whose supplied pairs do not span
+    its value.
 
-
-def _s_successors(ctx: AmbientContext, members: Sequence):
-    """Per member, its right multiples by the generators of S, as the
-    successor function of a right congruence."""
+    `family`: each target's value is the join of those at the members v of V
+    dividing it on the left (u = wv for some w in U1).  `pairwise`: U is
+    commutative and value[ab] is the join of value[a] and value[b].  Theta
+    data pass the `members` they partition; the span of pairs is then their
+    closure under right multiplication by the generators of S, and the join
+    that of partitions.  Other data pass their own `span` and `join`.
+    """
     m = ctx.m
-    gens = ctx.gens("S")
-    return {s: [m.mul(s, g) for g in gens] for s in members}.__getitem__
+    if members is not None:
+        gens = ctx.gens("S")
+        succ = {s: [m.mul(s, g) for g in gens] for s in members}.__getitem__
 
+        def span(ps):
+            return CongruencePartition(members).close(ps, succ)
 
-def _pairwise_join_failure(m: CayleyTable, ulist: Sequence, value, join):
-    """The first (a, b) in U x U with join(value[a], value[b]) != value[ab]."""
-    for a in ulist:
-        for b in ulist:
-            if join((value[a], value[b])) != value[m.mul(a, b)]:
-                return a, b
-    return None
-
-
-def _family_join_failure(m: CayleyTable, u1: Sequence, v_subset: Sequence,
-                         targets: Iterable, value, join):
-    """The first target u where the join of value[v] over the members v of V
-    dividing u on the left (u = wv for some w in U1) is not value[u]."""
-    multiples = {v: {m.mul(w, v) for w in u1} for v in v_subset}
-    for u in targets:
-        if join([value[v] for v in v_subset if u in multiples[v]]) != value[u]:
-            return u
-    return None
+        def join(parts):
+            out = CongruencePartition(members)
+            for a, b in (p for part in parts for p in _pairs_for(part)):
+                out.union(a, b)
+            return out
+    failures = []
+    if reduction == "family":
+        multiples = {v: {m.mul(w, v) for w in ctx.u1()} for v in v_subset}
+        bad = next((u for u in targets if join(
+            [value[v] for v in v_subset if u in multiples[v]]) != value[u]), None)
+        if bad is not None:
+            failures.append(f"join reduction fails at {bad}")
+    elif reduction == "pairwise":
+        ulist = ctx.u_list()
+        if any(m.mul(a, b) != m.mul(b, a) for a in ulist for b in ulist):
+            failures.append("U must be commutative for the letter reduction")
+        if any(join((value[a], value[b])) != value[m.mul(a, b)]
+               for a in ulist for b in ulist):
+            failures.append("pairwise join reduction fails")
+    pool = targets if reduction is None else v_subset
+    bad = next((u for u in pool if span(pairs.get(u, ())) != value[u]), None)
+    if bad is not None:
+        failures.append(f"congruence data does not generate at {bad}")
+    return failures
 
 
 def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
@@ -913,17 +926,9 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
         return OmegaResult(rule, False, failures, None, None)
 
     if data == "theta":
-        value = th.theta_u
-        succ = _s_successors(ctx, slist)
-
-        def span(pairs):
-            return CongruencePartition(slist).close(pairs, succ)
-
-        def join(parts):
-            return _join(slist, parts)
+        failures += _element_data_failures(ctx, th.theta_u, gen_pairs, ulist,
+                                           reduction, v_subset, members=slist)
     elif data == "stab":
-        value = {u: th.stab[u] | {ident} for u in ulist}
-
         def span(pairs):
             # S is finite, so the monoid its members generate is a subgroup
             gens = [s for _, s in pairs]
@@ -932,27 +937,17 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
         def join(parts):
             return span([(ident, s) for p in parts for s in p])
 
-    pool = ulist if reduction is None else v_subset
-    if reduction == "family":
-        bad = _family_join_failure(m, ctx.u1(), v_subset, ulist, value, join)
-        if bad is not None:
-            failures.append(f"join reduction fails at u={bad}")
-    elif reduction == "pairwise":
-        if any(m.mul(a, b) != m.mul(b, a) for a in ulist for b in ulist):
-            failures.append("U is not commutative")
-        bad = _pairwise_join_failure(m, ulist, value, join)
-        if bad is not None:
-            failures.append(f"pairwise join fails at ({bad[0]},{bad[1]})")
-        if frozenset(right_orbit([ident], lambda a: [m.mul(a, v) for v in v_subset])) \
-                != ctx.u_set:
-            failures.append("V does not generate U as a monoid")
-    if data is not None:
-        bad = next((u for u in pool if span(gen_pairs.get(u, ())) != value[u]), None)
-        if bad is not None:
-            failures.append(f"the supplied generators miss at u={bad}")
+        failures += _element_data_failures(
+            ctx, {u: th.stab[u] | {ident} for u in ulist}, gen_pairs, ulist,
+            reduction, v_subset, span=span, join=join)
+    if reduction == "pairwise" and \
+            frozenset(right_orbit([ident], lambda a: [m.mul(a, v) for v in v_subset])) \
+            != ctx.u_set:
+        failures.append("V does not generate U as a monoid")
     if failures:
         return OmegaResult(rule, False, failures, None, None)
 
+    pool = ulist if reduction is None else v_subset
     # without per-element data every theta_u is taken whole, together with
     # (u, s) ~ (u s+, s), or with (1, s) ~ (s+, s) when U and S are submonoids
     pairs = [(sd.id_of(v, a), sd.id_of(v, b))

@@ -15,13 +15,12 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         _family_join_failure, _fibre_partition, _join,
-                         _pairs_for, _pairwise_join_failure, _partition_by,
-                         _s_successors, semidirect, theta_and_friends)
-from .fmonoid import (CayleyTable, CongruencePartition, Presentation,
-                      VerificationReport, Word, congruence_closure,
-                      right_orbit, subtable, table_from_elements,
-                      table_presentation, verify_presentation)
+                         _element_data_failures, _fibre_partition, _pairs_for,
+                         _partition_by, semidirect, theta_and_friends)
+from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
+                      congruence_closure, right_orbit, subtable,
+                      table_from_elements, table_presentation,
+                      verify_presentation)
 from .indalg import lattice
 from .registry import ptrans_table
 
@@ -808,16 +807,15 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
             _check(part == theta_and_friends(ctx, act, sd).theta,
                    "the supplied pairs do not generate theta")
         else:
+            # the fibres of (u, s) -> us, a morphism, on the local monoid
+            # are a congruence already
             tbl, old2new = subtable(sd.table, sd.mm)
             vart = congruence_closure(
                 tbl, [(old2new[i], old2new[j]) for i, j in omega_pairs],
                 "two_sided")
-            fibres = _partition_by(sorted(sd.mm),
-                                   lambda i: m.mul(*sd.table.elements[i]))
-            want_part = congruence_closure(
-                tbl, [(old2new[i], old2new[j]) for i, j in _pairs_for(fibres)],
-                "two_sided")
-            _check(vart == want_part,
+            els = sd.table.elements
+            fibres = _partition_by(tbl.size, lambda k: m.mul(*els[tbl.elements[k]]))
+            _check(vart == fibres,
                    "the supplied pairs do not generate the local kernel")
         rels += [relation(*sd.table.elements[i], *sd.table.elements[j])
                  for i, j in omega_pairs]
@@ -825,29 +823,18 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         ulist = [u for u in ctx.u_list() if monoid_case or u != ident]
         theta = theta_and_friends(ctx, act, sd).theta_u if monoid_case else \
             {u: _fibre_partition(m, u, members) for u in ctx.u1()}
-
-        def theta_join(parts):
-            return _join(members, parts)
-
-        if kind.endswith("reduced_letters"):
-            _check(all(m.mul(a, b) == m.mul(b, a)
-                       for a in ctx.u_list() for b in ctx.u_list()),
-                   "U must be commutative for the letter reduction")
-            _check(_pairwise_join_failure(m, ctx.u_list(), theta, theta_join)
-                   is None, "pairwise join reduction fails")
-        elif kind.endswith("reduced_family"):
-            _check(v_subset is not None, "the reduced variant needs V")
-            bad = _family_join_failure(m, ctx.u1(), v_subset, ulist, theta,
-                                       theta_join)
-            _check(bad is None, f"join reduction fails at {bad}")
-        pool = list(v_subset) if "reduced" in kind else ulist
+        reduction = "pairwise" if kind.endswith("reduced_letters") else \
+            "family" if "reduced" in kind else None
+        _check(reduction != "family" or v_subset is not None,
+               "the reduced variant needs V")
+        pool = ulist if reduction is None else list(v_subset)
         if omega_u is None:
             omega_u = {u: _pairs_for(theta[u]) for u in pool}
-        succ = _s_successors(ctx, members)
-        for u in pool:
-            _check(CongruencePartition(members).close(omega_u.get(u, ()), succ)
-                   == theta[u], f"congruence data does not generate at {u}")
-            rels += [relation(u, a, u, b) for a, b in omega_u.get(u, ())]
+        failures = _element_data_failures(ctx, theta, omega_u, ulist, reduction,
+                                          v_subset, members=members)
+        if failures:
+            raise HypothesisFailed(failures[0])
+        rels += [relation(u, a, u, b) for u in pool for a, b in omega_u.get(u, ())]
 
     pres = Presentation.make(names, rels, "monoid" if monoid_case else "semigroup")
     images = tuple(pres_u.images) + tuple(pres_s.images)

@@ -120,8 +120,7 @@ def make_pair(amb: CayleyTable, u_kind: str, s_kind: str, n: int, *,
         s_ids = subset_ids(amb, s_kind, n)
     else:
         s_ids = subset_ids(amb, f"pmap:{s_kind}", n)
-    plus_all = ambient_plus_map(amb)
-    plus = {s: plus_all[s] for s in s_ids}
+    plus = {s: amb.index[wreath.wr_plus(amb.elements[s])] for s in s_ids}
     return AmbientContext(amb, u_ids, s_ids, plus,
                           name=name or f"({u_kind},{s_kind}) n={n}")
 

@@ -366,6 +366,26 @@ def test_omega_join_rule_rejects_bad_family():
     assert not res.hypotheses_ok
 
 
+def test_omega_failures_use_the_presentation_wording():
+    # the generating rules and the pair presentations certify per-element
+    # data with one routine, so they report a failure in the same words
+    def failures(u, s, rule, no_pairs_at=None, **kw):
+        ctx, rep, act = classified("c1", 2, u, s)
+        sd = semidirect(ctx, act)
+        th = theta_and_friends(ctx, act, sd)
+        kw = {**registry.omega_inputs(ctx, act, rule, u, s, 2), **kw}
+        if no_pairs_at is not None:
+            kw["omega_u"] = {**kw["omega_u"], no_pairs_at: []}
+        return omega_check(ctx, act, sd, th, rule, **kw).failures
+
+    assert failures("E", "G", "join_pairwise") == ["pairwise join reduction fails"]
+    assert failures("M0n", "T", "join_family", v_subset=[]) == \
+        ["join reduction fails at 4"]
+    # the catalogue's inputs, V = {4, 5}, with no pairs for 4
+    assert failures("M0n", "T", "join_family", no_pairs_at=4) == \
+        ["congruence data does not generate at 4"]
+
+
 # --- special congruences ---------------------------------------------------------------
 
 def test_theta_is_special_everywhere():

@@ -352,6 +352,13 @@ def test_pair_presentation_via_local_quotient():
     b = pr.general_pair_pres("product_monoid_via_local", ctx, act, pu, ps,
                              omega_pairs=pairs)
     assert b.target.size == 9 and b.verify().ok
+    # the local monoid has 25 elements over 9 products, so its kernel needs
+    # 16 pairs, and no pairs generate only the equality
+    assert len(carrier) == 25 and len(pairs) == 16
+    with pytest.raises(HypothesisFailed,
+                       match="^the supplied pairs do not generate the local kernel$"):
+        pr.general_pair_pres("product_monoid_via_local", ctx, act, pu, ps,
+                             omega_pairs=[])
 
 
 def test_pair_presentation_hypothesis_failures():
