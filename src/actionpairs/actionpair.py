@@ -385,7 +385,7 @@ def projection_semigroup(ctx: AmbientContext, act: ActionTable) -> frozenset:
     return frozenset(right_orbit(gens, lambda a: [ctx.m.mul(a, g) for g in gens]))
 
 
-def sigma_partition(ctx: AmbientContext, act: ActionTable,
+def sigma_partition(ctx: AmbientContext,
                     p_set: frozenset) -> tuple[CongruencePartition, bool]:
     """sigma as the transitive closure of {(s, t) : ps = qt for p, q in P1};
     also reports whether the one-step relation was already transitive."""
@@ -422,7 +422,7 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     p_set = projection_semigroup(ctx, act)
     rep.p_set = p_set
 
-    sigma, transitive = sigma_partition(ctx, act, p_set)
+    sigma, transitive = sigma_partition(ctx, p_set)
     rep.sigma = sigma
     # kappa is reflexive, symmetric and compatible, so sigma is its
     # transitive closure; when P is right-reversible the two coincide
@@ -714,6 +714,19 @@ def _fibre_partition(m: CayleyTable, u, members: Sequence) -> CongruencePartitio
     return _partition_by(members, lambda s: m.mul(u, s))
 
 
+def _natural_factorisations(ctx: AmbientContext, act: ActionTable) -> dict:
+    """us -> the natural factorisations of us: the pairs (u, s) of U x S
+    with u = u s+ whose product is us."""
+    m = ctx.m
+    slist = ctx.s_list()
+    nf: dict = {}
+    for u in ctx.u_list():
+        for s in slist:
+            if m.mul(u, act.splus(s)) == u:
+                nf.setdefault(m.mul(u, s), []).append((u, s))
+    return nf
+
+
 def theta_and_friends(ctx: AmbientContext, act: ActionTable,
                       sd: SemidirectResult) -> ThetaResult:
     """theta as the fibres of (u, s) -> us, the per-element right congruences
@@ -741,22 +754,11 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
 
     description_ok = _partition_by(sd.table.size, description) == theta
 
-    # natural factorisations: existence, unique left part, sigma-related
-    # right parts for proper pairs
-    nf_ok = True
-    prod_set = ctx.product_set()
-    nf_by_value: dict = {}
-    for (u, s) in sd.table.elements:
-        if u == m.mul(u, act.splus(s)):
-            nf_by_value.setdefault(m.mul(u, s), []).append((u, s))
-    for a in prod_set:
-        items = nf_by_value.get(a, [])
-        if not items:
-            nf_ok = False
-            break
-        if len({u for u, _ in items}) != 1:
-            nf_ok = False
-            break
+    # natural factorisations: each element of US has one, and all of its
+    # share the left part
+    nf = _natural_factorisations(ctx, act)
+    nf_ok = all(len({u for u, _ in nf.get(a, [])}) == 1
+                for a in ctx.product_set())
 
     th = ThetaResult(theta, theta_u, stab, values, nf_ok,
                      description_ok)
@@ -1293,12 +1295,7 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
 
     u_embedding_injective = len(set(f_of.values())) == len(ctx.u_set)
 
-    # natural factorisations per product element
-    nf: dict = {}
-    for u in ctx.u_list():
-        for s in ctx.s_list():
-            if m.mul(u, act.splus(s)) == u:
-                nf.setdefault(m.mul(u, s), []).append((u, s))
+    nf = _natural_factorisations(ctx, act)
     well_defined = True
     psi = {}
     for a in us:

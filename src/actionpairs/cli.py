@@ -47,7 +47,7 @@ PRESENTATION_FAMILIES = presentations.FAMILIES
 ALGEBRA_INSTANCES = indalg.BUILTIN_ALGEBRAS
 
 
-def _config(args) -> dict:
+def _config() -> dict:
     return {"table_cap": fmonoid.FULL_TABLE_CAP}
 
 
@@ -57,7 +57,7 @@ def _enumeration_config(args) -> dict:
     if args.bound is not None and args.bound < 1:
         raise ValueError(f"--bound must be a positive integer, got {args.bound}")
     cap = fmonoid.NODE_CAP if args.bound is None else args.bound
-    return {**_config(args), "node_cap": cap, "bound": args.bound}
+    return {**_config(), "node_cap": cap, "bound": args.bound}
 
 
 def _write(text: str) -> None:
@@ -157,7 +157,7 @@ def _resolve_pair(args):
 
 def cmd_classify_pair(args) -> int:
     t0 = time.time()
-    cfg = _config(args)
+    cfg = _config()
     report = {"schema": SCHEMA, "command": "classify-pair", "config": cfg,
               "ambient": args.ambient, "U": args.U, "S": args.S}
     ctx, n, u_kind, s_kind = _resolve_pair(args)

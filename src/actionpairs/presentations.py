@@ -87,7 +87,7 @@ def _gn(n: int) -> PresentationBundle:
     names = [f"s{i}" for i in range(1, n)]
     pres = Presentation.make(names, _gn_relations(n), "monoid")
     target = ptrans_table("G", n)
-    gen_map = tuple(target.index[ptrans.tau(i, i + 1, n)] for i in range(1, n))
+    gen_map = tuple(target.index[g] for g in ptrans.family_gens("G", n))
     return PresentationBundle(pres, target, gen_map, f"Gn(n={n})")
 
 
@@ -150,14 +150,10 @@ def _tn_relations(n: int):
 def _tn(n: int) -> PresentationBundle:
     if n < 2:
         raise ValueError("the full transformation presentation needs n >= 2")
-    names, s, l, r = _tn_letters(n)
-    pres = Presentation.make(names, _tn_relations(n), "monoid")
+    pres = Presentation.make(_tn_letters(n)[0], _tn_relations(n), "monoid")
     target = ptrans_table("T", n)
-    idx = target.index
-    gm = [idx[ptrans.tau(i, i + 1, n)] for i in range(1, n)]
-    gm += [idx[ptrans.eps(i, i + 1, n)] for i in range(1, n)]
-    gm += [idx[ptrans.eps(i + 1, i, n)] for i in range(1, n)]
-    return PresentationBundle(pres, target, tuple(gm), f"Tn(n={n})")
+    gm = tuple(target.index[g] for g in ptrans.family_gens("T", n))
+    return PresentationBundle(pres, target, gm, f"Tn(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -356,124 +352,72 @@ def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
     pres = Presentation.make(names, rels, "semigroup")
     target = wreath.enumerate_wreath(M, "SingPT", n)
     idx = target.index
-    pts = set(range(1, n + 1))
     gm = [idx[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos]
-    gm += [idx[wreath.embed_pmap(M, ptrans.id_on(pts - {i}, n))]
-           for i in range(1, n + 1)]
+    gm += [idx[wreath.embed_pmap(M, e)] for e in ptrans.family_gens("E", n)]
     return PresentationBundle(pres, target, tuple(gm),
                               f"MwrSingPTn(|M|={M.size}, n={n})")
 
 
-def _mwr_main_relations(M: CayleyTable, n: int, lid, tid, s, l, r, k, *,
-                        use_t: bool, use_lr: bool):
-    """The mixed relations of the main wreath presentations: letters of the
-    acting family moved past coordinate letters and past the zero markers,
-    plus the collapse of a marker against its own idempotent."""
-    R = []
-    xs = range(k)
-    for i in range(1, n):
-        for kk in range(1, n + 1):
-            for j in xs:
-                if kk == i:
-                    R.append(((s(i), lid(i, j)), (lid(i + 1, j), s(i))))
-                elif kk == i + 1:
-                    R.append(((s(i), lid(i + 1, j)), (lid(i, j), s(i))))
-                else:
-                    R.append(((s(i), lid(kk, j)), (lid(kk, j), s(i))))
-            if use_t:
-                if kk == i:
-                    R.append(((s(i), tid(i)), (tid(i + 1), s(i))))
-                elif kk == i + 1:
-                    R.append(((s(i), tid(i + 1)), (tid(i), s(i))))
-                else:
-                    R.append(((s(i), tid(kk)), (tid(kk), s(i))))
-    if use_lr:
-        for i in range(1, n):
-            for kk in range(1, n + 1):
-                for j in xs:
-                    if kk == i:
-                        R.append(((l(i), lid(i, j)),
-                                  (lid(i, j), lid(i + 1, j), l(i))))
-                        R.append(((r(i), lid(i, j)), (r(i),)))
-                    elif kk == i + 1:
-                        R.append(((l(i), lid(i + 1, j)), (l(i),)))
-                        R.append(((r(i), lid(i + 1, j)),
-                                  (lid(i, j), lid(i + 1, j), r(i))))
-                    else:
-                        R.append(((l(i), lid(kk, j)), (lid(kk, j), l(i))))
-                        R.append(((r(i), lid(kk, j)), (lid(kk, j), r(i))))
-                if use_t:
-                    if kk == i:
-                        R.append(((l(i), tid(i)), (tid(i), tid(i + 1), l(i))))
-                        R.append(((r(i), tid(i)), (r(i),)))
-                    elif kk == i + 1:
-                        R.append(((l(i), tid(i + 1)), (l(i),)))
-                        R.append(((r(i), tid(i + 1)), (tid(i), tid(i + 1), r(i))))
-                    else:
-                        R.append(((l(i), tid(kk)), (tid(kk), l(i))))
-                        R.append(((r(i), tid(kk)), (tid(kk), r(i))))
-        if use_t:
-            for i in range(1, n):
-                R.append(((tid(i), r(i)), (tid(i),)))
-    return R
-
-
 def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
-    """The four main wreath presentations, over the tuple letters together
-    with the acting family's letters."""
+    """The four main wreath presentations, over the tuple letters, the zero
+    markers t_i for PT and I (`ptrans.family_gens("E", n)`), and the letters
+    of the acting family: `ptrans.family_gens` of T (s_i, l_i, r_i) or of G
+    (s_i), which also gives their images.
+
+    Every mixed relation is one shuffling rule.  A family letter x with map
+    f, moved past a coordinate letter c at position k (a base letter, or the
+    zero marker), gives x c(k) = c(p_1) ... c(p_r) x, where p_1 < ... < p_r
+    is the preimage of k under f; the right side is x alone when it is
+    empty.  In M wr PT_n, (a, f)(b, g) = (a . f.b, fg), and f.b puts the
+    entry of b at pf into position p, so the unit tuple at k comes out at
+    every position of the preimage of k.  The relations run over the letter
+    groups (each s_i, then each l_i with its r_i), then the positions k,
+    then the coordinate kinds, then the letters of the group.  The collapse
+    t_i r_i = t_i (PT) and t_i t_(i+1) s_i = t_i t_(i+1) (I) follow them.
+    """
     if n < 2:
         raise ValueError("wreath presentations need n >= 2")
     with_zero = family in ("PT", "I")
     tup, elems = _m0n_pres(M, n) if with_zero else _mn_pres(M, n)
     k = len(elems)
     base = len(tup.alphabet)
-    def lid(i, j):
-        return (i - 1) * k + j
-    def tid(i):
-        return n * k + i - 1
-
-    total_family = "T" if family in ("PT", "T") else "G"
-    if total_family == "T":
-        fam_names, fs, fl, fr = _tn_letters(n)
-        fam_rels = _tn_relations(n)
+    if family in ("PT", "T"):
+        maps = ptrans.family_gens("T", n)
+        fam_names, fam_rels = _tn_letters(n)[0], _tn_relations(n)
+        groups = [[i] for i in range(n - 1)] + \
+            [[n - 1 + i, 2 * (n - 1) + i] for i in range(n - 1)]
     else:
-        fam_names = [f"s{i}" for i in range(1, n)]
-        fam_rels = _gn_relations(n)
-        fs = lambda i: i - 1
-        fl = fr = None
-    names = list(tup.alphabet) + fam_names
-    def s(i):
-        return base + fs(i)
-    if total_family == "T":
-        def l(i):
-            return base + fl(i)
-        def r(i):
-            return base + fr(i)
-    else:
-        l = r = None
+        maps = ptrans.family_gens("G", n)
+        fam_names, fam_rels = [f"s{i}" for i in range(1, n)], _gn_relations(n)
+        groups = [[i] for i in range(n - 1)]
+    # the coordinate letters at each position, one per coordinate kind
+    at = {p: [(p - 1) * k + j for j in range(k)] +
+          ([n * k + p - 1] if with_zero else []) for p in range(1, n + 1)}
 
     rels = list(tup.relations)
     rels += [(tuple(base + i for i in u), tuple(base + i for i in v))
              for u, v in fam_rels]
-    rels += _mwr_main_relations(M, n, lid, tid, s, l, r, k,
-                                use_t=with_zero, use_lr=total_family == "T")
+    for group in groups:
+        for pos in range(1, n + 1):
+            for c, letter in enumerate(at[pos]):
+                for g in group:
+                    moved = tuple(at[p][c] for p in sorted(maps[g].preimage([pos])))
+                    rels.append(((base + g, letter), moved + (base + g,)))
+    if family == "PT":
+        rels += [((at[i][-1], base + 2 * (n - 1) + i - 1), (at[i][-1],))
+                 for i in range(1, n)]
     if family == "I":
-        for i in range(1, n):
-            rels.append(((tid(i), tid(i + 1), s(i)), (tid(i), tid(i + 1))))
-    pres = Presentation.make(names, rels, "monoid")
+        rels += [((at[i][-1], at[i + 1][-1], base + i - 1),
+                  (at[i][-1], at[i + 1][-1])) for i in range(1, n)]
+    pres = Presentation.make(list(tup.alphabet) + fam_names, rels, "monoid")
 
     target = wreath.enumerate_wreath(M, family, n)
     idx = target.index
-    pts = set(range(1, n + 1))
     gm = [idx[wreath.embed_tuple(wreath.unit_tuple(M, n, i, elems[j]))]
           for i in range(1, n + 1) for j in range(k)]
     if with_zero:
-        gm += [idx[wreath.embed_pmap(M, ptrans.id_on(pts - {i}, n))]
-               for i in range(1, n + 1)]
-    gm += [idx[wreath.embed_pmap(M, ptrans.tau(i, i + 1, n))] for i in range(1, n)]
-    if total_family == "T":
-        gm += [idx[wreath.embed_pmap(M, ptrans.eps(i, i + 1, n))] for i in range(1, n)]
-        gm += [idx[wreath.embed_pmap(M, ptrans.eps(i + 1, i, n))] for i in range(1, n)]
+        gm += [idx[wreath.embed_pmap(M, e)] for e in ptrans.family_gens("E", n)]
+    gm += [idx[wreath.embed_pmap(M, f)] for f in maps]
     return PresentationBundle(pres, target, tuple(gm),
                               f"Mwr{family}n(|M|={M.size}, n={n})")
 
@@ -599,9 +543,15 @@ def build_catalog(family: str, *, n: Optional[int] = None,
     """The bundle of a catalogued family.  En, Gn and Tn need the degree
     `n`; the tuple and wreath families need `n` and a `base` monoid; SubA
     and SubA_enlarged need an `algebra`; the truncations take `alphabet`
-    and `length`.  A missing input raises ValueError naming it."""
-    if family in ("En", "Gn", "Tn") + BASE_FAMILIES and n is None:
-        raise ValueError(f"{family} needs a degree n")
+    and `length`.  A missing input, or a negative degree or length, raises
+    ValueError naming it."""
+    if family in ("En", "Gn", "Tn") + BASE_FAMILIES:
+        if n is None:
+            raise ValueError(f"{family} needs a degree n")
+        if n < 0:
+            raise ValueError(f"{family} needs a degree n >= 0")
+    if family in ("PX_truncated", "LX_truncated") and length < 0:
+        raise ValueError(f"{family} needs a length >= 0")
     if family == "En":
         return _en(n)
     if family == "Gn":

@@ -64,6 +64,17 @@ def test_verify_without_degree_is_bad_input(capsys, extra):
     assert rep["error"] == f"{fam} needs a degree n"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (("--family", "Mn", "--n", "-2", "--monoid", "c2"), "Mn needs a degree n >= 0"),
+    (("--family", "PX_truncated", "--length", "-1"),
+     "PX_truncated needs a length >= 0"),
+])
+def test_verify_negative_size_is_bad_input(capsys, argv, error):
+    code, rep = run_json(capsys, "verify-presentation", *argv)
+    assert code == cli.EXIT_BAD_INPUT
+    assert rep["error"] == error
+
+
 def test_verify_model_families(capsys):
     code, rep = run_json(capsys, "verify-presentation", "--family",
                          "LX_truncated", "--alphabet", "xy", "--length", "2")

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+function reads each parameter it takes."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,42 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+# parameters kept though unread: callers pass them by position
+KEPT_PARAMETERS = {
+    # perfbench/pairs.py calls omega_inputs(ctx, act, rule, ...) positionally
+    ("registry.py", "omega_inputs", "act"),
+    # the tests call fix_set(alg, a)
+    ("indalg.py", "fix_set", "alg"),
+}
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) for each parameter of a `def` that its body
+    never reads; `self` and `cls` are exempt, and so are lambdas, whose
+    arity a caller fixes (a product callback takes two arguments)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [(node.name, p) for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return found
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = ("def f(a, b, *, c):\n    return a + (lambda x, y: c)(1, 2)\n"
+              "class K:\n    def g(self, d):\n        return 0\n")
+    assert unread_parameters(source) == [("f", "b"), ("g", "d")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_parameter_it_never_reads(path):
+    unread = [(path.name, f, p) for f, p in unread_parameters(path.read_text())]
+    assert [u for u in unread if u not in KEPT_PARAMETERS] == []

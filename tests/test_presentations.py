@@ -34,6 +34,8 @@ def test_enumeration_node_counts(fam, n, nodes):
 @pytest.mark.parametrize("fam,base,n,drop,nodes", [
     ("Tn", None, 4, None, 2835), ("MwrSingPTn", "c2", 3, None, 9959),
     ("MwrPTn", "c3", 3, None, 15497), ("Tn", None, 4, 22, 2842),
+    ("MwrTn", "c2", 3, None, 2083), ("MwrGn", "c2", 3, None, 241),
+    ("MwrIn", "c2", 3, None, 1125),
 ])
 def test_large_enumeration_node_counts(fam, base, n, drop, nodes):
     # the same counts on inputs whose coincidences mostly join a fresh node;
