@@ -5,6 +5,12 @@ Every builder returns a PresentationBundle: the presentation, the target
 table (ground truth by direct enumeration; absent for the free-monoid
 truncations, which are checked inside the model instead), and the letter
 map realizing the generators.
+
+The pair builders (`lavers`, `local_monoid_pres`, `general_pair_pres` and
+`us_sd_pres`) present the products of an action pair from lettered
+presentations of its parts.  The first three share one relation list
+(`_pair_letters`) and one hypothesis check (`_require`), and
+`general_pair_pres` reads every per-kind choice from `_PAIR_KIND_TABLE`.
 """
 
 from __future__ import annotations
@@ -255,12 +261,6 @@ def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
 # Wreath products
 # ---------------------------------------------------------------------------
 
-def _wr_element(M: CayleyTable, n: int, i: int, j: int, a: int, b: int):
-    ent = [M.identity] * n
-    ent[i - 1], ent[j - 1] = a, b
-    return wreath.WreathElement(wreath.MTuple(M, ent), ptrans.eps(i, j, n))
-
-
 def _mwr_sing_tn_relations(M: CayleyTable, n: int, L):
     mul = M.mul
     Ms = range(M.size)
@@ -320,9 +320,9 @@ def _mwr_sing_tn_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
 
 
 def _mwr_sing_tn(M: CayleyTable, n: int) -> PresentationBundle:
-    pres, combos = _mwr_sing_tn_pres(M, n)
+    pres, _ = _mwr_sing_tn_pres(M, n)
     target = wreath.enumerate_wreath(M, "SingT", n)
-    gm = tuple(target.index[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos)
+    gm = tuple(target.index[w] for w in wreath.wreath_gens(M, "SingT", n))
     return PresentationBundle(pres, target, gm,
                               f"MwrSingTn(|M|={M.size}, n={n})")
 
@@ -351,10 +351,8 @@ def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
         rels.append(((T(j), combos.index((i, j, one, one))), (T(j),)))
     pres = Presentation.make(names, rels, "semigroup")
     target = wreath.enumerate_wreath(M, "SingPT", n)
-    idx = target.index
-    gm = [idx[_wr_element(M, n, i, j, a, b)] for (i, j, a, b) in combos]
-    gm += [idx[wreath.embed_pmap(M, e)] for e in ptrans.family_gens("E", n)]
-    return PresentationBundle(pres, target, tuple(gm),
+    gm = tuple(target.index[w] for w in wreath.wreath_gens(M, "SingPT", n))
+    return PresentationBundle(pres, target, gm,
                               f"MwrSingPTn(|M|={M.size}, n={n})")
 
 
@@ -608,13 +606,26 @@ def _check(cond, msg):
         raise HypothesisFailed(msg)
 
 
+def _require(ctx: AmbientContext, act: ActionTable, parts: str,
+             trivial: bool = False) -> None:
+    """The hypotheses the pair builders share: the identity lies in each
+    part that `parts` names ("U", "S", or "US" for both), and with `trivial`
+    every projection s+ is the identity, so S acts by monoid morphisms."""
+    ident = ctx.identity
+    _check(all(ident in {"U": ctx.u_set, "S": ctx.s_set}[p] for p in parts),
+           "both parts must be submonoids" if len(parts) > 1
+           else f"{parts} must be a submonoid")
+    _check(not trivial or all(act.splus(s) == ident for s in ctx.s_list()),
+           "the action must be by monoid morphisms")
+
+
 def _pair_letters(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
                   pres_s: LetteredSubset):
     """What the pair presentations share: the letters u:* then s:*, the
-    normal forms over the U-letters, the relations of U and of S side by
-    side, and per acting letter x its shuffling relations x y = (x>y) x over
-    the U-letters y with its projection-prefix relation x = x+ x (when x+ is
-    not the identity)."""
+    normal forms over the U-letters, and one relation list.  The list holds
+    the relations of U, then those of S, then for each acting letter x its
+    shuffling relations x y = (x>y) x over the U-letters y, followed by its
+    projection-prefix relation x = x+ x when x+ is not the identity."""
     ident = ctx.identity
     nu = len(pres_u.pres.alphabet)
     nf_u = pres_u.normal_forms(ctx.m, identity=ident)
@@ -623,32 +634,29 @@ def _pair_letters(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
     rels = list(pres_u.pres.relations)
     rels += [(tuple(nu + i for i in u), tuple(nu + i for i in v))
              for u, v in pres_s.pres.relations]
-    blocks = []
-    for xi, xs in enumerate(pres_s.images):
-        x, sp = nu + xi, act.splus(xs)
-        blocks.append(([((x, yi), nf_u[act(xs, yu)] + (x,))
-                        for yi, yu in enumerate(pres_u.images)],
-                       [((x,), nf_u[sp] + (x,))] if sp != ident else []))
-    return names, nf_u, rels, blocks
+    for x, xs in enumerate(pres_s.images, nu):
+        rels += [((x, y), nf_u[act(xs, yu)] + (x,))
+                 for y, yu in enumerate(pres_u.images)]
+        if act.splus(xs) != ident:
+            rels.append(((x,), nf_u[act.splus(xs)] + (x,)))
+    return names, nf_u, rels
 
 
 def lavers(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
            pres_s: LetteredSubset) -> PresentationBundle:
-    """Presentation of the semidirect product when it is a monoid: the two
-    presentations side by side plus letter-shuffling relations moving acting
-    letters past acted-on letters."""
+    """Presentation of the semidirect product when it is a monoid (Lavers
+    1998): the two presentations side by side plus letter-shuffling
+    relations moving acting letters past acted-on letters.  Every s+ is the
+    identity, so the shared relation list has no projection-prefix
+    relation."""
     ident = ctx.identity
-    _check(ident in ctx.u_set and ident in ctx.s_set, "both parts must be submonoids")
-    _check(all(act.splus(s) == ident for s in ctx.s_list()),
-           "the action must be by monoid morphisms")
-    names, _, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
-    rels += [r for shuffles, _ in blocks for r in shuffles]
-    pres = Presentation.make(names, rels, "monoid")
-
+    _require(ctx, act, "US", trivial=True)
+    names, _, rels = _pair_letters(ctx, act, pres_u, pres_s)
     sd = semidirect(ctx, act)
     gm = tuple(sd.id_of(u, ident) for u in pres_u.images) + \
         tuple(sd.id_of(ident, s) for s in pres_s.images)
-    return PresentationBundle(pres, sd.table, gm, f"semidirect({ctx.name})")
+    return PresentationBundle(Presentation.make(names, rels, "monoid"), sd.table,
+                              gm, f"semidirect({ctx.name})")
 
 
 def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
@@ -658,28 +666,33 @@ def local_monoid_pres(ctx: AmbientContext, act: ActionTable,
     for a monoidal action by semigroup morphisms: the shuffling relations
     plus one projection-prefix relation per acting letter."""
     ident = ctx.identity
-    _check(ident in ctx.u_set and ident in ctx.s_set, "both parts must be submonoids")
-    names, _, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
-    rels += [r for shuffles, prefix in blocks for r in shuffles + prefix]
-    pres = Presentation.make(names, rels, "monoid")
-
+    _require(ctx, act, "US")
+    names, _, rels = _pair_letters(ctx, act, pres_u, pres_s)
     sd = semidirect(ctx, act)
     tbl, old2new = subtable(sd.table, sd.mm)
     gm = tuple(old2new[sd.id_of(u, ident)] for u in pres_u.images) + \
         tuple(old2new[sd.id_of(act.splus(s), s)] for s in pres_s.images)
-    return PresentationBundle(pres, tbl, gm, f"local_monoid({ctx.name})")
+    return PresentationBundle(Presentation.make(names, rels, "monoid"), tbl, gm,
+                              f"local_monoid({ctx.name})")
 
 
-PAIR_PRESENTATION_KINDS = (
-    "product_monoid_strong",       # both submonoids, monoid morphisms, theta data
-    "product_monoid",              # both submonoids, general action pair
-    "product_monoid_reduced_family",
-    "product_monoid_reduced_letters",
-    "product_monoid_via_local",    # through the local monoid quotient
-    "product_semigroup",           # only U a submonoid
-    "product_semigroup_reduced_family",
-    "product_semigroup_reduced_letters",
-)
+# Per kind: whether U and S are submonoids (the monoid case, presented as a
+# monoid) or only U (the semigroup case, over S^1), the pair verdict of the
+# action's report it needs, whether every projection must be trivial, and
+# the reduction of U to a family V (as in actionpair._OMEGA_TABLE).  The
+# kinds that need only a weak pair also take explicit pairs on the local
+# monoid (`omega_pairs`).
+_PAIR_KIND_TABLE = {
+    "product_monoid_strong": (True, "weak", True, None),
+    "product_monoid": (True, "action", False, None),
+    "product_monoid_reduced_family": (True, "action", False, "family"),
+    "product_monoid_reduced_letters": (True, "action", False, "pairwise"),
+    "product_monoid_via_local": (True, "weak", False, None),
+    "product_semigroup": (False, "action", False, None),
+    "product_semigroup_reduced_family": (False, "action", False, "family"),
+    "product_semigroup_reduced_letters": (False, "action", False, "pairwise"),
+}
+PAIR_PRESENTATION_KINDS = tuple(_PAIR_KIND_TABLE)
 
 
 def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
@@ -688,96 +701,82 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
                       v_subset: Optional[Sequence] = None,
                       omega_pairs: Optional[Sequence] = None) -> PresentationBundle:
     """Presentations for the product set of an action pair, assembled from
-    presentations of the parts, shuffling relations, per-element right
-    congruence data, and projection-prefix relations.
+    presentations of the parts, the shared relation list of `_pair_letters`,
+    and per-element right congruence data.  Every per-kind choice is read
+    from `_PAIR_KIND_TABLE`.
 
-    The hypotheses of the selected variant are machine-checked: submonoid
-    membership, the extension condition for the semigroup variants, join
-    reductions for the reduced variants, and the generating property of all
-    supplied congruence data.  Supplied data outside the pair (an omega_u
-    pair outside S, or S^1 for the semigroup variants, a member of V outside
-    U) fails before any closure runs.  The pair verdicts are read from the
-    action's report; theta_u on S from the action's stored
-    `theta_and_friends`, and on S^1 as the fibres of s -> us.
+    The hypotheses of the selected kind are machine-checked before any
+    closure runs: submonoid membership, the pair verdict, trivial
+    projections, the extension condition and a presentation of S without
+    empty sides for the semigroup kinds, and supplied data inside the pair
+    (an omega_u pair inside S, or S^1 for the semigroup kinds, a family V
+    inside U).  Then the reductions and the generating property of the
+    congruence data are certified.  The data are either omega_u, pairs per
+    element u generating theta_u (s ~ t iff us = ut) on S or S^1 (by
+    default all of its pairs), or, for the kinds that need only a weak
+    pair, `omega_pairs`: ids of the semidirect product that must generate
+    the fibres of (u, s) -> us on the local monoid.  With trivial
+    projections the local monoid is all of U x S and those fibres are
+    theta.
     """
-    if kind not in PAIR_PRESENTATION_KINDS:
+    if kind not in _PAIR_KIND_TABLE:
         raise KeyError(f"unknown kind {kind!r}")
+    monoid, verdict, trivial, reduction = _PAIR_KIND_TABLE[kind]
     m = ctx.m
     ident = ctx.identity
-    rep = act.pair_report()
-    monoid_case = kind.startswith("product_monoid")
-    _check(ident in ctx.u_set, "U must be a submonoid")
-    if monoid_case:
-        _check(ident in ctx.s_set, "S must be a submonoid")
-        _check(rep.weak if kind.endswith("strong") or kind.endswith("via_local")
-               else rep.action, "pair axioms fail")
-    else:
-        _check(rep.action, "pair axioms fail")
+    _require(ctx, act, "U")
+    if monoid:
+        _require(ctx, act, "S", trivial)
+    _check(getattr(act.pair_report(), verdict), "pair axioms fail")
+    if not monoid:
         u_min = ctx.u_set - {ident}
         _check(all(m.mul(a, b) in u_min for a in u_min for b in u_min),
                "U minus the identity must be a subsemigroup")
         _check(u_min <= ctx.product_set(), "U minus the identity must lie in US")
         u1set = set(ctx.u1())
-        for u in ctx.u1():
-            for s in ctx.s_list():
-                v = m.mul(u, s)
-                if v in u1set and m.mul(u, act.splus(s)) != v:
-                    raise HypothesisFailed("the pair does not extend over S^1")
-
-    if kind == "product_monoid_strong":
-        _check(all(act.splus(s) == ident for s in ctx.s_list()),
-               "the action must be by monoid morphisms")
+        _check(all(m.mul(u, act.splus(s)) == m.mul(u, s) for u in u1set
+                   for s in ctx.s_list() if m.mul(u, s) in u1set),
+               "the pair does not extend over S^1")
     # theta_u partitions S, or S1 for semigroups
-    members = ctx.s_list() if monoid_case else ctx.s1()
-    if kind.endswith("reduced_letters"):
+    members = ctx.s_list() if monoid else ctx.s1()
+    if reduction == "pairwise":
         v_subset = list(dict.fromkeys(pres_u.images))
-    _check("reduced" not in kind or v_subset is None or set(v_subset) <= ctx.u_set,
+    _check(reduction != "family" or v_subset is not None,
+           "the reduced variant needs V")
+    _check(reduction is None or set(v_subset) <= ctx.u_set,
            "the family V must lie inside U")
     _check(omega_u is None or all(a in members and b in members
                                   for ps in omega_u.values() for a, b in ps),
-           "congruence data lies outside " + ("S" if monoid_case else "S^1"))
+           "congruence data lies outside " + ("S" if monoid else "S^1"))
+    _check(monoid or all(u and v for u, v in pres_s.pres.relations),
+           "pres_s has a relation with an empty side, so it presents no semigroup")
 
-    names, nf_u, rels, blocks = _pair_letters(ctx, act, pres_u, pres_s)
-    rels += [r for shuffles, _ in blocks for r in shuffles]
-    rels += [r for _, prefix in blocks for r in prefix]
+    names, nf_u, rels = _pair_letters(ctx, act, pres_u, pres_s)
     nu = len(pres_u.pres.alphabet)
-    nf_s = pres_s.normal_forms(m, identity=ident if monoid_case else None)
+    nf_s = pres_s.normal_forms(m, identity=ident if monoid else None)
     nf_s.setdefault(ident, ())
 
     def relation(u1, s1, u2, s2):
         return (nf_u[u1] + tuple(nu + i for i in nf_s[s1]),
                 nf_u[u2] + tuple(nu + i for i in nf_s[s2]))
 
-    sd = semidirect(ctx, act)
-    if kind in ("product_monoid_via_local", "product_monoid_strong") and \
-            omega_pairs is not None:
-        # explicit congruence data on the semidirect product
-        if kind == "product_monoid_strong":
-            part = congruence_closure(sd.table, omega_pairs, "two_sided")
-            _check(part == theta_and_friends(ctx, act, sd).theta,
-                   "the supplied pairs do not generate theta")
-        else:
-            # the fibres of (u, s) -> us, a morphism, on the local monoid
-            # are a congruence already
-            tbl, old2new = subtable(sd.table, sd.mm)
-            vart = congruence_closure(
-                tbl, [(old2new[i], old2new[j]) for i, j in omega_pairs],
-                "two_sided")
-            els = sd.table.elements
-            fibres = _partition_by(tbl.size, lambda k: m.mul(*els[tbl.elements[k]]))
-            _check(vart == fibres,
-                   "the supplied pairs do not generate the local kernel")
+    if verdict == "weak" and omega_pairs is not None:
+        # (u, s) -> us is a morphism on the local monoid, so its fibres are
+        # a congruence already
+        sd = semidirect(ctx, act)
+        tbl, old2new = subtable(sd.table, sd.mm)
+        values = theta_and_friends(ctx, act, sd).product_values
+        _check(congruence_closure(tbl, [(old2new[i], old2new[j])
+                                        for i, j in omega_pairs], "two_sided")
+               == _partition_by(tbl.size, lambda k: values[tbl.elements[k]]),
+               "the supplied pairs do not generate " +
+               ("theta" if trivial else "the local kernel"))
         rels += [relation(*sd.table.elements[i], *sd.table.elements[j])
                  for i, j in omega_pairs]
     else:
-        ulist = [u for u in ctx.u_list() if monoid_case or u != ident]
-        theta = theta_and_friends(ctx, act, sd).theta_u if monoid_case else \
-            {u: _fibre_partition(m, u, members) for u in ctx.u1()}
-        reduction = "pairwise" if kind.endswith("reduced_letters") else \
-            "family" if "reduced" in kind else None
-        _check(reduction != "family" or v_subset is not None,
-               "the reduced variant needs V")
-        pool = ulist if reduction is None else list(v_subset)
+        ulist = [u for u in ctx.u_list() if monoid or u != ident]
+        theta = {u: _fibre_partition(m, u, members) for u in ctx.u1()}
+        pool = ulist if reduction is None else v_subset
         if omega_u is None:
             omega_u = {u: _pairs_for(theta[u]) for u in pool}
         failures = _element_data_failures(ctx, theta, omega_u, ulist, reduction,
@@ -786,7 +785,7 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
             raise HypothesisFailed(failures[0])
         rels += [relation(u, a, u, b) for u in pool for a, b in omega_u.get(u, ())]
 
-    pres = Presentation.make(names, rels, "monoid" if monoid_case else "semigroup")
+    pres = Presentation.make(names, rels, "monoid" if monoid else "semigroup")
     images = tuple(pres_u.images) + tuple(pres_s.images)
     tbl, old2new = subtable(m, sorted(ctx.product_set()), gens=list(images))
     gm = tuple(old2new[e] for e in images)
@@ -801,7 +800,7 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
     an action value."""
     m = ctx.m
     ident = ctx.identity
-    _check(ident in ctx.s_set, "S must be a submonoid")
+    _require(ctx, act, "S")
     slist = ctx.s_list()
     spos = {s: i for i, s in enumerate(slist)}
     nletters = len(pres_u.pres.alphabet)

@@ -7,6 +7,11 @@ is the partial transformation monoid itself).  Every subset kind resolves to
 a family of `ptrans.family`, either as the wreath subproduct over it or as its
 embedded copy; each catalogue row names the family whose subproduct is its
 product set.  Custom algebra files load through `indalg.builtin_algebra`.
+
+One cache lives here: `ambient_wreath` keeps the ambient of a built-in base
+name, keyed by that name and the degree.  A base given as a .json path is
+read and validated on every call, so a rewritten file is never served from
+an earlier read.
 """
 
 from __future__ import annotations
@@ -42,11 +47,6 @@ def monoid_table(name: str) -> CayleyTable:
     raise KeyError(f"unknown monoid {name!r} (choose from {BASE_MONOIDS} or a .json path)")
 
 
-@lru_cache(maxsize=None)
-def _monoid_cached(name: str) -> CayleyTable:
-    return monoid_table(name)
-
-
 def ptrans_table(kind: str, n: int) -> CayleyTable:
     """Cayley table of a transformation family, payload PartialMap objects,
     numbered by `table_from_elements` over the family's standard generators
@@ -61,15 +61,22 @@ def ptrans_table(kind: str, n: int) -> CayleyTable:
                                identity=ident if ident in set(elems) else None)
 
 
-@lru_cache(maxsize=None)
-def ambient_wreath(base_name: str, n: int) -> CayleyTable:
-    """The wreath product of a base monoid with all partial maps of degree n,
-    with its m x m table built up to FULL_TABLE_CAP elements (the pair
-    stages multiply ambient elements throughout)."""
-    t = wreath.enumerate_wreath(_monoid_cached(base_name), "PT", n)
+def _ambient(base_name: str, n: int) -> CayleyTable:
+    t = wreath.enumerate_wreath(monoid_table(base_name), "PT", n)
     if t.size <= FULL_TABLE_CAP:
         t.full_table()
     return t
+
+
+_builtin_ambient = lru_cache(maxsize=None)(_ambient)
+
+
+def ambient_wreath(base_name: str, n: int) -> CayleyTable:
+    """The wreath product of a base monoid with all partial maps of degree n,
+    with its m x m table built up to FULL_TABLE_CAP elements (the pair
+    stages multiply ambient elements throughout).  Cached for a built-in
+    base name; a .json path is read again on every call."""
+    return (_ambient if base_name.endswith(".json") else _builtin_ambient)(base_name, n)
 
 
 def ambient_plus_map(amb: CayleyTable) -> dict:

@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from actionpairs import presentations as pr
 from actionpairs import ptrans, wreath
-from actionpairs.fmonoid import (BoundExceeded, CayleyTable, _bfs_words,
-                                 closure_from_generators, greedy_generators)
-from actionpairs.registry import monoid_table, ptrans_table
+from actionpairs.fmonoid import (BoundExceeded, CayleyTable, Presentation,
+                                 _bfs_words, closure_from_generators,
+                                 greedy_generators)
+from actionpairs.registry import monoid_table, ptrans_table, subset_ids
 
 
 @pytest.fixture(scope="session")
@@ -269,6 +271,44 @@ def naive_subset_ids(amb, kind, n):
     else:
         pred = lambda w: families[kind](w.pmap)
     return frozenset(i for i, w in enumerate(amb.elements) if pred(w))
+
+
+def catalogue_letters(amb, kind, n):
+    """A `presentations.LetteredSubset` for a named subset of a wreath
+    ambient (a `registry.subset_ids` kind), from the catalogue bundle of the
+    subset: E from En, and SingE from En's relations read as a semigroup
+    presentation; Mn and M0n from their bundles over the ambient's base;
+    "pmap:T" and "pmap:G" from Tn and Gn, and the other embedded families
+    from Mwr{K}n over c1, through each element's map; a wreath subproduct
+    over K from Mwr{K}n over the ambient's base.  SingI has no catalogue
+    bundle, so its letters are its elements under their product table."""
+    base = amb.elements[0].tup.base
+    fam = kind.removeprefix("pmap:")
+    if kind == "pmap:SingI":
+        ids = sorted(subset_ids(amb, kind, n))
+        pos = {x: i for i, x in enumerate(ids)}
+        return pr.LetteredSubset(Presentation.make(
+            [f"x{x}" for x in ids],
+            [((pos[x], pos[y]), (pos[amb.mul(x, y)],)) for x in ids for y in ids],
+            "semigroup"), tuple(ids))
+    if kind in ("E", "SingE"):
+        b = pr.build_catalog("En", n=n)
+        values = [wreath.embed_pmap(base, a) for a in b.target.elements]
+    elif kind in ("Mn", "M0n"):
+        b = pr.build_catalog(kind, n=n, base=base)
+        values = [wreath.embed_tuple(wreath.MTuple(base, t)) for t in b.target.elements]
+    elif kind in ("pmap:T", "pmap:G"):
+        b = pr.build_catalog(f"{fam}n", n=n)
+        values = [wreath.embed_pmap(base, a) for a in b.target.elements]
+    elif fam != kind:
+        b = pr.build_catalog(f"Mwr{fam}n", n=n, base=monoid_table("c1"))
+        values = [wreath.embed_pmap(base, w.pmap) for w in b.target.elements]
+    else:
+        b = pr.build_catalog(f"Mwr{fam}n", n=n, base=base)
+        values = b.target.elements
+    pres = Presentation.make(b.pres.alphabet, b.pres.relations, "semigroup") \
+        if kind == "SingE" else b.pres
+    return pr.LetteredSubset(pres, tuple(amb.index[values[g]] for g in b.gen_map))
 
 
 def all_total_maps(n):

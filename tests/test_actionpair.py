@@ -684,3 +684,11 @@ def test_every_catalogue_rule_combination_returns_a_report():
         "join_family": (14, 50), "join_pairwise": (6, 58),
         "group_generators": (11, 53), "group_join_family": (6, 58),
         "group_join_pairwise": (0, 64)}
+
+
+def test_embed_result_ok_needs_every_verdict():
+    # a non-injective map is no embedding, however the other checks came out
+    res = ap.EmbedResult(hypotheses_ok=True, failures=[], well_defined=True,
+                         injective=False, homomorphic=True)
+    assert not res.ok
+    assert ap.EmbedResult(True, [], True, True, True).ok

@@ -415,3 +415,18 @@ def test_closed_stdout_keeps_the_verdict_exit_code(capsys):
     p.stderr.close()
     assert p.wait(timeout=120) == verdict
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_a_rewritten_monoid_file_is_read_again(capsys, tmp_path):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"size": 2, "gens": [1], "nf": [[], [0]],
+                                "table": [[1], [0]]}))
+    argv = ["classify-pair", "--ambient", "MwrPT2", "--M", str(path),
+            "--U", "Mn", "--S", "G"]
+    assert run(capsys, *argv)[0] == cli.EXIT_PASS
+    path.write_text(json.dumps({"size": 2, "gens": [1], "nf": [[], [0]],
+                                "table": [[1], [5]]}))
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_BAD_INPUT and "range" in json.loads(out)["error"]
+    path.write_text(json.dumps("not a table"))
+    assert run(capsys, *argv)[0] == cli.EXIT_BAD_INPUT

@@ -1,7 +1,10 @@
 """Presentation bundle tests: catalogue families, pair-based builders, and
 the structural cross-checks between them."""
 
+import functools
+
 import pytest
+from conftest import catalogue_letters
 
 from actionpairs import actionpair as ap
 from actionpairs import presentations as pr
@@ -86,6 +89,15 @@ def test_wreath_bundles(fam, base, n):
     assert rep.ok and rep.isomorphic
 
 
+def test_singular_wreath_at_degree_four():
+    # the first degree with two disjoint letters e_ij, e_kl, whose
+    # commuting relations no smaller degree has
+    b = pr.build_catalog("MwrSingTn", base=monoid_table("c1"), n=4)
+    rep = b.verify()
+    assert b.target.size == wreath.wreath_size(1, "SingT", 4) == 232
+    assert rep.ok and rep.isomorphic
+
+
 def test_letter_and_relation_counts():
     # regression pins, frozen at first computation
     b = pr.build_catalog("MwrSingTn", base=monoid_table("c2"), n=3)
@@ -154,6 +166,14 @@ def test_missing_degree_names_the_family(fam, kw):
     kw = {k: monoid_table(v) for k, v in kw.items()}
     with pytest.raises(ValueError, match=f"{fam} needs a degree n"):
         pr.build_catalog(fam, **kw)
+
+
+@pytest.mark.parametrize("fam,kw", [("En", {}), ("Mn", {"base": "c2"})])
+def test_families_at_degree_zero(fam, kw):
+    # degree 0 is a valid degree: the one-element monoid on the empty set
+    b = pr.build_catalog(fam, n=0, **{k: monoid_table(v) for k, v in kw.items()})
+    rep = b.verify()
+    assert b.target.size == 1 and rep.ok and rep.isomorphic
 
 
 # --- pair-based builders -----------------------------------------------------------------
@@ -497,3 +517,127 @@ def test_pair_presentations_build_each_stage_result_once(monkeypatch):
     counts["SemidirectResult"] = 0
     test_pair_presentation_via_local_quotient()
     assert counts["SemidirectResult"] == 1
+
+
+# --- pair presentations over the catalogue -------------------------------------------
+
+# (base, degree, pair) -> the target size of lavers, local_monoid_pres and the
+# eight kinds of PAIR_PRESENTATION_KINDS in order, "-" where HypothesisFailed
+PAIR_SWEEP = {
+    "c1 2 (E,T)":          "16 16  9  9  9  9  9  -  -  -",
+    "c1 2 (SingE,T)":      " -  -  -  -  -  -  -  -  -  -",
+    "c1 2 (E,SingT)":      " -  -  -  -  -  -  -  7  7  7",
+    "c1 2 (SingE,SingT)":  " -  -  -  -  -  -  -  -  -  -",
+    "c1 2 (E,G)":          " 8  8  7  7  7  -  7  -  -  -",
+    "c1 2 (SingE,G)":      " -  -  -  -  -  -  -  -  -  -",
+    "c1 2 (M0n,PT)":       " - 25  -  9  9  9  9  -  -  -",
+    "c1 2 (M0n,I)":        " - 17  -  7  7  7  7  -  -  -",
+    "c1 2 (M0n,T)":        "16 16  9  9  9  9  9  -  -  -",
+    "c1 2 (M0n,G)":        " 8  8  7  7  7  -  7  -  -  -",
+    "c1 2 (Mn,T)":         " 4  4  4  4  4  4  4  -  -  -",
+    "c1 2 (Mn,G)":         " 2  2  2  2  2  2  2  -  -  -",
+    "c1 2 (M0n,SingPT)":   " -  -  -  -  -  -  -  7  7  7",
+    "c1 2 (M0n,SingI)":    " -  -  -  -  -  -  -  5  5  5",
+    "c1 2 (M0n,SingT)":    " -  -  -  -  -  -  -  7  7  7",
+    "c1 2 (Mn,SingT)":     " -  -  -  -  -  -  -  2  2  2",
+    "c2 2 (E,T)":          "64 64 25 25 25 25 25  -  -  -",
+    "c2 2 (SingE,T)":      " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (E,SingT)":      " -  -  -  -  -  -  - 17 17 17",
+    "c2 2 (SingE,SingT)":  " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (E,G)":          "32 32 17 17 17  - 17  -  -  -",
+    "c2 2 (SingE,G)":      " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (M0n,PT)":       " - 49  - 25 25 25 25  -  -  -",
+    "c2 2 (M0n,I)":        " - 31  - 17 17 17 17  -  -  -",
+    "c2 2 (M0n,T)":        "36 36 25 25 25 25 25  -  -  -",
+    "c2 2 (M0n,G)":        "18 18 17 17 17  - 17  -  -  -",
+    "c2 2 (Mn,T)":         "16 16 16 16 16 16 16  -  -  -",
+    "c2 2 (Mn,G)":         " 8  8  8  8  8  8  8  -  -  -",
+    "c2 2 (M0n,SingPT)":   " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (M0n,SingI)":    " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (M0n,SingT)":    " -  -  -  -  -  -  -  -  -  -",
+    "c2 2 (Mn,SingT)":     " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (E,T)":         "64 64 25 25 25 25 25  -  -  -",
+    "sl2 2 (SingE,T)":     " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (E,SingT)":     " -  -  -  -  -  -  - 17 17 17",
+    "sl2 2 (SingE,SingT)": " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (E,G)":         "32 32 17 17 17  - 17  -  -  -",
+    "sl2 2 (SingE,G)":     " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (M0n,PT)":      " - 49  - 25 25 25 25  -  -  -",
+    "sl2 2 (M0n,I)":       " - 31  - 17 17 17 17  -  -  -",
+    "sl2 2 (M0n,T)":       "36 36 25 25 25 25 25  -  -  -",
+    "sl2 2 (M0n,G)":       "18 18 17 17 17  - 17  -  -  -",
+    "sl2 2 (Mn,T)":        "16 16 16 16 16 16 16  -  -  -",
+    "sl2 2 (Mn,G)":        " 8  8  8  8  8  8  8  -  -  -",
+    "sl2 2 (M0n,SingPT)":  " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (M0n,SingI)":   " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (M0n,SingT)":   " -  -  -  -  -  -  -  -  -  -",
+    "sl2 2 (Mn,SingT)":    " -  -  -  -  -  -  -  -  -  -",
+    "c1 3 (E,T)":          "216 216 64 64 64 64 64  -  -  -",
+    "c1 3 (SingE,T)":      " -  -  -  -  -  -  -  -  -  -",
+    "c1 3 (E,SingT)":      " -  -  -  -  -  -  - 58 58 58",
+    "c1 3 (SingE,SingT)":  " -  -  -  -  -  -  -  -  -  -",
+    "c1 3 (E,G)":          "48 48 34 34 34  - 34  -  -  -",
+    "c1 3 (SingE,G)":      " -  -  -  -  -  -  -  -  -  -",
+    "c1 3 (M0n,PT)":       " - 343  - 64 64 64 64  -  -  -",
+    "c1 3 (M0n,I)":        " - 139  - 34 34 34 34  -  -  -",
+    "c1 3 (M0n,T)":        "216 216 64 64 64 64 64  -  -  -",
+    "c1 3 (M0n,G)":        "48 48 34 34 34  - 34  -  -  -",
+    "c1 3 (Mn,T)":         "27 27 27 27 27 27 27  -  -  -",
+    "c1 3 (Mn,G)":         " 6  6  6  6  6  6  6  -  -  -",
+    "c1 3 (M0n,SingPT)":   " -  -  -  -  -  -  - 58 58 58",
+    "c1 3 (M0n,SingI)":    " -  -  -  -  -  -  - 28 28 28",
+    "c1 3 (M0n,SingT)":    " -  -  -  -  -  -  - 58 58 58",
+    "c1 3 (Mn,SingT)":     " -  -  -  -  -  -  - 21 21 21",
+}
+
+
+def _sweep_row(base, n, u_kind, s_kind, rule):
+    amb = ambient_wreath(base, n)
+    ctx = registry.catalogue_pair(base, n, u_kind, s_kind)
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu = catalogue_letters(amb, u_kind, n)
+    ps = catalogue_letters(amb, s_kind if u_kind in ("E", "SingE") else f"pmap:{s_kind}", n)
+    # the catalogue's family V, or the U-letters where it names none
+    v = registry.omega_inputs(ctx, act, rule, u_kind, s_kind, n).get(
+        "v_subset", list(pu.images))
+    calls = [functools.partial(pr.lavers, ctx, act, pu, ps),
+             functools.partial(pr.local_monoid_pres, ctx, act, pu, ps)]
+    calls += [functools.partial(pr.general_pair_pres, kind, ctx, act, pu, ps, v_subset=v)
+              for kind in pr.PAIR_PRESENTATION_KINDS]
+    row = []
+    for call in calls:
+        try:
+            b = call()
+        except HypothesisFailed:
+            row.append(" -")
+            continue
+        r = b.verify()
+        assert r.ok and r.isomorphic, b.provenance
+        row.append(f"{b.target.size:2}")
+    return " ".join(row)
+
+
+def test_pair_presentations_over_the_catalogue():
+    # every builder on every catalogue pair, with the catalogue's own letters:
+    # each call verifies or refuses, and the table pins which
+    got = {f"{base} {n} ({spec['u']},{spec['s']})":
+           _sweep_row(base, n, spec["u"], spec["s"], spec["rule"])
+           for base, n in (("c1", 2), ("c2", 2), ("sl2", 2), ("c1", 3))
+           for spec in registry.catalogue_specs(n)}
+    assert got == PAIR_SWEEP
+
+
+def test_semigroup_pair_presentations_refuse_empty_sides_before_any_closure(monkeypatch):
+    amb = ambient_wreath("c1", 2)
+    ctx = make_pair(amb, "E", "T", 2)
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu = catalogue_letters(amb, "E", 2)
+    ps = catalogue_letters(amb, "pmap:T", 2)       # Tn has s1 s1 = 1
+
+    def closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+    for name in ("semidirect", "_element_data_failures", "subtable"):
+        monkeypatch.setattr(pr, name, closure)
+    for kind in pr.PAIR_PRESENTATION_KINDS[5:]:
+        with pytest.raises(HypothesisFailed, match="^pres_s has a relation with an empty side"):
+            pr.general_pair_pres(kind, ctx, act, pu, ps, v_subset=pu.images)
