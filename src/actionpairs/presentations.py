@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
                          _element_data_failures, _fibre_partition, _pairs_for,
-                         _partition_by, semidirect, theta_and_friends)
+                         _partition_by, semidirect)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
                       congruence_closure, right_orbit, subtable,
                       table_from_elements, table_presentation,
@@ -764,15 +764,16 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         # (u, s) -> us is a morphism on the local monoid, so its fibres are
         # a congruence already
         sd = semidirect(ctx, act)
+        _check(all(i in sd.mm and j in sd.mm for i, j in omega_pairs),
+               "congruence data lies outside the local monoid")
         tbl, old2new = subtable(sd.table, sd.mm)
-        values = theta_and_friends(ctx, act, sd).product_values
+        els = sd.table.elements
         _check(congruence_closure(tbl, [(old2new[i], old2new[j])
                                         for i, j in omega_pairs], "two_sided")
-               == _partition_by(tbl.size, lambda k: values[tbl.elements[k]]),
+               == _partition_by(tbl.size, lambda k: m.mul(*els[tbl.elements[k]])),
                "the supplied pairs do not generate " +
                ("theta" if trivial else "the local kernel"))
-        rels += [relation(*sd.table.elements[i], *sd.table.elements[j])
-                 for i, j in omega_pairs]
+        rels += [relation(*els[i], *els[j]) for i, j in omega_pairs]
     else:
         ulist = [u for u in ctx.u_list() if monoid or u != ident]
         theta = {u: _fibre_partition(m, u, members) for u in ctx.u1()}

@@ -383,6 +383,21 @@ def test_pair_presentation_via_local_quotient():
                              omega_pairs=[])
 
 
+def test_pair_presentation_via_local_refuses_pairs_outside_the_local_monoid():
+    amb = ambient_wreath("c1", 2)
+    ctx = make_pair(amb, "M0n", "PT", 2)
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu, ps = _pt2_letter_data(amb)
+    sd = ap.semidirect(ctx, act)
+    # id 3 is (0, 4): in the 36-element table, outside the local monoid
+    assert 3 not in sd.mm and sd.table.size == 36
+    for pairs in ([(3, 0)], [(0, sd.table.size)]):
+        with pytest.raises(HypothesisFailed,
+                           match="^congruence data lies outside the local monoid$"):
+            pr.general_pair_pres("product_monoid_via_local", ctx, act, pu, ps,
+                                 omega_pairs=pairs)
+
+
 def test_pair_presentation_hypothesis_failures():
     amb = ambient_wreath("c1", 2)
     ctx = make_pair(amb, "E", "SingT", 2)

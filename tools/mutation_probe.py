@@ -2,21 +2,21 @@
 
 Each mutant changes one site of the module: a comparison operator swapped
 (< and <=, > and >=, == and !=, in and not in, is and is not), a boolean
-operator flipped (and and or), or an integer literal increased by one.
-Docstrings are never mutated.  The sites are drawn with a seeded random
-generator, so a re-run with the same seed on the same source draws the same
-sites.
+operator flipped (and and or), or an int literal increased by one (string
+constants, docstrings among them, are never changed).  The sites are drawn
+with a seeded random generator, so a re-run with the same seed on the same
+source draws the same sites.
 
-Every mutant runs first against the module's own test files; a mutant that
-survives them runs against the whole suite.  The report lists each mutant
-as killed by the module's tests, killed by the suite, or survived.  Whether
-a survivor is equivalent (it changes no result, only time or an unreachable
-case) is for the reader to argue.
+Every mutant runs first against the module's own test file,
+tests/test_<module>.py; a mutant that survives it runs against the whole
+suite.  The report lists each mutant as killed by the module's tests, killed
+by the suite, or survived.  Whether a survivor is equivalent (it changes no
+result, only time or an unreachable case) is for the reader to argue.
 
-The mutants run in a copy of the repository, never in place:
+The mutants run in a copy of the repository in a new temporary directory,
+never in place, and the copy is removed at the end:
 
-    python tools/mutation_probe.py src/actionpairs/presentations.py \\
-        --seed 1 --sites 12 --workdir /tmp/probe
+    python tools/mutation_probe.py src/actionpairs/presentations.py --seed 1 --sites 12
 
 Only the standard library and pytest are used.  A full-suite run takes
 about a minute on two cores, so a probe of 12 sites takes 2 to 15 minutes
@@ -36,27 +36,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+TIMEOUT = 900          # seconds per test run; a mutant that hangs is seen
+
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
          ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 
 
-def _docstrings(tree: ast.AST) -> set:
-    """ids of the string constants that are docstrings."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                out.add(id(first.value))
-    return out
-
-
 def sites(source: str) -> list:
     """Every mutation site, as (index in ast.walk order, line, description)."""
     tree = ast.parse(source)
-    skip = _docstrings(tree)
     out = []
     for k, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
@@ -67,8 +56,7 @@ def sites(source: str) -> list:
         elif isinstance(node, ast.BoolOp):
             flip = "Or" if isinstance(node.op, ast.And) else "And"
             out.append((k, 0, node.lineno, f"{type(node.op).__name__} -> {flip}"))
-        elif isinstance(node, ast.Constant) and type(node.value) is int \
-                and id(node) not in skip:
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
             out.append((k, 0, node.lineno, f"{node.value} -> {node.value + 1}"))
     return out
 
@@ -87,14 +75,14 @@ def mutate(source: str, site: tuple) -> str:
     return ast.unparse(tree)
 
 
-def _passes(root: Path, tests: list, timeout: float) -> bool:
+def _passes(root: Path, tests: list) -> bool:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     try:
         r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
                             "-p", "no:cacheprovider", *tests],
-                           cwd=root, env=env, capture_output=True, timeout=timeout)
+                           cwd=root, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False            # a mutant that hangs the tests is seen
+        return False
     return r.returncode == 0
 
 
@@ -103,44 +91,36 @@ def main(argv=None) -> int:
     p.add_argument("module", help="path of the module, relative to the repository")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sites", type=int, default=12, help="mutants to draw")
-    p.add_argument("--tests", nargs="*",
-                   help="the module's test files (default tests/test_<module>.py)")
-    p.add_argument("--workdir", help="where the copy of the repository goes "
-                                     "(default a new temporary directory)")
-    p.add_argument("--timeout", type=float, default=900, help="seconds per test run")
     args = p.parse_args(argv)
 
     repo = Path(__file__).resolve().parent.parent
     module = Path(args.module)
-    tests = args.tests or [f"tests/test_{module.stem}.py"]
+    tests = [f"tests/test_{module.stem}.py"]
     source = (repo / module).read_text()
     drawn = sorted(random.Random(args.seed).sample(
         sites(source), min(args.sites, len(sites(source)))), key=lambda s: s[2])
 
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="mutation_probe_"))
+    work = Path(tempfile.mkdtemp(prefix="mutation_probe_"))
     root = work / "repo"
-    if root.exists():
-        shutil.rmtree(root)
-    shutil.copytree(repo, root, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
-    if not _passes(root, [], args.timeout):
-        print("the unmutated suite fails; nothing to probe", file=sys.stderr)
-        return 2
-
     results = []
     try:
+        shutil.copytree(repo, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        if not _passes(root, []):
+            print("the unmutated suite fails; nothing to probe", file=sys.stderr)
+            return 2
         for site in drawn:
             (root / module).write_text(mutate(source, site))
-            if not _passes(root, tests, args.timeout):
+            if not _passes(root, tests):
                 verdict = "killed by module tests"
-            elif not _passes(root, [], args.timeout):
+            elif not _passes(root, []):
                 verdict = "killed by suite"
             else:
                 verdict = "survived"
             results.append({"line": site[2], "mutation": site[3], "verdict": verdict})
             print(f"{module}:{site[2]}  {site[3]:<16} {verdict}", flush=True)
     finally:
-        (root / module).write_text(source)
+        shutil.rmtree(work)
     counts = {v: sum(r["verdict"] == v for r in results)
               for v in ("killed by module tests", "killed by suite", "survived")}
     print(json.dumps({"module": str(module), "seed": args.seed, **counts}))
