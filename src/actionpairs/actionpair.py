@@ -1299,11 +1299,7 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
     well_defined = True
     psi = {}
     for a in us:
-        items = nf.get(a, [])
-        if not items:
-            well_defined = False
-            break
-        images = {(f_of[u], class_of[s]) for u, s in items}
+        images = {(f_of[u], class_of[s]) for u, s in nf.get(a, ())}
         if len(images) != 1:
             well_defined = False
             break

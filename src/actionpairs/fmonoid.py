@@ -21,11 +21,15 @@ graph only ever shows a finite monoid; `verify_presentation` pairs the
 enumerator with completed rewriting systems (`rewriting`), which can show an
 infinite one.
 
+Words evaluate one way: `evaluate` takes a word through letter values and
+a product, for tables (`CayleyTable.eval_word`), for presentation checks
+(`verify_presentation`) and for outside models.
+
 The closure layer has three routines.  `right_orbit` closes seeds under
-right multiplication by generators, optionally with shortlex words;
-`closure_from_generators` does the same over payload objects and is the one
-closure that builds a table (the right table over the generators); and
-`CongruencePartition.close` is the one congruence closure, reading each
+right multiplication by generators, recording each element's word and
+parent; `closure_from_generators` does the same over payload objects and is
+the one closure that builds a table (the right table over the generators);
+and `CongruencePartition.close` is the one congruence closure, reading each
 element's images under the generators from a successor function as
 `right_orbit` does.  `greedy_generators` prunes a candidate generator list
 to the members the earlier ones do not generate.  No closure materialises
@@ -73,6 +77,20 @@ class NotACongruence(Exception):
 
 def shortlex_key(w: Word):
     return (len(w), w)
+
+
+def evaluate(word: Word, values: Sequence, product: Callable, identity=None):
+    """The value of a word under a letter map: values[word[0]] times the
+    values of the later letters in turn, by `product`.  The empty word
+    evaluates to `identity`, and raises ValueError when that is None."""
+    if not word:
+        if identity is None:
+            raise ValueError("empty word needs an identity")
+        return identity
+    x = values[word[0]]
+    for k in word[1:]:
+        x = product(x, values[k])
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +202,8 @@ class CayleyTable:
         return x
 
     def eval_word(self, word: Word) -> int:
-        """Evaluate a generator word to an element; empty word needs an identity."""
-        if not word:
-            if self.identity is None:
-                raise ValueError("empty word in a table without identity")
-            return self.identity
-        x = self.gens[word[0]]
-        right = self.right
-        for k in word[1:]:
-            x = right[x][k]
-        return x
+        """Evaluate a generator word to an element (`evaluate`)."""
+        return evaluate(word, self.gens, self.mul, self.identity)
 
     def _parents_first(self) -> list:
         """Element ids by normal-form length: each element's parent comes
@@ -429,30 +439,25 @@ def right_orbit(seeds: Iterable, successors: Callable,
 
     This is the generator-closure step of Froidure & Pin, "Algorithms for
     computing finite semigroups" (1997).  Elements are visited first in,
-    first out, and the returned dict lists them in that order, each mapped
-    to None.  Given a trail entry (word, parent) per seed, with words in
-    shortlex order (the empty word, or (k,) for letter k), an element first
-    reached as successors(x)[k] maps to (x's word + (k,), (x, k)) instead,
-    and the visiting order makes that word the shortlex-least one.
+    first out, and the returned dict lists them in that order.  Each seed
+    maps to its trail entry (word, parent), or to ((), None) without a
+    trail; an element first reached as successors(x)[k] maps to
+    (x's word + (k,), (x, k)).  When the trail's words are in shortlex
+    order (the empty word, or (k,) for letter k), the visiting order makes
+    each element's word the shortlex-least one.
     """
     found: dict = {}
     frontier = []
     for i, x in enumerate(seeds):
         if x not in found:
-            found[x] = None if trail is None else trail[i]
+            found[x] = ((), None) if trail is None else trail[i]
             frontier.append(x)
     for x in frontier:
-        if trail is None:
-            for y in successors(x):
-                if y not in found:
-                    found[y] = None
-                    frontier.append(y)
-        else:
-            word = found[x][0]
-            for k, y in enumerate(successors(x)):
-                if y not in found:
-                    found[y] = (word + (k,), (x, k))
-                    frontier.append(y)
+        word = found[x][0]
+        for k, y in enumerate(successors(x)):
+            if y not in found:
+                found[y] = (word + (k,), (x, k))
+                frontier.append(y)
     return found
 
 
@@ -885,17 +890,6 @@ class VerificationReport:
                 [list(w) for w in self.failed_relation or ()] or None}
 
 
-def _eval_map(m: CayleyTable, gen_map: Sequence[int], word: Word) -> int:
-    if not word:
-        if m.identity is None:
-            raise ValueError("empty word needs an identity in the target")
-        return m.identity
-    x = gen_map[word[0]]
-    for k in word[1:]:
-        x = m.mul(x, gen_map[k])
-    return x
-
-
 def verify_presentation(p: Presentation, m: CayleyTable,
                         gen_map: Sequence[int], *,
                         node_cap: Optional[int] = None) -> VerificationReport:
@@ -950,20 +944,21 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     """
     if len(gen_map) != len(p.alphabet):
         raise ValueError("gen_map must cover the alphabet")
+    if p.kind == "monoid" and m.identity is None:
+        raise ValueError("monoid presentation against a table without identity")
     rep = VerificationReport(True, False, None, None, m.size)
 
+    mul = m.mul
     for u, v in p.relations:
-        if _eval_map(m, gen_map, u) != _eval_map(m, gen_map, v):
+        if evaluate(u, gen_map, mul, m.identity) != evaluate(v, gen_map, mul, m.identity):
             rep.relations_hold = False
             rep.failed_relation = (u, v)
             break
 
     seeds = list(gen_map)
     if p.kind == "monoid":
-        if m.identity is None:
-            raise ValueError("monoid presentation against a table without identity")
         seeds.append(m.identity)
-    reached = right_orbit(seeds, lambda a: [m.mul(a, b) for b in gen_map])
+    reached = right_orbit(seeds, lambda a: [mul(a, b) for b in gen_map])
     rep.surjective = len(reached) == m.size
 
     bound = 4 * m.size + 16
@@ -1037,8 +1032,7 @@ def iso_by_generators(t1: CayleyTable, t2: CayleyTable,
         if fmap.setdefault(a, b) != b:
             return None
     gens1 = [g1 for g1, _ in pairs]
-    found = right_orbit(list(fmap), lambda x: [t1.mul(x, g) for g in gens1],
-                        [((), None)] * len(fmap))
+    found = right_orbit(list(fmap), lambda x: [t1.mul(x, g) for g in gens1])
     for y, (_, par) in found.items():
         if par is not None:
             x, k = par

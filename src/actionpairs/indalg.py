@@ -1,9 +1,10 @@
 """Finite independence-algebra instances and their structure.
 
-Carriers are integer ids; operations are stored as dense tables.  Dimension
-and codimension are computed by greedy basis growth, which the exchange
-property justifies; custom algebras therefore have the exchange property
-verified exhaustively before any dimension claim is made.
+Carriers are integer ids; operations are stored as dense tables, of arity
+at most `ARITY_CAP`.  Dimension and codimension are computed by greedy basis
+growth (`extend`, the one loop behind both), which the exchange property
+justifies; custom algebras therefore have the exchange property verified
+exhaustively before any dimension claim is made.
 
 A morphism is fixed by its values on a generating set.  Automorphisms and
 partial endomorphisms therefore come from one search: choose images for the
@@ -30,6 +31,9 @@ from .registry import monoid_table
 
 
 EXCHANGE_SCAN_CAP = 9      # largest carrier the exchange-property scan takes
+# largest operation arity: a carrier of one element takes any arity with a
+# one-entry table, and the closure forms argument tuples of that length
+ARITY_CAP = 8
 
 
 class NotIndependenceAlgebra(Exception):
@@ -60,6 +64,8 @@ class AlgebraInstance:
         self._closure_cache: dict = {}
         self._lattice: Optional["SubalgebraLattice"] = None
         for op in self.ops:
+            if not 0 <= op.arity <= ARITY_CAP:
+                raise ValueError(f"operation arity {op.arity} outside 0..{ARITY_CAP}")
             if len(op.table) != size ** op.arity:
                 raise ValueError("operation table has the wrong shape")
             if any(not 0 <= v < size for v in op.table):
@@ -127,16 +133,21 @@ class AlgebraInstance:
             got = self._closure_cache[key] = frozenset(v for v, _, _ in self.trail(key))
         return got
 
+    def extend(self, start: Iterable[int], candidates: Iterable[int]) -> list:
+        """Greedy basis growth: the candidates, in order, that the closure
+        of `start` and of the candidates kept before them does not hold."""
+        kept: list = []
+        grown = self.closure(start)
+        for x in candidates:
+            if x not in grown:
+                kept.append(x)
+                grown = self.closure(grown | {x})
+        return kept
+
     def generators(self, subset: Iterable[int]) -> list:
         """The greedy generating set of a subalgebra: its members, in id
         order, that the earlier ones do not generate."""
-        gens: list = []
-        grown = self.closure(())
-        for x in sorted(subset):
-            if x not in grown:
-                gens.append(x)
-                grown = self.closure(gens)
-        return gens
+        return self.extend((), sorted(subset))
 
     def constants(self) -> frozenset:
         return self.closure(())
@@ -195,13 +206,7 @@ class AlgebraInstance:
     def codim(self, subset: Iterable[int]) -> int:
         """Size of a greedy relative basis of the whole algebra over a subalgebra."""
         self.ensure_exchange()
-        grown = self.closure(frozenset(subset))
-        count = 0
-        for x in range(self.size):
-            if x not in grown:
-                count += 1
-                grown = self.closure(grown | {x})
-        return count
+        return len(self.extend(subset, range(self.size)))
 
     def is_strong(self) -> tuple[bool, Optional[tuple]]:
         """Independent pieces with constant-only overlap stay independent when

@@ -24,7 +24,7 @@ from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
                          _element_data_failures, _fibre_partition, _pairs_for,
                          _partition_by, semidirect)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
-                      congruence_closure, right_orbit, subtable,
+                      congruence_closure, evaluate, right_orbit, subtable,
                       table_from_elements, table_presentation,
                       verify_presentation)
 from .indalg import lattice
@@ -50,14 +50,9 @@ class PresentationBundle:
                           identity=None) -> bool:
         """Evaluate every relation in an external model (used for the
         free-monoid truncations, whose targets are infinite)."""
-        def ev(word: Word):
-            if not word:
-                return identity
-            x = letter_values[word[0]]
-            for k in word[1:]:
-                x = product(x, letter_values[k])
-            return x
-        return all(ev(u) == ev(v) for u, v in self.pres.relations)
+        return all(evaluate(u, letter_values, product, identity) ==
+                   evaluate(v, letter_values, product, identity)
+                   for u, v in self.pres.relations)
 
 
 def delete_letters(pres: Presentation, drop: Sequence[str]) -> Presentation:

@@ -12,7 +12,9 @@ result is valid.  `MTuple.__mul__` and `act` build their results through the
 trusted `_mtuple`, and `wr_product` and `wr_plus` build theirs in one step,
 with no helper call.  `enumerate_wreath` builds its tables over integer
 digit codes of the elements, not over payloads, and decodes them through the
-trusted `_mtuple`, `_wreath` and `ptrans._pmap`.
+trusted `_mtuple`, `_wreath` and `ptrans._pmap`.  It closes the natural
+generators of `wreath_gens`, which for PT, T, I, G and E embeds the
+family's one standard list, `ptrans.family_gens`, beside unit tuples.
 
 Base entries are multiplied one way throughout: the product a b is read as
 `full[a][b]` from the base table's `full_table()`, which a table builds on
@@ -308,27 +310,25 @@ def wreath_size(M_size: int, kind: str, n: int) -> int:
 
 
 def wreath_gens(M: CayleyTable, kind: str, n: int) -> Optional[list[WreathElement]]:
-    """Natural generators: embedded per-coordinate base generators, embedded
-    family generators, and the corank-one partial identities where the family
-    has partial maps.  None when no standard set is known."""
-    xs = [unit_tuple(M, n, i, g) for i in range(1, n + 1) for g in M.gens]
-    ts = [ptrans.id_on(set(range(1, n + 1)) - {i}, n) for i in range(1, n + 1)]
-    if kind in ("T", "G"):
-        return [embed_tuple(t) for t in xs] + [embed_pmap(M, a) for a in ptrans.family_gens(kind, n)]
-    if kind in ("PT", "I"):
-        inner = "T" if kind == "PT" else "G"
-        return ([embed_tuple(t) for t in xs]
-                + [embed_pmap(M, a) for a in ptrans.family_gens(inner, n)]
-                + [embed_pmap(M, t) for t in ts])
+    """Natural generators.  For PT, T, I, G and E: the per-coordinate base
+    generators as unit tuples over the identity map, then the family's
+    standard generators (`ptrans.family_gens`) embedded with identity
+    entries.  For SingT one element per idempotent eps and pair of base
+    elements, and for SingPT those and the embedded corank-one partial
+    identities.  None when no standard set is known."""
+    if kind in ("PT", "T", "I", "G", "E"):
+        return ([embed_tuple(unit_tuple(M, n, i, g)) for i in range(1, n + 1) for g in M.gens]
+                + [embed_pmap(M, a) for a in ptrans.family_gens(kind, n)])
     if kind == "SingT":
-        # one generator per idempotent eps and per pair of base elements
         return [WreathElement(MTuple(M, tuple(
                     a if k == i else (b if k == j else M.identity)
                     for k in range(1, n + 1))), ptrans.eps(i, j, n))
                 for i in range(1, n + 1) for j in range(1, n + 1) if i != j
                 for a in range(M.size) for b in range(M.size)]
     if kind == "SingPT":
-        return wreath_gens(M, "SingT", n) + [embed_pmap(M, t) for t in ts]
+        return wreath_gens(M, "SingT", n) + [
+            embed_pmap(M, ptrans.id_on(set(range(1, n + 1)) - {i}, n))
+            for i in range(1, n + 1)]
     return None
 
 
@@ -391,7 +391,7 @@ def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
 
     Numbering.  `closure_from_generators` closes the codes of the family's
     natural generators (`wreath_gens`), or of every element but the
-    identity in `wreath_elements` order when the family has none (SingI, E,
+    identity in `wreath_elements` order when the family has none (SingI,
     SingE, PTminusT), with the identity first when F holds it.  The
     numbering depends only on the generator order and on equality of
     products, so it is the one the payload product `wr_product` gives, and

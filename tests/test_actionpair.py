@@ -1,6 +1,8 @@
 """Action pair tests: axioms, classification, semidirect products, the kernel
 congruence and its generating rules, special congruences, covers, embeddings."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -692,3 +694,148 @@ def test_embed_result_ok_needs_every_verdict():
                          injective=False, homomorphic=True)
     assert not res.ok
     assert ap.EmbedResult(True, [], True, True, True).ok
+
+
+# --- negative verdicts no catalogue pair produces ------------------------------------------
+
+@pytest.mark.parametrize("flags", [dict(weak=True, strong=True),
+                                   dict(action=True),
+                                   dict(weak=True, proper=True)])
+def test_implication_chain_breaks(flags):
+    # strong without action, action without weak, proper without action
+    assert not ap.PairReport(**flags).implication_chain_ok()
+    assert ap.PairReport(weak=True, action=True, strong=True,
+                         proper=True).implication_chain_ok()
+
+
+def _theta_of_m0n_pt():
+    ctx, rep, act = classified("c1", 2, "M0n", "PT")
+    sd = semidirect(ctx, act)
+    return ctx, sd, theta_and_friends(ctx, act, sd)
+
+
+def test_quotient_by_the_identity_partition_does_not_match():
+    # U x S itself has 36 elements over 9 products
+    ctx, sd, th = _theta_of_m0n_pt()
+    assert quotient_matches_product(ctx, sd, th)
+    diagonal = CongruencePartition(sd.table.size)
+    assert not quotient_matches_product(ctx, sd, dataclasses.replace(th, theta=diagonal))
+
+
+def test_quotient_by_the_universal_relation_does_not_match():
+    ctx, sd, th = _theta_of_m0n_pt()
+    universal = CongruencePartition(sd.table.size)
+    for x in range(1, sd.table.size):
+        universal.union(0, x)
+    assert not quotient_matches_product(ctx, sd, dataclasses.replace(th, theta=universal))
+
+
+def test_quotient_with_two_product_values_swapped_does_not_match():
+    # the values stay a bijection onto US, but no longer a homomorphism
+    ctx, sd, th = _theta_of_m0n_pt()
+    values = list(th.product_values)
+    a, b = (c[0] for c in th.theta.classes()[:2])
+    values[a], values[b] = values[b], values[a]
+    assert values[a] != values[b]
+    assert not quotient_matches_product(ctx, sd, dataclasses.replace(th, product_values=values))
+
+
+class _FlippedSame(CongruencePartition):
+    """A partition whose `same` answers the opposite of its classes."""
+
+    def same(self, a, b):
+        return not super().same(a, b)
+
+
+def _sigma_with_flipped_same(monkeypatch):
+    real = ap.sigma_partition
+
+    def flipped(ctx, p_set):
+        sigma, transitive = real(ctx, p_set)
+        lying = _FlippedSame(ctx.s_list())
+        for c in sigma.classes():
+            for s in c[1:]:
+                lying.union(c[0], s)
+        return lying, transitive
+    monkeypatch.setattr(ap, "sigma_partition", flipped)
+
+
+def test_sigma_equational_check_fails_over_a_commutative_p(monkeypatch):
+    _sigma_with_flipped_same(monkeypatch)
+    ctx, rep, act = classified("c2", 2, "Mn", "T")
+    assert rep.proper and rep.p_set == frozenset({ctx.identity})
+    assert rep.sigma_equational_ok is False
+
+
+def _left_zero_band():
+    """The left-zero band {e, f} (xy = x) with an identity 1 adjoined."""
+    from actionpairs.fmonoid import table_from_elements
+    return table_from_elements(["1", "e", "f"], lambda a, b: b if a == "1" else a,
+                               identity="1")
+
+
+def test_sigma_equational_check_fails_over_a_left_regular_band(monkeypatch):
+    # P = {e, f} acting on itself is a left regular band, not commutative
+    _sigma_with_flipped_same(monkeypatch)
+    t = _left_zero_band()
+    e, f = t.index["e"], t.index["f"]
+    ctx = AmbientContext(t, frozenset({e, f}), frozenset({e, f}), {e: e, f: f},
+                         name="left-zero")
+    rep, act = check_pair_from_plus(ctx)
+    classify_proper(ctx, act, rep)
+    assert rep.proper and t.mul(e, f) != t.mul(f, e)
+    assert rep.sigma_equational_ok is False
+
+
+def test_left_density_with_trivial_sigma_but_no_properness_is_reported(monkeypatch):
+    # (M0n,PT) is left dense; sigma forced to the diagonal leaves it improper
+    monkeypatch.setattr(ap, "sigma_partition",
+                        lambda ctx, p_set: (CongruencePartition(ctx.s_list()), True))
+    ctx, rep, act = classified("c1", 2, "M0n", "PT")
+    assert rep.left_dense and rep.sigma.is_trivial() and not rep.proper
+    assert ("density-properness-mismatch", ()) in rep.failures
+
+
+def test_embed_refuses_projections_outside_the_centre():
+    # the left-zero band with its identity, acting on itself: proper, both
+    # parts submonoids, but ef = e and fe = f
+    t = _left_zero_band()
+    ctx = AmbientContext(t, frozenset(range(3)), frozenset(range(3)),
+                         {x: x for x in range(3)}, name="left-zero-monoid")
+    rep, act = check_pair_from_plus(ctx)
+    classify_proper(ctx, act, rep)
+    assert rep.action and rep.proper
+    emb = embed_central(ctx, act)
+    assert emb.failures == ["projections are not central in U"]
+    assert not emb.hypotheses_ok
+
+
+@pytest.mark.parametrize("cap,failure", [("EMBED_US_CAP", "product set too large: 16"),
+                                         ("EMBED_CLASS_CAP", "too many sigma classes: 4")])
+def test_embed_refuses_inputs_over_its_caps(monkeypatch, cap, failure):
+    # (Mn,T) over c2 at degree 2 has 16 products and 4 sigma classes
+    ctx, rep, act = classified("c2", 2, "Mn", "T")
+    assert embed_central(ctx, act).ok
+    monkeypatch.setattr(ap, cap, {"EMBED_US_CAP": 15, "EMBED_CLASS_CAP": 3}[cap])
+    emb = embed_central(ctx, act)
+    assert emb.failures == [failure] and not emb.hypotheses_ok
+
+
+@pytest.mark.parametrize("edit", ["none", "merged", "swapped"])
+def test_embed_sees_factorisations_that_break_psi(monkeypatch, edit):
+    # no factorisation, or two with different images, leave psi undefined;
+    # factorisations of two products swapped give a psi that is one-to-one
+    # but no homomorphism
+    ctx, rep, act = classified("c2", 2, "Mn", "T")
+    nf = ap._natural_factorisations(ctx, act)
+    a, b = sorted(nf)[1:3]
+    forged = {"none": {},
+              "merged": {**nf, a: nf[a] + nf[b]},
+              "swapped": {**nf, a: nf[b], b: nf[a]}}[edit]
+    monkeypatch.setattr(ap, "_natural_factorisations", lambda ctx, act: forged)
+    emb = embed_central(ctx, act)
+    assert emb.hypotheses_ok and not emb.ok
+    if edit == "swapped":
+        assert emb.well_defined and emb.injective and emb.homomorphic is False
+    else:
+        assert emb.well_defined is False and emb.homomorphic is False

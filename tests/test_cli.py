@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actionpairs import cli
+from actionpairs.indalg import ARITY_CAP
 
 
 def run(capsys, *argv):
@@ -430,3 +432,127 @@ def test_a_rewritten_monoid_file_is_read_again(capsys, tmp_path):
     assert code == cli.EXIT_BAD_INPUT and "range" in json.loads(out)["error"]
     path.write_text(json.dumps("not a table"))
     assert run(capsys, *argv)[0] == cli.EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("argv,bare,theta,error", [
+    # the generic n-suffixed and degree-suffixed spellings name the bare kinds
+    (["--ambient", "PT2", "--U", "En", "--S", "Tn"],
+     ["--ambient", "PT2", "--U", "E", "--S", "T"], 9, None),
+    (["--ambient", "MwrPT2", "--M", "c2", "--U", "M0n2", "--S", "SingTn"],
+     ["--ambient", "MwrPT2", "--M", "c2", "--U", "M0n", "--S", "SingT"], 17, None),
+    (["--ambient", "PT2", "--U", "E", "--S", "SingT3"], None, None,
+     "disagrees with the ambient degree 2"),
+    (["--ambient", "PT2", "--M", "c2", "--U", "E", "--S", "T"], None, None,
+     "plain PT ambients take no base monoid"),
+])
+def test_classify_pair_kind_spellings(capsys, argv, bare, theta, error):
+    code, rep = run_json(capsys, "classify-pair", *argv)
+    if error is not None:
+        assert code == cli.EXIT_BAD_INPUT and error in rep["error"]
+        return
+    assert code == cli.EXIT_PASS and rep["theta_classes"] == theta
+    _, want = run_json(capsys, "classify-pair", *bare)
+    echoed = ("U", "S", "elapsed")
+    assert {k: v for k, v in rep.items() if k not in echoed} == \
+        {k: v for k, v in want.items() if k not in echoed}
+
+
+# --- file inputs under mutation -------------------------------------------------------
+
+def _monogenic(index, period):
+    """The table document of the monoid <a | a^(index+period) = a^index>."""
+    size = index + period
+    return {"size": size, "gens": [1 % size], "nf": [[0] * x for x in range(size)],
+            "table": [[x + 1 if x + 1 < size else index] for x in range(size)]}
+
+
+def _valid_monoids():
+    from actionpairs.registry import BASE_MONOIDS, monoid_table
+    return st.one_of(
+        st.sampled_from(BASE_MONOIDS).map(lambda b: json.loads(monoid_table(b).to_json())),
+        st.tuples(st.integers(0, 2), st.integers(1, 3)).map(lambda ip: _monogenic(*ip)))
+
+
+def _valid_algebras():
+    from actionpairs.indalg import builtin_algebra
+    return st.sampled_from(["set2", "set3", "gf2_2", "act2_2", "fl93"]).map(
+        lambda name: builtin_algebra(name).to_dict())
+
+
+# values an edit may put in a file: other types, out-of-range and huge ints
+ODD_VALUES = st.one_of(st.integers(-2, 12), st.sampled_from([10 ** 9, -10 ** 9, 2 ** 64]),
+                       st.none(), st.booleans(), st.floats(-3, 3), st.text(max_size=3),
+                       st.just([]), st.just({}), st.just([[0]]))
+
+
+def _spots(box):
+    """Every (container, key) position inside a JSON document."""
+    keys = box.keys() if isinstance(box, dict) else range(len(box))
+    for key in list(keys):
+        yield box, key
+        if isinstance(box[key], (dict, list)):
+            yield from _spots(box[key])
+
+
+def _mutated(data, doc):
+    """doc after up to three edits: an entry dropped or replaced by an odd
+    value, or a list cut short or grown by a copy of its last entry."""
+    root = [doc]
+    for _ in range(data.draw(st.integers(0, 3))):
+        box, key = data.draw(st.sampled_from(list(_spots(root))))
+        edit = data.draw(st.sampled_from(["drop", "replace", "cut", "grow"]))
+        target = box[key]
+        if edit == "drop" and box is not root:
+            del box[key]
+        elif edit in ("cut", "grow") and isinstance(target, list) and target:
+            if edit == "cut":
+                del target[data.draw(st.integers(0, len(target) - 1)):]
+            else:
+                target.append(json.loads(json.dumps(target[-1])))
+        else:
+            box[key] = data.draw(ODD_VALUES)
+    return root[0]
+
+
+FILE_INPUTS = {
+    "monoid": (_valid_monoids, ["verify-presentation", "--family", "Mn", "--n", "2",
+                                "--monoid"]),
+    "M": (_valid_monoids, ["classify-pair", "--ambient", "MwrPT2", "--U", "Mn",
+                           "--S", "G", "--M"]),
+    "instance": (_valid_algebras, ["verify-presentation", "--family", "SubA",
+                                   "--instance"]),
+}
+
+
+@pytest.mark.parametrize("option", sorted(FILE_INPUTS))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files_never_exit_internal(capsys, tmp_path, option, data):
+    # whatever a file holds, the CLI answers with a verdict or a bad-input or
+    # over-the-cap error, never an internal error, and an error is one JSON
+    # object with its `error`
+    valid, argv = FILE_INPUTS[option]
+    path = tmp_path / f"{option}.json"
+    path.write_text(json.dumps(_mutated(data, data.draw(valid()))))
+    code, out = run(capsys, *argv, str(path), "--format", "json")
+    assert code != cli.EXIT_INTERNAL, out
+    rep = json.loads(out)
+    if code == cli.EXIT_BAD_INPUT or "error" in rep:
+        assert set(rep) == {"schema", "command", "error"} and rep["error"]
+
+
+@pytest.mark.parametrize("doc,error", [
+    # on the empty carrier a negative arity asks for 0 ** -1, and a
+    # one-point carrier takes any arity with a one-entry table
+    ({"carrier": 0, "ops": [{"arity": -1, "table": []}]}, "arity"),
+    ({"carrier": 1, "ops": [{"arity": ARITY_CAP + 1, "table": [0]}]}, "arity"),
+    ({"carrier": 2, "ops": [{"arity": 1, "table": [0, 2]}]}, "escapes"),
+    ({"carrier": 2, "ops": [{"arity": 1, "table": [-1, 0]}]}, "escapes"),
+])
+def test_algebra_file_ops_past_their_bounds_are_bad_input(capsys, tmp_path, doc, error):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "verify-presentation", "--family", "SubA",
+                         "--instance", str(path))
+    assert code == cli.EXIT_BAD_INPUT and error in rep["error"]

@@ -681,3 +681,11 @@ def test_right_orbit_matches_the_fixpoint_and_gives_shortlex_words(picks, data):
         for w in layer:
             least.setdefault(evaluate(w), w)
     assert {x: word for x, (word, _) in found.items()} == least
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_congruence_closure_refuses_pairs_outside_the_table(pair):
+    # E2 has the ids 0..3: an id one past either end is refused up front
+    t = ptrans_table("E", 2)
+    with pytest.raises(ValueError, match="out of range"):
+        congruence_closure(t, [pair], "two_sided")

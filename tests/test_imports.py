@@ -77,3 +77,42 @@ def test_the_check_sees_an_unread_parameter():
 def test_no_function_takes_a_parameter_it_never_reads(path):
     unread = [(path.name, f, p) for f, p in unread_parameters(path.read_text())]
     assert [u for u in unread if u not in KEPT_PARAMETERS] == []
+
+
+def orphan_helpers(sources: dict) -> list:
+    """(module, name) for each private function or class (one leading
+    underscore) that no code of any of the modules names outside its own
+    definition, as a name, an attribute or an import."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    named: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named[node.id] = named.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                named[node.attr] = named.get(node.attr, 0) + 1
+            elif isinstance(node, ast.alias):
+                named[node.name] = named.get(node.name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                inside = sum(1 for n in ast.walk(node)
+                             if getattr(n, "id", getattr(n, "attr", None)) == node.name)
+                if named.get(node.name, 0) == inside:
+                    found.append((module, node.name))
+    return sorted(found)
+
+
+def test_the_check_sees_an_orphan_helper():
+    sources = {"a.py": "def _used():\n    return 1\n"
+                       "def _alone(n):\n    return _alone(n - 1) if n else 0\n"
+                       "class _K:\n    def _m(self):\n        return _used()\n",
+               "b.py": "from a import _K\nx = _K()._m()\n"}
+    assert orphan_helpers(sources) == [("a.py", "_alone")]
+
+
+def test_every_private_helper_is_named_elsewhere():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphan_helpers(sources) == []

@@ -340,3 +340,25 @@ def test_pend_left_restriction():
 def test_free_act_wreath_bridge():
     assert indalg.free_act_wreath_iso(monoid_table("c2"), 2)
     assert indalg.free_act_wreath_iso(monoid_table("c1"), 2)
+
+
+def test_free_acts_at_their_size_limits():
+    # |G| = 4 and |X| = 3 are the largest free acts built; one more is refused
+    from actionpairs.fmonoid import table_from_elements
+    z4 = table_from_elements(range(4), lambda a, b: (a + b) % 4, identity=0)
+    assert free_act(z4, 1).size == 4
+    assert free_act(monoid_table("c3"), 3).size == 9
+    with pytest.raises(ValueError, match="limited"):
+        free_act(monoid_table("c2"), 4)
+    z5 = table_from_elements(range(5), lambda a, b: (a + b) % 5, identity=0)
+    with pytest.raises(ValueError, match="limited"):
+        free_act(z5, 1)
+
+
+def test_gamma_lists_the_automorphisms_itself(A):
+    # without a list, gamma searches the automorphisms of fl93 on its own
+    autos = automorphisms(A)
+    for kappa in (0, 1, 2):
+        assert gamma(A, kappa) == gamma(A, kappa, autos)
+    # a list it is given is the one it filters
+    assert gamma(A, 0, autos[:0]) == []

@@ -461,3 +461,18 @@ def test_every_construction_path_is_hashable(c2):
               act(a, ones(c2, 3)), ones(c2, 3) * x.tup]
     for t in tuples:
         assert hash(t) == hash(t.entries)
+
+
+def test_tuples_of_another_length_or_base_do_not_multiply(c2, c3):
+    # each mismatch alone is refused, not only both at once
+    with pytest.raises(wreath.BaseMismatch):
+        MTuple(c2, (0, 1)) * MTuple(c2, (0, 1, 1))
+    with pytest.raises(wreath.BaseMismatch):
+        MTuple(c2, (0, 1)) * MTuple(c3, (0, 1))
+    with pytest.raises(wreath.BaseMismatch):
+        wr_product(wreath_identity(c2, 2), wreath_identity(c3, 2))
+
+
+def test_diagram_marks_the_points_off_the_domain(c2):
+    x = WreathElement(MTuple(c2, (1, ZERO)), id_on({1}, 2))
+    assert x.diagram() == "[1 .] over 1 2 / 1 -"
