@@ -303,7 +303,6 @@ def check_pair_from_plus(ctx: AmbientContext
     rep = PairReport(name=ctx.name)
     u1 = ctx.u1()
     slist = ctx.s_list()
-    ident = ctx.identity
     failures = rep.failures
 
     # sU1 <= U1 s, with witness lists per (s, value of su)
@@ -332,32 +331,23 @@ def check_pair_from_plus(ctx: AmbientContext
             if plus[st] != m.mul(plus[st], plus[s]):
                 failures.append(("projection-absorbs", (s, t)))
 
-    kernel = _kernel_failures(ctx, plus.__getitem__)
-    failures.extend(kernel)
+    failures.extend(_kernel_failures(ctx, plus.__getitem__))
 
-    # reconstruct the action, least witness first, well-definedness re-checked
+    # reconstruct the action, least witness first, well-definedness re-checked:
+    # a failure names the least witness and the least one that disagrees
     table = {}
     well_defined = True
     for s in slist:
         for u in u1:
             vs = witness[(s, u)]
-            vals = {m.mul(v, plus[s]) for v in vs}
-            if len(vals) != 1:
+            v0 = min(vs)
+            value = table[(s, u)] = m.mul(v0, plus[s])
+            other = [v for v in vs if m.mul(v, plus[s]) != value]
+            if other:
                 well_defined = False
-                failures.append(("action-ill-defined", (s, u, sorted(vs)[:2])))
-            table[(s, u)] = m.mul(min(vs), plus[s])
+                failures.append(("action-ill-defined", (s, u, [v0, min(other)])))
     act = ActionTable(ctx, table)
-
-    law_failures = act.verify_laws()
-    failures.extend(law_failures)
-
-    rep.weak = not law_failures and well_defined
-    rep.action = rep.weak and not kernel and not any(
-        which in ("s-equals-plus-s", "shift-projection", "projection-absorbs")
-        for which, _ in failures)
-    rep.strong = rep.action and all(plus[s] == ident for s in slist)
-    act.report = rep
-    return rep, act
+    return _verdicts(ctx, act, rep, plus.__getitem__, well_defined), act
 
 
 def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
@@ -365,12 +355,21 @@ def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
     condition is reported separately in the action verdict.  The report is
     stored on the action."""
     rep = PairReport(name=ctx.name)
-    rep.failures = act.verify_laws()
-    rep.weak = not rep.failures
-    kernel = _kernel_failures(ctx, act.splus)
-    rep.failures += kernel
-    rep.action = rep.weak and not kernel
-    rep.strong = rep.action and all(act.splus(s) == ctx.identity for s in ctx.s_list())
+    rep.failures = _kernel_failures(ctx, act.splus)
+    return _verdicts(ctx, act, rep, act.splus)
+
+
+def _verdicts(ctx: AmbientContext, act: ActionTable, rep: PairReport, splus,
+              well_defined: bool = True) -> PairReport:
+    """Append the action-law failures to `rep` and set its verdicts: weak
+    when the laws hold on a well-defined action, action when no failure is
+    recorded at all, strong when every projection `splus(s)` is the identity
+    as well.  The report is stored on the action."""
+    law_failures = act.verify_laws()
+    rep.failures += law_failures
+    rep.weak = not law_failures and well_defined
+    rep.action = rep.weak and not rep.failures
+    rep.strong = rep.action and all(splus(s) == ctx.identity for s in ctx.s_list())
     act.report = rep
     return rep
 

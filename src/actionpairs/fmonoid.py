@@ -102,7 +102,9 @@ class Presentation:
     """A monoid or semigroup presentation over a named alphabet.
 
     Relations are stored canonically: shortlex-larger side first, duplicates
-    and trivial pairs (w, w) removed, original order otherwise preserved.
+    and trivial pairs (w, w) removed, original order otherwise preserved.  A
+    semigroup presentation needs a letter and relations with non-empty
+    sides.
     """
 
     alphabet: tuple[str, ...]
@@ -117,6 +119,8 @@ class Presentation:
         names = tuple(alphabet)
         if len(set(names)) != len(names):
             raise ValueError("alphabet letters must be distinct")
+        if kind == "semigroup" and not names:
+            raise ValueError("a semigroup presentation needs at least one letter")
         seen = set()
         out = []
         for lhs, rhs in relations:
@@ -707,7 +711,8 @@ def enumerate_presentation(p: Presentation, bound: int, *,
     pair there: nodes, rows and counts stay the same.  That is then
     certified on the compacted graph: every row is complete and every
     relation, applied column by column to all nodes at once, ends on equal
-    nodes (another pass runs if not).  A returned table is therefore
+    nodes.  A failed certificate is a bug in the pass, so it raises
+    RuntimeError instead of returning.  A returned table is therefore
     certified complete.  Its numbering is canonical (shortlex-BFS from the
     empty word) and independent of processing order.  No m x m table is
     materialised; call `full_table()` for one.
@@ -830,11 +835,10 @@ def enumerate_presentation(p: Presentation, bound: int, *,
                 return None
         return right
 
-    while True:
-        construct()
-        right = certified()
-        if right is not None:
-            break
+    construct()
+    right = certified()
+    if right is None:
+        raise RuntimeError("one construction pass left the graph open")
     if stats is not None:
         stats["nodes"] = len(uf)
 

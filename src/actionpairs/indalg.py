@@ -70,6 +70,8 @@ class AlgebraInstance:
                 raise ValueError("operation table has the wrong shape")
             if any(not 0 <= v < size for v in op.table):
                 raise ValueError("operation value escapes the carrier")
+        if size < 1:
+            raise ValueError(f"carrier {size} is below 1: an algebra needs an element")
 
     # -- construction ---------------------------------------------------------
 
@@ -103,21 +105,17 @@ class AlgebraInstance:
 
     def trail(self, seeds: Iterable[int]) -> list:
         """The closure of `seeds` in the order reached, as (member, op, args):
-        seeds first with op None, then the constants, then each new member
-        as op applied to members reached before it."""
+        seeds first with op None, then each new member as op applied to
+        members reached before it.  A constant is an operation of arity 0,
+        applied to the one empty argument tuple, so it is reached in its
+        place among the operations of the first round."""
         trail = [(x, None, ()) for x in seeds]
         seen = {x for x, _, _ in trail}
-        for op in self.ops:
-            if op.arity == 0 and op.table[0] not in seen:
-                seen.add(op.table[0])
-                trail.append((op.table[0], op, ()))
         changed = True
         while changed:
             changed = False
             base = sorted(seen)
             for op in self.ops:
-                if op.arity == 0:
-                    continue
                 for args in itertools.product(base, repeat=op.arity):
                     v = op.apply(self.size, args)
                     if v not in seen:

@@ -161,24 +161,6 @@ def _tn(n: int) -> PresentationBundle:
 # Tuple monoids over a base monoid
 # ---------------------------------------------------------------------------
 
-def _tuples_table(M: CayleyTable, n: int, *, with_zero: bool) -> CayleyTable:
-    vals = list(range(M.size)) + ([wreath.ZERO] if with_zero else [])
-    def mul(a, b):
-        return tuple(wreath.ZERO if (x == wreath.ZERO or y == wreath.ZERO)
-                     else M.mul(x, y) for x, y in zip(a, b))
-    elems = sorted(itertools.product(vals, repeat=n))
-    ident = (M.identity,) * n
-    gens = [tuple(g if k == i else M.identity for k in range(n))
-            for i in range(n) for g in M.gens]
-    if with_zero:
-        gens += [tuple(wreath.ZERO if k == i else M.identity for k in range(n))
-                 for i in range(n)]
-    if not gens:
-        gens = None
-    t = table_from_elements(elems, mul, gens=gens, identity=ident)
-    return t
-
-
 def _coordinate_relations(M: CayleyTable, n: int):
     """Per-coordinate copies of the base relations plus cross-coordinate
     commuting; returns (letter names, relations, base letters per coordinate)."""
@@ -201,60 +183,75 @@ def _coordinate_relations(M: CayleyTable, n: int):
     return names, rels, k, elems, lid
 
 
-def _mn_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
-    """The Mn presentation and the base elements its letters stand for
-    (letter j of each coordinate is elems[j]); `_mwr_family` extends it
-    without building the tuple target."""
+def _marker_relations(markers: Sequence[int]) -> list:
+    """Each zero marker is idempotent and commutes with every marker."""
+    rels = []
+    for t in markers:
+        rels.append(((t, t), (t,)))
+        rels += [((t, u), (u, t)) for u in markers]
+    return rels
+
+
+def _tuple_pres(M: CayleyTable, n: int, with_zero: bool
+                ) -> tuple[Presentation, list]:
+    """The Mn presentation, or with `with_zero` the M0n one, and the base
+    elements its letters stand for (letter j of each coordinate is
+    elems[j]); the zero markers t1..tn follow the coordinate letters.
+    `_mwr_family` extends it without building the tuple target."""
     names, rels, k, elems, lid = _coordinate_relations(M, n)
+    if with_zero:
+        base = len(names)
+        names = names + [f"t{i}" for i in range(1, n + 1)]
+        def tid(i):
+            return base + i - 1
+        rels += _marker_relations([tid(i) for i in range(1, n + 1)])
+        for i in range(1, n + 1):
+            for i2 in range(1, n + 1):
+                for j in range(k):
+                    if i != i2:
+                        rels.append(((tid(i), lid(i2, j)), (lid(i2, j), tid(i))))
+                    else:
+                        rels.append(((tid(i), lid(i, j)), (tid(i),)))
+                        rels.append(((lid(i, j), tid(i)), (tid(i),)))
     return Presentation.make(names, rels, "monoid"), elems
 
 
-def _mn(M: CayleyTable, n: int) -> PresentationBundle:
-    pres, elems = _mn_pres(M, n)
-    target = _tuples_table(M, n, with_zero=False)
-    gm = tuple(target.index[tuple(e if p == i else M.identity
-                                  for p in range(1, n + 1))]
-               for i in range(1, n + 1) for e in elems)
-    return PresentationBundle(pres, target, gm, f"Mn(|M|={M.size}, n={n})")
+def _tuple_monoid(M: CayleyTable, n: int, *, with_zero: bool) -> PresentationBundle:
+    """Mn, or M0n with `with_zero`: the n-tuples over M (and its adjoined
+    zero), generated by the unit tuples of M's generators (and of the zero),
+    with the letters of `_tuple_pres` mapped to unit tuples."""
+    pres, elems = _tuple_pres(M, n, with_zero)
+    zero = wreath.ZERO
 
+    def units(values):
+        return [tuple(a if p == i else M.identity for p in range(n))
+                for i in range(n) for a in values] + \
+            [tuple(zero if p == i else M.identity for p in range(n))
+             for i in range(n) if with_zero]
 
-def _m0n_pres(M: CayleyTable, n: int) -> tuple[Presentation, list]:
-    """The M0n presentation, with the base elements as in `_mn_pres`; the
-    zero markers t1..tn follow the coordinate letters."""
-    names, rels, k, elems, lid = _coordinate_relations(M, n)
-    base = len(names)
-    names = names + [f"t{i}" for i in range(1, n + 1)]
-    def tid(i):
-        return base + i - 1
-    for i in range(n):
-        rels.append(((tid(i + 1), tid(i + 1)), (tid(i + 1),)))
-        for j in range(n):
-            rels.append(((tid(i + 1), tid(j + 1)), (tid(j + 1), tid(i + 1))))
-    for i in range(1, n + 1):
-        for i2 in range(1, n + 1):
-            for j in range(k):
-                if i != i2:
-                    rels.append(((tid(i), lid(i2, j)), (lid(i2, j), tid(i))))
-                else:
-                    rels.append(((tid(i), lid(i, j)), (tid(i),)))
-                    rels.append(((lid(i, j), tid(i)), (tid(i),)))
-    return Presentation.make(names, rels, "monoid"), elems
-
-
-def _m0n(M: CayleyTable, n: int) -> PresentationBundle:
-    pres, elems = _m0n_pres(M, n)
-    target = _tuples_table(M, n, with_zero=True)
-    idx = target.index
-    gm = [idx[tuple(e if p == i else M.identity for p in range(1, n + 1))]
-          for i in range(1, n + 1) for e in elems]
-    gm += [idx[tuple(wreath.ZERO if p == i else M.identity for p in range(1, n + 1))]
-           for i in range(1, n + 1)]
-    return PresentationBundle(pres, target, tuple(gm), f"M0n(|M|={M.size}, n={n})")
+    def mul(a, b):
+        return tuple(zero if (x == zero or y == zero) else M.mul(x, y)
+                     for x, y in zip(a, b))
+    vals = list(range(M.size)) + ([zero] if with_zero else [])
+    target = table_from_elements(sorted(itertools.product(vals, repeat=n)), mul,
+                                 gens=units(M.gens) or None,
+                                 identity=(M.identity,) * n)
+    gm = tuple(target.index[t] for t in units(elems))
+    tag = "M0n" if with_zero else "Mn"
+    return PresentationBundle(pres, target, gm, f"{tag}(|M|={M.size}, n={n})")
 
 
 # ---------------------------------------------------------------------------
 # Wreath products
 # ---------------------------------------------------------------------------
+
+def _shuffle(x: int, f: ptrans.PartialMap, k: int, at: Callable[[int], int]) -> tuple:
+    """The shuffling relation x c(k) = c(p_1) ... c(p_r) x of a letter x
+    standing for the map f past the coordinate letter at(k) of position k,
+    where p_1 < ... < p_r is the preimage of k under f (x alone when it is
+    empty)."""
+    return ((x, at(k)), tuple(at(p) for p in sorted(f.preimage([k]))) + (x,))
+
 
 def _mwr_sing_tn_relations(M: CayleyTable, n: int, L):
     mul = M.mul
@@ -328,22 +325,12 @@ def _mwr_sing_ptn(M: CayleyTable, n: int) -> PresentationBundle:
     names = list(inner.alphabet) + [f"t{i}" for i in range(1, n + 1)]
     def T(i):
         return base + i - 1
-    one = M.identity
-    rels = list(inner.relations)
-    for i in range(1, n + 1):
-        rels.append(((T(i), T(i)), (T(i),)))
-        for j in range(1, n + 1):
-            rels.append(((T(i), T(j)), (T(j), T(i))))
+    rels = list(inner.relations) + _marker_relations([T(k) for k in range(1, n + 1)])
     for e, (i, j, a, b) in enumerate(combos):
-        for k in range(1, n + 1):
-            if k == j:
-                rels.append(((e, T(k)), (e,)))
-            elif k == i:
-                rels.append(((e, T(k)), (T(i), T(j), e)))
-            else:
-                rels.append(((e, T(k)), (T(k), e)))
+        f = ptrans.eps(i, j, n)
+        rels += [_shuffle(e, f, k, T) for k in range(1, n + 1)]
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        rels.append(((T(j), combos.index((i, j, one, one))), (T(j),)))
+        rels.append(((T(j), combos.index((i, j, M.identity, M.identity))), (T(j),)))
     pres = Presentation.make(names, rels, "semigroup")
     target = wreath.enumerate_wreath(M, "SingPT", n)
     gm = tuple(target.index[w] for w in wreath.wreath_gens(M, "SingPT", n))
@@ -357,11 +344,11 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
     of the acting family: `ptrans.family_gens` of T (s_i, l_i, r_i) or of G
     (s_i), which also gives their images.
 
-    Every mixed relation is one shuffling rule.  A family letter x with map
+    Every mixed relation is one shuffling rule, `_shuffle` (which
+    `_mwr_sing_ptn` also uses for its markers): a family letter x with map
     f, moved past a coordinate letter c at position k (a base letter, or the
-    zero marker), gives x c(k) = c(p_1) ... c(p_r) x, where p_1 < ... < p_r
-    is the preimage of k under f; the right side is x alone when it is
-    empty.  In M wr PT_n, (a, f)(b, g) = (a . f.b, fg), and f.b puts the
+    zero marker), leaves a copy of c at each position of the preimage of k
+    under f, in increasing order.  In M wr PT_n, (a, f)(b, g) = (a . f.b, fg), and f.b puts the
     entry of b at pf into position p, so the unit tuple at k comes out at
     every position of the preimage of k.  The relations run over the letter
     groups (each s_i, then each l_i with its r_i), then the positions k,
@@ -371,7 +358,7 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
     if n < 2:
         raise ValueError("wreath presentations need n >= 2")
     with_zero = family in ("PT", "I")
-    tup, elems = _m0n_pres(M, n) if with_zero else _mn_pres(M, n)
+    tup, elems = _tuple_pres(M, n, with_zero)
     k = len(elems)
     base = len(tup.alphabet)
     if family in ("PT", "T"):
@@ -392,10 +379,9 @@ def _mwr_family(M: CayleyTable, n: int, family: str) -> PresentationBundle:
              for u, v in fam_rels]
     for group in groups:
         for pos in range(1, n + 1):
-            for c, letter in enumerate(at[pos]):
-                for g in group:
-                    moved = tuple(at[p][c] for p in sorted(maps[g].preimage([pos])))
-                    rels.append(((base + g, letter), moved + (base + g,)))
+            for c in range(len(at[pos])):
+                rels += [_shuffle(base + g, maps[g], pos, lambda p: at[p][c])
+                         for g in group]
     if family == "PT":
         rels += [((at[i][-1], base + 2 * (n - 1) + i - 1), (at[i][-1],))
                  for i in range(1, n)]
@@ -554,10 +540,8 @@ def build_catalog(family: str, *, n: Optional[int] = None,
     if family in BASE_FAMILIES:
         if base is None:
             raise ValueError(f"{family} needs a base monoid")
-        if family == "Mn":
-            return _mn(base, n)
-        if family == "M0n":
-            return _m0n(base, n)
+        if family in ("Mn", "M0n"):
+            return _tuple_monoid(base, n, with_zero=family == "M0n")
         if family == "MwrSingTn":
             return _mwr_sing_tn(base, n)
         if family == "MwrSingPTn":
@@ -793,14 +777,22 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
     """Presentation of the semidirect product over one copy of the
     U-alphabet per element of the acting monoid: per-element copies of the
     U-relations, plus one relation per letter pair recording a product and
-    an action value."""
+    an action value.
+
+    The hypotheses are checked before the product is built: S is a
+    submonoid, `pres_u` presents a semigroup (no relation has an empty
+    side, checked before any closure), and its letters generate U as a
+    semigroup."""
     m = ctx.m
     ident = ctx.identity
     _require(ctx, act, "S")
+    _check(all(u and v for u, v in pres_u.pres.relations),
+           "pres_u has a relation with an empty side, so it presents no semigroup")
     slist = ctx.s_list()
     spos = {s: i for i, s in enumerate(slist)}
     nletters = len(pres_u.pres.alphabet)
     nf_u = pres_u.normal_forms(m)
+    _check(ctx.u_set <= nf_u.keys(), "the U-letters must generate U as a semigroup")
     nf_u.setdefault(ident, ())
 
     def yid(letter, s):

@@ -76,6 +76,27 @@ def test_not_subsemigroup_rejected():
                        frozenset({t2.identity}), {t2.identity: t2.identity})
 
 
+def test_ill_defined_action_names_two_disagreeing_witnesses():
+    # s the constant map onto 1 in T3 with s+ = eps(1, 2), and U generated by
+    # eps(1, 2) and eps(2, 3): every v in U1 has v s = s, so all of U1
+    # witnesses (s, 1); the identity and eps(1, 2) both give s+, eps(2, 3)
+    # gives s, and the record must name two witnesses that disagree
+    t3 = ptrans_table("T", 3)
+    s, e = t3.index[ptrans.constant(1, 3)], t3.index[ptrans.eps(1, 2, 3)]
+    u_ids = {e, t3.index[ptrans.eps(2, 3, 3)]}
+    while not {t3.mul(a, b) for a in u_ids for b in u_ids} <= u_ids:
+        u_ids |= {t3.mul(a, b) for a in u_ids for b in u_ids}
+    ctx = AmbientContext(t3, frozenset(u_ids), frozenset({s}), {s: e},
+                         name="constant-s")
+    rep, act = check_pair_from_plus(ctx)
+    records = {args[1]: args[2] for which, args in rep.failures
+               if which == "action-ill-defined"}
+    assert t3.identity in records and not rep.weak
+    for u, ws in records.items():
+        assert len(ws) == 2 and t3.mul(ws[0], e) != t3.mul(ws[1], e)
+        assert all(t3.mul(v, s) == t3.mul(s, u) for v in ws)
+
+
 def test_disjoint_supports_weak_but_not_action():
     # partial maps supported on {1} against partial identities fixing {1}
     # pointwise: compatibility holds with the constant action on the

@@ -556,3 +556,13 @@ def test_algebra_file_ops_past_their_bounds_are_bad_input(capsys, tmp_path, doc,
     code, rep = run_json(capsys, "verify-presentation", "--family", "SubA",
                          "--instance", str(path))
     assert code == cli.EXIT_BAD_INPUT and error in rep["error"]
+
+
+@pytest.mark.parametrize("carrier", [-2, 0])
+def test_algebra_file_without_elements_is_bad_input(capsys, tmp_path, carrier):
+    # the refusal names the carrier, not a consequence of it
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"carrier": carrier, "ops": []}))
+    code, rep = run_json(capsys, "verify-presentation", "--family", "SubA",
+                         "--instance", str(path))
+    assert code == cli.EXIT_BAD_INPUT and f"carrier {carrier}" in rep["error"]

@@ -463,6 +463,34 @@ def test_semigroup_relations_reject_empty_side():
         Presentation.make(["a"], [((0, 0), ())], "semigroup")
 
 
+def test_semigroup_presentation_needs_a_letter():
+    # a semigroup over no letters has no elements to enumerate; the monoid
+    # over no letters is the trivial monoid
+    with pytest.raises(ValueError, match="needs at least one letter"):
+        Presentation.make([], [], "semigroup")
+    t = enumerate_presentation(Presentation.make([], [], "monoid"), 10)
+    assert t.size == 1 and t.identity == 0 and t.nf == [()]
+
+
+def test_cayley_json_refuses_an_identity_with_a_wrong_row():
+    # {1, a} with a a = a: the word of a evaluates from its generator, never
+    # through the identity's row, so only the identity check sees 1 a = 1
+    doc = {"size": 2, "gens": [1], "nf": [[], [0]], "table": [[0], [1]]}
+    with pytest.raises(ValueError, match="with the empty word is no identity"):
+        CayleyTable.from_json(json.dumps(doc))
+    doc["table"][0] = [1]
+    assert CayleyTable.from_json(json.dumps(doc)).identity == 0
+
+
+def test_cayley_json_refuses_a_generator_listed_with_two_columns():
+    # a listed twice: its first column says a a = a, its second a a = 1
+    doc = {"size": 2, "gens": [1, 1], "nf": [[], [0]], "table": [[1, 1], [1, 0]]}
+    with pytest.raises(ValueError, match="table columns disagree with the product"):
+        CayleyTable.from_json(json.dumps(doc))
+    doc["table"][1] = [1, 1]
+    assert CayleyTable.from_json(json.dumps(doc)).mul(1, 1) == 1
+
+
 def test_cayley_json_round_trip():
     t = ptrans_table("T", 2)
     back = CayleyTable.from_json(t.to_json())

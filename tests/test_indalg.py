@@ -136,6 +136,16 @@ def test_maximals_are_atoms_of_the_meet_semilattice():
                         assert b in (c, d)
 
 
+def test_meet_table_is_generated_by_the_maximal_subalgebras():
+    # the SubA presentations send their letters to the maximal subalgebras,
+    # so the target table is numbered from them, not from every member
+    for name in ("gf2_2", "set4", "fl93"):
+        lat = lattice(builtin_algebra(name))
+        t = lat.meet_table()
+        assert [t.elements[g] for g in t.gens] == lat.maximal()
+        assert t.size == len(lat.subs)
+
+
 def test_maximality_conditions_agree():
     for name in ("gf2_2", "set4", "fl93"):
         alg = builtin_algebra(name)

@@ -656,3 +656,114 @@ def test_semigroup_pair_presentations_refuse_empty_sides_before_any_closure(monk
     for kind in pr.PAIR_PRESENTATION_KINDS[5:]:
         with pytest.raises(HypothesisFailed, match="^pres_s has a relation with an empty side"):
             pr.general_pair_pres(kind, ctx, act, pu, ps, v_subset=pu.images)
+
+
+# (base, degree, pair) -> the target size of us_sd_pres with the catalogue's
+# U-letters, or its refusal: "S" when S is no submonoid, "side" when pres_u
+# has a relation with an empty side, "gen" when the U-letters do not generate U
+US_SD_SWEEP = {
+    "c1 2 (E,T)":          "gen",
+    "c1 2 (SingE,T)":      12,
+    "c1 2 (E,SingT)":      "S",
+    "c1 2 (SingE,SingT)":  "S",
+    "c1 2 (E,G)":          "gen",
+    "c1 2 (SingE,G)":      6,
+    "c1 2 (M0n,PT)":       "gen",
+    "c1 2 (M0n,I)":        "gen",
+    "c1 2 (M0n,T)":        "gen",
+    "c1 2 (M0n,G)":        "gen",
+    "c1 2 (Mn,T)":         "gen",
+    "c1 2 (Mn,G)":         "gen",
+    "c1 2 (M0n,SingPT)":   "S",
+    "c1 2 (M0n,SingI)":    "S",
+    "c1 2 (M0n,SingT)":    "S",
+    "c1 2 (Mn,SingT)":     "S",
+    "c2 2 (E,T)":          "gen",
+    "c2 2 (SingE,T)":      48,
+    "c2 2 (E,SingT)":      "S",
+    "c2 2 (SingE,SingT)":  "S",
+    "c2 2 (E,G)":          "gen",
+    "c2 2 (SingE,G)":      24,
+    "c2 2 (M0n,PT)":       "side",
+    "c2 2 (M0n,I)":        "side",
+    "c2 2 (M0n,T)":        "side",
+    "c2 2 (M0n,G)":        "side",
+    "c2 2 (Mn,T)":         "side",
+    "c2 2 (Mn,G)":         "side",
+    "c2 2 (M0n,SingPT)":   "S",
+    "c2 2 (M0n,SingI)":    "S",
+    "c2 2 (M0n,SingT)":    "S",
+    "c2 2 (Mn,SingT)":     "S",
+    "sl2 2 (E,T)":         "gen",
+    "sl2 2 (SingE,T)":     48,
+    "sl2 2 (E,SingT)":     "S",
+    "sl2 2 (SingE,SingT)": "S",
+    "sl2 2 (E,G)":         "gen",
+    "sl2 2 (SingE,G)":     24,
+    "sl2 2 (M0n,PT)":      "gen",
+    "sl2 2 (M0n,I)":       "gen",
+    "sl2 2 (M0n,T)":       "gen",
+    "sl2 2 (M0n,G)":       "gen",
+    "sl2 2 (Mn,T)":        "gen",
+    "sl2 2 (Mn,G)":        "gen",
+    "sl2 2 (M0n,SingPT)":  "S",
+    "sl2 2 (M0n,SingI)":   "S",
+    "sl2 2 (M0n,SingT)":   "S",
+    "sl2 2 (Mn,SingT)":    "S",
+    "c1 3 (E,T)":          "gen",
+    "c1 3 (SingE,T)":      189,
+    "c1 3 (E,SingT)":      "S",
+    "c1 3 (SingE,SingT)":  "S",
+    "c1 3 (E,G)":          "gen",
+    "c1 3 (SingE,G)":      42,
+    "c1 3 (M0n,PT)":       "gen",
+    "c1 3 (M0n,I)":        "gen",
+    "c1 3 (M0n,T)":        "gen",
+    "c1 3 (M0n,G)":        "gen",
+    "c1 3 (Mn,T)":         "gen",
+    "c1 3 (Mn,G)":         "gen",
+    "c1 3 (M0n,SingPT)":   "S",
+    "c1 3 (M0n,SingI)":    "S",
+    "c1 3 (M0n,SingT)":    "S",
+    "c1 3 (Mn,SingT)":     "S",
+}
+US_SD_REFUSALS = {
+    "S must be a submonoid": "S",
+    "pres_u has a relation with an empty side, so it presents no semigroup": "side",
+    "the U-letters must generate U as a semigroup": "gen",
+}
+
+
+def test_us_sd_pres_over_the_catalogue():
+    # every catalogue pair either verifies or is refused before a bundle is
+    # built, and the table pins which
+    got = {}
+    for base, n in (("c1", 2), ("c2", 2), ("sl2", 2), ("c1", 3)):
+        amb = ambient_wreath(base, n)
+        for spec in registry.catalogue_specs(n):
+            key = f"{base} {n} ({spec['u']},{spec['s']})"
+            ctx = registry.catalogue_pair(base, n, spec["u"], spec["s"])
+            rep, act = ap.check_pair_from_plus(ctx)
+            try:
+                b = pr.us_sd_pres(ctx, act, catalogue_letters(amb, spec["u"], n))
+            except HypothesisFailed as e:
+                got[key] = US_SD_REFUSALS.get(str(e), str(e))
+                continue
+            r = b.verify()
+            assert r.ok and r.isomorphic, key
+            got[key] = b.target.size
+    assert got == US_SD_SWEEP
+
+
+def test_us_sd_pres_refuses_empty_sides_before_any_closure(monkeypatch):
+    amb = ambient_wreath("c2", 2)
+    ctx = registry.catalogue_pair("c2", 2, "Mn", "T")
+    rep, act = ap.check_pair_from_plus(ctx)
+    pu = catalogue_letters(amb, "Mn", 2)            # Mn over c2 has a a = 1
+
+    def closure(*args, **kwargs):
+        raise AssertionError("a closure ran")
+    for name in ("semidirect", "right_orbit"):
+        monkeypatch.setattr(pr, name, closure)
+    with pytest.raises(HypothesisFailed, match="^pres_u has a relation with an empty side"):
+        pr.us_sd_pres(ctx, act, pu)

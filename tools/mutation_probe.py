@@ -20,7 +20,10 @@ never in place, and the copy is removed at the end:
 
 Only the standard library and pytest are used.  A full-suite run takes
 about a minute on two cores, so a probe of 12 sites takes 2 to 15 minutes
-depending on how many survive the module's tests.
+depending on how many survive the module's tests.  Each mutant's test run
+may take four times the unmutated suite run the probe makes first, plus a
+minute; a run past that counts as a failure, so a mutant that hangs is
+killed, not waited for.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
-
-TIMEOUT = 900          # seconds per test run; a mutant that hangs is seen
+from typing import Optional
 
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
@@ -75,12 +78,14 @@ def mutate(source: str, site: tuple) -> str:
     return ast.unparse(tree)
 
 
-def _passes(root: Path, tests: list) -> bool:
+def _passes(root: Path, tests: list, timeout: Optional[float] = None) -> bool:
+    """Whether the tests pass within `timeout` seconds (a run that times
+    out fails, so a mutant that hangs is seen)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     try:
         r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
                             "-p", "no:cacheprovider", *tests],
-                           cwd=root, env=env, capture_output=True, timeout=TIMEOUT)
+                           cwd=root, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return r.returncode == 0
@@ -106,14 +111,16 @@ def main(argv=None) -> int:
     try:
         shutil.copytree(repo, root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        start = time.monotonic()
         if not _passes(root, []):
             print("the unmutated suite fails; nothing to probe", file=sys.stderr)
             return 2
+        timeout = 4 * (time.monotonic() - start) + 60
         for site in drawn:
             (root / module).write_text(mutate(source, site))
-            if not _passes(root, tests):
+            if not _passes(root, tests, timeout):
                 verdict = "killed by module tests"
-            elif not _passes(root, []):
+            elif not _passes(root, [], timeout):
                 verdict = "killed by suite"
             else:
                 verdict = "survived"
