@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .fmonoid import (FULL_TABLE_CAP, CayleyTable, CongruencePartition,
-                      closure_from_generators, congruence_closure,
-                      greedy_generators, is_compatible, quotient, right_orbit)
+from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
+                      congruence_closure, greedy_generators, is_compatible,
+                      quotient, right_orbit)
 
 
 class NotSubsemigroup(Exception):
@@ -38,7 +38,9 @@ class AmbientContext:
     """A candidate pair inside an ambient monoid table.
 
     U and S are nonempty sets of ambient ids closed under the product, and
-    plus maps each member of S to an element of U1.
+    plus maps each member of S to an element of U1.  `rows` is the
+    ambient's `rows()`, taken once: the pair stages read every product
+    as rows[a][b].
     """
 
     m: CayleyTable
@@ -46,8 +48,11 @@ class AmbientContext:
     s_set: frozenset
     plus: dict
     name: str = ""
+    rows: list | dict = field(default=None, init=False, repr=False, compare=False)
     _gens: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    _product_set: Optional[frozenset] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if self.m.identity is None:
@@ -55,12 +60,14 @@ class AmbientContext:
         self.u_set = frozenset(self.u_set)
         self.s_set = frozenset(self.s_set)
         ident = self.m.identity
+        self.rows = rows = self.m.rows()
         for label, sub in (("U", self.u_set), ("S", self.s_set)):
             if not sub:
                 raise ValueError(f"{label} of {self.name or 'the pair'} is empty")
             for a in sub:
+                row = rows[a]
                 for b in sub:
-                    if self.m.mul(a, b) not in sub:
+                    if row[b] not in sub:
                         raise NotSubsemigroup(f"{label} not closed at ({a},{b})")
         u1 = self.u_set | {ident}
         for s in self.s_set:
@@ -97,22 +104,28 @@ class AmbientContext:
         if which not in self._gens:
             members = {"U": self.u_list, "U1": self.u1,
                        "S": self.s_list, "S1": self.s1}[which]()
-            self._gens[which] = greedy_generators(members, self.m.mul)
+            rows = self.rows
+            self._gens[which] = greedy_generators(members, lambda a, b: rows[a][b])
         return self._gens[which]
 
     def product_set(self) -> frozenset:
-        m = self.m
-        return frozenset(m.mul(u, s) for u in self.u_set for s in self.s_set)
+        """The product set US, computed once."""
+        if self._product_set is None:
+            rows = self.rows
+            self._product_set = frozenset(rows[u][s] for u in self.u_set
+                                          for s in self.s_set)
+        return self._product_set
 
 
 class ActionTable:
     """The action of S1 on U1, stored as a dense dict (s, u) -> u'.
 
-    `report` is the PairReport of the last check that verified this action
-    (`check_pair_from_plus` or `check_weak_pair`); the later stages read it
-    instead of checking the pair again.  `sd` and `th` hold the results of
-    `semidirect` and `theta_and_friends` once computed, and a second call
-    returns them.
+    `plus` maps each s in S1 to s+ = s>1, with 1+ = 1; the stages read it
+    and `table` directly.  `report` is the PairReport of the last check that
+    verified this action (`check_pair_from_plus` or `check_weak_pair`); the
+    later stages read it instead of checking the pair again.  `sd` and `th`
+    hold the results of `semidirect` and `theta_and_friends` once computed,
+    and a second call returns them.
     """
 
     def __init__(self, ctx: AmbientContext, table: dict):
@@ -124,6 +137,8 @@ class ActionTable:
         ident = ctx.identity
         for u in ctx.u1():
             self.table.setdefault((ident, u), u)
+        self.plus = {s: self.table[s, ident] for s in ctx.s_set}
+        self.plus[ident] = ident
 
     def pair_report(self) -> PairReport:
         """The stored report; an action no check has seen is checked once by
@@ -136,9 +151,7 @@ class ActionTable:
         return self.table[(s, u)]
 
     def splus(self, s):
-        if s == self.ctx.identity:
-            return self.ctx.identity
-        return self.table[(s, self.ctx.identity)]
+        return self.plus[s]
 
     def verify_laws(self) -> list:
         """The action laws and the compatibility law su = (s>u) s, as
@@ -168,34 +181,35 @@ class ActionTable:
         up as a key: s>x for such x equals no defined term, and 1>x = x.
         """
         ctx = self.ctx
-        m = ctx.m
+        rows = ctx.rows
         u1 = ctx.u1()
         u1set = set(u1)
         s1 = ctx.s1()
-        failures = [("action-range", (s, u))
-                    for s in s1 for u in u1 if self(s, u) not in u1set]
-        in_range = not failures
         table, ident = self.table, ctx.identity
+        failures = [("action-range", (s, u))
+                    for s in s1 for u in u1 if table[s, u] not in u1set]
+        in_range = not failures
         for s in s1:
             for t in ctx.gens("S1") if in_range else s1:
-                st = m.mul(s, t)
+                st = rows[s][t]
                 for u in u1:
                     # s>x for x outside U1 equals no defined term; 1>x = x
-                    x = self(t, u)
+                    x = table[t, u]
                     if table.get((s, x), x if s == ident else None) \
-                            != self(st, u):
+                            != table[st, u]:
                         failures.append(("action-composition", (s, t, u)))
                         break
         composes = not failures
         for s in ctx.gens("S1") if composes else s1:
             for u in u1:
+                row = rows[table[s, u]]
                 for v in ctx.gens("U1"):
-                    if self(s, m.mul(u, v)) != m.mul(self(s, u), self(s, v)):
+                    if table[s, rows[u][v]] != row[table[s, v]]:
                         failures.append(("action-morphism", (s, u, v)))
                         break
         for s in ctx.gens("S") if composes else ctx.s_list():
             for u in u1:
-                if m.mul(s, u) != m.mul(self(s, u), s):
+                if rows[s][u] != rows[table[s, u]][s]:
                     failures.append(("compatibility", (s, u)))
                     break
         return failures
@@ -270,20 +284,22 @@ class PairReport:
 # Axioms and action reconstruction
 # ---------------------------------------------------------------------------
 
-def _kernel_failures(ctx: AmbientContext, splus) -> list:
-    """The kernel condition us = vt => u s+ = v t+, one witness per fibre of
-    (u, s) -> us over U1 x S."""
-    m = ctx.m
+def _kernel_failures(ctx: AmbientContext, plus: dict) -> list:
+    """The kernel condition us = vt => u s+ = v t+, with s+ = plus[s], one
+    witness per fibre of (u, s) -> us over U1 x S."""
+    rows = ctx.rows
+    slist = ctx.s_list()
     fibres: dict = {}
     for u in ctx.u1():
-        for s in ctx.s_list():
-            fibres.setdefault(m.mul(u, s), []).append((u, s))
+        row = rows[u]
+        for s in slist:
+            fibres.setdefault(row[s], []).append((u, s))
     failures = []
     for items in fibres.values():
         u0, s0 = items[0]
-        ref = m.mul(u0, splus(s0))
+        ref = rows[u0][plus[s0]]
         for u, s in items[1:]:
-            if m.mul(u, splus(s)) != ref:
+            if rows[u][plus[s]] != ref:
                 failures.append(("kernel-condition", ((u0, s0), (u, s))))
                 break
     return failures
@@ -299,7 +315,7 @@ def check_pair_from_plus(ctx: AmbientContext
     that the result is a genuine action by semigroup morphisms satisfying
     the compatibility law su = (s>u) s.  The report is stored on the action.
     """
-    m = ctx.m
+    rows = ctx.rows
     rep = PairReport(name=ctx.name)
     u1 = ctx.u1()
     slist = ctx.s_list()
@@ -310,9 +326,10 @@ def check_pair_from_plus(ctx: AmbientContext
     for s in slist:
         traj = {}
         for v in u1:
-            traj.setdefault(m.mul(v, s), []).append(v)
+            traj.setdefault(rows[v][s], []).append(v)
+        row = rows[s]
         for u in u1:
-            su = m.mul(s, u)
+            su = row[u]
             if su in traj:
                 witness[(s, u)] = traj[su]
             else:
@@ -321,17 +338,18 @@ def check_pair_from_plus(ctx: AmbientContext
 
     plus = ctx.plus
     for s in slist:
-        if m.mul(plus[s], s) != s:
+        if rows[plus[s]][s] != s:
             failures.append(("s-equals-plus-s", (s,)))
     for s in slist:
+        row = rows[s]
         for t in slist:
-            st = m.mul(s, t)
-            if m.mul(s, plus[t]) != m.mul(plus[st], s):
+            st = row[t]
+            if row[plus[t]] != rows[plus[st]][s]:
                 failures.append(("shift-projection", (s, t)))
-            if plus[st] != m.mul(plus[st], plus[s]):
+            if plus[st] != rows[plus[st]][plus[s]]:
                 failures.append(("projection-absorbs", (s, t)))
 
-    failures.extend(_kernel_failures(ctx, plus.__getitem__))
+    failures.extend(_kernel_failures(ctx, plus))
 
     # reconstruct the action, least witness first, well-definedness re-checked:
     # a failure names the least witness and the least one that disagrees
@@ -341,13 +359,13 @@ def check_pair_from_plus(ctx: AmbientContext
         for u in u1:
             vs = witness[(s, u)]
             v0 = min(vs)
-            value = table[(s, u)] = m.mul(v0, plus[s])
-            other = [v for v in vs if m.mul(v, plus[s]) != value]
+            value = table[(s, u)] = rows[v0][plus[s]]
+            other = [v for v in vs if rows[v][plus[s]] != value]
             if other:
                 well_defined = False
                 failures.append(("action-ill-defined", (s, u, [v0, min(other)])))
     act = ActionTable(ctx, table)
-    return _verdicts(ctx, act, rep, plus.__getitem__, well_defined), act
+    return _verdicts(ctx, act, rep, plus, well_defined), act
 
 
 def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
@@ -355,21 +373,21 @@ def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
     condition is reported separately in the action verdict.  The report is
     stored on the action."""
     rep = PairReport(name=ctx.name)
-    rep.failures = _kernel_failures(ctx, act.splus)
-    return _verdicts(ctx, act, rep, act.splus)
+    rep.failures = _kernel_failures(ctx, act.plus)
+    return _verdicts(ctx, act, rep, act.plus)
 
 
-def _verdicts(ctx: AmbientContext, act: ActionTable, rep: PairReport, splus,
+def _verdicts(ctx: AmbientContext, act: ActionTable, rep: PairReport, plus: dict,
               well_defined: bool = True) -> PairReport:
     """Append the action-law failures to `rep` and set its verdicts: weak
     when the laws hold on a well-defined action, action when no failure is
-    recorded at all, strong when every projection `splus(s)` is the identity
+    recorded at all, strong when every projection `plus[s]` is the identity
     as well.  The report is stored on the action."""
     law_failures = act.verify_laws()
     rep.failures += law_failures
     rep.weak = not law_failures and well_defined
     rep.action = rep.weak and not rep.failures
-    rep.strong = rep.action and all(splus(s) == ctx.identity for s in ctx.s_list())
+    rep.strong = rep.action and all(plus[s] == ctx.identity for s in ctx.s_list())
     act.report = rep
     return rep
 
@@ -380,22 +398,23 @@ def _verdicts(ctx: AmbientContext, act: ActionTable, rep: PairReport, splus,
 
 def projection_semigroup(ctx: AmbientContext, act: ActionTable) -> frozenset:
     """The subsemigroup of U1 generated by the projections s+."""
-    gens = {act.splus(s) for s in ctx.s_list()}
-    return frozenset(right_orbit(gens, lambda a: [ctx.m.mul(a, g) for g in gens]))
+    rows = ctx.rows
+    gens = {act.plus[s] for s in ctx.s_list()}
+    return frozenset(right_orbit(gens, lambda a: [rows[a][g] for g in gens]))
 
 
 def sigma_partition(ctx: AmbientContext,
                     p_set: frozenset) -> tuple[CongruencePartition, bool]:
     """sigma as the transitive closure of {(s, t) : ps = qt for p, q in P1};
     also reports whether the one-step relation was already transitive."""
-    m = ctx.m
+    rows = ctx.rows
     slist = ctx.s_list()
     part = CongruencePartition(slist)
     p1 = sorted(p_set | {ctx.identity})
     buckets: dict = {}
     for s in slist:
         for p in p1:
-            buckets.setdefault(m.mul(p, s), set()).add(s)
+            buckets.setdefault(rows[p][s], set()).add(s)
     onestep: dict = {s: {s} for s in slist}
     for group in buckets.values():
         group = sorted(group)
@@ -413,9 +432,10 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     left-density of P in U, the ten one-sided identity conditions, and the
     equational cross-checks available when P is a semilattice or left-regular
     band."""
-    m = ctx.m
+    rows, plus, action = ctx.rows, act.plus, act.table
     ident = ctx.identity
     u1 = ctx.u1()
+    ulist = ctx.u_list()
     slist = ctx.s_list()
 
     p_set = projection_semigroup(ctx, act)
@@ -427,7 +447,7 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     # transitive closure; when P is right-reversible the two coincide
     p_els = sorted(p_set)
     right_reversible = all(
-        any(m.mul(a, x) == m.mul(b, y) for a in p_els for b in p_els)
+        any(rows[a][x] == rows[b][y] for a in p_els for b in p_els)
         for x in p_els for y in p_els) if p_els else True
     rep.sigma_is_transitive_kappa = (not right_reversible) or transitive
 
@@ -435,60 +455,58 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     # us -> (u s+, sigma class of s) is well defined and injective
     keys_of: dict = {}
     for u in u1:
+        row = rows[u]
         for s in slist:
-            keys_of.setdefault(m.mul(u, s), set()).add(
-                (m.mul(u, act.splus(s)), sigma.find(s)))
+            keys_of.setdefault(row[s], set()).add((row[plus[s]], sigma.find(s)))
     keys = [k for ks in keys_of.values() for k in ks]
     rep.proper = len(keys) == len(keys_of) == len(set(keys))
 
     # left density of P in U: every u admits p in P with pu in P
-    rep.left_dense = all(any(m.mul(p, u) in p_set for p in p_els)
-                         for u in ctx.u_list()) if p_els else False
+    rep.left_dense = all(any(rows[p][u] in p_set for p in p_els)
+                         for u in ulist) if p_els else False
 
-    # the ten one-sided identity conditions
-    us_pairs = [(u, s) for u in ctx.u_list() for s in slist]
-    w1 = any(all(m.mul(s, u) == s for s in slist) for u in ctx.u_list())
-    w2 = all(any(m.mul(s, u) == s for u in ctx.u_list()) for s in slist)
-    w3 = any(all(m.mul(u, s) == s for s in slist) for u in ctx.u_list())
-    w4 = all(any(m.mul(u, s) == s for u in ctx.u_list()) for s in slist)
+    # the ten one-sided identity conditions, w7 and w8 over the products us
+    us_pairs = [(u, s) for u in ulist for s in slist]
+    us_values = [rows[u][s] for u, s in us_pairs]
+    w1 = any(all(rows[s][u] == s for s in slist) for u in ulist)
+    w2 = all(any(rows[s][u] == s for u in ulist) for s in slist)
+    w3 = any(all(rows[u][s] == s for s in slist) for u in ulist)
+    w4 = all(any(rows[u][s] == s for u in ulist) for s in slist)
     prod_set = ctx.product_set()
     w5 = all(s in prod_set for s in slist)
     w6 = any(s in prod_set for s in slist)
-    w7 = any(all(m.mul(m.mul(u, s), v) == m.mul(u, s) for u, s in us_pairs)
-             for v in ctx.u_list())
-    w8 = all(any(m.mul(m.mul(u, s), v) == m.mul(u, s) for v in ctx.u_list())
-             for u, s in us_pairs)
-    w9 = any(all(m.mul(u, act(s, v)) == u for u, s in us_pairs)
-             for v in ctx.u_list())
-    w10 = all(any(m.mul(u, act(s, v)) == u for v in ctx.u_list())
+    w7 = any(all(rows[x][v] == x for x in us_values) for v in ulist)
+    w8 = all(any(rows[x][v] == x for v in ulist) for x in us_values)
+    w9 = any(all(rows[u][action[s, v]] == u for u, s in us_pairs)
+             for v in ulist)
+    w10 = all(any(rows[u][action[s, v]] == u for v in ulist)
               for u, s in us_pairs)
     rep.w_conditions = (w1, w2, w3, w4, w5, w6, w7, w8, w9, w10)
 
     # equational forms of sigma, available for proper pairs over a
     # commutative / left-regular-band P
     if rep.proper:
-        commutative = all(m.mul(a, b) == m.mul(b, a) for a in p_els for b in p_els)
-        lrb = all(m.mul(m.mul(a, b), a) == m.mul(a, b) for a in p_els for b in p_els)
+        commutative = all(rows[a][b] == rows[b][a] for a in p_els for b in p_els)
+        lrb = all(rows[rows[a][b]][a] == rows[a][b] for a in p_els for b in p_els)
         ok = True
         if commutative:
             for s in slist:
                 for t in slist:
-                    eq = m.mul(act.splus(t), s) == m.mul(act.splus(s), t)
+                    eq = rows[plus[t]][s] == rows[plus[s]][t]
                     if eq != sigma.same(s, t):
                         ok = False
         elif lrb:
             for s in slist:
                 for t in slist:
-                    sp, tp = act.splus(s), act.splus(t)
-                    eq = m.mul(m.mul(sp, tp), s) == m.mul(sp, t)
+                    sp = plus[s]
+                    eq = rows[rows[sp][plus[t]]][s] == rows[sp][t]
                     if eq != sigma.same(s, t):
                         ok = False
         rep.sigma_equational_ok = ok
 
     if rep.strong:
         rep.disjointness_ok = (ctx.u_set & ctx.s_set) <= {ident}
-    in_right_units = all(any(m.mul(s, t) == ident for t in range(m.size))
-                         for s in slist)
+    in_right_units = all(ident in rows[s] for s in slist)
     rep.right_unit_rule_ok = rep.strong if in_right_units else None
 
     # left density + trivial sigma forces properness; cross-check
@@ -554,7 +572,7 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
     lies in U1 (the callers require the laws), so every product has a code.
     The table's `elements` and `index` are decoded back to pairs.
     """
-    m = ctx.m
+    rows, action = ctx.rows, act.table
     u1, s1 = ctx.u1(), ctx.s1()
     width = len(s1)
     ucode = {u: i * width for i, u in enumerate(u1)}
@@ -564,13 +582,13 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
 
     def left(w):
         if w not in times:
-            times[w] = [ucode[m.mul(u, w)] for u in u1]
+            times[w] = [ucode[rows[u][w]] for u in u1]
         return times[w]
 
     def column(g):
         v, t = u1[g // width], s1[g % width]
-        by_s = [left(act(s, v)) for s in s1]
-        st = [scode[m.mul(s, t)] for s in s1]
+        by_s = [left(action[s, v]) for s in s1]
+        st = [scode[rows[s][t]] for s in s1]
         return [a + b for us in zip(*by_s) for a, b in zip(us, st)]
 
     def prod(x, y):
@@ -639,7 +657,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     _require_laws(act, "semidirect")
     if act.sd is not None:
         return act.sd
-    m = ctx.m
+    rows, plus, action = ctx.rows, act.plus, act.table
     ident = ctx.identity
     ulist = ctx.u_list()
     slist = ctx.s_list()
@@ -648,36 +666,35 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     identity_hint = None
     # (1, 1) is always a left identity here (the action is monoidal) but a
     # right identity only when every u absorbs every projection
-    if have_units and all(m.mul(u, act.splus(s)) == u
-                          for u in ulist for s in slist):
+    if have_units and all(rows[u][plus[s]] == u for u in ulist for s in slist):
         identity_hint = (ident, ident)
-    table = _pair_closure(ctx, act, _shortlex_pairs(m, ulist, slist),
+    table = _pair_closure(ctx, act, _shortlex_pairs(ctx.m, ulist, slist),
                           identity_hint, len(ulist) * len(slist), "semidirect")
 
     m1 = frozenset(i for i, (u, s) in enumerate(table.elements)
-                   if u == m.mul(u, act.splus(s)))
+                   if u == rows[u][plus[s]])
     m2 = frozenset(i for i, (u, s) in enumerate(table.elements)
-                   if u == act(ident, u))
+                   if u == action[ident, u])
     mm = m1 & m2
 
     els, index = table.elements, table.index
-    ru = [m.mul(act(ident, u), act.splus(s)) for u, s in els]  # U coordinate of r
+    ru = [rows[action[ident, u]][plus[s]] for u, s in els]  # U coordinate of r
     retraction = {i: index[(w, s)] for i, (w, (_, s)) in enumerate(zip(ru, els))}
     retr_ok = all(j in mm for j in retraction.values()) and \
         all(retraction[j] == j for j in mm)
     for k, g in enumerate(table.gens):
-        acted = {s: act(s, ru[g]) for s in slist}
+        acted = {s: action[s, ru[g]] for s in slist}
         retr_ok = retr_ok and all(
-            m.mul(w, acted[s]) == ru[row[k]]
+            rows[w][acted[s]] == ru[row[k]]
             for w, (_, s), row in zip(ru, els, table.right))
 
-    trivial_proj = all(act.splus(s) == ident for s in slist)
+    trivial_proj = all(plus[s] == ident for s in slist)
     monoid_expected = have_units and trivial_proj
     has_identity = have_units and table.identity == index[(ident, ident)]
     monoid_rule_ok = has_identity == monoid_expected
 
-    mid_ok = all(m.mul(act.splus(s), w) == w
-                 for s in ctx.s1() for w in [act(s, v) for v in ctx.u1()])
+    mid_ok = all(rows[plus[s]][w] == w
+                 for s in ctx.s1() for w in [action[s, v] for v in ctx.u1()])
 
     act.sd = SemidirectResult(table, m1, m2, mm,
                               retraction, retr_ok, has_identity,
@@ -708,21 +725,17 @@ def _partition_by(members, key) -> CongruencePartition:
     return part
 
 
-def _fibre_partition(m: CayleyTable, u, members: Sequence) -> CongruencePartition:
-    """theta_u on the members: s ~ t iff us = ut."""
-    return _partition_by(members, lambda s: m.mul(u, s))
-
-
 def _natural_factorisations(ctx: AmbientContext, act: ActionTable) -> dict:
     """us -> the natural factorisations of us: the pairs (u, s) of U x S
     with u = u s+ whose product is us."""
-    m = ctx.m
+    plus = act.plus
     slist = ctx.s_list()
     nf: dict = {}
     for u in ctx.u_list():
+        row = ctx.rows[u]
         for s in slist:
-            if m.mul(u, act.splus(s)) == u:
-                nf.setdefault(m.mul(u, s), []).append((u, s))
+            if row[plus[s]] == u:
+                nf.setdefault(row[s], []).append((u, s))
     return nf
 
 
@@ -735,20 +748,21 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
     _require_laws(act, "theta_and_friends")
     if act.th is not None and sd is act.sd:
         return act.th
-    m = ctx.m
+    rows, plus = ctx.rows, act.plus
     u1 = ctx.u1()
     slist = ctx.s_list()
 
-    values = [m.mul(u, s) for (u, s) in sd.table.elements]
+    values = [rows[u][s] for (u, s) in sd.table.elements]
     theta = _partition_by(sd.table.size, values.__getitem__)
 
-    theta_u = {u: _fibre_partition(m, u, slist) for u in u1}
-    stab = {u: frozenset(s for s in slist if m.mul(u, s) == u) for u in u1}
+    # theta_u: s ~ t iff us = ut
+    theta_u = {u: _partition_by(slist, rows[u].__getitem__) for u in u1}
+    stab = {u: frozenset(s for s in slist if rows[u][s] == u) for u in u1}
 
     # theta(u,s)(v,t) iff u s+ = v t+ and (s,t) in theta_{u s+}
     def description(i):
         u, s = sd.table.elements[i]
-        usp = m.mul(u, act.splus(s))
+        usp = rows[u][plus[s]]
         return usp, theta_u[usp].find(s)
 
     description_ok = _partition_by(sd.table.size, description) == theta
@@ -776,10 +790,10 @@ def quotient_matches_product(ctx: AmbientContext, sd: SemidirectResult,
         return False
     if set(to_value.values()) != set(ctx.product_set()):
         return False
-    m = ctx.m
+    rows = ctx.rows
     for a in range(q.size):
         for k, g in enumerate(q.gens):
-            if to_value[q.right[a][k]] != m.mul(to_value[a], to_value[g]):
+            if to_value[q.right[a][k]] != rows[to_value[a]][to_value[g]]:
                 return False
     return True
 
@@ -838,10 +852,10 @@ def _element_data_failures(ctx: AmbientContext, value, pairs: dict,
     closure under right multiplication by the generators of S, and the join
     that of partitions.  Other data pass their own `span` and `join`.
     """
-    m = ctx.m
+    rows = ctx.rows
     if members is not None:
         gens = ctx.gens("S")
-        succ = {s: [m.mul(s, g) for g in gens] for s in members}.__getitem__
+        succ = {s: [rows[s][g] for g in gens] for s in members}.__getitem__
 
         def span(ps):
             return CongruencePartition(members).close(ps, succ)
@@ -853,16 +867,16 @@ def _element_data_failures(ctx: AmbientContext, value, pairs: dict,
             return out
     failures = []
     if reduction == "family":
-        multiples = {v: {m.mul(w, v) for w in ctx.u1()} for v in v_subset}
+        multiples = {v: {rows[w][v] for w in ctx.u1()} for v in v_subset}
         bad = next((u for u in targets if join(
             [value[v] for v in v_subset if u in multiples[v]]) != value[u]), None)
         if bad is not None:
             failures.append(f"join reduction fails at {bad}")
     elif reduction == "pairwise":
         ulist = ctx.u_list()
-        if any(m.mul(a, b) != m.mul(b, a) for a in ulist for b in ulist):
+        if any(rows[a][b] != rows[b][a] for a in ulist for b in ulist):
             failures.append("U must be commutative for the letter reduction")
-        if any(join((value[a], value[b])) != value[m.mul(a, b)]
+        if any(join((value[a], value[b])) != value[rows[a][b]]
                for a in ulist for b in ulist):
             failures.append("pairwise join reduction fails")
     pool = targets if reduction is None else v_subset
@@ -889,7 +903,7 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
     if rule not in _OMEGA_TABLE:
         raise ValueError(f"unknown rule {rule!r}")
     units, strong, data, reduction = _OMEGA_TABLE[rule]
-    m = ctx.m
+    rows = ctx.rows
     ident = ctx.identity
     ulist = ctx.u_list()
     slist = ctx.s_list()
@@ -910,7 +924,7 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
 
     # per element, pairs (a, b) of S: related by theta_u, or a = 1 and b generates
     if data == "stab":
-        if not all(any(m.mul(s, t) == ident == m.mul(t, s) for t in slist)
+        if not all(any(rows[s][t] == ident == rows[t][s] for t in slist)
                    for s in slist):
             failures.append("S is not a group")
         if gamma_u is None:
@@ -933,7 +947,7 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
         def span(pairs):
             # S is finite, so the monoid its members generate is a subgroup
             gens = [s for _, s in pairs]
-            return frozenset(right_orbit([ident], lambda a: [m.mul(a, g) for g in gens]))
+            return frozenset(right_orbit([ident], lambda a: [rows[a][g] for g in gens]))
 
         def join(parts):
             return span([(ident, s) for p in parts for s in p])
@@ -942,7 +956,7 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
             ctx, {u: th.stab[u] | {ident} for u in ulist}, gen_pairs, ulist,
             reduction, v_subset, span=span, join=join)
     if reduction == "pairwise" and \
-            frozenset(right_orbit([ident], lambda a: [m.mul(a, v) for v in v_subset])) \
+            frozenset(right_orbit([ident], lambda a: [rows[a][v] for v in v_subset])) \
             != ctx.u_set:
         failures.append("V does not generate U as a monoid")
     if failures:
@@ -954,10 +968,10 @@ def omega_check(ctx: AmbientContext, act: ActionTable, sd: SemidirectResult,
     pairs = [(sd.id_of(v, a), sd.id_of(v, b))
              for v in pool for a, b in gen_pairs.get(v, ())]
     if data is None and not units:
-        pairs += [(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
+        pairs += [(sd.id_of(u, s), sd.id_of(rows[u][act.plus[s]], s))
                   for u in ulist for s in slist]
     elif data is None:
-        pairs += [(sd.id_of(ident, s), sd.id_of(act.splus(s), s)) for s in slist]
+        pairs += [(sd.id_of(ident, s), sd.id_of(act.plus[s], s)) for s in slist]
     side = "right" if data == "theta" and reduction is None else "two_sided"
     part = congruence_closure(sd.table, pairs, side)
     return OmegaResult(rule, True, [], part, part == th.theta)
@@ -1005,7 +1019,7 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
       with s ~u' t, and the case w' at u' finishes.
     """
     _require_laws(act, "check_special_congruence")
-    m = ctx.m
+    rows, plus, action = ctx.rows, act.plus, act.table
     ident = ctx.identity
     ulist = ctx.u_list()
     slist = ctx.s_list()
@@ -1031,14 +1045,14 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
                     if first.setdefault(r, s) != s]
     axioms = []
 
-    ax1 = all(sigma.same(sd.id_of(u, s), sd.id_of(m.mul(u, act.splus(s)), s))
+    ax1 = all(sigma.same(sd.id_of(u, s), sd.id_of(rows[u][plus[s]], s))
               for u in ulist for s in slist)
     axioms.append(ax1)
 
     ax2 = True
     roots: dict = {}
     for s in slist:
-        sp = act.splus(s)
+        sp = plus[s]
         if sp == ident and ident not in ctx.u_set:
             continue
         r = sigma.find(sd.id_of(sp, s))
@@ -1049,27 +1063,28 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
         roots[r] = s
     axioms.append(ax2)
 
-    proj = [m.mul(u, act.splus(s)) for u, s in sd.table.elements]
+    proj = [rows[u][plus[s]] for u, s in sd.table.elements]
     axioms.append(all(proj[i] == proj[cls[0]]
                       for cls in sigma.classes() for i in cls[1:]))
 
     axioms.append(len(set(sig[ident].values())) == len(slist))
 
-    axioms.append(all(r[m.mul(a, g)] == r[m.mul(b, g)]
+    axioms.append(all(r[rows[a][g]] == r[rows[b][g]]
                       for u in ulist for r in (sig[u],)
                       for a, b in links[u] for g in sgen))
 
     axioms.append(all(r[a] == r[b] for u in ulist for w in ugen
-                      for r in (sig[m.mul(w, u)],) for a, b in links[u]))
+                      for r in (sig[rows[w][u]],) for a, b in links[u]))
 
-    axioms.append(all(r[m.mul(x, a)] == r[m.mul(x, b)] for u in ulist
-                      for x in sgen for r in (sig[act(x, u)],)
+    axioms.append(all(r[row[a]] == r[row[b]] for u in ulist
+                      for x in sgen for r, row in ((sig[action[x, u]], rows[x]),)
                       for a, b in links[u]))
 
     def twisted_ok(u, w):
+        row = rows[u]
         for a, b in links[u]:
-            ref = m.mul(u, act(a, w))
-            if m.mul(u, act(b, w)) != ref or sig[ref][a] != sig[ref][b]:
+            ref = row[action[a, w]]
+            if row[action[b, w]] != ref or sig[ref][a] != sig[ref][b]:
                 return False
         return True
 
@@ -1113,46 +1128,52 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     operation.
 
     The carrier is generated by the members that `greedy_generators` keeps
-    in shortlex order of their ambient normal forms.  Its m x m table is
-    built up to FULL_TABLE_CAP elements, since the cover pair is
-    classified with the carrier as its ambient.
+    in shortlex order of their ambient normal forms.  The cover pair is
+    classified with the carrier as its ambient, so the carrier's products
+    are read from its own `rows()`: its m x m table up to FULL_TABLE_CAP
+    elements.
     """
     _require_laws(act, "proper_cover")
-    m = ctx.m
+    rows, plus = ctx.rows, act.plus
     ident = ctx.identity
     u1 = ctx.u1()
     s1 = ctx.s1()
 
-    members = {(u, s) for u in u1 for s in s1 if u == m.mul(u, act.splus(s))}
-    carrier = _pair_closure(ctx, act, (c for c in _shortlex_pairs(m, u1, s1)
+    members = {(u, s) for u in u1 for s in s1 if u == rows[u][plus[s]]}
+    carrier = _pair_closure(ctx, act, (c for c in _shortlex_pairs(ctx.m, u1, s1)
                                        if c in members),
                             (ident, ident), len(members), "cover")
-    if carrier.size <= FULL_TABLE_CAP:
-        carrier.full_table()
     cid = carrier.index
 
     under = {u: cid[(u, ident)] for u in ctx.u_list()}
-    over = {s: cid[(act.splus(s), s)] for s in ctx.s_list()}
+    over = {s: cid[(plus[s], s)] for s in ctx.s_list()}
 
-    u_copy_ok = all(carrier.mul(under[a], under[b]) == under[m.mul(a, b)]
-                    for a in ctx.u_list() for b in ctx.u_list())
-    s_copy_ok = all(carrier.mul(over[a], over[b]) == over[m.mul(a, b)]
-                    for a in ctx.s_list() for b in ctx.s_list())
-
-    cover_plus = {over[s]: (cid[(act.splus(s), ident)]
-                            if act.splus(s) != ident else carrier.identity)
+    cover_plus = {over[s]: (cid[(plus[s], ident)]
+                            if plus[s] != ident else carrier.identity)
                   for s in ctx.s_list()}
     cover_ctx = AmbientContext(carrier,
                                frozenset(under.values()),
                                frozenset(over.values()),
                                cover_plus,
                                name=f"cover({ctx.name})")
+    crows = cover_ctx.rows
+
+    u_copy_ok = all(crows[under[a]][under[b]] == under[rows[a][b]]
+                    for a in ctx.u_list() for b in ctx.u_list())
+    s_copy_ok = all(crows[over[a]][over[b]] == over[rows[a][b]]
+                    for a in ctx.s_list() for b in ctx.s_list())
+
     rep, cover_act = check_pair_from_plus(cover_ctx)
     classify_proper(cover_ctx, cover_act, rep)
 
-    prod_ids = sorted({carrier.mul(under[u], over[s])
+    def value(i):
+        """The ambient product us of carrier element i = (u, s)."""
+        u, s = carrier.elements[i]
+        return rows[u][s]
+
+    prod_ids = sorted({crows[under[u]][over[s]]
                        for u in ctx.u_list() for s in ctx.s_list()})
-    psi = {i: m.mul(*carrier.elements[i]) for i in prod_ids}
+    psi = {i: value(i) for i in prod_ids}
     target = ctx.product_set()
     surjective = set(psi.values()) == set(target)
 
@@ -1173,11 +1194,10 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
         result.left_restriction_ok = _left_restriction_laws(
             carrier, cset, cplus)
         projections = {cplus[i] for i in cset}
-        result.projection_separating = len({psi.get(p, m.mul(*carrier.elements[p]))
-                                            for p in projections}) == len(projections)
-        result.unary_preserved = all(
-            m.mul(*carrier.elements[cplus[i]]) == ambient_plus[psi[i]]
-            for i in cset)
+        result.projection_separating = len({value(p) for p in projections}) \
+            == len(projections)
+        result.unary_preserved = all(value(cplus[i]) == ambient_plus[psi[i]]
+                                     for i in cset)
     return result
 
 
@@ -1195,14 +1215,10 @@ def _left_restriction_laws(table: CayleyTable, carrier: Iterable[int],
     - xy+ = (xy)+x over P x P.
 
     A product outside P has no x+, so it fails the identity that reads it.
-    Products are read from the table's rows.
+    Products are read from the table's `rows()`.
     """
     els = sorted(carrier)
-    if table.size <= FULL_TABLE_CAP:
-        rows = table.full_table()
-    else:
-        rows = {x: [table.mul(x, y) for y in range(table.size)]
-                for x in set(els) | set(plus_of.values())}
+    rows = table.rows()
     plus = plus_of.get
     if any(rows[plus_of[x]][x] != x for x in els):
         return False
@@ -1257,7 +1273,7 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
     properness verdict is read from the action's report.
     """
     _require_laws(act, "embed_central")
-    m = ctx.m
+    rows, action = ctx.rows, act.table
     ident = ctx.identity
     failures: list = []
 
@@ -1268,7 +1284,7 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
         failures.append("U and S must be submonoids")
     p_set = rep.p_set
     p1 = sorted(p_set | {ident})
-    if not all(m.mul(p, u) == m.mul(u, p) for p in p1 for u in ctx.u_list()):
+    if not all(rows[p][u] == rows[u][p] for p in p1 for u in ctx.u_list()):
         failures.append("projections are not central in U")
 
     us = sorted(ctx.product_set())
@@ -1283,11 +1299,11 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
 
     class_of = {s: i for i, cls in enumerate(classes) for s in cls}
     reps = [cls[0] for cls in classes]
-    cls_mul = [[class_of[m.mul(a, b)] for b in reps] for a in reps]
+    cls_mul = [[class_of[rows[a][b]] for b in reps] for a in reps]
 
     def value(cls_idx, u) -> frozenset:
-        orbit = {act(t, u) for t in classes[cls_idx]}
-        return frozenset(m.mul(v, p) for v in orbit for p in p1)
+        orbit = {action[t, u] for t in classes[cls_idx]}
+        return frozenset(rows[v][p] for v in orbit for p in p1)
 
     f_of = {u: tuple(value(i, u) for i in range(len(classes)))
             for u in ctx.u_list()}
@@ -1312,9 +1328,9 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
             for b in us:
                 fb, cb = psi[b]
                 shifted = tuple(fb[cls_mul[i][ca]] for i in range(len(classes)))
-                star = tuple(frozenset(m.mul(x, y) for x in fa[i] for y in shifted[i])
+                star = tuple(frozenset(rows[x][y] for x in fa[i] for y in shifted[i])
                              for i in range(len(classes)))
-                if psi[m.mul(a, b)] != (star, cls_mul[ca][cb]):
+                if psi[rows[a][b]] != (star, cls_mul[ca][cb]):
                     homomorphic = False
                     break
             if not homomorphic:
@@ -1325,12 +1341,12 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
         # the semigroup the values generate under the set product, which is
         # their right orbit under themselves
         gens = list({v for f in f_of.values() for v in f})
-        pool = right_orbit(gens, lambda a: [frozenset(m.mul(x, y) for x in a for y in b)
+        pool = right_orbit(gens, lambda a: [frozenset(rows[x][y] for x in a for y in b)
                                             for b in gens])
         values_semilattice = all(
-            frozenset(m.mul(x, y) for x in a for y in a) == a for a in pool) and all(
-            frozenset(m.mul(x, y) for x in a for y in b) ==
-            frozenset(m.mul(y, x) for x in a for y in b)
+            frozenset(rows[x][y] for x in a for y in a) == a for a in pool) and all(
+            frozenset(rows[x][y] for x in a for y in b) ==
+            frozenset(rows[y][x] for x in a for y in b)
             for a in pool for b in pool)
 
     return EmbedResult(True, [], well_defined, injective, homomorphic,

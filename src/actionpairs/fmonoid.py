@@ -34,7 +34,8 @@ element's images under the generators from a successor function as
 `right_orbit` does.  `greedy_generators` prunes a candidate generator list
 to the members the earlier ones do not generate.  No closure materialises
 an m x m table: `mul` walks normal forms, and the callers that multiply by
-arbitrary elements at scale call `full_table()` themselves.
+arbitrary elements at scale call `rows()` themselves (the m x m table up to
+FULL_TABLE_CAP, rows built as they are read past it).
 """
 
 from __future__ import annotations
@@ -219,22 +220,35 @@ class CayleyTable:
         if self._full is None:
             if self.size > FULL_TABLE_CAP:
                 raise SizeBoundExceeded(f"table too big to materialize: {self.size}")
-            full = []
-            right = self.right
-            parent = self.parent
-            identity = self.identity
             order = self._parents_first()
-            for a in range(self.size):
-                row = [0] * self.size
-                for b in order:
-                    if b == identity:
-                        row[b] = a
-                    else:
-                        p, k = parent[b]
-                        row[b] = right[a][k] if p < 0 or p == identity else right[row[p]][k]
-                full.append(row)
-            self._full = full
+            self._full = [self._row(a, order) for a in range(self.size)]
         return self._full
+
+    def rows(self):
+        """The products as rows[a][b] = a * b.
+
+        Up to FULL_TABLE_CAP elements this is `full_table()`.  Past it, a
+        dict that builds row a the first time it is read: the caller holds
+        the dict and the table keeps nothing, so only the rows read are
+        built."""
+        if self.size <= FULL_TABLE_CAP:
+            return self.full_table()
+        return _RowsOnDemand(self)
+
+    def _row(self, a: int, order: Sequence) -> list:
+        """a * b for every b, by the parent recurrence: nf[b] = nf[p] + (k,)
+        gives a * b = (a * p) * gens[k], read from the right table, with the
+        parents first in `order`."""
+        row = [0] * self.size
+        right, parent, identity = self.right, self.parent, self.identity
+        right_a = right[a]
+        for b in order:
+            if b == identity:
+                row[b] = a
+            else:
+                p, k = parent[b]
+                row[b] = right_a[k] if p < 0 or p == identity else right[row[p]][k]
+        return row
 
     def left_by_gen(self):
         """left[e][k] = gens[k] * e, built by the same parent recurrence."""
@@ -317,6 +331,20 @@ class CayleyTable:
         if not associativity_audit(t):
             raise ValueError("table is not associative")
         return t
+
+
+class _RowsOnDemand(dict):
+    """`CayleyTable.rows()` past FULL_TABLE_CAP: row a is built on its first
+    read (`CayleyTable._row`) and kept in this dict."""
+
+    def __init__(self, table: CayleyTable):
+        super().__init__()
+        self.table = table
+        self.order = table._parents_first()
+
+    def __missing__(self, a):
+        row = self[a] = self.table._row(a, self.order)
+        return row
 
 
 def _detect_identity(t: CayleyTable) -> Optional[int]:

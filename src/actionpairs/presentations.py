@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
-                         _element_data_failures, _fibre_partition, _pairs_for,
-                         _partition_by, semidirect)
+                         _element_data_failures, _pairs_for, _partition_by,
+                         semidirect)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
                       congruence_closure, evaluate, right_orbit, subtable,
                       table_from_elements, table_presentation,
@@ -755,7 +755,7 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
         rels += [relation(*els[i], *els[j]) for i, j in omega_pairs]
     else:
         ulist = [u for u in ctx.u_list() if monoid or u != ident]
-        theta = {u: _fibre_partition(m, u, members) for u in ctx.u1()}
+        theta = {u: _partition_by(members, ctx.rows[u].__getitem__) for u in ctx.u1()}
         pool = ulist if reduction is None else v_subset
         if omega_u is None:
             omega_u = {u: _pairs_for(theta[u]) for u in pool}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import actionpair as ap
-from actionpairs import ptrans, registry, wreath
+from actionpairs import fmonoid, ptrans, registry, wreath
 from actionpairs.actionpair import (ActionTable, AmbientContext,
                                     NotSubsemigroup, check_pair_from_plus,
                                     check_special_congruence, check_weak_pair,
@@ -860,3 +860,64 @@ def test_embed_sees_factorisations_that_break_psi(monkeypatch, edit):
         assert emb.well_defined and emb.injective and emb.homomorphic is False
     else:
         assert emb.well_defined is False and emb.homomorphic is False
+
+
+# --- products read from the ambient's rows ------------------------------------------------
+
+def _every_stage(base, n, u_kind, s_kind):
+    """A catalogue pair through every stage: the context, the cover, and the
+    results with each table reduced to its fields, so that runs compare."""
+    ctx = catalogue_pair(base, n, u_kind, s_kind)
+    rule = next(spec["rule"] for spec in registry.catalogue_specs(n)
+                if (spec["u"], spec["s"]) == (u_kind, s_kind))
+    rep, act = check_pair_from_plus(ctx)
+    classify_proper(ctx, act, rep)
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    kw = registry.omega_inputs(ctx, act, rule, u_kind, s_kind, n)
+    cov = proper_cover(ctx, act, ambient_plus=ambient_plus_map(ctx.m))
+
+    def fields(t):
+        return t.size, t.gens, t.right, t.nf, t.parent, t.identity, t.elements
+
+    return ctx, cov, (
+        rep, ctx.product_set(), fields(sd.table), dataclasses.replace(sd, table=None),
+        th, quotient_matches_product(ctx, sd, th),
+        omega_check(ctx, act, sd, th, rule, **kw),
+        check_special_congruence(ctx, act, sd, th.theta),
+        fields(cov.cover_table), dataclasses.replace(cov, cover_table=None),
+        embed_central(ctx, act))
+
+
+@pytest.mark.parametrize("base", ["c1", "c2"])
+@pytest.mark.parametrize("u_kind,s_kind", [("Mn", "T"), ("M0n", "SingT")])
+def test_every_stage_gives_the_same_results_past_the_table_cap(base, u_kind, s_kind,
+                                                               monkeypatch):
+    # (Mn,T) has units and (M0n,SingT) none; with the cap at 0 the ambient
+    # and the cover's carrier give rows built as they are read
+    ctx, cov, want = _every_stage(base, 2, u_kind, s_kind)
+    assert ctx.rows is ctx.m._full and cov.cover_table._full is not None
+    monkeypatch.setattr(fmonoid, "FULL_TABLE_CAP", 0)
+    ctx, cov, got = _every_stage(base, 2, u_kind, s_kind)
+    assert type(ctx.rows) is not list and cov.cover_table._full is None
+    assert got == want
+    assert want[-1].hypotheses_ok is (u_kind == "Mn")
+
+
+def test_pair_stages_read_products_from_rows_not_mul(monkeypatch):
+    # every product the stages form is a read of rows[a][b], on the ambient,
+    # on the cover's carrier and on every table the stages build
+    tables = []
+    mul = fmonoid.CayleyTable.mul
+
+    def counted(self, a, b):
+        tables.append(self)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(fmonoid.CayleyTable, "mul", counted)
+    for u_kind, s_kind in [("Mn", "T"), ("M0n", "SingT")]:
+        _every_stage("c2", 2, u_kind, s_kind)
+    assert len(tables) == 0
+    # the count sees a call
+    ambient_wreath("c2", 2).mul(1, 2)
+    assert len(tables) == 1

@@ -2,11 +2,12 @@
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actionpairs import ptrans, rewriting
+from actionpairs import fmonoid, ptrans, rewriting
 from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition,
                                  NotACongruence, Presentation, SizeBoundExceeded,
                                  associativity_audit, closure_from_generators,
@@ -407,6 +408,40 @@ def test_closures_leave_the_full_table_to_their_callers():
     assert big.size == 6561 and big._full is None
 
 
+def test_rows_past_the_cap_build_only_the_rows_read():
+    from actionpairs.registry import ambient_wreath
+    big = ambient_wreath("c2", 4)
+    rows = big.rows()
+    assert len(rows) == 0
+    for a, b in [(5, 17), (6000, 5), (5, 6560), (4321, 0)]:
+        assert rows[a][b] == big.mul(a, b)
+        assert big.elements[rows[a][b]] == big.elements[a] * big.elements[b]
+    assert sorted(rows) == [5, 4321, 6000] and rows[5] is rows[5]
+    # the caller holds the rows: the table keeps neither them nor a full table
+    assert big._full is None and big.rows() is not rows and len(big.rows()) == 0
+    with pytest.raises(SizeBoundExceeded):
+        big.full_table()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([("PT", 2), ("T", 3), ("I", 3), ("SingT", 3)]),
+       st.booleans(), st.data())
+def test_rows_agree_with_mul_below_and_past_the_cap(kind, past_cap, data):
+    # `walk` never builds a full table, so its `mul` walks normal forms; the
+    # rows of `t` come from the full table, or with the cap at 0 from rows
+    # built on demand (SingT has no identity: every parent chain starts at -1)
+    walk, t = ptrans_table(*kind), ptrans_table(*kind)
+    with mock.patch.object(fmonoid, "FULL_TABLE_CAP", 0 if past_cap else t.size):
+        rows = t.rows()
+    assert (t._full is None) is past_cap
+    ids = st.integers(0, t.size - 1)
+    for _ in range(25):
+        a, b = data.draw(ids), data.draw(ids)
+        assert rows[a][b] == walk.mul(a, b)
+        assert t.elements[rows[a][b]] == ptrans.compose(t.elements[a], t.elements[b])
+    assert walk._full is None
+
+
 # --- quotients --------------------------------------------------------------------
 
 def test_quotient_discrete_and_universal():
@@ -539,6 +574,19 @@ def test_cayley_json_is_validated():
     ]
     for change in bad:
         with pytest.raises(ValueError):
+            CayleyTable.from_json(json.dumps({**good, **change}))
+
+
+def test_ids_one_past_the_end_are_refused():
+    # a letter equal to the alphabet size, and a table entry or generator id
+    # equal to the table size, each name nothing
+    with pytest.raises(ValueError, match="escapes the alphabet"):
+        Presentation.make(["a", "b"], [((0, 2), (1,))])
+    good = {"size": 3, "gens": [0, 1, 2], "nf": [[0], [1], [2]],
+            "table": [[max(a, b) for b in range(3)] for a in range(3)]}
+    for change, reason in [({"table": [[0, 1, 2], [1, 1, 2], [2, 2, 3]]}, "table entries"),
+                           ({"gens": [0, 1, 3], "nf": [[0], [1], [0, 1]]}, "generator ids")]:
+        with pytest.raises(ValueError, match=reason):
             CayleyTable.from_json(json.dumps({**good, **change}))
 
 

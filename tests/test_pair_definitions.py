@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import actionpair as ap
-from actionpairs import ptrans, registry
+from actionpairs import fmonoid, ptrans, registry
 from actionpairs.actionpair import (ActionTable, AmbientContext,
                                     HypothesisFailed, check_pair_from_plus,
                                     check_special_congruence, check_weak_pair,
@@ -270,7 +270,8 @@ def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, hold
     # value x+ moved to another projection p with px = x (so that only the
     # last two identities can fail), to another carrier element, or off the
     # product set; each scan reads the carrier's full table and, with the
-    # cap at 0, the rows it builds itself past FULL_TABLE_CAP
+    # cap at 0, the rows `CayleyTable.rows()` builds on demand past
+    # FULL_TABLE_CAP
     ctx = registry.catalogue_pair(base, 2, u_kind, s_kind)
     _, act = check_pair_from_plus(ctx)
     cov = proper_cover(ctx, act)
@@ -281,7 +282,7 @@ def test_left_restriction_laws_match_the_literal_scan(base, u_kind, s_kind, hold
     def both_paths(plus):
         full = ap._left_restriction_laws(carrier, cset, plus)
         with monkeypatch.context() as capped:
-            capped.setattr(ap, "FULL_TABLE_CAP", 0)
+            capped.setattr(fmonoid, "FULL_TABLE_CAP", 0)
             return full, ap._left_restriction_laws(carrier, cset, plus)
 
     assert both_paths(plus_of) == (holds, holds)
