@@ -235,6 +235,20 @@ class CayleyTable:
             return self.full_table()
         return _RowsOnDemand(self)
 
+    def column(self, g: int) -> list:
+        """x * g for every element x, as a list indexed by x.
+
+        Read from the m x m table when it is built; otherwise the right
+        table's columns composed along nf[g], one pass per letter.  Never
+        builds an m x m table."""
+        if self._full is not None:
+            return [row[g] for row in self._full]
+        right = self.right
+        col = list(range(self.size))
+        for k in self.nf[g]:
+            col = [right[x][k] for x in col]
+        return col
+
     def _row(self, a: int, order: Sequence) -> list:
         """a * b for every b, by the parent recurrence: nf[b] = nf[p] + (k,)
         gives a * b = (a * p) * gens[k], read from the right table, with the
@@ -929,7 +943,10 @@ def verify_presentation(p: Presentation, m: CayleyTable,
 
     relations_hold + surjective + size_match together certify the
     presentation by a finite cardinality argument; on success the presented
-    table is also matched to `m` letter by letter (`iso_by_generators`).
+    table is also matched to `m` letter by letter (`iso_by_generators`,
+    which seeds the identity pair itself).  Only the relation check forms
+    products by `mul`: the surjectivity orbit reads one column of `m` per
+    letter (`CayleyTable.column`), and so does the match.
     The enumeration gets `node_budget(bound, node_cap)` nodes; the report
     records that budget and the nodes created.
 
@@ -990,8 +1007,8 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     seeds = list(gen_map)
     if p.kind == "monoid":
         seeds.append(m.identity)
-    reached = right_orbit(seeds, lambda a: [mul(a, b) for b in gen_map])
-    rep.surjective = len(reached) == m.size
+    succ = list(zip(*[m.column(g) for g in gen_map])) or [()] * m.size
+    rep.surjective = len(right_orbit(seeds, succ.__getitem__)) == m.size
 
     bound = 4 * m.size + 16
     rep.node_budget = node_budget(bound, node_cap)
@@ -1019,10 +1036,7 @@ def verify_presentation(p: Presentation, m: CayleyTable,
     rep.size_match = t.size == m.size
 
     if rep.ok:
-        pairs = list(zip(t.gens, gen_map))
-        if t.identity is not None and m.identity is not None:
-            pairs.append((t.identity, m.identity))
-        rep.isomorphic = iso_by_generators(t, m, pairs) is not None
+        rep.isomorphic = iso_by_generators(t, m, zip(t.gens, gen_map)) is not None
     return rep
 
 
@@ -1051,7 +1065,8 @@ def iso_by_generators(t1: CayleyTable, t2: CayleyTable,
     `right_orbit` trail from the seeds, and f(x g1_k) = f(x) g2_k fixes its
     image; a seed given two images fails at once.  The map must then be a
     bijection that respects every generator column, which makes it a
-    homomorphism on the generated sets.
+    homomorphism on the generated sets.  Each pair's columns are read once
+    on each side (`CayleyTable.column`), so no product is a `mul` call.
     """
     pairs = list(pairs)
     if t1.size != t2.size:
@@ -1063,19 +1078,20 @@ def iso_by_generators(t1: CayleyTable, t2: CayleyTable,
     for a, b in seeds:
         if fmap.setdefault(a, b) != b:
             return None
-    gens1 = [g1 for g1, _ in pairs]
-    found = right_orbit(list(fmap), lambda x: [t1.mul(x, g) for g in gens1])
-    for y, (_, par) in found.items():
+    cols1 = [t1.column(g1) for g1, _ in pairs]
+    cols2 = [t2.column(g2) for _, g2 in pairs]
+    succ = list(zip(*cols1)) or [()] * t1.size
+    for y, (_, par) in right_orbit(list(fmap), succ.__getitem__).items():
         if par is not None:
             x, k = par
-            fmap[y] = t2.mul(fmap[x], pairs[k][1])
+            fmap[y] = cols2[k][fmap[x]]
     if len(fmap) != t1.size or len(set(fmap.values())) != t1.size:
         return None
-    # full homomorphism audit on the matched bijection
-    for a in range(t1.size):
-        for (g1, g2) in pairs:
-            if fmap[t1.mul(a, g1)] != t2.mul(fmap[a], g2):
-                return None
+    # full homomorphism audit on the matched bijection, column by column
+    f = [fmap[x] for x in range(t1.size)]
+    for c1, c2 in zip(cols1, cols2):
+        if [f[y] for y in c1] != [c2[x] for x in f]:
+            return None
     return fmap
 
 

@@ -234,6 +234,17 @@ def test_verify_presentation_pass():
     gm = [idx[ptrans.tau(1, 2, 3)], idx[ptrans.tau(2, 3, 3)]]
     rep = verify_presentation(_symmetric3(), g3, gm)
     assert rep.ok and rep.isomorphic and rep.presented_size == 6
+    assert rep.to_dict()["failed_relation"] is None
+
+
+def test_the_report_dict_lists_the_failed_relation():
+    # s1 s1 = s1 fails at a transposition: the report names it as two lists
+    g3 = ptrans_table("G", 3)
+    idx = {w: i for i, w in enumerate(g3.elements)}
+    p = Presentation.make(["s1"], [((0, 0), (0,))], "monoid")
+    rep = verify_presentation(p, g3, [idx[ptrans.tau(1, 2, 3)]])
+    assert not rep.relations_hold and rep.failed_relation == ((0, 0), (0,))
+    assert rep.to_dict()["failed_relation"] == [[0, 0], [0]]
 
 
 def test_verify_presentation_size_mismatch():
@@ -395,6 +406,159 @@ def test_iso_by_generators_rejects():
                                     (eps12, eps12), (tau23, tau23)]) is None
     # first components that generate only the symmetric group
     assert iso_by_generators(t, t, [(tau12, tau12), (tau23, tau23)]) is None
+
+
+def _iso_by_mul(t1, t2, pairs, audit=True):
+    # the plain definition: every product a `mul` call; without the audit,
+    # the map the orbit fixes when it is a bijection
+    pairs = list(pairs)
+    if t1.size != t2.size:
+        return None
+    seeds = pairs[:]
+    if t1.identity is not None and t2.identity is not None:
+        seeds.append((t1.identity, t2.identity))
+    fmap = {}
+    for a, b in seeds:
+        if fmap.setdefault(a, b) != b:
+            return None
+    gens1 = [g1 for g1, _ in pairs]
+    found = fmonoid.right_orbit(list(fmap), lambda x: [t1.mul(x, g) for g in gens1])
+    for y, (_, par) in found.items():
+        if par is not None:
+            x, k = par
+            fmap[y] = t2.mul(fmap[x], pairs[k][1])
+    if len(fmap) != t1.size or len(set(fmap.values())) != t1.size:
+        return None
+    for a in range(t1.size if audit else 0):
+        for (g1, g2) in pairs:
+            if fmap[t1.mul(a, g1)] != t2.mul(fmap[a], g2):
+                return None
+    return fmap
+
+
+def _iso_cases():
+    # (t1, t2) by name: T3 closed from (tau12, eps12, tau23) against T3
+    # numbered from its standard generators, PT2, a 7-element quotient of T3
+    # and the one-element quotient
+    t3 = ptrans_table("T", 3)
+    q7 = quotient(t3, congruence_closure(t3, [(25, 26)], "two_sided"))
+    q1 = quotient(t3, congruence_closure(t3, [(7, 8)], "two_sided"))
+    assert (q7.size, q1.size) == (7, 1)
+    pt2 = ptrans_table("PT", 2)
+    return {"T3": (_t3_by_three_maps(), t3), "PT2": (pt2, pt2),
+            "q7": (q7, q7), "q1": (q1, q1)}
+
+
+# T3 ids: tau12, eps12, tau23 and the identity are 0, 1, 2, 3 in the closure
+# and 1, 3, 2, 0 in the standard numbering
+T3_ISO = [(0, 1), (1, 3), (2, 2)]
+
+
+@pytest.mark.parametrize("name,pairs,outcome", [
+    ("T3", T3_ISO, "iso"),
+    ("T3", [(0, 1), (0, 2)] + T3_ISO[1:], "conflict"),
+    ("T3", T3_ISO + [(3, 1)], "conflict"),              # with the identity seed
+    ("T3", [(0, 1), (1, 1), (2, 2)], "not injective"),  # into S3
+    ("T3", [(0, 0), (1, 0), (2, 0)], "not injective"),  # onto {1}, a homomorphism
+    ("T3", [], "not onto"),                             # the empty pairing
+    ("T3", T3_ISO[::2], "not onto"),
+    ("PT2", list(zip(range(1, 6), [4, 7, 2, 8, 1])), "not injective"),
+    ("PT2", list(zip(range(1, 6), [3, 7, 5, 6, 1])), "no homomorphism"),
+    ("PT2", list(zip(range(1, 6), [1, 3, 2, 5, 4])), "iso"),
+    ("q7", [(1, 1), (2, 2), (3, 3)], "iso"),
+    ("q7", [(1, 2), (2, 1), (3, 3)], "iso"),
+    ("q7", [(1, 1), (2, 4), (3, 3)], "no homomorphism"),
+    ("q1", [], "iso"),
+])
+def test_iso_by_generators_matches_the_mul_definition(name, pairs, outcome):
+    t1, t2 = _iso_cases()[name]
+    got, want = iso_by_generators(t1, t2, pairs), _iso_by_mul(t1, t2, pairs)
+    assert got == want and (got is None or list(got.items()) == list(want.items()))
+    assert (got is not None) is (outcome == "iso")
+    # a bijection the orbit fixes is refused by the audit alone
+    assert (_iso_by_mul(t1, t2, pairs, audit=False) is not None) is (
+        outcome in ("iso", "no homomorphism"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["T3", "PT2", "q7", "q1"]), st.data())
+def test_iso_by_generators_matches_the_mul_definition_on_seeded_pairings(name, data):
+    t1, t2 = _iso_cases()[name]
+    ids1, ids2 = st.integers(0, t1.size - 1), st.integers(0, t2.size - 1)
+    if data.draw(st.booleans()):
+        # the generators with their images permuted: mostly bijections
+        imgs = data.draw(st.permutations(t2.gens))
+        pairs = list(zip(t1.gens, imgs))
+    else:
+        pairs = data.draw(st.lists(st.tuples(ids1, ids2), max_size=5))
+    got, want = iso_by_generators(t1, t2, pairs), _iso_by_mul(t1, t2, pairs)
+    assert got == want and (got is None or list(got.items()) == list(want.items()))
+
+
+def _column_table(source, data):
+    t3 = ptrans_table("T", 3)
+    if source == "closure":
+        picks = data.draw(st.lists(st.integers(0, 26), min_size=1, max_size=3))
+        return closure_from_generators([t3.elements[i] for i in picks], ptrans.compose)
+    if source == "from_json":
+        return CayleyTable.from_json(_column_table("closure", data).to_json())
+    if source == "presented":
+        fam = data.draw(st.sampled_from(["Tn", "Gn", "En"]))
+        b = build_catalog(fam, n=3)
+        return enumerate_presentation(b.pres, 4 * b.target.size + 16)
+    pair = data.draw(st.tuples(st.integers(0, 26), st.integers(0, 26)))
+    return quotient(t3, congruence_closure(t3, [pair], "two_sided"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["closure", "presented", "quotient", "from_json"]),
+       st.booleans(), st.data())
+def test_columns_agree_with_mul_with_and_without_the_full_table(source, past_cap, data):
+    # below the cap the column is read from the full table, past it composed
+    # along the normal form
+    t = _column_table(source, data)
+    if past_cap:
+        t._full = None          # `from_json` builds it to validate the table
+    with mock.patch.object(fmonoid, "FULL_TABLE_CAP", 0 if past_cap else t.size):
+        want = [[t.mul(x, g) for x in range(t.size)] for g in range(t.size)]
+        if not past_cap:
+            t.full_table()
+        assert [t.column(g) for g in range(t.size)] == want
+        assert (t._full is None) is past_cap
+    if t.elements is not None:
+        assert all(t.elements[c] == ptrans.compose(t.elements[x], t.elements[g])
+                   for g in range(t.size) for x, c in enumerate(t.column(g)))
+
+
+@pytest.mark.parametrize("drop", [None, 0, 28])
+def test_verification_calls_mul_only_for_the_relation_check(drop, monkeypatch):
+    # Tn(3) whole, with x1^2 = 1 dropped (29 elements) and with a braid
+    # relation dropped (certified infinite); the target has no full table
+    b = build_catalog("Tn", n=3)
+    rels = [r for i, r in enumerate(b.pres.relations) if i != drop]
+    p = Presentation.make(b.pres.alphabet, rels, b.pres.kind)
+    m = b.target
+    calls = []
+    mul = CayleyTable.mul
+
+    def counted(self, a, c):
+        calls.append(self)
+        return mul(self, a, c)
+
+    monkeypatch.setattr(CayleyTable, "mul", counted)
+    relation_check = sum(len(w) - 1 for u, v in rels for w in (u, v) if w)
+    rep = verify_presentation(p, m, b.gen_map)
+    assert rep.relations_hold and rep.surjective and rep.ok is (drop is None)
+    assert rep.isomorphic is (True if drop is None else None)
+    assert len(calls) == relation_check and set(calls) == {m}
+    assert m._full is None
+    calls.clear()
+    t = enumerate_presentation(b.pres, 4 * m.size + 16)
+    assert iso_by_generators(t, m, zip(t.gens, b.gen_map)) is not None
+    assert calls == []
+    # the count sees a call
+    m.mul(1, 2)
+    assert len(calls) == 1
 
 
 def test_closures_leave_the_full_table_to_their_callers():
