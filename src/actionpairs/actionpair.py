@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
                       congruence_closure, greedy_generators, is_compatible,
-                      quotient, right_orbit)
+                      right_orbit)
 
 
 class NotSubsemigroup(Exception):
@@ -708,12 +708,20 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
 
 @dataclass
 class ThetaResult:
+    """theta = ker pi for pi(u, s) = us on the semidirect product, with its
+    relatives.  `certified` is None until `quotient_matches_product`
+    certifies theta as the kernel of the morphism pi onto US; it then holds
+    the certified partition's `canonical()` tuple.
+    `check_special_congruence` trusts theta without a compatibility scan
+    only while its `canonical()` still equals that tuple."""
+
     theta: CongruencePartition           # on sd.table
     theta_u: dict                        # u in U1 -> partition of S
     stab: dict                           # u in U1 -> frozenset of s with us = u
     product_values: list                 # pi(u, s) per sd table id
     factorization_laws_ok: bool
     description_ok: bool                 # theta via projections + theta_{us+}
+    certified: Optional[tuple] = None
 
 
 def _partition_by(members, key) -> CongruencePartition:
@@ -782,20 +790,35 @@ def theta_and_friends(ctx: AmbientContext, act: ActionTable,
 
 def quotient_matches_product(ctx: AmbientContext, sd: SemidirectResult,
                              th: ThetaResult) -> bool:
-    """quotient(U x S, theta) is isomorphic to the product set US via us."""
-    q = quotient(sd.table, th.theta)
-    classes = th.theta.classes()
-    to_value = {i: th.product_values[c[0]] for i, c in enumerate(classes)}
-    if len(set(to_value.values())) != q.size:
-        return False
-    if set(to_value.values()) != set(ctx.product_set()):
-        return False
-    rows = ctx.rows
-    for a in range(q.size):
-        for k, g in enumerate(q.gens):
-            if to_value[q.right[a][k]] != rows[to_value[a]][to_value[g]]:
-                return False
-    return True
+    """quotient(U x S, theta) is isomorphic to the product set US via us,
+    certified without building the quotient.
+
+    Let pi(x) = th.product_values[x].  pi is a morphism iff
+    pi(xg) = pi(x) pi(g) for every x and generator g, and pi(xe) = pi(x)
+    at the table's identity e, which need not be a product of generators:
+    for y = y'g, pi(xy'g) = pi(xy') pi(g) = pi(x) pi(y') pi(g) = pi(x) pi(y).
+    That is one read of the right table.  Then the fibres of pi are a
+    congruence, and U x S over them is isomorphic to the image of pi (the
+    first isomorphism theorem).  So the answer is True iff theta has
+    exactly the fibres of pi, pi is a morphism, and its image is US.  A
+    relation that is not a congruence gives False.
+
+    The scan reads the `th` it is given.  On success the certified
+    partition's `canonical()` tuple is recorded as `th.certified`, which
+    lets `check_special_congruence` skip its compatibility scan of theta.
+    """
+    values, rows, table = th.product_values, ctx.rows, sd.table
+    first: dict = {}
+    fibres = tuple([first.setdefault(v, x) for x, v in enumerate(values)])
+    gen_values = [values[g] for g in table.gens]
+    e = table.identity
+    ok = th.theta.canonical() == fibres and first.keys() == ctx.product_set() \
+        and (e is None or all(rows[v][values[e]] == v for v in first)) \
+        and all([values[y] for y in row] == [r[v] for v in gen_values]
+                for row, r in zip(table.right, (rows[v] for v in values)))
+    if ok:
+        th.certified = fibres
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -1000,6 +1023,12 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     tuple identity is read off sigma when U is a monoid and taken to be
     trivial otherwise.
 
+    sigma is scanned for two-sided compatibility (`is_compatible`) unless
+    it is the certified theta of this action's stored semidirect product:
+    sd is act.sd and sigma.canonical() equals act.th.certified, recorded by
+    `quotient_matches_product`.  A theta changed after certification, any
+    other relation, and a call before the certificate are all scanned.
+
     Write s ~u t when (u, s) sigma (u, t).  Axioms 5-8 quantify over the
     certified generators (`AmbientContext.gens`) where an induction on word
     length shows generators suffice:
@@ -1025,7 +1054,8 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     slist = ctx.s_list()
     fails: list = []
 
-    cong_ok = is_compatible(sd.table, sigma)
+    certified = act.th.certified if act.th is not None and sd is act.sd else None
+    cong_ok = sigma.canonical() == certified or is_compatible(sd.table, sigma)
     if not cong_ok:
         fails.append("input relation is not a two-sided congruence")
 

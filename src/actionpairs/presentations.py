@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from . import freelrm, ptrans, wreath
 from .actionpair import (ActionTable, AmbientContext, HypothesisFailed,
                          _element_data_failures, _pairs_for, _partition_by,
-                         semidirect)
+                         semidirect, theta_and_friends)
 from .fmonoid import (CayleyTable, Presentation, VerificationReport, Word,
                       congruence_closure, evaluate, right_orbit, subtable,
                       table_from_elements, table_presentation,
@@ -701,7 +701,7 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     if kind not in _PAIR_KIND_TABLE:
         raise KeyError(f"unknown kind {kind!r}")
     monoid, verdict, trivial, reduction = _PAIR_KIND_TABLE[kind]
-    m = ctx.m
+    m, rows = ctx.m, ctx.rows
     ident = ctx.identity
     _require(ctx, act, "U")
     if monoid:
@@ -709,12 +709,12 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
     _check(getattr(act.pair_report(), verdict), "pair axioms fail")
     if not monoid:
         u_min = ctx.u_set - {ident}
-        _check(all(m.mul(a, b) in u_min for a in u_min for b in u_min),
+        _check(all(rows[a][b] in u_min for a in u_min for b in u_min),
                "U minus the identity must be a subsemigroup")
         _check(u_min <= ctx.product_set(), "U minus the identity must lie in US")
         u1set = set(ctx.u1())
-        _check(all(m.mul(u, act.splus(s)) == m.mul(u, s) for u in u1set
-                   for s in ctx.s_list() if m.mul(u, s) in u1set),
+        _check(all(rows[u][act.plus[s]] == rows[u][s] for u in u1set
+                   for s in ctx.s_list() if rows[u][s] in u1set),
                "the pair does not extend over S^1")
     # theta_u partitions S, or S1 for semigroups
     members = ctx.s_list() if monoid else ctx.s1()
@@ -747,15 +747,16 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
                "congruence data lies outside the local monoid")
         tbl, old2new = subtable(sd.table, sd.mm)
         els = sd.table.elements
+        values = theta_and_friends(ctx, act, sd).product_values
         _check(congruence_closure(tbl, [(old2new[i], old2new[j])
                                         for i, j in omega_pairs], "two_sided")
-               == _partition_by(tbl.size, lambda k: m.mul(*els[tbl.elements[k]])),
+               == _partition_by(tbl.size, lambda k: values[tbl.elements[k]]),
                "the supplied pairs do not generate " +
                ("theta" if trivial else "the local kernel"))
         rels += [relation(*els[i], *els[j]) for i, j in omega_pairs]
     else:
         ulist = [u for u in ctx.u_list() if monoid or u != ident]
-        theta = {u: _partition_by(members, ctx.rows[u].__getitem__) for u in ctx.u1()}
+        theta = {u: _partition_by(members, rows[u].__getitem__) for u in ctx.u1()}
         pool = ulist if reduction is None else v_subset
         if omega_u is None:
             omega_u = {u: _pairs_for(theta[u]) for u in pool}
@@ -783,7 +784,6 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
     submonoid, `pres_u` presents a semigroup (no relation has an empty
     side, checked before any closure), and its letters generate U as a
     semigroup."""
-    m = ctx.m
     ident = ctx.identity
     _require(ctx, act, "S")
     _check(all(u and v for u, v in pres_u.pres.relations),
@@ -791,7 +791,7 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
     slist = ctx.s_list()
     spos = {s: i for i, s in enumerate(slist)}
     nletters = len(pres_u.pres.alphabet)
-    nf_u = pres_u.normal_forms(m)
+    nf_u = pres_u.normal_forms(ctx.m)
     _check(ctx.u_set <= nf_u.keys(), "the U-letters must generate U as a semigroup")
     nf_u.setdefault(ident, ())
 
@@ -811,10 +811,9 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
         for y in range(nletters):
             for s in slist:
                 for t in slist:
-                    acted = act(s, pres_u.images[y])
-                    word = (x,) + nf_u[acted]
+                    word = (x,) + nf_u[act(s, pres_u.images[y])]
                     rels.append(((yid(x, s), yid(y, t)),
-                                 subscript(word, m.mul(s, t))))
+                                 subscript(word, ctx.rows[s][t])))
     names = [f"{a}@{si}" for si in range(len(slist))
              for a in pres_u.pres.alphabet]
     pres = Presentation.make(names, rels, "semigroup")

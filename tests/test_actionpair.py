@@ -761,6 +761,135 @@ def test_quotient_with_two_product_values_swapped_does_not_match():
     assert not quotient_matches_product(ctx, sd, dataclasses.replace(th, product_values=values))
 
 
+# --- theta certified once, as the kernel of the product morphism -------------------------
+
+def _quotient_matches_by_quotient(ctx, sd, th):
+    """The plain route: theta must have the fibres of the product values as
+    its classes; then build quotient(U x S, theta) and compare it class by
+    generator with the product set US.  A relation that is not a congruence
+    does not match."""
+    fibres: dict = {}
+    for x, v in enumerate(th.product_values):
+        fibres.setdefault(v, set()).add(x)
+    if {frozenset(c) for c in th.theta.classes()} != set(map(frozenset, fibres.values())):
+        return False
+    try:
+        q = fmonoid.quotient(sd.table, th.theta)
+    except fmonoid.NotACongruence:
+        return False
+    to_value = [th.product_values[c[0]] for c in th.theta.classes()]
+    if len(set(to_value)) != q.size or set(to_value) != ctx.product_set():
+        return False
+    return all(to_value[q.right[a][k]] == ctx.rows[to_value[a]][to_value[g]]
+               for a in range(q.size) for k, g in enumerate(q.gens))
+
+
+def _fresh_theta(pair):
+    ctx = catalogue_pair(*pair)
+    rep, act = check_pair_from_plus(ctx)
+    sd = semidirect(ctx, act)
+    return ctx, act, sd, theta_and_friends(ctx, act, sd)
+
+
+def _merged(part, a, b):
+    out = CongruencePartition(len(part.members))
+    for x, first in enumerate(part.canonical()):
+        out.union(first, x)
+    out.union(a, b)
+    return out
+
+
+def test_certificate_matches_the_quotient_route_and_the_scan_over_the_catalogue(monkeypatch):
+    # per pair: special scans theta on a fresh action, the certificate
+    # agrees with the quotient route, then special trusts theta and gives
+    # the same report without a scan
+    scans = []
+    compatible = ap.is_compatible
+    monkeypatch.setattr(ap, "is_compatible",
+                        lambda t, p: scans.append(p) or compatible(t, p))
+    for pair in DIFFERENTIAL_PAIRS:
+        ctx, act, sd, th = _fresh_theta(pair)
+        scanned = check_special_congruence(ctx, act, sd, th.theta)
+        assert len(scans) == 1 and th.certified is None, pair
+        assert _quotient_matches_by_quotient(ctx, sd, th), pair
+        assert quotient_matches_product(ctx, sd, th), pair
+        assert th.certified == th.theta.canonical(), pair
+        assert check_special_congruence(ctx, act, sd, th.theta) == scanned, pair
+        assert len(scans) == 1, pair
+        scans.clear()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DIFFERENTIAL_PAIRS),
+       st.sampled_from(["merge", "swap", "diagonal", "universal"]), st.data())
+def test_certificate_agrees_with_the_quotient_route_on_altered_theta(pair, edit, data):
+    ctx, act, sd, th = _fresh_theta(pair)
+    n = sd.table.size
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(0, n - 1))
+    if edit == "merge":
+        th = dataclasses.replace(th, theta=_merged(th.theta, a, b))
+    elif edit == "swap":
+        values = list(th.product_values)
+        values[a], values[b] = values[b], values[a]
+        th = dataclasses.replace(th, product_values=values)
+    else:
+        part = CongruencePartition(n)
+        for x in range(1, n if edit == "universal" else 1):
+            part.union(0, x)
+        th = dataclasses.replace(th, theta=part)
+    assert quotient_matches_product(ctx, sd, th) == \
+        _quotient_matches_by_quotient(ctx, sd, th)
+    assert th.certified in (None, th.theta.canonical())
+
+
+def test_a_pair_is_certified_without_a_compatibility_scan_or_a_quotient(monkeypatch):
+    # one pair's whole pipeline makes no compatibility scan and builds no
+    # quotient; a copy of the stored product, a theta united after
+    # certification and the universal relation are each scanned
+    calls = []
+    for mod, name in ((ap, "is_compatible"), (fmonoid, "is_compatible"),
+                      (fmonoid, "quotient")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    assert not hasattr(ap, "quotient")
+    ctx, rep, act = classified("c1", 2, "M0n", "PT")
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    assert quotient_matches_product(ctx, sd, th)
+    kw = registry.omega_inputs(ctx, act, "submonoids", "M0n", "PT", 2)
+    assert omega_check(ctx, act, sd, th, "submonoids", **kw).matches_theta
+    assert check_special_congruence(ctx, act, sd, th.theta).special
+    proper_cover(ctx, act, ambient_plus=ambient_plus_map(ctx.m))
+    embed_central(ctx, act)
+    assert calls == []
+
+    # the certificate is for the action's stored product, not a copy of it
+    assert check_special_congruence(ctx, act, dataclasses.replace(sd), th.theta).special
+    assert calls == ["is_compatible"]
+    a, b = (c[0] for c in th.theta.classes()[:2])
+    th.theta.union(a, b)
+    assert not check_special_congruence(ctx, act, sd, th.theta).congruence_ok
+    assert calls == ["is_compatible"] * 2
+    universal = CongruencePartition(sd.table.size)
+    for x in range(1, sd.table.size):
+        universal.union(0, x)
+    assert check_special_congruence(ctx, act, sd, universal).congruence_ok
+    assert calls == ["is_compatible"] * 3
+
+
+def test_quotient_onto_another_product_set_does_not_match():
+    # theta is the kernel of a morphism onto the 9 products of (M0n,PT),
+    # which are not the 4 products of (Mn,T) in the same ambient
+    ctx, sd, th = _theta_of_m0n_pt()
+    other = catalogue_pair("c1", 2, "Mn", "T")
+    assert other.m is ctx.m and other.product_set() != ctx.product_set()
+    assert not quotient_matches_product(other, sd, th) and th.certified is None
+    assert quotient_matches_product(ctx, sd, th) and th.certified is not None
+
+
 class _FlippedSame(CongruencePartition):
     """A partition whose `same` answers the opposite of its classes."""
 

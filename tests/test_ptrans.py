@@ -76,8 +76,10 @@ def test_sing_t2_elements():
 
 def test_family_gens_generate():
     from conftest import brute_closure
+    # degrees 1 and 2 sit on either side of the n <= 1 shortcuts
     for kind, n in [("G", 3), ("T", 3), ("PT", 3), ("I", 3), ("E", 4),
-                    ("SingT", 3), ("SingPT", 3)]:
+                    ("SingT", 3), ("SingPT", 3), ("G", 1), ("G", 2),
+                    ("T", 1), ("T", 2), ("PT", 2), ("I", 2)]:
         gens = family_gens(kind, n)
         got = brute_closure(gens, compose)
         want = set(family(kind, n))

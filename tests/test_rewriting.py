@@ -173,6 +173,20 @@ def test_budget_is_a_count_of_rules():
     assert c == rewriting.complete([((1, 0, 1), (0, 1, 0))])
 
 
+def test_budget_admits_exactly_64_rules_and_left_sides_of_12_letters():
+    # k idempotent letters with no overlaps between them need exactly k rules
+    def idempotents(k):
+        return [((i, i), (i,)) for i in range(k)]
+    c = rewriting.complete(idempotents(64))
+    assert c.confluent and c.added == 64
+    c = rewriting.complete(idempotents(65))
+    assert not c.confluent and c.added == 64
+    # a^12 = b adds a^12 -> b itself; a^13 = b has no left side under the cap
+    assert rewriting.complete([((0,) * 12, (1,))]).confluent
+    c = rewriting.complete([((0,) * 13, (1,))])
+    assert not c.confluent and c.added == 0
+
+
 @pytest.fixture(scope="module")
 def catalogue_bundles():
     return {"Gn(5)": pr.build_catalog("Gn", n=5),
