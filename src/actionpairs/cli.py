@@ -82,8 +82,7 @@ def _emit(report: dict, fmt: str) -> None:
     walk(report)
 
 
-def cmd_verify_presentation(args) -> int:
-    t0 = time.time()
+def cmd_verify_presentation(args) -> tuple[dict, int]:
     cfg = _enumeration_config(args)
     report = {"schema": SCHEMA, "command": "verify-presentation",
               "config": cfg, "family": args.family}
@@ -109,18 +108,14 @@ def cmd_verify_presentation(args) -> int:
     if bundle.target is None:
         ok = presentations.lrm_model_check(bundle)
         report["model_check"] = ok
-        report["elapsed"] = round(time.time() - t0, 3)
-        _emit(report, args.format)
-        return EXIT_PASS if ok else EXIT_FAIL
+        return report, EXIT_PASS if ok else EXIT_FAIL
 
     ver = bundle.verify(node_cap=cfg["node_cap"])
     report["target_size"] = bundle.target.size
     report["verdicts"] = ver.to_dict()
-    report["elapsed"] = round(time.time() - t0, 3)
-    _emit(report, args.format)
     if ver.inconclusive:
-        return EXIT_BOUND
-    return EXIT_PASS if ver.ok else EXIT_FAIL
+        return report, EXIT_BOUND
+    return report, EXIT_PASS if ver.ok else EXIT_FAIL
 
 
 def _normalize_kind(spec: str, kinds, n: int) -> str:
@@ -155,8 +150,7 @@ def _resolve_pair(args):
     return registry.catalogue_pair(base, n, u_kind, s_kind), n, u_kind, s_kind
 
 
-def cmd_classify_pair(args) -> int:
-    t0 = time.time()
+def cmd_classify_pair(args) -> tuple[dict, int]:
     cfg = _config()
     report = {"schema": SCHEMA, "command": "classify-pair", "config": cfg,
               "ambient": args.ambient, "U": args.U, "S": args.S}
@@ -199,9 +193,7 @@ def cmd_classify_pair(args) -> int:
             }
             failed |= emb.hypotheses_ok and not (emb.injective and emb.homomorphic)
     report["pair"] = rep.to_dict(ctx)
-    report["elapsed"] = round(time.time() - t0, 3)
-    _emit(report, args.format)
-    return EXIT_PASS if rep.weak and not failed else EXIT_FAIL
+    return report, EXIT_PASS if rep.weak and not failed else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +241,11 @@ def main(argv=None) -> int:
         _write(json.dumps({"schema": SCHEMA, "command": args.command,
                            "error": text}))
     try:
-        return args.func(args)
+        t0 = time.time()
+        report, code = args.func(args)
+        report["elapsed"] = round(time.time() - t0, 3)
+        _emit(report, args.format)
+        return code
     except (KeyError, ValueError, BadParams, OSError,
             indalg.NotIndependenceAlgebra) as e:
         error(str(e))

@@ -31,11 +31,14 @@ parent; `closure_from_generators` does the same over payload objects and is
 the one closure that builds a table (the right table over the generators);
 and `CongruencePartition.close` is the one congruence closure, reading each
 element's images under the generators from a successor function as
-`right_orbit` does.  `greedy_generators` prunes a candidate generator list
-to the members the earlier ones do not generate.  No closure materialises
-an m x m table: `mul` walks normal forms, and the callers that multiply by
-arbitrary elements at scale call `rows()` themselves (the m x m table up to
-FULL_TABLE_CAP, rows built as they are read past it).
+`right_orbit` does.  `CongruencePartition` is also the one union-find:
+`enumerate_presentation` keeps its coincidence classes in one and writes
+its parent list directly on the hot paths.  `greedy_generators` prunes a
+candidate generator list to the members the earlier ones do not generate.
+No closure materialises an m x m table: `mul` walks normal forms, and the
+callers that multiply by arbitrary elements at scale call `rows()`
+themselves (the m x m table up to FULL_TABLE_CAP, rows built as they are
+read past it).
 """
 
 from __future__ import annotations
@@ -507,6 +510,14 @@ def right_orbit(seeds: Iterable, successors: Callable,
     return found
 
 
+def every_element_gens(elements: Iterable, identity) -> list:
+    """The generator list of a set with no known generating set: every
+    element but the identity, in order, or the identity alone when there
+    is no other."""
+    gens = [x for x in elements if identity is None or x != identity]
+    return gens or ([] if identity is None else [identity])
+
+
 def table_from_elements(elements: Sequence, product: Callable, *,
                         gens: Optional[Sequence] = None, identity=None
                         ) -> CayleyTable:
@@ -521,9 +532,7 @@ def table_from_elements(elements: Sequence, product: Callable, *,
     forms are then single letters (the identity keeps the empty word).
     """
     if gens is None:
-        gens = [x for x in elements if identity is None or x != identity]
-        if not gens and identity is not None:
-            gens = [identity]
+        gens = every_element_gens(elements, identity)
     t = closure_from_generators(gens, product, identity_hint=identity,
                                 cap=len(elements) + 1)
     if t.index.keys() != set(elements):
@@ -770,13 +779,11 @@ def enumerate_presentation(p: Presentation, bound: int, *,
 
     blank = [-1] * nl
     rows: list[list[int]] = [[-1] * nl]
-    uf = [0]
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
+    # the coincidence classes: `classes` serves only its `parent` list
+    # (`uf`) and `find`; new nodes append to `uf`, `merge` and the blank-row
+    # join below write it directly, and its `members` is not kept up to date
+    classes = CongruencePartition(1)
+    uf, find = classes.parent, classes.find
 
     def new_node():
         n = len(uf)

@@ -192,12 +192,19 @@ def min_genset(alphabet: Iterable[str], length_bound: int) -> list[LRElement]:
     letters = sorted(alphabet)
     if any(len(c) != 1 for c in letters):
         raise AlphabetMismatch("letters must be single characters")
-    words = [""]
+    return ([LRElement(PrefixSet(prefixes(w)), "") for w in words_up_to(letters, length_bound)]
+            + [embed_word(c) for c in letters])
+
+
+def words_up_to(alphabet: Iterable[str], length_bound: int) -> list[str]:
+    """Every non-empty word over the sorted letters of length up to the
+    bound, shorter words first and each length in lexicographic order."""
+    letters = sorted(alphabet)
     out = []
+    layer = [""]
     for _ in range(length_bound):
-        words = [w + c for w in words for c in letters]
-        out.extend(LRElement(PrefixSet(prefixes(w)), "") for w in words)
-    out.extend(embed_word(c) for c in letters)
+        layer = [w + c for w in layer for c in letters]
+        out.extend(layer)
     return out
 
 

@@ -550,9 +550,10 @@ def classify_conditions(alg: AlgebraInstance) -> ConditionReport:
     c3 = alg.is_independent(xset)
     bases = [s for s in alg.independent_sets() if alg.closure(s) == carrier]
     c4 = bases == [frozenset(xset)] if xset else False
-    c5 = subs == {frozenset(const | set(extra))
-                  for r in range(len(xset) + 1)
-                  for extra in itertools.combinations(xset, r)}
+    # the spans of the constants with each subset of xset
+    spans = {frozenset(const | set(extra)) for r in range(len(xset) + 1)
+             for extra in itertools.combinations(xset, r)}
+    c5 = subs == spans
     c6 = maxes == {carrier - {x} for x in xset}
     sub1 = (c1, c2, c3, c4, c5, c6)
     sub1_consistent = len(set(sub1)) == 1 if n_dim else True
@@ -575,11 +576,7 @@ def classify_conditions(alg: AlgebraInstance) -> ConditionReport:
         e12 = (d1, d2)
         e3 = all(is_sub(carrier - {x, y})
                  for x, y in itertools.combinations(xset, 2))
-        e4 = subs == {frozenset(b) for b in
-                      (const | set(extra)
-                       for r in range(len(xset) + 1)
-                       for extra in itertools.combinations(xset, r))
-                      if len(carrier - b) != 1}
+        e4 = subs == {b for b in spans if len(carrier - b) != 1}
         e5 = maxes == {carrier - {x, y}
                        for x, y in itertools.combinations(xset, 2)}
         sub3 = e12 + (e3, e4, e5)

@@ -161,9 +161,24 @@ def _tn(n: int) -> PresentationBundle:
 # Tuple monoids over a base monoid
 # ---------------------------------------------------------------------------
 
-def _coordinate_relations(M: CayleyTable, n: int):
-    """Per-coordinate copies of the base relations plus cross-coordinate
-    commuting; returns (letter names, relations, base letters per coordinate)."""
+def _marker_relations(markers: Sequence[int]) -> list:
+    """Each zero marker is idempotent and commutes with every marker."""
+    rels = []
+    for t in markers:
+        rels.append(((t, t), (t,)))
+        rels += [((t, u), (u, t)) for u in markers]
+    return rels
+
+
+def _tuple_pres(M: CayleyTable, n: int, with_zero: bool
+                ) -> tuple[Presentation, list]:
+    """The Mn presentation, or with `with_zero` the M0n one, and the base
+    elements its letters stand for (letter j of each coordinate is
+    elems[j]); the zero markers t1..tn follow the coordinate letters.
+    `_mwr_family` extends it without building the tuple target.
+
+    Each coordinate has its copy of the base relations, and letters of
+    different coordinates commute."""
     mp, elems = table_presentation(M)
     k = len(mp.alphabet)
     names = [f"{mp.alphabet[j]}^{i}" for i in range(1, n + 1) for j in range(k)]
@@ -180,25 +195,6 @@ def _coordinate_relations(M: CayleyTable, n: int):
                     for j2 in range(k):
                         rels.append(((lid(i, j), lid(i2, j2)),
                                      (lid(i2, j2), lid(i, j))))
-    return names, rels, k, elems, lid
-
-
-def _marker_relations(markers: Sequence[int]) -> list:
-    """Each zero marker is idempotent and commutes with every marker."""
-    rels = []
-    for t in markers:
-        rels.append(((t, t), (t,)))
-        rels += [((t, u), (u, t)) for u in markers]
-    return rels
-
-
-def _tuple_pres(M: CayleyTable, n: int, with_zero: bool
-                ) -> tuple[Presentation, list]:
-    """The Mn presentation, or with `with_zero` the M0n one, and the base
-    elements its letters stand for (letter j of each coordinate is
-    elems[j]); the zero markers t1..tn follow the coordinate letters.
-    `_mwr_family` extends it without building the tuple target."""
-    names, rels, k, elems, lid = _coordinate_relations(M, n)
     if with_zero:
         base = len(names)
         names = names + [f"t{i}" for i in range(1, n + 1)]
@@ -446,17 +442,8 @@ def _suba(alg, *, enlarged: bool) -> PresentationBundle:
 # Free left restriction monoid truncations
 # ---------------------------------------------------------------------------
 
-def _words_up_to(alphabet: str, bound: int) -> list[str]:
-    out = []
-    layer = [""]
-    for _ in range(bound):
-        layer = [w + c for w in layer for c in sorted(alphabet)]
-        out.extend(layer)
-    return out
-
-
 def _px_trunc(alphabet: str, bound: int) -> PresentationBundle:
-    words = _words_up_to(alphabet, bound)
+    words = freelrm.words_up_to(alphabet, bound)
     pos = {w: i for i, w in enumerate(words)}
     names = [f"a[{w}]" for w in words]
     rels = [((pos[w], pos[v]), (pos[v], pos[w])) for w in words for v in words]
@@ -473,7 +460,7 @@ def _px_trunc(alphabet: str, bound: int) -> PresentationBundle:
 
 
 def _lx_trunc(alphabet: str, bound: int) -> PresentationBundle:
-    words = _words_up_to(alphabet, bound)
+    words = freelrm.words_up_to(alphabet, bound)
     letters = sorted(alphabet)
     pos = {w: i for i, w in enumerate(words)}
     base = len(words)

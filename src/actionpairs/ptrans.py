@@ -271,10 +271,12 @@ def family(kind: str, n: int) -> list[PartialMap]:
     return sorted(maps, key=lambda a: a.img)
 
 
-def family_gens(kind: str, n: int) -> list[PartialMap]:
+def family_gens(kind: str, n: int) -> Optional[list[PartialMap]]:
     """Standard generator lists: adjacent transpositions for G, those plus
     the adjacent eps idempotents for T (and a lost point for PT/I), all eps
-    for the singular part of T, and the corank-one partial identities for E."""
+    for the singular part of T, and the corank-one partial identities for E.
+    None for a family with no standard list (SingI, SingE, PTminusT); an
+    unknown kind or a negative degree raises BadParams."""
     if n < 0:
         raise BadParams("negative degree")
     if kind == "G":
@@ -302,7 +304,9 @@ def family_gens(kind: str, n: int) -> list[PartialMap]:
     if kind == "SingPT":
         return family_gens("SingT", n) + [id_on(set(range(1, n + 1)) - {i}, n)
                                           for i in range(1, n + 1)]
-    raise BadParams(f"no standard generator list for {kind!r}")
+    if kind in FAMILY_KINDS:
+        return None
+    raise BadParams(f"unknown family {kind!r}")
 
 
 def family_size(kind: str, n: int) -> int:

@@ -53,11 +53,7 @@ def ptrans_table(kind: str, n: int) -> CayleyTable:
     (over every element when it has none: SingI, SingE, PTminusT)."""
     elems = ptrans.family(kind, n)
     ident = ptrans.identity(n)
-    try:
-        gens = ptrans.family_gens(kind, n)
-    except ptrans.BadParams:
-        gens = None
-    return table_from_elements(elems, ptrans.compose, gens=gens,
+    return table_from_elements(elems, ptrans.compose, gens=ptrans.family_gens(kind, n),
                                identity=ident if ident in set(elems) else None)
 
 

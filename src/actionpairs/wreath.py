@@ -44,7 +44,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import ptrans
 from .ptrans import UNDEF, _pmap
-from .fmonoid import CayleyTable, SizeBoundExceeded, closure_from_generators
+from .fmonoid import (CayleyTable, SizeBoundExceeded, closure_from_generators,
+                      every_element_gens)
 
 ZERO = -1
 
@@ -391,8 +392,9 @@ def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
 
     Numbering.  `closure_from_generators` closes the codes of the family's
     natural generators (`wreath_gens`), or of every element but the
-    identity in `wreath_elements` order when the family has none (SingI,
-    SingE, PTminusT), with the identity first when F holds it.  The
+    identity in `wreath_elements` order (`fmonoid.every_element_gens`)
+    when the family has none (SingI, SingE, PTminusT), with the identity
+    first when F holds it.  The
     numbering depends only on the generator order and on equality of
     products, so it is the one the payload product `wr_product` gives, and
     `elements` and `index` are decoded back to `WreathElement`s.
@@ -414,9 +416,7 @@ def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
     ident = wreath_identity(M, n) if ptrans.identity(n) in family else None
     gens = wreath_gens(M, kind, n)
     if gens is None:
-        gens = [w for w in wreath_elements(M, kind, n) if w != ident]
-        if not gens and ident is not None:
-            gens = [ident]
+        gens = every_element_gens(wreath_elements(M, kind, n), ident)
     if any(g.pmap not in family for g in gens):
         raise ValueError(f"a generator lies outside the wreath product over {kind}")
 

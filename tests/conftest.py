@@ -9,7 +9,7 @@ from actionpairs import ptrans, wreath
 from actionpairs.fmonoid import (BoundExceeded, CayleyTable, Presentation,
                                  _bfs_words, closure_from_generators,
                                  greedy_generators)
-from actionpairs.registry import monoid_table, ptrans_table, subset_ids
+from actionpairs.registry import monoid_table, subset_ids
 
 
 @pytest.fixture(scope="session")
@@ -25,16 +25,6 @@ def c3():
 @pytest.fixture(scope="session")
 def sl2():
     return monoid_table("sl2")
-
-
-@pytest.fixture(scope="session")
-def t2_table():
-    return ptrans_table("T", 2)
-
-
-@pytest.fixture(scope="session")
-def e2_table():
-    return ptrans_table("E", 2)
 
 
 # --- independent oracles ------------------------------------------------------

@@ -389,6 +389,38 @@ def test_omega_join_rule_rejects_bad_family():
     assert not res.hypotheses_ok
 
 
+JOIN_PAIRS = [(base, n, u, s, rule) for base, n in (("c1", 2), ("c2", 2), ("c1", 3))
+              for u, s, _, _, rule, _ in registry.CATALOGUE
+              if rule in ("join_family", "group_join_family")]
+
+
+@pytest.mark.parametrize("base,n,u,s,rule", JOIN_PAIRS)
+def test_a_catalogue_family_without_one_member_fails_the_join_reduction(base, n, u, s, rule):
+    ctx, rep, act = classified(base, n, u, s)
+    sd = semidirect(ctx, act)
+    th = theta_and_friends(ctx, act, sd)
+    kw = registry.omega_inputs(ctx, act, rule, u, s, n)
+    assert omega_check(ctx, act, sd, th, rule, **kw).matches_theta
+    data = "omega_u" if rule == "join_family" else "gamma_u"
+    failed = []
+    for v in kw["v_subset"]:
+        res = omega_check(ctx, act, sd, th, rule, **{
+            "v_subset": [x for x in kw["v_subset"] if x != v],
+            data: {x: d for x, d in kw[data].items() if x != v}})
+        if th.theta_u[v].is_trivial():
+            # equality at v is the empty join, so V needs no v: over c1 the
+            # corank-one members of (E,G)'s family
+            assert res.hypotheses_ok and res.matches_theta, v
+        else:
+            assert not res.hypotheses_ok
+            assert res.failures[0] == f"join reduction fails at {v}"
+            failed.append(v)
+    assert failed
+    measured = {("c1", 2, "M0n", "T"): [4, 5], ("c2", 2, "E", "G"): [6, 7, 20],
+                ("c1", 2, "E", "G"): [8]}
+    assert failed == measured.get((base, n, u, s), failed)
+
+
 def test_omega_failures_use_the_presentation_wording():
     # the generating rules and the pair presentations certify per-element
     # data with one routine, so they report a failure in the same words

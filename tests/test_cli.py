@@ -321,6 +321,38 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "Traceback" in err and "boom" in err
 
 
+REPORT_KEYS = {"schema", "command", "config", "elapsed"}
+VERIFY_KEYS = REPORT_KEYS | {"family", "provenance", "letters", "relations"}
+ERROR_KEYS = {"schema", "command", "error"}
+
+
+@pytest.mark.parametrize("argv,code,keys", [
+    (("verify-presentation", "--family", "Gn", "--n", "3"), 0,
+     VERIFY_KEYS | {"target_size", "verdicts"}),
+    (("verify-presentation", "--family", "PX_truncated", "--length", "2"), 0,
+     VERIFY_KEYS | {"model_check"}),
+    (("classify-pair", "--ambient", "PT2", "--U", "E", "--S", "T"), 0,
+     REPORT_KEYS | {"ambient", "U", "S", "pair", "product_size", "theta_classes"}),
+    (("verify-presentation", "--family", "SubA", "--instance", "fl93"), 1,
+     VERIFY_KEYS | {"target_size", "verdicts"}),
+    (("verify-presentation", "--family", "nope", "--n", "2"), 2, ERROR_KEYS),
+    (("verify-presentation", "--family", "Tn", "--n", "4", "--bound", "40"), 3,
+     VERIFY_KEYS | {"target_size", "verdicts"}),
+    (("verify-presentation", "--family", "MwrPTn", "--n", "7", "--monoid", "c1"), 3,
+     ERROR_KEYS),
+    (("classify-pair", "--ambient", "PT2", "--U", "E", "--S", "T"), 4, ERROR_KEYS),
+])
+def test_every_exit_code_prints_one_json_object(capsys, monkeypatch, argv, code, keys):
+    # a report carries `elapsed`; an error object does not
+    if code == cli.EXIT_INTERNAL:
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_classify_pair", broken)
+    got, out = run(capsys, *argv, "--format", "json")
+    assert got == code
+    assert set(json.loads(out)) == keys
+
+
 def test_unusable_algebra_files_are_bad_input_or_over_the_cap(capsys, tmp_path):
     # a unary map merging 0 into 1 breaks the exchange property
     path = tmp_path / "alg.json"

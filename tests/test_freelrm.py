@@ -87,6 +87,30 @@ def test_min_genset():
     assert small <= seen
 
 
+def _layered_words(alphabet, bound):
+    """The non-empty words up to the bound, one length after another, each
+    length built by appending every sorted letter to the one before."""
+    out, layer = [], [""]
+    for _ in range(bound):
+        layer = [w + c for w in layer for c in sorted(alphabet)]
+        out += layer
+    return out
+
+
+@pytest.mark.parametrize("alphabet", ["x", "yx", "zxy"])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_one_word_lister_serves_the_generators_and_the_truncations(alphabet, bound):
+    from actionpairs import presentations as pr
+    words = _layered_words(alphabet, bound)
+    assert min_genset(alphabet, bound) == \
+        [element([w], "") for w in words] + [embed_word(c) for c in sorted(alphabet)]
+    # LX needs a length of one at least: its letter relations name the
+    # one-letter words
+    for family in ["PX_truncated"] + (["LX_truncated"] if bound else []):
+        bundle = pr.build_catalog(family, alphabet=alphabet, length=bound)
+        assert bundle.notes["proj_words"] == words, family
+
+
 def test_atoms():
     pool = all_prefix_sets("xy", 3)
     for w in ("x", "xy", "yxx"):

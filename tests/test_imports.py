@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and every
-function reads each parameter it takes."""
+"""Every module of the package uses each name it imports, every function
+reads each parameter it takes, and one class holds the union-find."""
 
 import ast
 from pathlib import Path
@@ -116,3 +116,48 @@ def test_the_check_sees_an_orphan_helper():
 def test_every_private_helper_is_named_elsewhere():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert orphan_helpers(sources) == []
+
+
+def halving_loops_outside(source: str) -> list:
+    """The lines of the path-halving loops (`while p[x] != x`, a root search
+    over a parent list) that lie outside the class `CongruencePartition`."""
+    tree = ast.parse(source)
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "CongruencePartition"
+              for n in ast.walk(node)}
+
+    def is_root_search(test):
+        return isinstance(test, ast.Compare) and len(test.ops) == 1 \
+            and isinstance(test.ops[0], ast.NotEq) \
+            and isinstance(test.left, ast.Subscript) \
+            and isinstance(test.left.slice, ast.Name) \
+            and isinstance(test.comparators[0], ast.Name) \
+            and test.left.slice.id == test.comparators[0].id
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.While) and id(node) not in inside
+                  and is_root_search(node.test))
+
+
+def test_the_check_sees_a_second_union_find():
+    source = ("class CongruencePartition:\n"
+              "    def find(self, x):\n"
+              "        while self.parent[x] != x:\n"
+              "            x = self.parent[x]\n"
+              "        return x\n"
+              "def enumerate(uf, t):\n"
+              "    if uf[t] != t:\n"
+              "        t = 0\n"
+              "    while uf[t] != t:\n"
+              "        t = uf[t]\n"
+              "    while uf[t] != 0:\n"
+              "        t -= 1\n"
+              "    return t\n")
+    assert halving_loops_outside(source) == [9]
+
+
+def test_one_union_find():
+    # every root search over a parent list is `CongruencePartition`'s
+    found = {path.name: halving_loops_outside(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

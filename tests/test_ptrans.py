@@ -88,6 +88,19 @@ def test_family_gens_generate():
         assert got == want, (kind, n)
 
 
+def test_family_gens_is_none_only_for_a_known_family_without_a_list():
+    for n in range(4):
+        for kind in ptrans.FAMILY_KINDS:
+            gens = family_gens(kind, n)
+            assert (gens is None) == (kind in ("SingI", "SingE", "PTminusT")), (kind, n)
+    with pytest.raises(BadParams, match="unknown family"):
+        family_gens("Sing", 2)
+    with pytest.raises(BadParams, match="negative degree"):
+        family_gens("SingI", -1)
+    with pytest.raises(BadParams, match="negative degree"):
+        family_gens("T", -1)
+
+
 # --- unary identities ------------------------------------------------------------
 
 def left_restriction_laws(elements):

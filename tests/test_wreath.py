@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from actionpairs import ptrans, wreath
 from actionpairs import fmonoid
 from actionpairs.fmonoid import (CayleyTable, SizeBoundExceeded,
-                                 iso_by_generators, table_from_elements)
+                                 closure_from_generators, iso_by_generators,
+                                 table_from_elements)
 from actionpairs.ptrans import PartialMap, from_images, id_on, identity
 from actionpairs.registry import monoid_table, ptrans_table
 from actionpairs.wreath import (MTuple, WreathElement, ZERO, act, embed_pmap,
@@ -318,6 +319,34 @@ def _assert_same_table(got, want):
 def test_wreath_table_matches_the_literal_construction(base, kind, n):
     M = monoid_table(base)
     _assert_same_table(enumerate_wreath(M, kind, n), _oracle_table(M, kind, n))
+
+
+def _closed_from_every_element(elems, ident, product):
+    """The plain rule for a family with no generator list: close every
+    element but the identity, in list order, or the identity alone."""
+    gens = [x for x in elems if x != ident]
+    if not gens and ident is not None:
+        gens = [ident]
+    return closure_from_generators(gens, product, identity_hint=ident)
+
+
+@pytest.mark.parametrize("kind", ["SingI", "SingE", "PTminusT"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_family_without_a_generator_list_is_closed_from_every_element(kind, n):
+    elems = ptrans.family(kind, n)
+    want = _closed_from_every_element(
+        elems, identity(n) if identity(n) in elems else None, ptrans.compose)
+    got = ptrans_table(kind, n)
+    assert (got.right, got.nf, got.elements) == (want.right, want.nf, want.elements)
+    for base in ("c1", "c2"):
+        M = monoid_table(base)
+        elems = wreath_elements(M, kind, n)
+        ident = wreath_identity(M, n)
+        want = _closed_from_every_element(
+            elems, ident if ident in elems else None, wr_product)
+        got = enumerate_wreath(M, kind, n)
+        assert (got.right, got.nf, got.elements) == \
+            (want.right, want.nf, want.elements), base
 
 
 def test_ambient_wreath_matches_the_literal_construction():
