@@ -64,11 +64,14 @@ class AmbientContext:
         for label, sub in (("U", self.u_set), ("S", self.s_set)):
             if not sub:
                 raise ValueError(f"{label} of {self.name or 'the pair'} is empty")
-            for a in sub:
-                row = rows[a]
-                for b in sub:
-                    if row[b] not in sub:
-                        raise NotSubsemigroup(f"{label} not closed at ({a},{b})")
+
+            def product(a, b):
+                ab = rows[a][b]
+                if ab not in sub:
+                    raise NotSubsemigroup(f"{label} not closed at ({a},{b})")
+                return ab
+            kept = self._gens[label] = greedy_generators(sorted(sub), product)
+            self._gens[label + "1"] = kept if ident in sub else sorted(kept + [ident])
         u1 = self.u_set | {ident}
         for s in self.s_set:
             if self.plus[s] not in u1:
@@ -92,20 +95,24 @@ class AmbientContext:
 
     def gens(self, which: str) -> list:
         """A certified generating set of U, U1, S or S1 (as `which` names
-        it) as a semigroup under the ambient product, computed once.
+        it) as a semigroup under the ambient product.
 
-        `greedy_generators` runs over the members in ambient id order, the
-        shortlex order of their normal forms in a closure's table.  Every
-        member is a candidate, so the kept list generates exactly the
-        members (Froidure & Pin 1997).  For U1 and S1 it keeps the identity
-        when U or S lacks it, since no product of members of U or S gives
-        it then.
+        `__post_init__` runs `greedy_generators` once over the members of U
+        and of S in ambient id order, the shortlex order of their normal
+        forms in a closure's table.  Every member is a candidate, so the
+        kept list generates exactly the members (Froidure & Pin 1997).  The
+        same pass certifies closure: every element greedy adds is a product
+        of one it holds and a kept generator, so the members are closed
+        exactly when no such product leaves them, and the first one that
+        does is the witness of `NotSubsemigroup`.
+
+        U1 and S1 are derived, not closed again.  When the identity 1 lies
+        in P, P1 = P and so are their generators.  Otherwise greedy over P1
+        in id order makes the same choices as over P and keeps 1 as well:
+        its closure at each step is <A> + {1} for the kept A, and 1 is not
+        in <P>.  So the kept list of P1 is that of P with 1 inserted in id
+        order.
         """
-        if which not in self._gens:
-            members = {"U": self.u_list, "U1": self.u1,
-                       "S": self.s_list, "S1": self.s1}[which]()
-            rows = self.rows
-            self._gens[which] = greedy_generators(members, lambda a, b: rows[a][b])
         return self._gens[which]
 
     def product_set(self) -> frozenset:
@@ -309,11 +316,14 @@ def check_pair_from_plus(ctx: AmbientContext
                          ) -> tuple[PairReport, Optional[ActionTable]]:
     """Verify the pair axioms from the s -> s+ data and rebuild the action.
 
-    Checks sU1 <= U1 s, then the four defining conditions of the projection
-    map, then reconstructs s>u as v s+ for the least witness v with su = vs
-    (re-checking that the choice of witness does not matter) and verifies
-    that the result is a genuine action by semigroup morphisms satisfying
-    the compatibility law su = (s>u) s.  The report is stored on the action.
+    One pass over S x U1 checks sU1 <= U1 s and reconstructs s>u as v s+
+    for the least witness v with su = vs (re-checking that the choice of
+    witness does not matter).  The four defining conditions of the
+    projection map follow, and the result is verified to be a genuine action
+    by semigroup morphisms satisfying the compatibility law su = (s>u) s.
+    Failures are listed in that order: projection conditions, kernel
+    condition, ill-defined entries, action laws.  The report is stored on
+    the action.
     """
     rows = ctx.rows
     rep = PairReport(name=ctx.name)
@@ -321,22 +331,28 @@ def check_pair_from_plus(ctx: AmbientContext
     slist = ctx.s_list()
     failures = rep.failures
 
-    # sU1 <= U1 s, with witness lists per (s, value of su)
-    witness: dict = {}
+    # sU1 <= U1 s, and the action rebuilt from the witnesses where they are
+    # found: s>u = v s+ for the least v with su = vs, well-definedness
+    # re-checked.  An ill-defined entry names the least witness and the least
+    # one that disagrees
+    plus = ctx.plus
+    table = {}
+    ill_defined = []
     for s in slist:
         traj = {}
         for v in u1:
             traj.setdefault(rows[v][s], []).append(v)
-        row = rows[s]
+        row, sp = rows[s], plus[s]
         for u in u1:
-            su = row[u]
-            if su in traj:
-                witness[(s, u)] = traj[su]
-            else:
+            vs = traj.get(row[u])
+            if vs is None:
                 failures.append(("sU1-in-U1s", (s, u)))
                 return rep, None
+            value = table[s, u] = rows[vs[0]][sp]
+            other = [v for v in vs if rows[v][sp] != value]
+            if other:
+                ill_defined.append(("action-ill-defined", (s, u, [vs[0], other[0]])))
 
-    plus = ctx.plus
     for s in slist:
         if rows[plus[s]][s] != s:
             failures.append(("s-equals-plus-s", (s,)))
@@ -350,22 +366,9 @@ def check_pair_from_plus(ctx: AmbientContext
                 failures.append(("projection-absorbs", (s, t)))
 
     failures.extend(_kernel_failures(ctx, plus))
-
-    # reconstruct the action, least witness first, well-definedness re-checked:
-    # a failure names the least witness and the least one that disagrees
-    table = {}
-    well_defined = True
-    for s in slist:
-        for u in u1:
-            vs = witness[(s, u)]
-            v0 = min(vs)
-            value = table[(s, u)] = rows[v0][plus[s]]
-            other = [v for v in vs if rows[v][plus[s]] != value]
-            if other:
-                well_defined = False
-                failures.append(("action-ill-defined", (s, u, [v0, min(other)])))
+    failures.extend(ill_defined)
     act = ActionTable(ctx, table)
-    return _verdicts(ctx, act, rep, plus, well_defined), act
+    return _verdicts(ctx, act, rep, plus, not ill_defined), act
 
 
 def check_weak_pair(ctx: AmbientContext, act: ActionTable) -> PairReport:
@@ -446,9 +449,9 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     # kappa is reflexive, symmetric and compatible, so sigma is its
     # transitive closure; when P is right-reversible the two coincide
     p_els = sorted(p_set)
-    right_reversible = all(
-        any(rows[a][x] == rows[b][y] for a in p_els for b in p_els)
-        for x in p_els for y in p_els) if p_els else True
+    # right-reversible: Px and Py meet for all x, y in P
+    p_times = [{rows[a][x] for a in p_els} for x in p_els]
+    right_reversible = all(not px.isdisjoint(py) for px in p_times for py in p_times)
     rep.sigma_is_transitive_kappa = (not right_reversible) or transitive
 
     # proper: us = vt  iff  u s+ = v t+ and s sigma t, that is, the map
@@ -465,9 +468,9 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     rep.left_dense = all(any(rows[p][u] in p_set for p in p_els)
                          for u in ulist) if p_els else False
 
-    # the ten one-sided identity conditions, w7 and w8 over the products us
+    # the ten one-sided identity conditions, w7 and w8 over the distinct
+    # products us
     us_pairs = [(u, s) for u in ulist for s in slist]
-    us_values = [rows[u][s] for u, s in us_pairs]
     w1 = any(all(rows[s][u] == s for s in slist) for u in ulist)
     w2 = all(any(rows[s][u] == s for u in ulist) for s in slist)
     w3 = any(all(rows[u][s] == s for s in slist) for u in ulist)
@@ -475,8 +478,8 @@ def classify_proper(ctx: AmbientContext, act: ActionTable,
     prod_set = ctx.product_set()
     w5 = all(s in prod_set for s in slist)
     w6 = any(s in prod_set for s in slist)
-    w7 = any(all(rows[x][v] == x for x in us_values) for v in ulist)
-    w8 = all(any(rows[x][v] == x for v in ulist) for x in us_values)
+    w7 = any(all(rows[x][v] == x for x in prod_set) for v in ulist)
+    w8 = all(any(rows[x][v] == x for v in ulist) for x in prod_set)
     w9 = any(all(rows[u][action[s, v]] == u for u, s in us_pairs)
              for v in ulist)
     w10 = all(any(rows[u][action[s, v]] == u for v in ulist)

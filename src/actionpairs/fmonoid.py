@@ -451,7 +451,9 @@ def greedy_generators(candidates: Iterable, product: Callable) -> list:
     each new generator the elements so far are multiplied by it alone and
     the new elements by every kept generator, so each product is formed
     once: about |closure| x |kept| products rather than |closure|^2.  The
-    kept list generates everything the candidates generate.
+    kept list generates everything the candidates generate.  A product that
+    raises stops the closure at the first escape: `AmbientContext` certifies
+    that a set is closed this way.
     """
     kept: list = []
     seen: set = set()
@@ -567,15 +569,20 @@ class CongruencePartition:
     exactly when they have the same classes.
     """
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent",)
 
     def __init__(self, members):
         if isinstance(members, int):
-            members = range(members)
-            self.parent = list(members)
+            self.parent = list(range(members))
         else:
             self.parent = {x: x for x in members}
-        self.members = members
+
+    @property
+    def members(self):
+        """0..n-1 for the list form, the keys in insertion order otherwise:
+        read from `parent`, so a node appended to it is a member."""
+        p = self.parent
+        return range(len(p)) if isinstance(p, list) else p.keys()
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -779,9 +786,8 @@ def enumerate_presentation(p: Presentation, bound: int, *,
 
     blank = [-1] * nl
     rows: list[list[int]] = [[-1] * nl]
-    # the coincidence classes: `classes` serves only its `parent` list
-    # (`uf`) and `find`; new nodes append to `uf`, `merge` and the blank-row
-    # join below write it directly, and its `members` is not kept up to date
+    # the coincidence classes: new nodes append to their `parent` list
+    # (`uf`), and `merge` and the blank-row join below write it directly
     classes = CongruencePartition(1)
     uf, find = classes.parent, classes.find
 

@@ -472,7 +472,9 @@ def _lx_trunc(alphabet: str, bound: int) -> PresentationBundle:
         for w in words:
             if len(w) + 1 <= bound:
                 rels.append(((xpos[c], pos[w]), (pos[c + w], xpos[c])))
-        rels.append(((xpos[c],), (pos[c], xpos[c])))
+        if bound >= 1:
+            # x = a[x] x, once the projection letter a[x] exists
+            rels.append(((xpos[c],), (pos[c], xpos[c])))
     pres = Presentation.make(names, rels, "monoid")
     bundle = PresentationBundle(pres, None, None,
                                 f"LX(|X|={len(alphabet)}, L={bound})")

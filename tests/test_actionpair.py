@@ -2,6 +2,9 @@
 congruence and its generating rules, special congruences, covers, embeddings."""
 
 import dataclasses
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1082,3 +1085,211 @@ def test_pair_stages_read_products_from_rows_not_mul(monkeypatch):
     # the count sees a call
     ambient_wreath("c2", 2).mul(1, 2)
     assert len(tables) == 1
+
+
+# --- each part of a pair scanned once ---------------------------------------------------
+
+CATALOGUE_N2 = [(base, spec["u"], spec["s"]) for base in ("c1", "c2")
+                for spec in registry.catalogue_specs(2)]
+
+
+@pytest.mark.parametrize("base,u_kind,s_kind", CATALOGUE_N2)
+def test_generators_equal_a_greedy_pass_over_each_part(base, u_kind, s_kind):
+    # U1 and S1 are derived from the closure-certifying pass over U and S
+    ctx = catalogue_pair(base, 2, u_kind, s_kind)
+    rows = ctx.rows
+    for which, members in [("U", ctx.u_list()), ("U1", ctx.u1()),
+                           ("S", ctx.s_list()), ("S1", ctx.s1())]:
+        assert ctx.gens(which) == fmonoid.greedy_generators(
+            members, lambda a, b: rows[a][b]), which
+
+
+def test_generators_with_the_identity_past_id_zero():
+    # a left-zero band {a, b} with an identity adjoined as id 1: the identity
+    # goes into the generators of U1 in id order, between a and b
+    doc = {"size": 3, "gens": [0, 2], "table": [[0, 0], [0, 2], [2, 2]],
+           "nf": [[0], [], [1]]}
+    m = fmonoid.CayleyTable.from_json(json.dumps(doc))
+    assert m.identity == 1
+    ctx = AmbientContext(m, frozenset({0, 2}), frozenset({2}), {2: 1})
+    rows = ctx.rows
+    assert ctx.gens("U") == [0, 2] and ctx.gens("U1") == [0, 1, 2]
+    assert ctx.gens("S") == [2] and ctx.gens("S1") == [1, 2]
+    for which, members in [("U1", [0, 1, 2]), ("S1", [1, 2])]:
+        assert ctx.gens(which) == fmonoid.greedy_generators(
+            members, lambda a, b: rows[a][b])
+
+
+T3 = ptrans_table("T", 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, T3.size - 1), min_size=1), st.booleans(),
+       st.booleans())
+def test_closure_is_refused_exactly_when_a_product_escapes(members, close, as_u):
+    # half the draws are closed up first, so both verdicts come up
+    rows = T3.rows()
+    if close:
+        members = fmonoid.right_orbit(members, lambda a: [rows[a][b] for b in members])
+    members = frozenset(members)
+    one = frozenset({T3.identity})
+    u_set, s_set = (members, one) if as_u else (one, members)
+    plus = {s: T3.identity for s in s_set}
+    label = "U" if as_u else "S"
+    if all(rows[a][b] in members for a in members for b in members):
+        ctx = AmbientContext(T3, u_set, s_set, plus)
+        assert set(ctx.gens(label)) <= members
+        return
+    with pytest.raises(NotSubsemigroup) as err:
+        AmbientContext(T3, u_set, s_set, plus)
+    prefix = f"{label} not closed at ("
+    msg = str(err.value)
+    assert msg.startswith(prefix)
+    a, b = map(int, msg[len(prefix):-1].split(","))
+    assert a in members and b in members and rows[a][b] not in members
+
+
+def _check_pair_two_loops(ctx):
+    """`check_pair_from_plus` as two scans of S x U1: the witnesses first,
+    the action rebuilt from them after the projection and kernel checks."""
+    rows = ctx.rows
+    rep = ap.PairReport(name=ctx.name)
+    u1 = ctx.u1()
+    slist = ctx.s_list()
+    failures = rep.failures
+    witness = {}
+    for s in slist:
+        traj = {}
+        for v in u1:
+            traj.setdefault(rows[v][s], []).append(v)
+        row = rows[s]
+        for u in u1:
+            su = row[u]
+            if su in traj:
+                witness[(s, u)] = traj[su]
+            else:
+                failures.append(("sU1-in-U1s", (s, u)))
+                return rep, None
+    plus = ctx.plus
+    for s in slist:
+        if rows[plus[s]][s] != s:
+            failures.append(("s-equals-plus-s", (s,)))
+    for s in slist:
+        row = rows[s]
+        for t in slist:
+            st_ = row[t]
+            if row[plus[t]] != rows[plus[st_]][s]:
+                failures.append(("shift-projection", (s, t)))
+            if plus[st_] != rows[plus[st_]][plus[s]]:
+                failures.append(("projection-absorbs", (s, t)))
+    failures.extend(ap._kernel_failures(ctx, plus))
+    table = {}
+    well_defined = True
+    for s in slist:
+        for u in u1:
+            vs = witness[(s, u)]
+            v0 = min(vs)
+            value = table[(s, u)] = rows[v0][plus[s]]
+            other = [v for v in vs if rows[v][plus[s]] != value]
+            if other:
+                well_defined = False
+                failures.append(("action-ill-defined", (s, u, [v0, min(other)])))
+    act = ActionTable(ctx, table)
+    return ap._verdicts(ctx, act, rep, plus, well_defined), act
+
+
+def _mutated_contexts():
+    """Every catalogue pair at degree 2, as given, with six single-entry
+    changes to its plus map, and with U and S swapped."""
+    rng = random.Random(33)
+    for base, u_kind, s_kind in CATALOGUE_N2:
+        ctx = catalogue_pair(base, 2, u_kind, s_kind)
+        yield ctx
+        u1, slist = ctx.u1(), ctx.s_list()
+        for _ in range(6):
+            plus = dict(ctx.plus)
+            plus[rng.choice(slist)] = rng.choice(u1)
+            yield AmbientContext(ctx.m, ctx.u_set, ctx.s_set, plus, name=ctx.name)
+        ident = ctx.identity
+        yield AmbientContext(ctx.m, ctx.s_set, ctx.u_set,
+                             {u: ident for u in ctx.u_set}, name=ctx.name)
+
+
+def _pt2_contexts():
+    """Every pair of subsemigroups of PT2, with every projection the
+    identity, and with projections drawn at random from U1."""
+    rng = random.Random(33)
+    m = ptrans_table("PT", 2)
+    rows = m.rows()
+    subs = [frozenset(c) for r in range(1, m.size + 1)
+            for c in itertools.combinations(range(m.size), r)
+            if all(rows[a][b] in c for a in c for b in c)]
+    for u_set in subs:
+        u1 = sorted(u_set | {m.identity})
+        for s_set in subs:
+            yield AmbientContext(m, u_set, s_set, dict.fromkeys(s_set, m.identity))
+            yield AmbientContext(m, u_set, s_set,
+                                 {s: rng.choice(u1) for s in sorted(s_set)})
+
+
+def _check_inputs():
+    return itertools.chain(_mutated_contexts(), _pt2_contexts())
+
+
+def test_one_pass_check_matches_the_two_loop_check():
+    kinds = set()
+    for ctx in _check_inputs():
+        rep, act = check_pair_from_plus(ctx)
+        want, want_act = _check_pair_two_loops(ctx)
+        assert rep == want, ctx.name
+        assert (act is None) is (want_act is None)
+        if act is not None:
+            assert act.table == want_act.table and act.plus == want_act.plus
+        kinds |= {which for which, _ in rep.failures}
+    # the inputs reach the early return and every failure of the first pass
+    assert {"sU1-in-U1s", "s-equals-plus-s", "shift-projection",
+            "projection-absorbs", "kernel-condition",
+            "action-ill-defined"} <= kinds
+
+
+def test_w_conditions_and_right_reversibility_match_their_definitions():
+    seen = set()
+    for ctx in _check_inputs():
+        rep, act = check_pair_from_plus(ctx)
+        if act is None:
+            continue
+        classify_proper(ctx, act, rep)
+        rows, ulist, slist = ctx.rows, ctx.u_list(), ctx.s_list()
+        us_values = [rows[u][s] for u in ulist for s in slist]
+        w7 = any(all(rows[x][v] == x for x in us_values) for v in ulist)
+        w8 = all(any(rows[x][v] == x for v in ulist) for x in us_values)
+        assert rep.w_conditions[6:8] == (w7, w8), ctx.name
+        p = sorted(rep.p_set)
+        right_reversible = all(any(rows[a][x] == rows[b][y] for a in p for b in p)
+                               for x in p for y in p)
+        transitive = ap.sigma_partition(ctx, rep.p_set)[1]
+        assert rep.sigma_is_transitive_kappa == (not right_reversible or transitive)
+        seen.add((w7, w8, right_reversible))
+    # each condition comes out both ways over these inputs
+    for k in range(3):
+        assert {key[k] for key in seen} == {False, True}, k
+
+
+def test_kappa_check_over_a_p_that_is_not_right_reversible():
+    # P = {1, e, f} with e = 1 1 3 and f = 2 2 3, a right-zero band with an
+    # identity: Pe = {e} and Pf = {f} do not meet.  sigma's one-step
+    # relation is not transitive here, so the check passes only because P
+    # is not right-reversible
+    pt3 = ptrans_table("PT", 3)
+    idx = {w: i for i, w in enumerate(pt3.elements)}
+    e, f = (idx[ptrans.PartialMap.from_two_line(t)]
+            for t in ("1 2 3 / 1 1 3", "1 2 3 / 2 2 3"))
+    s1, s2, s3 = (idx[ptrans.PartialMap.from_two_line(t)]
+                  for t in ("1 2 3 / - - 3", "1 2 3 / 3 3 3", "1 2 3 / 3 - 3"))
+    ctx = AmbientContext(pt3, frozenset({e, f}), frozenset({s1, s2, s3}),
+                         {s1: e, s2: f, s3: pt3.identity})
+    rep, act = check_pair_from_plus(ctx)
+    classify_proper(ctx, act, rep)
+    assert rep.p_set == {pt3.identity, e, f}
+    assert not ap.sigma_partition(ctx, rep.p_set)[1]
+    assert rep.sigma_is_transitive_kappa is True

@@ -83,6 +83,17 @@ def test_verify_model_families(capsys):
     assert code == cli.EXIT_PASS and rep["model_check"] is True
 
 
+@pytest.mark.parametrize("family,letters", [("PX_truncated", 0),
+                                            ("LX_truncated", 2)])
+def test_truncations_at_length_zero(capsys, family, letters):
+    # no word has length <= 0, so no projection letter a[x] exists: LX keeps
+    # only the word letters x, y and no relation x = a[x] x
+    code, rep = run_json(capsys, "verify-presentation", "--family", family,
+                         "--alphabet", "xy", "--length", "0")
+    assert code == cli.EXIT_PASS and rep["model_check"] is True
+    assert rep["letters"] == letters and rep["relations"] == 0
+
+
 def test_show_relations(capsys):
     code, rep = run_json(capsys, "verify-presentation", "--family", "Gn",
                          "--n", "2", "--show-relations")

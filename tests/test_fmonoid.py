@@ -164,6 +164,18 @@ def test_union_merges_like_naive_classes_with_the_least_member_as_root(case):
     assert part.canonical() == tuple(part.find(key(x)) for x in range(n))
 
 
+def test_partition_grown_by_appending_lists_every_node():
+    # enumerate_presentation appends each new node to `parent`: the members
+    # are read from it, so the grown nodes are classified like the first
+    part = CongruencePartition(1)
+    part.parent.extend(range(1, 6))
+    part.union(4, 1)
+    part.union(5, 3)
+    assert list(part.members) == [0, 1, 2, 3, 4, 5]
+    assert part.classes() == [[0], [1, 4], [2], [3, 5]]
+    assert part.canonical() == (0, 1, 2, 3, 1, 3)
+
+
 # --- enumeration of presented monoids -------------------------------------------
 
 def test_idempotent_letter():
