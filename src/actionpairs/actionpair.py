@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .fmonoid import (CayleyTable, CongruencePartition, closure_from_generators,
-                      congruence_closure, greedy_generators, is_compatible,
-                      right_orbit)
+from .fmonoid import (CayleyTable, CongruencePartition, SizeBoundExceeded,
+                      closure_from_generators, congruence_closure,
+                      greedy_generators, is_compatible, right_orbit)
 
 
 class NotSubsemigroup(Exception):
@@ -1026,11 +1026,11 @@ def check_special_congruence(ctx: AmbientContext, act: ActionTable,
     tuple identity is read off sigma when U is a monoid and taken to be
     trivial otherwise.
 
-    sigma is scanned for two-sided compatibility (`is_compatible`) unless
+    sigma is checked for two-sided compatibility (`is_compatible`) unless
     it is the certified theta of this action's stored semidirect product:
     sd is act.sd and sigma.canonical() equals act.th.certified, recorded by
     `quotient_matches_product`.  A theta changed after certification, any
-    other relation, and a call before the certificate are all scanned.
+    other relation, and a call before the certificate are all checked.
 
     Write s ~u t when (u, s) sigma (u, t).  Axioms 5-8 quantify over the
     certified generators (`AmbientContext.gens`) where an induction on word
@@ -1303,7 +1303,9 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
 
     The codomain is never materialized: well-definedness, injectivity and
     the homomorphism law are checked pointwise on the product set.  The
-    properness verdict is read from the action's report.
+    properness verdict is read from the action's report.  Once the
+    hypotheses hold, a product set past EMBED_US_CAP or more sigma classes
+    than EMBED_CLASS_CAP raises SizeBoundExceeded.
     """
     _require_laws(act, "embed_central")
     rows, action = ctx.rows, act.table
@@ -1320,15 +1322,17 @@ def embed_central(ctx: AmbientContext, act: ActionTable) -> EmbedResult:
     if not all(rows[p][u] == rows[u][p] for p in p1 for u in ctx.u_list()):
         failures.append("projections are not central in U")
 
+    if failures:
+        return EmbedResult(False, failures)
     us = sorted(ctx.product_set())
     if len(us) > EMBED_US_CAP:
-        failures.append(f"product set too large: {len(us)}")
+        raise SizeBoundExceeded(f"product set too large: {len(us)}, "
+                                f"past EMBED_US_CAP = {EMBED_US_CAP}")
     sigma = rep.sigma
     classes = sigma.classes()
     if len(classes) > EMBED_CLASS_CAP:
-        failures.append(f"too many sigma classes: {len(classes)}")
-    if failures:
-        return EmbedResult(False, failures)
+        raise SizeBoundExceeded(f"too many sigma classes: {len(classes)}, "
+                                f"past EMBED_CLASS_CAP = {EMBED_CLASS_CAP}")
 
     class_of = {s: i for i, cls in enumerate(classes) for s in cls}
     reps = [cls[0] for cls in classes]

@@ -31,7 +31,9 @@ parent; `closure_from_generators` does the same over payload objects and is
 the one closure that builds a table (the right table over the generators);
 and `CongruencePartition.close` is the one congruence closure, reading each
 element's images under the generators from a successor function as
-`right_orbit` does.  `CongruencePartition` is also the one union-find:
+`right_orbit` does; `is_compatible` reads compatibility off it as a fixed
+point (an equivalence is a congruence exactly when its two-sided closure
+merges nothing more).  `CongruencePartition` is also the one union-find:
 `enumerate_presentation` keeps its coincidence classes in one and writes
 its parent list directly on the hot paths.  `greedy_generators` prunes a
 candidate generator list to the members the earlier ones do not generate.
@@ -44,7 +46,6 @@ read past it).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -686,19 +687,11 @@ def congruence_closure(table: CayleyTable, pairs: Iterable[tuple[int, int]],
 
 
 def is_compatible(table: CayleyTable, part: CongruencePartition) -> bool:
-    """Re-scan two-sided compatibility of an equivalence: on each side, every
-    member of a class must send each generator to the same class as the
-    class's first member does."""
-    root = [part.find(x) for x in range(table.size)]
-    members = Counter(root)
-    for mult in (table.right, table.left_by_gen()):
-        first: dict = {}
-        for x, row in enumerate(mult):
-            if members[root[x]] > 1:
-                img = [root[y] for y in row]
-                if first.setdefault(root[x], img) != img:
-                    return False
-    return True
+    """Two-sided compatibility of an equivalence, as the closure's fixed
+    point: the least two-sided congruence containing `part` is `part`
+    itself exactly when `part` is a congruence."""
+    pairs = [(c[0], x) for c in part.classes() for x in c[1:]]
+    return congruence_closure(table, pairs) == part
 
 
 def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:

@@ -558,14 +558,16 @@ class LetteredSubset:
     pres: Presentation
     images: tuple            # letter -> ambient id
 
-    def normal_forms(self, m: CayleyTable, *, identity=None) -> dict:
-        """Shortlex-first words over the letters reaching elements of m by
-        right multiplication (the identity, when given, gets the empty word)."""
+    def normal_forms(self, rows, *, identity=None) -> dict:
+        """Shortlex-first words over the letters reaching ambient elements by
+        right multiplication, read from the ambient's `rows` (the identity,
+        when given, gets the empty word)."""
         seeds = [] if identity is None else [identity]
-        found = right_orbit(seeds + list(self.images),
-                            lambda e: [m.mul(e, g) for g in self.images],
+        images = self.images
+        found = right_orbit(seeds + list(images),
+                            lambda e: list(map(rows[e].__getitem__, images)),
                             [((), None)] * len(seeds) +
-                            [((k,), None) for k in range(len(self.images))])
+                            [((k,), None) for k in range(len(images))])
         return {e: word for e, (word, _) in found.items()}
 
 
@@ -596,7 +598,7 @@ def _pair_letters(ctx: AmbientContext, act: ActionTable, pres_u: LetteredSubset,
     projection-prefix relation x = x+ x when x+ is not the identity."""
     ident = ctx.identity
     nu = len(pres_u.pres.alphabet)
-    nf_u = pres_u.normal_forms(ctx.m, identity=ident)
+    nf_u = pres_u.normal_forms(ctx.rows, identity=ident)
     names = [f"u:{a}" for a in pres_u.pres.alphabet] + \
             [f"s:{a}" for a in pres_s.pres.alphabet]
     rels = list(pres_u.pres.relations)
@@ -721,7 +723,7 @@ def general_pair_pres(kind: str, ctx: AmbientContext, act: ActionTable,
 
     names, nf_u, rels = _pair_letters(ctx, act, pres_u, pres_s)
     nu = len(pres_u.pres.alphabet)
-    nf_s = pres_s.normal_forms(m, identity=ident if monoid else None)
+    nf_s = pres_s.normal_forms(rows, identity=ident if monoid else None)
     nf_s.setdefault(ident, ())
 
     def relation(u1, s1, u2, s2):
@@ -780,7 +782,7 @@ def us_sd_pres(ctx: AmbientContext, act: ActionTable,
     slist = ctx.s_list()
     spos = {s: i for i, s in enumerate(slist)}
     nletters = len(pres_u.pres.alphabet)
-    nf_u = pres_u.normal_forms(ctx.m)
+    nf_u = pres_u.normal_forms(ctx.rows)
     _check(ctx.u_set <= nf_u.keys(), "the U-letters must generate U as a semigroup")
     nf_u.setdefault(ident, ())
 

@@ -28,6 +28,8 @@ import math
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
+from .fmonoid import SizeBoundExceeded
+
 UNDEF = 0
 
 
@@ -240,11 +242,16 @@ FAMILY_CAP = 7  # exhaustive listing cap on the degree
 
 
 def family(kind: str, n: int) -> list[PartialMap]:
-    """Exhaustive, canonically ordered element list of a named family."""
+    """Exhaustive, canonically ordered element list of a named family.
+
+    A degree past FAMILY_CAP is a size cap (SizeBoundExceeded); an unknown
+    kind or a negative degree raises BadParams."""
     if kind not in FAMILY_KINDS:
         raise BadParams(f"unknown family {kind!r}")
-    if n < 0 or n > FAMILY_CAP:
-        raise BadParams(f"degree {n} outside 0..{FAMILY_CAP}")
+    if n < 0:
+        raise BadParams("negative degree")
+    if n > FAMILY_CAP:
+        raise SizeBoundExceeded(f"degree {n} past FAMILY_CAP = {FAMILY_CAP}")
     vals = range(0, n + 1)   # 0 is the undefined marker
     if kind in ("PT", "SingPT", "PTminusT"):
         maps = [PartialMap(n, img) for img in itertools.product(vals, repeat=n)]

@@ -18,7 +18,8 @@ from actionpairs.actionpair import (ActionTable, AmbientContext,
                                     omega_check, proper_cover,
                                     quotient_matches_product, semidirect,
                                     theta_and_friends)
-from actionpairs.fmonoid import CongruencePartition, congruence_closure
+from actionpairs.fmonoid import (CongruencePartition, SizeBoundExceeded,
+                                 congruence_closure)
 from actionpairs.registry import (ambient_plus_map, ambient_wreath,
                                   catalogue_pair, make_pair, ptrans_table,
                                   subset_ids)
@@ -998,12 +999,24 @@ def test_embed_refuses_projections_outside_the_centre():
 @pytest.mark.parametrize("cap,failure", [("EMBED_US_CAP", "product set too large: 16"),
                                          ("EMBED_CLASS_CAP", "too many sigma classes: 4")])
 def test_embed_refuses_inputs_over_its_caps(monkeypatch, cap, failure):
-    # (Mn,T) over c2 at degree 2 has 16 products and 4 sigma classes
+    # (Mn,T) over c2 at degree 2 has 16 products and 4 sigma classes; past a
+    # cap its hypotheses still hold, so the cap is a size refusal
     ctx, rep, act = classified("c2", 2, "Mn", "T")
     assert embed_central(ctx, act).ok
-    monkeypatch.setattr(ap, cap, {"EMBED_US_CAP": 15, "EMBED_CLASS_CAP": 3}[cap])
+    limit = {"EMBED_US_CAP": 15, "EMBED_CLASS_CAP": 3}[cap]
+    monkeypatch.setattr(ap, cap, limit)
+    with pytest.raises(SizeBoundExceeded) as e:
+        embed_central(ctx, act)
+    assert str(e.value) == f"{failure}, past {cap} = {limit}"
+
+
+def test_embed_reports_unmet_hypotheses_before_its_caps(monkeypatch):
+    # a pair that is not proper fails its hypotheses, however low the caps
+    ctx, rep, act = classified("c1", 2, "E", "G")
+    monkeypatch.setattr(ap, "EMBED_US_CAP", 0)
+    monkeypatch.setattr(ap, "EMBED_CLASS_CAP", 0)
     emb = embed_central(ctx, act)
-    assert emb.failures == [failure] and not emb.hypotheses_ok
+    assert not emb.hypotheses_ok and "pair is not proper" in emb.failures
 
 
 @pytest.mark.parametrize("edit", ["none", "merged", "swapped"])

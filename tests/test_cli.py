@@ -198,6 +198,29 @@ def test_over_cap_wreath_target_exits_bound(capsys):
     assert rep["command"] == "verify-presentation" and rep["error"]
 
 
+@pytest.mark.parametrize("cap,error", [
+    ("EMBED_US_CAP", "product set too large: 16, past EMBED_US_CAP = 15"),
+    ("EMBED_CLASS_CAP", "too many sigma classes: 4, past EMBED_CLASS_CAP = 3")])
+def test_embedding_past_its_cap_exits_bound(capsys, monkeypatch, cap, error):
+    # (Mn,T) over c2 at degree 2 is strong and proper, with 16 products and
+    # 4 sigma classes: past a cap the embedding is refused, not failed
+    from actionpairs import actionpair as ap
+    monkeypatch.setattr(ap, cap, {"EMBED_US_CAP": 15, "EMBED_CLASS_CAP": 3}[cap])
+    code, rep = run_json(capsys, "classify-pair", "--ambient", "MwrPT2",
+                         "--M", "c2", "--U", "Mn", "--S", "T", "--embed")
+    assert code == cli.EXIT_BOUND
+    assert rep == {"schema": "v1", "command": "classify-pair", "error": error}
+
+
+def test_family_degree_past_its_cap_exits_bound(capsys):
+    # E8 has 256 elements, but listing a family stops at FAMILY_CAP
+    from actionpairs.ptrans import FAMILY_CAP
+    code, rep = run_json(capsys, "verify-presentation", "--family", "En",
+                         "--n", str(FAMILY_CAP + 1))
+    assert code == cli.EXIT_BOUND
+    assert rep["error"] == f"degree {FAMILY_CAP + 1} past FAMILY_CAP = {FAMILY_CAP}"
+
+
 def test_certified_infinite_presentation_exits_1(capsys, monkeypatch):
     import dataclasses
     from actionpairs import presentations as pr

@@ -12,11 +12,13 @@ from actionpairs.fmonoid import (BoundExceeded, CayleyTable, CongruencePartition
                                  NotACongruence, Presentation, SizeBoundExceeded,
                                  associativity_audit, closure_from_generators,
                                  congruence_closure, enumerate_presentation,
-                                 greedy_generators, iso_by_generators, quotient,
+                                 greedy_generators, is_compatible,
+                                 iso_by_generators, quotient,
                                  subtable, table_from_elements,
                                  table_presentation, verify_presentation)
+from actionpairs.actionpair import check_pair_from_plus, semidirect
 from actionpairs.presentations import build_catalog
-from actionpairs.registry import monoid_table, ptrans_table
+from actionpairs.registry import catalogue_pair, monoid_table, ptrans_table
 
 from conftest import brute_closure, brute_congruence, all_total_maps, naive_enumerate
 
@@ -637,6 +639,45 @@ def test_quotient_rejects_non_congruence():
     part.union(idx[ptrans.constant(1, 2)], t.identity)
     with pytest.raises(NotACongruence):
         quotient(t, part)
+
+
+def _scan_compatible(t, part):
+    """Two-sided compatibility by its definition: every member of a class
+    sends each generator, on the right and on the left, into the class of
+    its first member's image."""
+    first = part.canonical()
+    return all(first[t.mul(x, g)] == first[t.mul(first[x], g)] and
+               first[t.mul(g, x)] == first[t.mul(g, first[x])]
+               for x in range(t.size) for g in t.gens)
+
+
+def test_is_compatible_matches_the_two_sided_scan():
+    # T3, and U x| S for (M0n,PT) over c1 at degree 2: 36 elements, no identity
+    ctx = catalogue_pair("c1", 2, "M0n", "PT")
+    tables = {"T3": ptrans_table("T", 3),
+              "M0n x| PT": semidirect(ctx, check_pair_from_plus(ctx)[1]).table}
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(tables)),
+           st.sampled_from(["merge", "left", "right", "two_sided"]), st.data())
+    def check(name, how, data):
+        # an equivalence from random merges, or a closure of random pairs
+        t = tables[name]
+        ids = st.integers(0, t.size - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=3))
+        if how == "merge":
+            part = CongruencePartition(t.size)
+            for a, b in pairs:
+                part.union(a, b)
+        else:
+            part = congruence_closure(t, pairs, how)
+        verdict = is_compatible(t, part)
+        assert verdict == _scan_compatible(t, part)
+        seen.add(verdict)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_quotient_is_homomorphism():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import ptrans
+from actionpairs.fmonoid import SizeBoundExceeded
 from actionpairs.ptrans import (BadParams, DegreeMismatch, PartialMap, compose,
                                 eps, empty_map, family, family_gens,
                                 family_size, from_images, id_on, identity,
@@ -68,6 +69,16 @@ def test_family_sizes_against_formulas():
     assert family_size("T", 3) == 27
     assert family_size("G", 3) == 6
     assert family_size("I", 2) == 7
+
+
+def test_family_refuses_past_its_degree_cap_and_rejects_bad_params():
+    # a degree past FAMILY_CAP is a size refusal, not bad input
+    with pytest.raises(SizeBoundExceeded, match="past FAMILY_CAP"):
+        family("E", ptrans.FAMILY_CAP + 1)
+    with pytest.raises(BadParams, match="negative degree"):
+        family("E", -1)
+    with pytest.raises(BadParams, match="unknown family"):
+        family("Sing", 2)
 
 
 def test_sing_t2_elements():
