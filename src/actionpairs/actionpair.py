@@ -573,11 +573,14 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
     every code, built from the ambient's products and the action the first
     time a product needs it and dropped with the closure.  Every action value
     lies in U1 (the callers require the laws), so every product has a code.
-    The table's `elements` and `index` are decoded back to pairs.
+    A column entry is read from one shared list of the codes, so the
+    columns hold pointers to one int object per code, not a fresh int per
+    entry.  The table's `elements` and `index` are decoded back to pairs.
     """
     rows, action = ctx.rows, act.table
     u1, s1 = ctx.u1(), ctx.s1()
     width = len(s1)
+    codes = list(range(len(u1) * width))
     ucode = {u: i * width for i, u in enumerate(u1)}
     scode = {s: j for j, s in enumerate(s1)}
     times: dict = {}        # w -> the codes of u.w over u in U1
@@ -592,7 +595,7 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
         v, t = u1[g // width], s1[g % width]
         by_s = [left(action[s, v]) for s in s1]
         st = [scode[rows[s][t]] for s in s1]
-        return [a + b for us in zip(*by_s) for a, b in zip(us, st)]
+        return [codes[a + b] for us in zip(*by_s) for a, b in zip(us, st)]
 
     def prod(x, y):
         try:

@@ -8,7 +8,8 @@ single-character alphabet, with 'e' printing as the empty word.
 The public constructors `PrefixSet(...)` and `LRElement(...)` and `parse`
 validate their input.  `lr_product`, `lr_plus` and `Sampler` build their
 results through the trusted path instead, skipping validation; each
-docstring says why its result is valid.
+docstring says why its result is valid.  A `Sampler` keeps one prefix set
+per distinct drawn word set, so equal draws share it.
 
 Hashes are computed on first use and cached, with the values hash(words)
 for a prefix set and hash((pset, word)) for an element, whichever path
@@ -79,7 +80,9 @@ class PrefixSet:
         return PrefixSet(prefixes(w) | {w + v for v in self.words})
 
     def sorted_words(self) -> list:
-        return sorted(self.words, key=lambda v: (len(v), v))
+        """Shorter words first, each length in lexicographic order: the
+        order of the key (len(v), v), from two stable sorts done in C."""
+        return sorted(sorted(self.words), key=len)
 
     def __repr__(self):
         return "{" + ",".join(w or "e" for w in self.sorted_words()) + "}"
@@ -238,23 +241,52 @@ class Sampler:
     does, because they cannot fail the public checks: `down` returns a
     prefix-closed frozenset holding the empty word, and the word is drawn
     from that set.  The public constructors would make the same RNG calls,
-    so a seed gives the same elements either way."""
+    so a seed gives the same elements either way.
+
+    Equal draws share one prefix set: the sampler keeps one `PrefixSet`,
+    with its sorted words, per distinct word set it has drawn, and hands
+    that object out again whenever the same set comes up.  Many kept
+    samples then cost one set per distinct value, not one per draw.
+
+    The letters must print and parse back: single characters, none
+    repeated, none of them 'e' (the empty word) or a character of the text
+    form."""
 
     def __init__(self, alphabet="xy", seed=0x5EED):
-        self.alphabet = sorted(alphabet)
+        letters = list(alphabet)
+        if not letters:
+            raise ValueError("the alphabet is empty")
+        for c in letters:
+            if not isinstance(c, str) or len(c) != 1 or c in "e{},@" or c.isspace():
+                raise ValueError(f"letter {c!r} is not a single character that prints "
+                                 "as itself")
+        if len(set(letters)) != len(letters):
+            raise ValueError(f"repeated letter in {alphabet!r}")
+        self.alphabet = sorted(letters)
         self.rng = random.Random(seed)
+        self._drawn: dict = {}      # word set -> (its PrefixSet, its sorted words)
 
     def word(self, max_len=4) -> str:
-        k = self.rng.randint(0, max_len)
-        return "".join(self.rng.choice(self.alphabet) for _ in range(k))
+        randint, choice, letters = self.rng.randint, self.rng.choice, self.alphabet
+        return "".join([choice(letters) for _ in range(randint(0, max_len))])
+
+    def _draw(self) -> tuple:
+        """The prefix set of up to four random words, and its sorted words;
+        the stored pair if that set was drawn before."""
+        word = self.word
+        words = down([word() for _ in range(self.rng.randint(0, 4))])
+        hit = self._drawn.get(words)
+        if hit is None:
+            a = _prefix_set(words)
+            hit = self._drawn[words] = (a, a.sorted_words())
+        return hit
 
     def prefix_set(self) -> PrefixSet:
-        k = self.rng.randint(0, 4)
-        return _prefix_set(down(self.word() for _ in range(k)))
+        return self._draw()[0]
 
     def element(self) -> LRElement:
-        ps = self.prefix_set()
-        return _lr_element(ps, self.rng.choice(ps.sorted_words()))
+        ps, ws = self._draw()
+        return _lr_element(ps, self.rng.choice(ws))
 
 
 def parse(text: str) -> LRElement:

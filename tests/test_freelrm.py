@@ -266,3 +266,41 @@ def test_every_construction_path_is_hashable():
     built += min_genset("xy", 2)
     for e in built:
         assert hash(e) == hash((e.pset, e.word)) and hash(e.pset) == hash(e.pset.words)
+
+
+# --- shared draws, the word order and the alphabet ----------------------------
+
+@pytest.mark.parametrize("seed", [0x5EED, 7])
+def test_equal_draws_share_one_prefix_set(seed):
+    s = Sampler(seed=seed)
+    draws = [s.element() for _ in range(3000)]
+    sets = {x.pset.words for x in draws}
+    assert len(sets) < len(draws) // 4
+    assert len({id(x.pset) for x in draws}) == len(sets)
+    by_words = {x.pset.words: x.pset for x in draws}
+    for _ in range(500):
+        p = s.prefix_set()
+        assert by_words.setdefault(p.words, p) is p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet="xyz", max_size=5), max_size=6))
+def test_sorted_words_is_shortlex(words):
+    ps = PrefixSet(down(words))
+    assert ps.sorted_words() == sorted(ps.words, key=lambda v: (len(v), v))
+
+
+@pytest.mark.parametrize("alphabet", ["", "ex", "xe", "xxy", ["x", "yz"], "x,", "x@", "x{",
+                                      "x}", "x ", [1, "x"]])
+def test_sampler_refuses_alphabets_it_cannot_print(alphabet):
+    with pytest.raises(ValueError):
+        Sampler(alphabet=alphabet, seed=3)
+
+
+@pytest.mark.parametrize("alphabet", ["x", "yx", "abc", ["p", "q"]])
+def test_sampler_draws_print_and_parse_back(alphabet):
+    s = Sampler(alphabet=alphabet, seed=3)
+    for _ in range(200):
+        x = s.element()
+        assert parse(repr(x)) == x
+        assert set("".join(x.pset.words)) <= set(alphabet)
