@@ -563,10 +563,12 @@ def _shortlex_pairs(m: CayleyTable, us: Sequence, ss: Sequence) -> list:
 def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
                   identity_hint, size: int, what: str) -> CayleyTable:
     """The `size` pairs (u, s) generated under (u, s)(v, t) = (u.(s>v), st)
-    by the candidates that `greedy_generators` keeps, with payload (u, s).
+    by the candidates, pruned as they come, with payload (u, s).
 
-    The candidates include every one of the `size` pairs, so the closure is
-    those pairs iff it has `size` elements.
+    One pruning closure (`closure_from_generators` with prune=True) keeps
+    a candidate only when the closure so far lacks it and forms each
+    product once.  The candidates include every one of the `size` pairs, so
+    the closure is those pairs iff it has `size` elements.
 
     The closure runs on integer codes: (u, s) in U1 x S1 is iu*|S1| + is.
     A kept generator (v, t) gets a column, the code of (u, s)(v, t) for
@@ -606,9 +608,8 @@ def _pair_closure(ctx: AmbientContext, act: ActionTable, candidates: Iterable,
 
     hint = None if identity_hint is None else \
         ucode[identity_hint[0]] + scode[identity_hint[1]]
-    gens = greedy_generators((ucode[u] + scode[s] for u, s in candidates
-                              if (u, s) != identity_hint), prod) or [hint]
-    table = closure_from_generators(gens, prod, identity_hint=hint)
+    table = closure_from_generators((ucode[u] + scode[s] for u, s in candidates),
+                                    prod, identity_hint=hint, prune=True)
     if table.size != size:
         raise ValueError(f"{what} generators failed to cover {size} pairs")
     table.elements = [(u1[c // width], s1[c % width]) for c in table.elements]
@@ -639,7 +640,7 @@ def semidirect(ctx: AmbientContext, act: ActionTable) -> SemidirectResult:
     intersection with its retraction, the monoid verdict, and checks that
     the pair of identities is a mid-identity of the extended product.
 
-    The table is generated by the pairs that `greedy_generators` keeps
+    The table is generated by the pairs that the pruning closure keeps
     from U x S in shortlex order of their ambient normal forms.  No m x m
     table is built (`_pair_closure` multiplies integer codes).  The result
     is stored on the action, and a second call returns it.
@@ -1163,7 +1164,7 @@ def proper_cover(ctx: AmbientContext, act: ActionTable, *,
     covering morphism separating projections and preserving the unary
     operation.
 
-    The carrier is generated by the members that `greedy_generators` keeps
+    The carrier is generated by the members that the pruning closure keeps
     in shortlex order of their ambient normal forms.  The cover pair is
     classified with the carrier as its ambient, so the carrier's products
     are read from its own `rows()`: its m x m table up to FULL_TABLE_CAP

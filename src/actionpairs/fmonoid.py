@@ -27,16 +27,18 @@ a product, for tables (`CayleyTable.eval_word`), for presentation checks
 
 The closure layer has three routines.  `right_orbit` closes seeds under
 right multiplication by generators, recording each element's word and
-parent; `closure_from_generators` does the same over payload objects and is
-the one closure that builds a table (the right table over the generators);
-and `CongruencePartition.close` is the one congruence closure, reading each
-element's images under the generators from a successor function as
-`right_orbit` does; `is_compatible` reads compatibility off it as a fixed
-point (an equivalence is a congruence exactly when its two-sided closure
-merges nothing more).  `CongruencePartition` is also the one union-find:
-`enumerate_presentation` keeps its coincidence classes in one and writes
-its parent list directly on the hot paths.  `greedy_generators` prunes a
-candidate generator list to the members the earlier ones do not generate.
+parent; `_close` is the one loop that closes payload objects under a
+product, filling the right table as it goes, and with prune=True it skips
+each candidate generator that the closure so far holds (Froidure & Pin).
+`closure_from_generators` builds every payload table from it, renumbering
+a pruned closure in shortlex-BFS order, and `greedy_generators` is its kept
+list alone.  `CongruencePartition.close` is the one congruence closure,
+reading each element's images under the generators from a successor
+function as `right_orbit` does; `is_compatible` reads compatibility off it
+as a fixed point (an equivalence is a congruence exactly when its two-sided
+closure merges nothing more).  `CongruencePartition` is also the one
+union-find: `enumerate_presentation` keeps its coincidence classes in one
+and writes its parent list directly on the hot paths.
 No closure materialises an m x m table: `mul` walks normal forms, and the
 callers that multiply by arbitrary elements at scale call `rows()`
 themselves (the m x m table up to FULL_TABLE_CAP, rows built as they are
@@ -374,33 +376,27 @@ def _detect_identity(t: CayleyTable) -> Optional[int]:
     return None
 
 
-def closure_from_generators(gens: Sequence, product: Callable,
-                            identity_hint=None, *, cap: Optional[int] = None
-                            ) -> CayleyTable:
-    """Enumerate the semigroup generated by `gens` under `product`.
+def _close(gens: Iterable, product: Callable, identity_hint, cap: Optional[int],
+           prune: bool) -> tuple:
+    """The generator closure of Froidure & Pin, "Algorithms for computing
+    finite semigroups" (1997): the one loop that closes payloads under a
+    product.  Returns (kept, elems, index, nf, parent, right, identity).
 
-    Elements are numbered in shortlex-BFS discovery order (the identity
-    hint, if given, comes first with the empty word as its normal form).
-    Deterministic for a fixed generator order.  `cap` defaults to NODE_CAP.
-    Only the right table over the generators is built; call `full_table()`
-    on the result for the m x m table.  The result keeps the payloads as
-    `elements` and the payload -> id dict as `index`.
-
-    This is the table-building form of the generator closure of Froidure &
-    Pin (1997); `right_orbit` is the same closure without a table.  It keeps
-    its own loop because it fills the right table, the words and the parent
-    trail in the one pass: rebuilt on `right_orbit`, the 43 digit-coded
-    closures of the presentation benchmark's wreath targets took 0.143 s
-    against 0.104 s (best of 8 runs, CPython 3.11 on a 2-core host).
+    The identity hint, if given, is element 0 with the empty word.  A fixed
+    list (prune=False) is kept whole, repeats included: every generator is
+    registered before any product is formed, so elements are numbered in
+    shortlex-BFS order.  With prune=True the closure grows one candidate at
+    a time and skips a candidate it already holds.  On each kept candidate
+    the rows so far are multiplied by it alone and the new elements by
+    every kept generator, so each product is formed once: about
+    |closure| x |kept| products rather than |closure|^2.  The numbering and
+    words are then those of discovery, not shortlex-BFS.  Either way
+    right[e][k] = elems[e] * kept[k] and nf[e] evaluates to elems[e].  A
+    product that raises stops the closure at its first escape.
     """
-    if not gens:
-        raise ValueError("need at least one generator")
     if cap is None:
         cap = NODE_CAP
-    index: dict = {}
-    elems: list = []
-    nf: list[Word] = []
-    parent: list = []
+    kept, elems, nf, parent, right, index = [], [], [], [], [], {}
 
     def register(x, word, par):
         if len(elems) >= cap:
@@ -411,76 +407,92 @@ def closure_from_generators(gens: Sequence, product: Callable,
         parent.append(par)
         return len(elems) - 1
 
-    identity = None
-    if identity_hint is not None:
-        identity = register(identity_hint, (), None)
-    gen_ids = []
-    for k, g in enumerate(gens):
-        if g in index:
-            gen_ids.append(index[g])
-        else:
-            gen_ids.append(register(g, (k,), (identity if identity is not None else -1, k)))
-
-    right: list[list[int]] = []
-    e = 0
-    while e < len(elems):
-        x = elems[e]
-        row = []
-        for k, g in enumerate(gens):
-            p = product(x, g)
+    identity = None if identity_hint is None else register(identity_hint, (), None)
+    root = -1 if identity is None else identity
+    done = 0                        # the rows built so far
+    for batch in ([g] for g in gens) if prune else [list(gens)]:
+        if prune and batch[0] in index:
+            continue
+        for g in batch:
+            if g not in index:
+                register(g, (len(kept),), (root, len(kept)))
+            kept.append(g)
+        k = len(kept) - 1
+        for e in range(done):       # pruning: the rows so far times g alone
+            p = product(elems[e], g)
             j = index.get(p)
             if j is None:
                 j = register(p, nf[e] + (k,), (e, k))
-            row.append(j)
-        right.append(row)
-        e += 1
+            right[e].append(j)
+        while done < len(elems):    # the new elements times every generator
+            x, row = elems[done], []
+            for k, g in enumerate(kept):
+                p = product(x, g)
+                j = index.get(p)
+                if j is None:
+                    j = register(p, nf[done] + (k,), (done, k))
+                row.append(j)
+            right.append(row)
+            done += 1
+    return kept, elems, index, nf, parent, right, identity
 
+
+def closure_from_generators(gens: Iterable, product: Callable,
+                            identity_hint=None, *, cap: Optional[int] = None,
+                            prune: bool = False) -> CayleyTable:
+    """Enumerate the semigroup generated by `gens` under `product`.
+
+    Elements are numbered in shortlex-BFS discovery order over the
+    generators (the identity hint, if given, comes first with the empty
+    word as its normal form).  Deterministic for a fixed generator order.
+    `cap` defaults to NODE_CAP.  Only the right table over the generators
+    is built; call `full_table()` on the result for the m x m table.  The
+    result keeps the payloads as `elements` and the payload -> id dict as
+    `index`.
+
+    A fixed list is taken whole.  With prune=True `gens` are candidates:
+    the table is generated by those that the ones kept before them do not
+    generate (`_close`), or by the identity alone when they generate
+    nothing else, and it is the table this function builds over that kept
+    list, renumbered from discovery order by one shortlex BFS over its
+    right table (`_bfs_trail`).
+    """
+    kept, elems, index, nf, parent, right, identity = _close(
+        gens, product, identity_hint, cap, prune)
+    if not kept:
+        if not prune or identity is None:
+            raise ValueError("need at least one generator")
+        kept.append(identity_hint)              # it generates itself alone
+        right.append([identity])
+    gen_ids = [index[g] for g in kept]
+    if prune:
+        found = _bfs_trail(right, gen_ids, identity)
+        new = dict(zip(found, range(len(found))))
+        new[-1] = -1                            # the root of one-letter words
+        elems = [elems[e] for e in found]
+        index.update(zip(elems, range(len(elems))))
+        nf = [word for word, _ in found.values()]
+        parent = [par and (new[par[0]], par[1]) for _, par in found.values()]
+        right = [right[e] for e in found]
+        for row in right:
+            row[:] = map(new.__getitem__, row)
+        gen_ids = [new[g] for g in gen_ids]
     t = CayleyTable(len(elems), gen_ids, right, nf, parent, identity, elems, index)
     if identity is not None and not all(
             right[identity][k] == gen_ids[k] and
-            product(gens[k], identity_hint) == gens[k] for k in range(len(gens))):
+            product(g, identity_hint) == g for k, g in enumerate(kept)):
         raise ValueError("identity hint is not a two-sided identity")
     return t
 
 
 def greedy_generators(candidates: Iterable, product: Callable) -> list:
-    """The candidates, in order, that the ones kept before them do not generate.
-
-    Generator pruning after Froidure & Pin, "Algorithms for computing finite
-    semigroups" (1997): the right closure of the kept candidates grows one
-    candidate at a time, and a candidate it already holds is skipped.  On
-    each new generator the elements so far are multiplied by it alone and
-    the new elements by every kept generator, so each product is formed
-    once: about |closure| x |kept| products rather than |closure|^2.  The
-    kept list generates everything the candidates generate.  A product that
-    raises stops the closure at the first escape: `AmbientContext` certifies
-    that a set is closed this way.
+    """The candidates, in order, that the ones kept before them do not
+    generate: the kept list of the pruning closure (`_close`), with no
+    table numbered.  The kept list generates everything the candidates
+    generate.  A product that raises stops the closure at the first escape:
+    `AmbientContext` certifies that a set is closed this way.
     """
-    kept: list = []
-    seen: set = set()
-    elems: list = []
-    for g in candidates:
-        if g in seen:
-            continue
-        old = len(elems)
-        kept.append(g)
-        seen.add(g)
-        elems.append(g)
-        for i in range(old):
-            p = product(elems[i], g)
-            if p not in seen:
-                seen.add(p)
-                elems.append(p)
-        i = old
-        while i < len(elems):
-            x = elems[i]
-            for h in kept:
-                p = product(x, h)
-                if p not in seen:
-                    seen.add(p)
-                    elems.append(p)
-            i += 1
-    return kept
+    return _close(candidates, product, None, None, True)[0]
 
 
 def right_orbit(seeds: Iterable, successors: Callable,
@@ -513,14 +525,6 @@ def right_orbit(seeds: Iterable, successors: Callable,
     return found
 
 
-def every_element_gens(elements: Iterable, identity) -> list:
-    """The generator list of a set with no known generating set: every
-    element but the identity, in order, or the identity alone when there
-    is no other."""
-    gens = [x for x in elements if identity is None or x != identity]
-    return gens or ([] if identity is None else [identity])
-
-
 def table_from_elements(elements: Sequence, product: Callable, *,
                         gens: Optional[Sequence] = None, identity=None
                         ) -> CayleyTable:
@@ -531,13 +535,14 @@ def table_from_elements(elements: Sequence, product: Callable, *,
     if given, first), which must reach exactly the given elements; anything
     else raises ValueError, or SizeBoundExceeded once the closure passes one
     element more than the list.  When no generating set is known
-    (gens=None), every element serves as a generator in list order; normal
-    forms are then single letters (the identity keeps the empty word).
+    (gens=None), the elements in list order are the candidates of a pruned
+    closure (`closure_from_generators` with prune=True): the generators are
+    the elements that the ones before them do not generate, the identity
+    aside, or the identity alone when nothing else is listed.
     """
-    if gens is None:
-        gens = every_element_gens(elements, identity)
-    t = closure_from_generators(gens, product, identity_hint=identity,
-                                cap=len(elements) + 1)
+    t = closure_from_generators(elements if gens is None else gens, product,
+                                identity_hint=identity, cap=len(elements) + 1,
+                                prune=gens is None)
     if t.index.keys() != set(elements):
         raise ValueError("given generators do not generate the given elements")
     return t
@@ -717,9 +722,10 @@ def quotient(table: CayleyTable, part: CongruencePartition) -> CayleyTable:
     return CayleyTable(len(rep), gens, right, nf, parent, identity)
 
 
-def _bfs_words(right, gens, identity):
+def _bfs_trail(right, gens, identity) -> dict:
     """Shortlex-BFS words over `gens` reaching every element of a right
-    table, with the parent trail of each (see CayleyTable)."""
+    table: each element maps to its word and parent trail (see
+    CayleyTable), in BFS order."""
     root = -1 if identity is None else identity
     seeds = [] if identity is None else [identity]
     found = right_orbit(seeds + list(gens), right.__getitem__,
@@ -727,7 +733,13 @@ def _bfs_words(right, gens, identity):
                         [((k,), (root, k)) for k in range(len(gens))])
     if len(found) != len(right):
         raise ValueError("generators do not reach every element")
-    nf, parent = zip(*map(found.__getitem__, range(len(right))))
+    return found
+
+
+def _bfs_words(right, gens, identity):
+    """The `_bfs_trail` words and parents, listed by element id."""
+    nf, parent = zip(*map(_bfs_trail(right, gens, identity).__getitem__,
+                          range(len(right))))
     return list(nf), list(parent)
 
 
@@ -1107,8 +1119,9 @@ def subtable(m: CayleyTable, subset: Iterable[int], *,
 
     `table_from_elements` over the sorted ids, with m's identity as the
     identity when the subset holds it; old->new is the table's `index`.
-    With no generating set every member acts as a generator.  The subset
-    must be closed under the product and generated by `gens`.
+    With no generating set the members in id order are pruned to the ones
+    the earlier members do not generate.  The subset must be closed under
+    the product and generated by `gens`.
     """
     ids = set(subset)
     t = table_from_elements(sorted(ids), m.mul, gens=gens,

@@ -27,8 +27,22 @@ from typing import Iterable
 from .fmonoid import right_orbit
 
 
-class AlphabetMismatch(Exception):
+class AlphabetMismatch(ValueError):
     pass
+
+
+def letters_of(alphabet: Iterable[str]) -> list[str]:
+    """The letters sorted, once they are known to print and parse back:
+    single characters, none repeated, none of them 'e' (the empty word), a
+    space or a character of the text form.  Raises AlphabetMismatch."""
+    letters = list(alphabet)
+    for c in letters:
+        if not isinstance(c, str) or len(c) != 1 or c in "e{},@" or c.isspace():
+            raise AlphabetMismatch(f"letter {c!r} is not a single character that "
+                                   "prints as itself")
+    if len(set(letters)) != len(letters):
+        raise AlphabetMismatch(f"repeated letter in {alphabet!r}")
+    return sorted(letters)
 
 
 def prefixes(w: str) -> frozenset:
@@ -192,9 +206,7 @@ def min_genset(alphabet: Iterable[str], length_bound: int) -> list[LRElement]:
     """The unique minimum monoid generating set, truncated to projections of
     words up to the length bound: all w-downsets as projections, plus the
     letters themselves."""
-    letters = sorted(alphabet)
-    if any(len(c) != 1 for c in letters):
-        raise AlphabetMismatch("letters must be single characters")
+    letters = letters_of(alphabet)
     return ([LRElement(PrefixSet(prefixes(w)), "") for w in words_up_to(letters, length_bound)]
             + [embed_word(c) for c in letters])
 
@@ -202,7 +214,7 @@ def min_genset(alphabet: Iterable[str], length_bound: int) -> list[LRElement]:
 def words_up_to(alphabet: Iterable[str], length_bound: int) -> list[str]:
     """Every non-empty word over the sorted letters of length up to the
     bound, shorter words first and each length in lexicographic order."""
-    letters = sorted(alphabet)
+    letters = letters_of(alphabet)
     out = []
     layer = [""]
     for _ in range(length_bound):
@@ -213,7 +225,7 @@ def words_up_to(alphabet: Iterable[str], length_bound: int) -> list[str]:
 
 def all_prefix_sets(alphabet: Iterable[str], length_bound: int) -> list[PrefixSet]:
     """Every prefix-closed set of words of length <= the bound (small scales)."""
-    letters = sorted(alphabet)
+    letters = letters_of(alphabet)
     found = right_orbit([frozenset({""})],
                         lambda ws: [ws | {w + c} for w in ws if len(w) < length_bound
                                     for c in letters])
@@ -248,21 +260,13 @@ class Sampler:
     that object out again whenever the same set comes up.  Many kept
     samples then cost one set per distinct value, not one per draw.
 
-    The letters must print and parse back: single characters, none
-    repeated, none of them 'e' (the empty word) or a character of the text
-    form."""
+    The alphabet must be non-empty and its letters must print and parse
+    back (`letters_of`)."""
 
     def __init__(self, alphabet="xy", seed=0x5EED):
-        letters = list(alphabet)
-        if not letters:
+        self.alphabet = letters_of(alphabet)
+        if not self.alphabet:
             raise ValueError("the alphabet is empty")
-        for c in letters:
-            if not isinstance(c, str) or len(c) != 1 or c in "e{},@" or c.isspace():
-                raise ValueError(f"letter {c!r} is not a single character that prints "
-                                 "as itself")
-        if len(set(letters)) != len(letters):
-            raise ValueError(f"repeated letter in {alphabet!r}")
-        self.alphabet = sorted(letters)
         self.rng = random.Random(seed)
         self._drawn: dict = {}      # word set -> (its PrefixSet, its sorted words)
 

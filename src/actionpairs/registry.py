@@ -49,8 +49,9 @@ def monoid_table(name: str) -> CayleyTable:
 
 def ptrans_table(kind: str, n: int) -> CayleyTable:
     """Cayley table of a transformation family, payload PartialMap objects,
-    numbered by `table_from_elements` over the family's standard generators
-    (over every element when it has none: SingI, SingE, PTminusT)."""
+    numbered by `table_from_elements` over the family's standard generators,
+    or over the elements that the ones before them do not generate when it
+    has none (SingI, SingE, PTminusT)."""
     elems = ptrans.family(kind, n)
     ident = ptrans.identity(n)
     return table_from_elements(elems, ptrans.compose, gens=ptrans.family_gens(kind, n),

@@ -44,8 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import ptrans
 from .ptrans import UNDEF, _pmap
-from .fmonoid import (CayleyTable, SizeBoundExceeded, closure_from_generators,
-                      every_element_gens)
+from .fmonoid import CayleyTable, SizeBoundExceeded, closure_from_generators
 
 ZERO = -1
 
@@ -391,10 +390,10 @@ def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
     with the closure.
 
     Numbering.  `closure_from_generators` closes the codes of the family's
-    natural generators (`wreath_gens`), or of every element but the
-    identity in `wreath_elements` order (`fmonoid.every_element_gens`)
-    when the family has none (SingI, SingE, PTminusT), with the identity
-    first when F holds it.  The
+    natural generators (`wreath_gens`), with the identity first when F
+    holds it.  A family without them (SingI, SingE, PTminusT) offers every
+    element in `wreath_elements` order as a candidate, and the closure keeps
+    those that the ones before them do not generate (prune=True).  The
     numbering depends only on the generator order and on equality of
     products, so it is the one the payload product `wr_product` gives, and
     `elements` and `index` are decoded back to `WreathElement`s.
@@ -415,15 +414,16 @@ def enumerate_wreath(M: CayleyTable, kind: str, n: int) -> CayleyTable:
     family = set(ptrans.family(kind, n))
     ident = wreath_identity(M, n) if ptrans.identity(n) in family else None
     gens = wreath_gens(M, kind, n)
-    if gens is None:
-        gens = every_element_gens(wreath_elements(M, kind, n), ident)
+    prune = gens is None
+    if prune:
+        gens = wreath_elements(M, kind, n)
     if any(g.pmap not in family for g in gens):
         raise ValueError(f"a generator lies outside the wreath product over {kind}")
 
     encode, decode, product = _digit_code(M, n)
-    table = closure_from_generators([encode(g) for g in gens], product,
+    table = closure_from_generators(map(encode, gens), product,
                                     identity_hint=None if ident is None else encode(ident),
-                                    cap=size + 1)
+                                    cap=size + 1, prune=prune)
     if table.size != size:
         raise ValueError(f"generators reach {table.size} of {size} elements")
     table.elements = [decode(c) for c in table.elements]

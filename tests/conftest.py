@@ -8,7 +8,7 @@ from actionpairs import presentations as pr
 from actionpairs import ptrans, wreath
 from actionpairs.fmonoid import (BoundExceeded, CayleyTable, Presentation,
                                  _bfs_words, closure_from_generators,
-                                 greedy_generators)
+                                 greedy_generators, right_orbit)
 from actionpairs.registry import monoid_table, subset_ids
 
 
@@ -42,6 +42,42 @@ def brute_closure(gens, product):
                     seen.add(c)
                     changed = True
     return seen
+
+
+def plain_greedy(candidates, product):
+    """Generator pruning by its definition: a candidate is kept iff the
+    right orbit of the candidates kept before it lacks it."""
+    kept, held = [], set()
+    for c in candidates:
+        if c not in held:
+            kept.append(c)
+            held = set(right_orbit(kept, lambda x: [product(x, g) for g in kept]))
+    return kept
+
+
+def plain_closure(gens, product, identity_hint=None):
+    """The table generated by a fixed list, numbered by the plain loop: the
+    identity hint first, then each generator not listed yet, then the right
+    multiples of each listed element by every generator in turn."""
+    elems, nf, parent, right, index = [], [], [], [], {}
+
+    def add(x, word, par):
+        if x not in index:
+            index[x] = len(elems)
+            elems.append(x)
+            nf.append(word)
+            parent.append(par)
+        return index[x]
+    identity = None if identity_hint is None else add(identity_hint, (), None)
+    root = -1 if identity is None else identity
+    gen_ids = [add(g, (k,), (root, k)) for k, g in enumerate(gens)]
+    for e, x in enumerate(elems):       # the list grows as it is read
+        right.append([add(product(x, g), nf[e] + (k,), (e, k))
+                      for k, g in enumerate(gens)])
+    return CayleyTable(len(elems), gen_ids, right, nf, parent, identity, elems, index)
+
+
+TABLE_FIELDS = ("right", "nf", "parent", "gens", "identity", "elements", "index")
 
 
 def brute_congruence(table, pairs, side):

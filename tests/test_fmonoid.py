@@ -20,7 +20,8 @@ from actionpairs.actionpair import check_pair_from_plus, semidirect
 from actionpairs.presentations import build_catalog
 from actionpairs.registry import catalogue_pair, monoid_table, ptrans_table
 
-from conftest import brute_closure, brute_congruence, all_total_maps, naive_enumerate
+from conftest import (TABLE_FIELDS, all_total_maps, brute_closure, brute_congruence,
+                      naive_enumerate, plain_closure, plain_greedy)
 
 
 # --- closure_from_generators ---------------------------------------------------
@@ -853,6 +854,40 @@ def test_greedy_generators_match_oracle(picks):
     assert brute_closure(kept, ptrans.compose) == brute_closure(cands, ptrans.compose)
     for i, g in enumerate(kept):
         assert g not in (brute_closure(kept[:i], ptrans.compose) if i else set())
+
+
+def _assert_same_fields(got, want):
+    for name in TABLE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_pruning_closure_is_the_closure_of_its_plain_greedy_choice(data):
+    # a candidate is kept iff the right orbit of those kept before it lacks
+    # it (the identity hint is held from the start), and the pruned table is
+    # field for field the table of the kept list
+    kind, n = data.draw(st.sampled_from([("T", 2), ("PT", 2), ("I", 3), ("T", 3)]))
+    elems = ptrans.family(kind, n)
+    cands = data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=8))
+    hint = data.draw(st.sampled_from([None, ptrans.identity(n)]))
+    kept = plain_greedy([c for c in cands if c != hint], ptrans.compose) or [hint]
+    _assert_same_fields(closure_from_generators(cands, ptrans.compose, hint, prune=True),
+                        plain_closure(kept, ptrans.compose, hint))
+    # a fixed list is taken whole, repeats and redundant generators included
+    _assert_same_fields(closure_from_generators(cands, ptrans.compose, hint),
+                        plain_closure(cands, ptrans.compose, hint))
+
+
+def test_a_redundant_standard_list_is_kept_whole():
+    # T's standard list is redundant, eps(2,1) = tau eps(1,2) tau, and a
+    # fixed list keeps it whole, a repeated generator too
+    gens = ptrans.family_gens("T", 3)
+    assert len(greedy_generators(gens, ptrans.compose)) < len(gens)
+    gens = gens + gens[:1]
+    t = closure_from_generators(gens, ptrans.compose, ptrans.identity(3))
+    assert len(t.gens) == len(gens) and t.size == 27
+    _assert_same_fields(t, plain_closure(gens, ptrans.compose, ptrans.identity(3)))
 
 
 @settings(max_examples=25, deadline=None)

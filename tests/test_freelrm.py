@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actionpairs import freelrm
-from actionpairs.freelrm import (LRElement, PrefixSet, Sampler, act_word,
-                                 all_prefix_sets, down, element, embed_word,
-                                 is_atom, lr_identity, lr_plus, lr_product,
-                                 min_genset, parse, prefixes, sigma_related)
+from actionpairs.freelrm import (AlphabetMismatch, LRElement, PrefixSet, Sampler,
+                                 act_word, all_prefix_sets, down, element,
+                                 embed_word, is_atom, lr_identity, lr_plus,
+                                 lr_product, min_genset, parse, prefixes,
+                                 sigma_related, words_up_to)
 
 
 def test_product_example():
@@ -304,3 +305,33 @@ def test_sampler_draws_print_and_parse_back(alphabet):
         x = s.element()
         assert parse(repr(x)) == x
         assert set("".join(x.pset.words)) <= set(alphabet)
+
+
+# the letters every entry point refuses, as `Sampler` does (it also refuses
+# the empty alphabet, which leaves it nothing to draw)
+UNPRINTABLE = ["ex", "xe", "xxy", ["x", "yz"], "x,", "x@", "x{", "x}", "x ", [1, "x"]]
+
+
+@pytest.mark.parametrize("alphabet", UNPRINTABLE)
+def test_min_genset_refuses_alphabets_it_cannot_print(alphabet):
+    with pytest.raises(AlphabetMismatch):
+        min_genset(alphabet, 1)
+
+
+@pytest.mark.parametrize("alphabet", UNPRINTABLE)
+def test_words_up_to_refuses_alphabets_it_cannot_print(alphabet):
+    with pytest.raises(AlphabetMismatch):
+        words_up_to(alphabet, 1)
+
+
+@pytest.mark.parametrize("alphabet", UNPRINTABLE)
+def test_all_prefix_sets_refuses_alphabets_it_cannot_print(alphabet):
+    with pytest.raises(AlphabetMismatch):
+        all_prefix_sets(alphabet, 1)
+
+
+@pytest.mark.parametrize("alphabet", ["x", "yx", ["q", "p"]])
+def test_min_genset_prints_and_parses_back(alphabet):
+    gens = min_genset(alphabet, 2)
+    assert len(set(gens)) == len(gens)
+    assert all(parse(repr(x)) == x for x in gens)

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every function
-reads each parameter it takes, and one class holds the union-find."""
+reads each parameter it takes, one class holds the union-find and one
+function runs the product-closure loop."""
 
 import ast
 from pathlib import Path
@@ -161,3 +162,52 @@ def test_one_union_find():
     found = {path.name: halving_loops_outside(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+PRODUCT_CALLS = ("product", "prod", "mul")
+
+
+def closure_loop_functions(source: str) -> list:
+    """The functions that run a product-closure loop: a `while` loop over a
+    growing list (its test compares with `len(...)`) whose body calls a
+    product (a function named `product` or `prod`, or a `mul` method)."""
+    def is_growing(test):
+        return isinstance(test, ast.Compare) and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "len"
+            for c in test.comparators)
+
+    def calls_product(loop):
+        return any(isinstance(n, ast.Call) and
+                   getattr(n.func, "id", getattr(n.func, "attr", None)) in PRODUCT_CALLS
+                   for stmt in loop.body for n in ast.walk(stmt))
+
+    return sorted({func.name for func in ast.walk(ast.parse(source))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for loop in ast.walk(func)
+                   if isinstance(loop, ast.While) and is_growing(loop.test)
+                   and calls_product(loop)})
+
+
+def test_the_check_sees_a_second_closure_loop():
+    source = ("def close(gens, product):\n"
+              "    elems, e = list(gens), 0\n"
+              "    while e < len(elems):\n"
+              "        elems += [product(elems[e], g) for g in gens]\n"
+              "        e += 1\n"
+              "def prune(cands, t):\n"
+              "    kept, i = [], 0\n"
+              "    while i < len(kept):\n"
+              "        i = t.mul(kept[i], i)\n"
+              "def count(xs):\n"
+              "    i = 0\n"
+              "    while i < len(xs):\n"
+              "        i += 1\n")
+    assert closure_loop_functions(source) == ["close", "prune"]
+
+
+def test_one_closure_loop():
+    # every table, and every pruned generator list, comes from `_close`
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in closure_loop_functions(path.read_text())}
+    assert found == {("fmonoid.py", "_close")}
+    assert not any("every_element_gens" in path.read_text() for path in SRC.glob("*.py"))

@@ -18,6 +18,8 @@ from actionpairs.wreath import (MTuple, WreathElement, ZERO, act, embed_pmap,
                                 unit_tuple, wr_plus, wr_product, wreath_elements,
                                 wreath_gens, wreath_identity, wreath_size)
 
+from conftest import plain_greedy
+
 
 def test_act_figure(c3):
     a = from_images([2, None, 3, 2, 6, 6])
@@ -321,32 +323,33 @@ def test_wreath_table_matches_the_literal_construction(base, kind, n):
     _assert_same_table(enumerate_wreath(M, kind, n), _oracle_table(M, kind, n))
 
 
-def _closed_from_every_element(elems, ident, product):
-    """The plain rule for a family with no generator list: close every
-    element but the identity, in list order, or the identity alone."""
-    gens = [x for x in elems if x != ident]
-    if not gens and ident is not None:
-        gens = [ident]
-    return closure_from_generators(gens, product, identity_hint=ident)
+def _assert_pruned_closure(got, elems, product):
+    """`got` has the element set and the payload products of the table
+    with every element as a generator, and its generators are the plain
+    greedy choice over the elements (none of these families holds the
+    identity)."""
+    want = closure_from_generators(elems, product)      # every element a generator
+    assert set(got.elements) == set(want.elements)
+    assert [got.elements[g] for g in got.gens] == plain_greedy(elems, product)
+    gfull, wfull, wi = got.full_table(), want.full_table(), want.index
+    for i, x in enumerate(got.elements):
+        wrow = wfull[wi[x]]
+        assert [got.elements[k] for k in gfull[i]] == \
+            [want.elements[wrow[wi[y]]] for y in got.elements]
 
 
 @pytest.mark.parametrize("kind", ["SingI", "SingE", "PTminusT"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_family_without_a_generator_list_is_closed_from_every_element(kind, n):
+    # every element is a candidate, in list order, and the closure keeps
+    # those that the ones before them do not generate
     elems = ptrans.family(kind, n)
-    want = _closed_from_every_element(
-        elems, identity(n) if identity(n) in elems else None, ptrans.compose)
-    got = ptrans_table(kind, n)
-    assert (got.right, got.nf, got.elements) == (want.right, want.nf, want.elements)
+    assert identity(n) not in elems
+    _assert_pruned_closure(ptrans_table(kind, n), elems, ptrans.compose)
     for base in ("c1", "c2"):
         M = monoid_table(base)
-        elems = wreath_elements(M, kind, n)
-        ident = wreath_identity(M, n)
-        want = _closed_from_every_element(
-            elems, ident if ident in elems else None, wr_product)
-        got = enumerate_wreath(M, kind, n)
-        assert (got.right, got.nf, got.elements) == \
-            (want.right, want.nf, want.elements), base
+        _assert_pruned_closure(enumerate_wreath(M, kind, n),
+                               wreath_elements(M, kind, n), wr_product)
 
 
 def test_ambient_wreath_matches_the_literal_construction():
